@@ -26,11 +26,11 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .estimators import (
-    BatchData,
     BatchOlsFit,
     IvwEstimate,
     KnownSigma,
     ResidualSigma,
+    RunningSums,
     SufficientStats,
     fit_batch_ols,
     ivw_combine,
@@ -38,8 +38,6 @@ from .estimators import (
     residual_noise_factors,
     state_from_sufficient_stats,
     sufficient_statistics,
-    variance_known_sigma,
-    variance_residual,
 )
 from .harness import (
     BoundsConfig,

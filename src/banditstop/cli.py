@@ -22,6 +22,7 @@ from typing import Optional
 from . import bounds as bounds_mod
 from .errors import ConfigError
 from .harness import (
+    CALIBRATION_SEED_TAG,
     ExperimentConfig,
     emit_reports,
     load_config,
@@ -125,7 +126,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         t_ref,
         config.bounds.delta,
         reps,
-        substream_seed(config.master_seed, 0x5EED_CA11),
+        substream_seed(config.master_seed, CALIBRATION_SEED_TAG),
     )
     print(json.dumps({"tail_const": k, "t_ref": t_ref, "pilot_replications": reps}))
     return 0

@@ -6,6 +6,14 @@ Scaling convention: the stored per-arm variance matrix is
 covariance of the combined estimate multiplied by the batch size.  Use
 :meth:`IvwEstimate.beta_cov` wherever the covariance of the estimate itself
 is needed (confidence intervals, posterior draws).
+
+Running sums: a trajectory folds each batch's fit into one
+:class:`RunningSums` in O(d^2), so :func:`ivw_combine` and
+:func:`residual_noise_factors` cost the same at every batch index.  The
+squared residual over all units has the closed form
+``sum (y - x'b)^2 = sum y^2 - 2 b'X'y + b'X'X b``; the sums keep e = y - x'ref
+in place of y, centred at the first usable batch estimate ref, so that the
+three terms do not cancel down to a small residual and lose its digits.
 """
 
 from __future__ import annotations
@@ -36,12 +44,16 @@ SigmaMode = Union[KnownSigma, ResidualSigma]
 
 @dataclass
 class ArmFit:
-    """One arm's OLS output in one batch; `beta` is None when the Gram is singular."""
+    """One arm's OLS output in one batch; `beta` and `rss` are None when the
+    Gram is singular.  `moment` (X'y) and `sum_sq` (y'y) carry such an arm's
+    units into the running residual sums."""
 
     beta: Optional[np.ndarray]
     gram: np.ndarray
     count: int
     rss: Optional[float]
+    moment: np.ndarray
+    sum_sq: float
 
 
 @dataclass
@@ -55,12 +67,88 @@ class BatchOlsFit:
 
 
 @dataclass
-class BatchData:
-    """Raw per-unit data for one batch (needed for residual-based variance)."""
+class ArmSums:
+    """One arm's running sums.  `gram`, `weighted` (Gram @ beta) and `usable`
+    count only batches whose own Gram is invertible; `xx`, `count`, `xe` (X'e)
+    and `ee` (e'e) cover all units, with e = y - x'ref.  `ref` is zero until the
+    first usable batch, then its estimate: the combined one while it is alone.
+    """
 
-    contexts: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
+    gram: np.ndarray
+    weighted: np.ndarray
+    usable: int
+    xx: np.ndarray
+    count: int
+    ref: np.ndarray
+    xe: np.ndarray
+    ee: float
+
+    @classmethod
+    def empty(cls, dim: int) -> "ArmSums":
+        return cls(
+            gram=np.zeros((dim, dim)),
+            weighted=np.zeros(dim),
+            usable=0,
+            xx=np.zeros((dim, dim)),
+            count=0,
+            ref=np.zeros(dim),
+            xe=np.zeros(dim),
+            ee=0.0,
+        )
+
+    def add(self, fit: ArmFit) -> None:
+        if fit.beta is None:
+            ref = self.ref
+            self.xe = self.xe + fit.moment - fit.gram @ ref
+            self.ee += fit.sum_sq - 2.0 * (ref @ fit.moment) + ref @ fit.gram @ ref
+        else:
+            if self.usable == 0:
+                # Recentre the sums of earlier singular batches at this estimate.
+                shift = fit.beta - self.ref
+                self.ee += shift @ self.xx @ shift - 2.0 * (shift @ self.xe)
+                self.xe = self.xe - self.xx @ shift
+                self.ref = fit.beta
+            # OLS orthogonality: the batch's residuals against ref are its own
+            # residuals plus X (beta_b - ref), with X' resid = 0.
+            gd = fit.gram @ (fit.beta - self.ref)
+            self.xe = self.xe + gd
+            self.ee += fit.rss + (fit.beta - self.ref) @ gd
+            self.gram = self.gram + fit.gram
+            self.weighted = self.weighted + fit.gram @ fit.beta
+            self.usable += 1
+        self.xx = self.xx + fit.gram
+        self.count += fit.count
+
+    def squared_residual(self, beta: np.ndarray) -> float:
+        """Sum of (y - x'beta)^2 over all units of this arm."""
+        delta = beta - self.ref
+        # Rounding can leave a residual of (near) zero slightly negative.
+        return max(float(self.ee - 2.0 * (delta @ self.xe) + delta @ self.xx @ delta), 0.0)
+
+
+@dataclass
+class RunningSums:
+    """Both arms' running sums over a trajectory; `len()` is the number of
+    batches added."""
+
+    arm0: ArmSums
+    arm1: ArmSums
+    t: int = 0
+
+    @classmethod
+    def empty(cls, dim: int) -> "RunningSums":
+        return cls(arm0=ArmSums.empty(dim), arm1=ArmSums.empty(dim))
+
+    def add(self, fit: BatchOlsFit) -> None:
+        self.arm0.add(fit.arm0)
+        self.arm1.add(fit.arm1)
+        self.t += 1
+
+    def arm(self, a: int) -> ArmSums:
+        return self.arm1 if a == 1 else self.arm0
+
+    def __len__(self) -> int:
+        return self.t
 
 
 @dataclass
@@ -123,121 +211,60 @@ def fit_batch_ols(
         xa = contexts[mask]
         ya = rewards[mask]
         gram = xa.T @ xa
+        moment = xa.T @ ya
+        beta, rss = None, None
         if is_invertible_gram(gram):
-            beta = solve_spd(gram, xa.T @ ya)
+            beta = solve_spd(gram, moment)
             resid = ya - xa @ beta
-            arms.append(ArmFit(beta=beta, gram=gram, count=int(mask.sum()), rss=float(resid @ resid)))
-        else:
-            arms.append(ArmFit(beta=None, gram=gram, count=int(mask.sum()), rss=None))
+            rss = float(resid @ resid)
+        arms.append(ArmFit(beta, gram, int(mask.sum()), rss, moment, float(ya @ ya)))
     return BatchOlsFit(batch_index=batch_index, arm0=arms[0], arm1=arms[1])
 
 
-def _contributing(fits: Sequence[BatchOlsFit], arm: int) -> List[ArmFit]:
-    # Batches with a singular arm-Gram contribute neither Gram nor estimate.
-    return [f.arm(arm) for f in fits if f.arm(arm).beta is not None]
-
-
-def _combined_gram(fits: Sequence[BatchOlsFit], arm: int) -> np.ndarray:
-    parts = _contributing(fits, arm)
-    if not parts:
+def _arm_estimate(sums: RunningSums, arm: int) -> np.ndarray:
+    s = sums.arm(arm)
+    if s.usable == 0:
         raise EstimatorUnavailable(f"no batch with a usable arm-{arm} fit")
-    total = parts[0].gram.copy()
-    for p in parts[1:]:
-        total = total + p.gram
-    if not is_invertible_gram(total):
+    if not is_invertible_gram(s.gram):
         raise EstimatorUnavailable(f"combined arm-{arm} Gram matrix is singular")
-    return total
-
-
-def _combine_arm(fits: Sequence[BatchOlsFit], arm: int) -> np.ndarray:
-    parts = _contributing(fits, arm)
-    if not parts:
-        raise EstimatorUnavailable(f"no batch with a usable arm-{arm} fit")
-    if len(parts) == 1:
-        return parts[0].beta.copy()
-    total = _combined_gram(fits, arm)
-    weighted = np.zeros_like(parts[0].beta)
-    for p in parts:
-        weighted = weighted + p.gram @ p.beta
-    return solve_spd(total, weighted)
-
-
-def variance_known_sigma(
-    fits: Sequence[BatchOlsFit], sigma: float, batch_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arm scaled variance matrices batch_size * (sum Gram)^{-1} * sigma^2."""
-    out = []
-    for a in (0, 1):
-        total = _combined_gram(fits, a)
-        out.append(batch_size * inverse_spd(total) * sigma**2)
-    return out[0], out[1]
-
-
-def variance_residual(
-    fits: Sequence[BatchOlsFit],
-    batch_data: Sequence[BatchData],
-    beta0: np.ndarray,
-    beta1: np.ndarray,
-    batch_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual-based scaled variance: the known-sigma formula with sigma^2
-    replaced by the mean squared residual of that arm against its combined
-    estimate."""
-    factors = residual_noise_factors(batch_data, beta0, beta1)
-    out = []
-    for a, factor in zip((0, 1), factors):
-        total = _combined_gram(fits, a)
-        out.append(batch_size * inverse_spd(total) * factor)
-    return out[0], out[1]
+    return s.ref.copy() if s.usable == 1 else solve_spd(s.gram, s.weighted)
 
 
 def residual_noise_factors(
-    batch_data: Sequence[BatchData], beta0: np.ndarray, beta1: np.ndarray
+    sums: RunningSums, beta0: np.ndarray, beta1: np.ndarray
 ) -> tuple[float, float]:
     """Per-arm mean squared residuals over all units, against the supplied estimates."""
     dim = np.asarray(beta0).size
     factors = []
-    for a, beta in ((0, np.asarray(beta0, float)), (1, np.asarray(beta1, float))):
-        sq_sum = 0.0
-        count = 0
-        for batch in batch_data:
-            mask = batch.actions == a
-            if not np.any(mask):
-                continue
-            resid = batch.rewards[mask] - batch.contexts[mask] @ beta
-            sq_sum += float(resid @ resid)
-            count += int(mask.sum())
-        if count < dim + 1:
+    for a, beta in ((0, beta0), (1, beta1)):
+        s = sums.arm(a)
+        if s.count < dim + 1:
             raise EstimatorUnavailable(
-                f"arm {a} has {count} observations; need at least dim + 1 for residuals"
+                f"arm {a} has {s.count} observations; need at least dim + 1 for residuals"
             )
-        factors.append(sq_sum / count)
+        factors.append(s.squared_residual(np.asarray(beta, float)) / s.count)
     return factors[0], factors[1]
 
 
-def ivw_combine(
-    fits: Sequence[BatchOlsFit],
-    sigma_mode: SigmaMode,
-    batch_size: int,
-    batch_data: Optional[Sequence[BatchData]] = None,
-) -> IvwEstimate:
-    """Combine per-batch fits into the Gram-weighted estimate with its variance."""
-    if not fits:
+def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> IvwEstimate:
+    """The Gram-weighted estimate of the batches summed so far, with its
+    scaled variance ``batch_size * (sum of contributing Grams)^{-1} * factor``:
+    sigma^2 with a known noise scale, else the arm's mean squared residual
+    against its combined estimate."""
+    if not sums:
         raise EstimatorUnavailable("no batch fits supplied")
-    beta0 = _combine_arm(fits, 0)
-    beta1 = _combine_arm(fits, 1)
+    beta0 = _arm_estimate(sums, 0)
+    beta1 = _arm_estimate(sums, 1)
     if isinstance(sigma_mode, KnownSigma):
-        var0, var1 = variance_known_sigma(fits, sigma_mode.sigma, batch_size)
+        factors = (sigma_mode.sigma**2, sigma_mode.sigma**2)
     else:
-        if batch_data is None:
-            raise ContractError("residual variance mode needs the raw batch data")
-        var0, var1 = variance_residual(fits, batch_data, beta0, beta1, batch_size)
+        factors = residual_noise_factors(sums, beta0, beta1)
     return IvwEstimate(
         beta0=beta0,
         beta1=beta1,
-        var0=var0,
-        var1=var1,
-        batches_used=len(fits),
+        var0=batch_size * inverse_spd(sums.arm0.gram) * factors[0],
+        var1=batch_size * inverse_spd(sums.arm1.gram) * factors[1],
+        batches_used=len(sums),
         batch_size=batch_size,
         sigma_mode=sigma_mode,
     )

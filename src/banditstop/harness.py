@@ -131,7 +131,6 @@ class ExperimentConfig:
     inference: Optional[ConditionalSamplerConfig] = None
     hypothesis: Optional[Tuple[np.ndarray, np.ndarray]] = None
     regret_mc_samples: int = 100_000
-    record_unit_data: bool = True
     trajectory_json: bool = False
 
     def __post_init__(self):
@@ -263,12 +262,7 @@ def run_experiment(
     rng_traj = make_rng(substream_seed(seed, TRAJECTORY_STREAM))
     inference_seed = substream_seed(seed, INFERENCE_STREAM)
 
-    traj = simulate_trajectory(
-        prepared.setup,
-        config.model,
-        rng_traj,
-        keep_units=config.record_unit_data or isinstance(config.sigma_mode, ResidualSigma),
-    )
+    traj = simulate_trajectory(prepared.setup, config.model, rng_traj)
 
     stats = sufficient_statistics(traj.fits)
     noise_plugin: Optional[Tuple[float, float]] = None
@@ -283,7 +277,7 @@ def run_experiment(
             noise_plugin = (config.sigma_mode.sigma, config.sigma_mode.sigma)
         else:
             try:
-                f0, f1 = residual_noise_factors(traj.batches, traj.ivw.beta0, traj.ivw.beta1)
+                f0, f1 = residual_noise_factors(traj.sums, traj.ivw.beta0, traj.ivw.beta1)
                 noise_plugin = (math.sqrt(f0), math.sqrt(f1))
             except EstimatorUnavailable as exc:
                 error = str(exc)
@@ -310,8 +304,6 @@ def run_experiment(
         creg=None,
         inference=None,
         inference_seed=inference_seed,
-        propensities=traj.propensities if config.record_unit_data else None,
-        batches=traj.batches if config.record_unit_data else None,
         error=error,
     )
 
@@ -547,6 +539,20 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
     }
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`, so a failed write leaves neither a partial file nor the temporary."""
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
+
+
 def emit_reports(
     records: Sequence[ExperimentRecord],
     out_dir: str,
@@ -557,9 +563,9 @@ def emit_reports(
 ) -> Dict[str, str]:
     """Write replications.csv / summary.json (and optional per-rep trajectories).
 
-    Returns the mapping of artifact name to path.  The summary is written via
-    a temporary file and atomic rename so an unwritable path fails before any
-    partial summary appears.
+    Returns the mapping of artifact name to path.  The CSV and the summary are
+    each written via a temporary file and atomic rename, so a failed write
+    leaves no partial report.
     """
     if not records:
         raise ConfigError("no records to report")
@@ -571,8 +577,7 @@ def emit_reports(
 
     if "csv" in formats:
         csv_path = os.path.join(out_dir, "replications.csv")
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(render_csv(records, config.model.dim))
+        _write_atomic(csv_path, render_csv(records, config.model.dim))
         written["replications.csv"] = csv_path
 
     if "json" in formats:
@@ -588,16 +593,7 @@ def emit_reports(
             },
         }
         summary_path = os.path.join(out_dir, "summary.json")
-        fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp_path, summary_path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        _write_atomic(summary_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         written["summary.json"] = summary_path
 
     if config.trajectory_json:
@@ -811,7 +807,6 @@ def config_to_dict(config: ExperimentConfig) -> Dict:
         "replications": config.replications,
         "master_seed": config.master_seed,
         "regret_mc_samples": config.regret_mc_samples,
-        "record_unit_data": config.record_unit_data,
         "trajectory_json": config.trajectory_json,
     }
 
@@ -931,7 +926,6 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
             inference=inference,
             hypothesis=hypothesis,
             regret_mc_samples=int(data.get("regret_mc_samples", 100_000)),
-            record_unit_data=bool(data.get("record_unit_data", True)),
             trajectory_json=bool(data.get("trajectory_json", False)),
         )
     except KeyError as exc:

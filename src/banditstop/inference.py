@@ -98,9 +98,7 @@ def sample_conditional(
     for attempt in range(1, cfg.max_attempts + 1):
         attempts = attempt
         rng = make_rng(derive_seed(seed, attempt))
-        surrogate = simulate_trajectory(
-            record.setup, plug_model, rng, t_limit=target_t, keep_units=False
-        )
+        surrogate = simulate_trajectory(record.setup, plug_model, rng, t_limit=target_t)
         if surrogate.ivw is None:
             continue
         if target_cap:

@@ -10,9 +10,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bounds import CostAdjustedRegret
-from .estimators import BatchData, IvwEstimate, SigmaMode, SufficientStats
+from .estimators import IvwEstimate, SigmaMode, SufficientStats
 from .model import ContextSpec
-from .policies import BatchActions, ClipSchedule, PolicyKind
+from .policies import ClipSchedule, PolicyKind
 from .stopping import StopDecision, StoppingRuleSpec
 
 
@@ -59,8 +59,6 @@ class ExperimentRecord:
     creg: Optional[CostAdjustedRegret]
     inference: Optional[InferenceResult]
     inference_seed: int
-    propensities: Optional[List[BatchActions]] = None
-    batches: Optional[List[BatchData]] = None
     error: Optional[str] = None
     inference_error: Optional[str] = None
 

@@ -12,16 +12,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import EstimatorUnavailable
-from .estimators import (
-    BatchData,
-    BatchOlsFit,
-    IvwEstimate,
-    KnownSigma,
-    fit_batch_ols,
-    ivw_combine,
-)
+from .estimators import BatchOlsFit, IvwEstimate, RunningSums, fit_batch_ols, ivw_combine
 from .model import TrueModel, realize_rewards, sample_batch_contexts
-from .policies import BatchActions, PolicyState, select_actions, update_state
+from .policies import PolicyState, select_actions, update_state
 from .records import SimulationSetup
 from .stopping import StopDecision, evaluate
 
@@ -29,8 +22,7 @@ from .stopping import StopDecision, evaluate
 @dataclass
 class Trajectory:
     fits: List[BatchOlsFit]
-    batches: List[BatchData]
-    propensities: List[BatchActions]
+    sums: RunningSums
     stop_trace: List[StopDecision]
     stop_time: int
     cap_hit: bool
@@ -44,7 +36,6 @@ def simulate_trajectory(
     rng: np.random.Generator,
     *,
     t_limit: Optional[int] = None,
-    keep_units: bool = True,
 ) -> Trajectory:
     """Run the batch protocol until the stopping rule fires (or a cap is hit).
 
@@ -54,13 +45,11 @@ def simulate_trajectory(
     trajectory reports stop_time = t_limit with rule_fired=False.
     """
     rule = setup.rule
-    residual_mode = not isinstance(setup.sigma_mode, KnownSigma)
     horizon = rule.t_max if t_limit is None else min(rule.t_max, t_limit)
 
     state = PolicyState.empty(model.dim)
     fits: List[BatchOlsFit] = []
-    batches: List[BatchData] = []
-    propensities: List[BatchActions] = []
+    sums = RunningSums.empty(model.dim)
     stop_trace: List[StopDecision] = []
     prev_vars: Optional[Tuple[np.ndarray, np.ndarray]] = None
     ivw: Optional[IvwEstimate] = None
@@ -75,20 +64,12 @@ def simulate_trajectory(
         y = realize_rewards(model, x, sel.actions, rng)
         fit = fit_batch_ols(x, sel.actions, y, batch_index=t)
         fits.append(fit)
-        data = BatchData(contexts=x, actions=sel.actions, rewards=y)
-        if residual_mode or keep_units:
-            batches.append(data)
-        propensities.append(sel)
+        sums.add(fit)
         state = update_state(state, x, sel.actions, y)
 
         cur_vars: Optional[Tuple[np.ndarray, np.ndarray]] = None
         try:
-            ivw = ivw_combine(
-                fits,
-                setup.sigma_mode,
-                setup.batch_size,
-                batch_data=batches if residual_mode else None,
-            )
+            ivw = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
             cur_vars = (ivw.var0, ivw.var1)
         except EstimatorUnavailable:
             ivw = None
@@ -103,8 +84,7 @@ def simulate_trajectory(
 
     return Trajectory(
         fits=fits,
-        batches=batches,
-        propensities=propensities,
+        sums=sums,
         stop_trace=stop_trace,
         stop_time=t,
         cap_hit=capped,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from banditstop import (
-    BatchData,
     EpsGreedy,
     EstimatorUnavailable,
     KnownSigma,
@@ -17,16 +16,16 @@ from banditstop import (
     limit_arm_second_moment,
     make_rng,
     realize_rewards,
+    residual_noise_factors,
     sample_batch_contexts,
     select_actions,
     state_from_sufficient_stats,
     sufficient_statistics,
     uniform_cube_spec,
     update_state,
-    variance_known_sigma,
-    variance_residual,
 )
 from banditstop.estimators import ArmFit, BatchOlsFit
+from ivw_oracle import sums_of
 
 
 def make_fit(batch_index, gram1, beta1, gram0=None, beta0=None, count=5):
@@ -35,7 +34,15 @@ def make_fit(batch_index, gram1, beta1, gram0=None, beta0=None, count=5):
     def arm(gram, beta):
         g = np.atleast_2d(np.asarray(gram, dtype=float))
         b = None if beta is None else np.atleast_1d(np.asarray(beta, dtype=float))
-        return ArmFit(beta=b, gram=g, count=count, rss=0.0 if b is not None else None)
+        moment = np.zeros(g.shape[0]) if b is None else g @ b
+        return ArmFit(
+            beta=b,
+            gram=g,
+            count=count,
+            rss=0.0 if b is not None else None,
+            moment=moment,
+            sum_sq=0.0 if b is None else float(b @ moment),
+        )
 
     gram0 = gram1 if gram0 is None else gram0
     beta0 = beta1 if beta0 is None else beta0
@@ -90,9 +97,10 @@ class TestIvwCombine:
             np.array([[1.0], [2.0]]), np.array([1, 1]), np.array([1.0, 3.0]), batch_index=1
         )
         fit.arm0 = ArmFit(
-            beta=np.array([0.5]), gram=np.array([[4.0]]), count=2, rss=0.0
+            beta=np.array([0.5]), gram=np.array([[4.0]]), count=2, rss=0.0,
+            moment=np.array([2.0]), sum_sq=1.0,
         )
-        est = ivw_combine([fit], KnownSigma(1.0), batch_size=2)
+        est = ivw_combine(sums_of([fit]), KnownSigma(1.0), batch_size=2)
         np.testing.assert_array_equal(est.beta1, fit.arm1.beta)
         np.testing.assert_array_equal(est.beta0, fit.arm0.beta)
 
@@ -104,12 +112,12 @@ class TestIvwCombine:
             make_fit(1, gram, b1, gram, rng.normal(size=2)),
             make_fit(2, gram, b2, gram, rng.normal(size=2)),
         ]
-        est = ivw_combine(fits, KnownSigma(1.0), batch_size=3)
+        est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=3)
         np.testing.assert_allclose(est.beta1, (b1 + b2) / 2.0, rtol=1e-12, atol=1e-12)
 
     def test_scalar_weighted_average(self):
         fits = [make_fit(1, 1.0, 2.0), make_fit(2, 3.0, 4.0)]
-        est = ivw_combine(fits, KnownSigma(1.0), batch_size=1)
+        est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=1)
         assert est.beta1[0] == 3.5  # (1*2 + 3*4) / 4
 
     def test_identical_estimates_fixed_point(self):
@@ -119,7 +127,7 @@ class TestIvwCombine:
         for j in range(4):
             m = rng.uniform(-1, 1, size=(6, 3))
             fits.append(make_fit(j + 1, m.T @ m + 0.5 * np.eye(3), b))
-        est = ivw_combine(fits, KnownSigma(1.0), batch_size=6)
+        est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=6)
         np.testing.assert_allclose(est.beta1, b, rtol=1e-12, atol=1e-13)
 
     def test_singular_batches_excluded(self):
@@ -128,7 +136,7 @@ class TestIvwCombine:
             make_fit(2, np.array([[0.0]]), None),  # contributes nothing
             make_fit(3, 3.0, 4.0),
         ]
-        est = ivw_combine(fits, KnownSigma(1.0), batch_size=1)
+        est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=1)
         assert est.beta1[0] == 3.5
         # variance uses the same contributing total Gram (1 + 3)
         assert est.var1[0, 0] == pytest.approx(1.0 / 4.0, rel=1e-12)
@@ -136,7 +144,7 @@ class TestIvwCombine:
     def test_all_singular_unavailable(self):
         fits = [make_fit(1, np.array([[0.0]]), None)]
         with pytest.raises(EstimatorUnavailable):
-            ivw_combine(fits, KnownSigma(1.0), batch_size=1)
+            ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=1)
 
     def test_affine_equivariance(self):
         rng = make_rng(4)
@@ -144,13 +152,11 @@ class TestIvwCombine:
         x = rng.uniform(-1, 1, size=(30, 2))
         a = (rng.random(30) < 0.5).astype(int)
         y = rng.normal(size=30)
-        batches = [BatchData(contexts=x, actions=a, rewards=y)]
-        batches_s = [BatchData(contexts=x, actions=a, rewards=scale * y)]
         fit = fit_batch_ols(x, a, y)
         fit_s = fit_batch_ols(x, a, scale * y)
         np.testing.assert_allclose(fit_s.arm1.beta, scale * fit.arm1.beta, rtol=1e-9)
-        est = ivw_combine([fit], ResidualSigma(), batch_size=30, batch_data=batches)
-        est_s = ivw_combine([fit_s], ResidualSigma(), batch_size=30, batch_data=batches_s)
+        est = ivw_combine(sums_of([fit]), ResidualSigma(), batch_size=30)
+        est_s = ivw_combine(sums_of([fit_s]), ResidualSigma(), batch_size=30)
         np.testing.assert_allclose(est_s.beta1, scale * est.beta1, rtol=1e-9)
         np.testing.assert_allclose(est_s.var1, scale**2 * est.var1, rtol=1e-9)
 
@@ -158,13 +164,13 @@ class TestIvwCombine:
 class TestVarianceEstimators:
     def test_known_sigma_scalar(self):
         fits = [make_fit(1, 5.0, 1.0)]
-        v0, v1 = variance_known_sigma(fits, sigma=np.sqrt(2.0), batch_size=10)
+        v1 = ivw_combine(sums_of(fits), KnownSigma(np.sqrt(2.0)), batch_size=10).var1
         assert v1[0, 0] == pytest.approx(4.0, rel=1e-12)  # 10 * (1/5) * 2
 
     def test_known_sigma_identity_grams(self):
         t, n, d = 4, 6, 3
         fits = [make_fit(j + 1, np.eye(d), np.zeros(d)) for j in range(t)]
-        v0, v1 = variance_known_sigma(fits, sigma=1.5, batch_size=n)
+        v1 = ivw_combine(sums_of(fits), KnownSigma(1.5), batch_size=n).var1
         np.testing.assert_allclose(v1, (n / t) * 1.5**2 * np.eye(d), rtol=1e-12)
 
     def test_residual_zero_noise(self):
@@ -174,40 +180,36 @@ class TestVarianceEstimators:
         a = (rng.random(30) < 0.5).astype(int)
         y = realize_rewards(model, x, a, rng)
         fit = fit_batch_ols(x, a, y)
-        est = ivw_combine(
-            [fit], ResidualSigma(), batch_size=30, batch_data=[BatchData(x, a, y)]
-        )
+        est = ivw_combine(sums_of([fit]), ResidualSigma(), batch_size=30)
         np.testing.assert_allclose(est.var1, 0.0, atol=1e-18)
         np.testing.assert_allclose(est.var0, 0.0, atol=1e-18)
 
     def _run_batches(self, model, t, n, seed):
         rng = make_rng(seed)
         spec = uniform_cube_spec(model.dim)
-        fits, data = [], []
+        fits = []
         for j in range(t):
             x = sample_batch_contexts(spec, n, rng)
             a = (rng.random(n) < 0.5).astype(int)
             y = realize_rewards(model, x, a, rng)
             fits.append(fit_batch_ols(x, a, y, batch_index=j + 1))
-            data.append(BatchData(x, a, y))
-        return fits, data
+        return sums_of(fits)
 
     def test_residual_matches_known_sigma(self):
         model = TrueModel(beta0=[0.5, -0.3], beta1=[0.2, 0.8], sigma0=1.0, sigma1=1.0)
-        fits, data = self._run_batches(model, t=50, n=200, seed=6)
-        known0, known1 = variance_known_sigma(fits, 1.0, 200)
-        est = ivw_combine(fits, ResidualSigma(), batch_size=200, batch_data=data)
+        sums = self._run_batches(model, t=50, n=200, seed=6)
+        known_est = ivw_combine(sums, KnownSigma(1.0), 200)
+        known0, known1 = known_est.var0, known_est.var1
+        est = ivw_combine(sums, ResidualSigma(), batch_size=200)
         for resid, known in ((est.var0, known0), (est.var1, known1)):
             rel = np.linalg.norm(resid - known, 2) / np.linalg.norm(known, 2)
             assert rel < 0.10
 
     def test_residual_heteroskedastic_factors(self):
-        from banditstop import residual_noise_factors
-
         model = TrueModel(beta0=[0.5], beta1=[-0.2], sigma0=1.0, sigma1=2.0)
-        fits, data = self._run_batches(model, t=20, n=500, seed=7)
-        est = ivw_combine(fits, ResidualSigma(), batch_size=500, batch_data=data)
-        f0, f1 = residual_noise_factors(data, est.beta0, est.beta1)
+        sums = self._run_batches(model, t=20, n=500, seed=7)
+        est = ivw_combine(sums, ResidualSigma(), batch_size=500)
+        f0, f1 = residual_noise_factors(sums, est.beta0, est.beta1)
         assert abs(f0 - 1.0) < 0.10
         assert abs(f1 - 4.0) < 0.40
 
@@ -216,13 +218,7 @@ class TestVarianceEstimators:
         a = np.array([1, 1, 1])
         y = np.array([1.0, 2.0, 3.0])
         with pytest.raises(EstimatorUnavailable):
-            variance_residual(
-                [fit_batch_ols(x, a, y)],
-                [BatchData(x, a, y)],
-                np.zeros(2),
-                np.zeros(2),
-                batch_size=3,
-            )
+            residual_noise_factors(sums_of([fit_batch_ols(x, a, y)]), np.zeros(2), np.zeros(2))
 
 
 class TestSufficientStats:
@@ -320,7 +316,7 @@ class TestLimitSecondMoment:
             y = realize_rewards(model, x, sel.actions, rng)
             fits.append(fit_batch_ols(x, sel.actions, y, batch_index=j + 1))
             state = update_state(state, x, sel.actions, y)
-        _v0, v1 = variance_known_sigma(fits, sigma=1.0, batch_size=n)
+        v1 = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=n).var1
         limit = limit_arm_second_moment(spec, model, 0.1, 1, 1_000_000, make_rng(13))
         target = np.linalg.inv(limit)  # noise variance 1
         rel = np.linalg.norm(t * v1 - target, 2) / np.linalg.norm(target, 2)

@@ -339,6 +339,28 @@ class TestReports:
             emit_reports(records, str(target), ["json"], config, aggregates=agg)
         assert not target.exists()
 
+    def test_failed_csv_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        config = small_config(replications=2)
+        records, agg = run_replications(config)
+        real_fdopen = os.fdopen
+
+        def failing_fdopen(fd, *args, **kwargs):
+            fh = real_fdopen(fd, *args, **kwargs)
+            real_write = fh.write
+
+            def write(text):
+                real_write(text[: len(text) // 2])
+                fh.flush()
+                raise OSError("disk full")
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(os, "fdopen", failing_fdopen)
+        with pytest.raises(OSError, match="disk full"):
+            emit_reports(records, str(tmp_path), ["csv"], config, aggregates=agg)
+        assert list(tmp_path.iterdir()) == []  # neither replications.csv nor a *.tmp
+
     def test_infinite_creg_marker(self, tmp_path):
         # Threshold-mode cost with a cap hit above the threshold serializes as
         # an explicit marker, never a float special value.
