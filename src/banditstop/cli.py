@@ -48,7 +48,7 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    records, aggregates = run_replications(config, workers=args.workers)
+    records, aggregates = run_replications(config)
     emit_reports(records, args.out, formats, config, aggregates=aggregates)
     fatal = [rec for rec in records if rec.error is not None]
     print(
@@ -173,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_out:
             p.add_argument("--out", required=True, help="output directory")
             p.add_argument("--format", default="csv,json", help="comma-separated: csv,json")
-            p.add_argument("--workers", type=int, default=1)
 
     common(sub.add_parser("simulate", help="run replications and emit reports"), with_out=True)
     common(sub.add_parser("stop-scan", help="pre-determined stop times without simulation"))

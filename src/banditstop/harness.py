@@ -5,7 +5,7 @@ Determinism contract: a (config, master_seed) pair fully determines every
 emitted byte except the single `generated_at` field in summary.json.
 Replication r uses seed derive_seed(master_seed, r); within a replication the
 trajectory, the regret oracle, and inference run on independent named
-sub-streams.  Replications may execute in any order or in parallel; the
+sub-streams.  Replications may execute in any order; the
 reducer sorts by replication index.
 """
 
@@ -16,7 +16,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -326,13 +325,12 @@ def run_experiment(
 
 def run_replications(
     config: ExperimentConfig,
-    workers: int = 1,
     execution_order: Optional[Sequence[int]] = None,
 ) -> Tuple[List[ExperimentRecord], Dict]:
-    """Run all replications (optionally permuted / in parallel) and aggregate.
+    """Run all replications (optionally in a permuted order) and aggregate.
 
     The reducer sorts by replication index, so aggregates are independent of
-    execution order and worker count.
+    execution order.
     """
     prepared = prepare(config)
     indices = list(range(config.replications))
@@ -341,14 +339,7 @@ def run_replications(
             raise ConfigError("execution_order must be a permutation of range(replications)")
         indices = list(execution_order)
 
-    def _one(r: int) -> ExperimentRecord:
-        return run_experiment(config, r, prepared=prepared)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_one, indices))
-    else:
-        records = [_one(r) for r in indices]
+    records = [run_experiment(config, r, prepared=prepared) for r in indices]
     records.sort(key=lambda rec: rec.rep_index)
     return records, aggregate(records, config)
 
@@ -541,10 +532,15 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
 
 def _write_atomic(path: str, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it over
-    `path`, so a failed write leaves neither a partial file nor the temporary."""
+    `path`, so a failed write leaves neither a partial file nor the temporary.
+    The file gets the mode that ``open(path, "w")`` would give it: mkstemp
+    creates 0600, so the temporary is widened to 0666 less the umask."""
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp_path, path)
     except BaseException:

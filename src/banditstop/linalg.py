@@ -1,9 +1,30 @@
-"""Small dense symmetric-matrix helpers shared by policies and estimators."""
+"""Small dense symmetric-matrix helpers shared by policies and estimators.
+
+The batch loop factors and decomposes a handful of d×d matrices per batch,
+so the library wrappers around LAPACK (argument checks, array conversion,
+routine lookup, batching over leading dimensions) cost several times the
+arithmetic. The kernels here call the LAPACK routines directly:
+
+- `solve_spd` and `inverse_spd` call ``dpotrf(m, lower=1, clean=0)`` and
+  ``dpotrs(c, b, lower=1)``, the routines and arguments that
+  ``scipy.linalg.cho_factor(m, lower=True, check_finite=False)`` and
+  ``scipy.linalg.cho_solve`` end in;
+- `eigvalsh` calls ``dsyevd(m, compute_v=0, lower=1)``, the routine that
+  ``numpy.linalg.eigvalsh`` ends in (jobz ``'N'``, lower triangle).
+
+Each wrapper copies its input to a Fortran-ordered buffer and passes it to
+the same routine with the same arguments, which does the same floating-point
+operations, so the results equal scipy's and numpy's bit for bit. numpy
+links its own OpenBLAS build, not scipy's, so `tests/test_linalg.py` checks
+the equality against both libraries as installed. Failures raise what scipy
+raises: `np.linalg.LinAlgError` with the leading-minor message when the
+matrix is not positive definite, and `ValueError` for an illegal argument.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
 
 from .errors import ContractError
 
@@ -13,15 +34,35 @@ from .errors import ContractError
 GRAM_SINGULARITY_RTOL = 1e-10
 
 
+def eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix in ascending order, from its lower triangle."""
+    w, _, info = dsyevd(matrix, compute_v=0, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
+    return w
+
+
 def is_invertible_gram(gram: np.ndarray) -> bool:
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = eigvalsh(gram)
     return bool(eigs[0] > GRAM_SINGULARITY_RTOL * max(eigs[-1], 1.0))
 
 
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` for symmetric positive definite input via Cholesky."""
-    cho = scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
-    return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+    c, info = dpotrf(matrix, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(
+            f"LAPACK reported an illegal value in {-info}-th argument "
+            f'on entry to "POTRF".'
+        )
+    x, info = dpotrs(c, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def inverse_spd(matrix: np.ndarray) -> np.ndarray:
@@ -34,8 +75,8 @@ def require_symmetric(matrix: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractError(f"{what} must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    if float(np.max(np.abs(m - m.T))) > 1e-9 * scale:
+    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
+    if float(np.abs(m - m.T).max()) > 1e-9 * scale:
         raise ContractError(f"{what} is not symmetric within 1e-9")
     return m
 

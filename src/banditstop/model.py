@@ -191,7 +191,7 @@ def realize_rewards(
         raise ContractError("context matrix does not match model dimension")
     if actions.shape != (contexts.shape[0],):
         raise ContractError("actions must be a vector aligned with contexts")
-    if not np.all((actions == 0) | (actions == 1)):
+    if not ((actions == 0) | (actions == 1)).all():
         raise ContractError("actions must be binary")
     arm1 = actions == 1
     means = np.where(arm1, contexts @ model.beta1, contexts @ model.beta0)

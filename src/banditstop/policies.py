@@ -191,7 +191,7 @@ def action_probabilities(
         with np.errstate(divide="ignore", invalid="ignore"):
             probs = ndtr(np.where(spread > 0, gap / spread, 0.0))
         degenerate = spread == 0
-        if np.any(degenerate):
+        if degenerate.any():
             probs = np.where(
                 degenerate,
                 np.where(gap > 0, 1.0, np.where(gap < 0, 0.0, 0.5)),
@@ -279,7 +279,7 @@ def update_state(
         raise ContractError("contexts do not match the state dimension")
     if actions.shape != (n,) or rewards.shape != (n,):
         raise ContractError("actions/rewards must align with contexts")
-    if not np.all((actions == 0) | (actions == 1)):
+    if not ((actions == 0) | (actions == 1)).all():
         raise ContractError("actions must be binary")
 
     mask1 = actions == 1

