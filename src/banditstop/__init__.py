@@ -36,7 +36,6 @@ from .estimators import (
     ivw_combine,
     limit_arm_second_moment,
     residual_noise_factors,
-    state_from_sufficient_stats,
     sufficient_statistics,
 )
 from .harness import (
@@ -76,10 +75,8 @@ from .model import (
     uniform_cube_spec,
 )
 from .policies import (
-    BatchActions,
     ClipSchedule,
     EpsGreedy,
-    PolicyState,
     Schedule,
     Thompson,
     Ucb,

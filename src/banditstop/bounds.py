@@ -15,8 +15,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
+from .estimators import RunningSums, fit_batch_ols
 from .model import ContextSpec, TrueModel, sample_batch_contexts, realize_rewards
-from .policies import ClipSchedule, PolicyKind, PolicyState, select_actions, update_state
+from .policies import ClipSchedule, PolicyKind, select_actions, update_state
 
 
 @dataclass(frozen=True)
@@ -224,15 +225,15 @@ def calibrate_tail_constant(
     deviations = np.empty(replications)
     for r in range(replications):
         rng = make_rng(derive_seed(seed, r))
-        state = PolicyState.empty(model.dim)
+        sums = RunningSums.empty(model.dim)
         for _ in range(t_ref):
             x = sample_batch_contexts(spec, batch_size, rng)
-            sel = select_actions(policy, state, x, clip_schedule, rng)
-            y = realize_rewards(model, x, sel.actions, rng)
-            state = update_state(state, x, sel.actions, y)
+            actions = select_actions(policy, sums, x, clip_schedule, rng)
+            y = realize_rewards(model, x, actions, rng)
+            update_state(sums, fit_batch_ols(x, actions, y))
         worst = 0.0
         for arm, beta in ((0, model.beta0), (1, model.beta1)):
-            est = state.arm_estimate(arm)
+            est = sums.arm(arm).ols_estimate()
             if est is None:
                 worst = math.inf
                 break

@@ -8,8 +8,11 @@ covariance of the combined estimate multiplied by the batch size.  Use
 is needed (confidence intervals, posterior draws).
 
 Running sums: a trajectory folds each batch's fit into one
-:class:`RunningSums` in O(d^2), so :func:`ivw_combine` and
-:func:`residual_noise_factors` cost the same at every batch index.  The
+:class:`RunningSums` in O(d^2) (``policies.update_state``), so
+:func:`ivw_combine` and :func:`residual_noise_factors` cost the same at every
+batch index.  The same sums feed the policy: each arm's X'X and raw X'y over
+all units give the cumulative OLS estimate (:meth:`ArmSums.ols_estimate`),
+and a trajectory keeps no other store of them.  The
 squared residual over all units has the closed form
 ``sum (y - x'b)^2 = sum y^2 - 2 b'X'y + b'X'X b``; the sums keep e = y - x'ref
 in place of y, centred at the first usable batch estimate ref, so that the
@@ -18,20 +21,24 @@ three terms do not cancel down to a small residual and lose its digits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ContractError, EstimatorUnavailable
+from .errors import ConfigError, ContractError, EstimatorUnavailable
 from .linalg import inverse_spd, is_invertible_gram, solve_spd
 from .model import ContextSpec, TrueModel, sample_batch_contexts
-from .policies import PolicyState
 
 
 @dataclass(frozen=True)
 class KnownSigma:
     sigma: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError("a known noise scale must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -69,15 +76,17 @@ class BatchOlsFit:
 @dataclass
 class ArmSums:
     """One arm's running sums.  `gram`, `weighted` (Gram @ beta) and `usable`
-    count only batches whose own Gram is invertible; `xx`, `count`, `xe` (X'e)
-    and `ee` (e'e) cover all units, with e = y - x'ref.  `ref` is zero until the
-    first usable batch, then its estimate: the combined one while it is alone.
+    count only batches whose own Gram is invertible; `xx`, `xy` (X'y),
+    `count`, `xe` (X'e) and `ee` (e'e) cover all units, with e = y - x'ref.
+    `ref` is zero until the first usable batch, then its estimate: the
+    combined one while it is alone.
     """
 
     gram: np.ndarray
     weighted: np.ndarray
     usable: int
     xx: np.ndarray
+    xy: np.ndarray
     count: int
     ref: np.ndarray
     xe: np.ndarray
@@ -90,6 +99,7 @@ class ArmSums:
             weighted=np.zeros(dim),
             usable=0,
             xx=np.zeros((dim, dim)),
+            xy=np.zeros(dim),
             count=0,
             ref=np.zeros(dim),
             xe=np.zeros(dim),
@@ -117,7 +127,14 @@ class ArmSums:
             self.weighted = self.weighted + fit.gram @ fit.beta
             self.usable += 1
         self.xx = self.xx + fit.gram
+        self.xy = self.xy + fit.moment
         self.count += fit.count
+
+    def ols_estimate(self) -> Optional[np.ndarray]:
+        """Cumulative OLS estimate over all units, or None while X'X is singular."""
+        if not is_invertible_gram(self.xx):
+            return None
+        return solve_spd(self.xx, self.xy)
 
     def squared_residual(self, beta: np.ndarray) -> float:
         """Sum of (y - x'beta)^2 over all units of this arm."""
@@ -139,10 +156,9 @@ class RunningSums:
     def empty(cls, dim: int) -> "RunningSums":
         return cls(arm0=ArmSums.empty(dim), arm1=ArmSums.empty(dim))
 
-    def add(self, fit: BatchOlsFit) -> None:
-        self.arm0.add(fit.arm0)
-        self.arm1.add(fit.arm1)
-        self.t += 1
+    @property
+    def dim(self) -> int:
+        return self.arm0.xy.size
 
     def arm(self, a: int) -> ArmSums:
         return self.arm1 if a == 1 else self.arm0
@@ -177,7 +193,7 @@ class IvwEstimate:
 @dataclass
 class SufficientStats:
     """Ordered per-batch (beta1, gram1, beta0, gram0) tuples; enough to replay
-    policy decisions and Gram-based stopping statistics."""
+    Gram-based stopping statistics."""
 
     entries: List[tuple]
 
@@ -204,10 +220,12 @@ def fit_batch_ols(
         raise ContractError("contexts must be a 2-d matrix")
     if actions.shape != (n,) or rewards.shape != (n,):
         raise ContractError("actions/rewards must align with contexts")
+    masks = (actions == 0, actions == 1)
+    if not (masks[0] | masks[1]).all():
+        raise ContractError("actions must be binary")
 
     arms = []
-    for a in (0, 1):
-        mask = actions == a
+    for mask in masks:
         xa = contexts[mask]
         ya = rewards[mask]
         gram = xa.T @ xa
@@ -217,7 +235,7 @@ def fit_batch_ols(
             beta = solve_spd(gram, moment)
             resid = ya - xa @ beta
             rss = float(resid @ resid)
-        arms.append(ArmFit(beta, gram, int(mask.sum()), rss, moment, float(ya @ ya)))
+        arms.append(ArmFit(beta, gram, ya.shape[0], rss, moment, float(ya @ ya)))
     return BatchOlsFit(batch_index=batch_index, arm0=arms[0], arm1=arms[1])
 
 
@@ -271,36 +289,11 @@ def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> Iv
 
 
 def sufficient_statistics(fits: Sequence[BatchOlsFit]) -> SufficientStats:
-    """Project fits onto the per-batch (beta1, gram1, beta0, gram0) list."""
-    entries = [
-        (
-            None if f.arm1.beta is None else f.arm1.beta.copy(),
-            f.arm1.gram.copy(),
-            None if f.arm0.beta is None else f.arm0.beta.copy(),
-            f.arm0.gram.copy(),
-        )
-        for f in fits
-    ]
-    return SufficientStats(entries=entries)
-
-
-def state_from_sufficient_stats(stats: SufficientStats, dim: int) -> PolicyState:
-    """Rebuild a policy state from stored statistics (for decision replay).
-
-    Moment vectors are reconstructed as gram @ beta per batch, which recovers
-    the raw moments exactly in exact arithmetic; batches with a missing arm
-    estimate cannot contribute that arm's moment.
-    """
-    state = PolicyState.empty(dim)
-    for beta1, gram1, beta0, gram0 in stats.entries:
-        state.gram1 = state.gram1 + gram1
-        state.gram0 = state.gram0 + gram0
-        if beta1 is not None:
-            state.moment1 = state.moment1 + gram1 @ beta1
-        if beta0 is not None:
-            state.moment0 = state.moment0 + gram0 @ beta0
-        state.t += 1
-    return state
+    """Project fits onto the per-batch (beta1, gram1, beta0, gram0) list.  The
+    tuples share the fits' arrays, which are never mutated once made."""
+    return SufficientStats(
+        entries=[(f.arm1.beta, f.arm1.gram, f.arm0.beta, f.arm0.gram) for f in fits]
+    )
 
 
 def limit_arm_second_moment(

@@ -113,6 +113,9 @@ class StoppingConfig:
             raise ConfigError("online_opportunity needs c_prime > 0")
         if self.t_max < 1:
             raise ConfigError("t_max must be >= 1")
+        for name, value in (("k", self.k), ("c_prime", self.c_prime)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"stopping.{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -924,8 +927,12 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
             regret_mc_samples=int(data.get("regret_mc_samples", 100_000)),
             trajectory_json=bool(data.get("trajectory_json", False)),
         )
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"config is missing required key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -1,20 +1,28 @@
 """Action selection for the two-arm bandit: uniform, epsilon-greedy, UCB, and
 Thompson sampling, all frozen within a batch and clipped away from 0 and 1.
 
-Probabilities are computed in closed form (Thompson included), so every
-per-unit assignment probability can be logged and replayed exactly.
+The policies read a trajectory's running sums (`estimators.RunningSums`):
+each arm's cumulative OLS estimate and X'X over all units so far.
+`update_state` folds one batch's fit into those sums.  Probabilities are
+computed in closed form (Thompson included), so they are a pure function of
+the sums and the contexts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError, ContractError
-from .linalg import inverse_spd, is_invertible_gram, solve_spd
+from .estimators import BatchOlsFit, RunningSums
+
+# The estimates come from `ArmSums.ols_estimate`; `is_invertible_gram` and
+# `solve_spd` stay bound here because perfbench/tracing.py counts calls
+# through this module's names.
+from .linalg import inverse_spd, is_invertible_gram, solve_spd  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -94,46 +102,6 @@ class Thompson:
 PolicyKind = Union[UniformRandom, EpsGreedy, Ucb, Thompson]
 
 
-@dataclass
-class PolicyState:
-    """Cumulative per-arm sufficient statistics; updated only between batches."""
-
-    gram0: np.ndarray
-    gram1: np.ndarray
-    moment0: np.ndarray
-    moment1: np.ndarray
-    count0: int
-    count1: int
-    t: int  # number of completed batches
-
-    @classmethod
-    def empty(cls, dim: int) -> "PolicyState":
-        return cls(
-            gram0=np.zeros((dim, dim)),
-            gram1=np.zeros((dim, dim)),
-            moment0=np.zeros(dim),
-            moment1=np.zeros(dim),
-            count0=0,
-            count1=0,
-            t=0,
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.moment0.size
-
-    def gram(self, arm: int) -> np.ndarray:
-        return self.gram1 if arm == 1 else self.gram0
-
-    def arm_estimate(self, arm: int) -> Optional[np.ndarray]:
-        """Cumulative OLS estimate for one arm, or None while the Gram is singular."""
-        gram = self.gram(arm)
-        if not is_invertible_gram(gram):
-            return None
-        moment = self.moment1 if arm == 1 else self.moment0
-        return solve_spd(gram, moment)
-
-
 def clip(prob: float, p_t: float) -> float:
     """Force an assignment probability into [p_t, 1 - p_t]."""
     if not 0.0 <= prob <= 1.0:
@@ -144,26 +112,26 @@ def clip(prob: float, p_t: float) -> float:
 
 
 def action_probabilities(
-    kind: PolicyKind, state: PolicyState, contexts: np.ndarray
+    kind: PolicyKind, sums: RunningSums, contexts: np.ndarray
 ) -> np.ndarray:
     """Pre-clip probability of arm 1 for each row of `contexts`.
 
-    Schedules are evaluated at the upcoming batch index state.t + 1.  Any
+    Schedules are evaluated at the upcoming batch index len(sums) + 1.  Any
     policy that needs an estimate it cannot form (singular Gram) falls back
     to probability 1/2, forcing exploration instead of raising.
     """
     contexts = np.asarray(contexts, dtype=float)
-    if contexts.ndim != 2 or contexts.shape[1] != state.dim:
-        raise ContractError("contexts do not match the state dimension")
+    if contexts.ndim != 2 or contexts.shape[1] != sums.dim:
+        raise ContractError("contexts do not match the dimension of the sums")
     n = contexts.shape[0]
     if isinstance(kind, UniformRandom):
         return np.full(n, 0.5)
 
-    b0 = state.arm_estimate(0)
-    b1 = state.arm_estimate(1)
+    b0 = sums.arm0.ols_estimate()
+    b1 = sums.arm1.ols_estimate()
     if b0 is None or b1 is None:
         return np.full(n, 0.5)
-    t_next = state.t + 1
+    t_next = sums.t + 1
 
     if isinstance(kind, EpsGreedy):
         p_t = kind.eps.value(t_next)
@@ -172,16 +140,16 @@ def action_probabilities(
 
     if isinstance(kind, Ucb):
         c_t = kind.bonus.value(t_next)
-        inv0 = inverse_spd(state.gram0)
-        inv1 = inverse_spd(state.gram1)
+        inv0 = inverse_spd(sums.arm0.xx)
+        inv1 = inverse_spd(sums.arm1.xx)
         w0 = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", contexts, inv0, contexts), 0.0))
         w1 = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", contexts, inv1, contexts), 0.0))
         gap = (contexts @ b1 + c_t * w1) - (contexts @ b0 + c_t * w0)
         return np.where(gap > 0, 1.0, np.where(gap < 0, 0.0, 0.5))
 
     if isinstance(kind, Thompson):
-        inv0 = inverse_spd(state.gram0)
-        inv1 = inverse_spd(state.gram1)
+        inv0 = inverse_spd(sums.arm0.xx)
+        inv1 = inverse_spd(sums.arm1.xx)
         gap = contexts @ (b1 - b0)
         spread = kind.sigma_prior * np.sqrt(
             np.maximum(
@@ -202,13 +170,13 @@ def action_probabilities(
     raise ConfigError(f"unknown policy kind {type(kind).__name__}")
 
 
-def action_probability(kind: PolicyKind, state: PolicyState, x: np.ndarray) -> float:
+def action_probability(kind: PolicyKind, sums: RunningSums, x: np.ndarray) -> float:
     """Scalar form of `action_probabilities` for a single context."""
-    return float(action_probabilities(kind, state, np.atleast_2d(np.asarray(x, float)))[0])
+    return float(action_probabilities(kind, sums, np.atleast_2d(np.asarray(x, float)))[0])
 
 
 def thompson_sampled_probability(
-    state: PolicyState,
+    sums: RunningSums,
     x: np.ndarray,
     sigma_prior: float,
     rng: np.random.Generator,
@@ -216,14 +184,14 @@ def thompson_sampled_probability(
 ) -> float:
     """Posterior-sampling estimate of P(x'b1_draw > x'b0_draw); cross-checks the
     closed form used by the Thompson policy."""
-    b0 = state.arm_estimate(0)
-    b1 = state.arm_estimate(1)
+    b0 = sums.arm0.ols_estimate()
+    b1 = sums.arm1.ols_estimate()
     if b0 is None or b1 is None:
         return 0.5
     x = np.asarray(x, dtype=float)
     mean_gap = float(x @ (b1 - b0))
     var = sigma_prior**2 * float(
-        x @ inverse_spd(state.gram0) @ x + x @ inverse_spd(state.gram1) @ x
+        x @ inverse_spd(sums.arm0.xx) @ x + x @ inverse_spd(sums.arm1.xx) @ x
     )
     if var <= 0:
         return 1.0 if mean_gap > 0 else (0.0 if mean_gap < 0 else 0.5)
@@ -231,66 +199,24 @@ def thompson_sampled_probability(
     return float(np.mean(gaps > 0))
 
 
-@dataclass
-class BatchActions:
-    """One batch of assignments with the per-unit propensity log."""
-
-    actions: np.ndarray
-    prob_pre_clip: np.ndarray
-    prob_post_clip: np.ndarray
-    batch_index: int
-    clip_level: float
-
-
 def select_actions(
     kind: PolicyKind,
-    state: PolicyState,
+    sums: RunningSums,
     contexts: np.ndarray,
     clip_schedule: ClipSchedule,
     rng: np.random.Generator,
-) -> BatchActions:
-    """Draw one batch of actions with the state frozen; probabilities are logged."""
-    t_next = state.t + 1
-    level = clip_schedule.value(t_next)
-    pre = action_probabilities(kind, state, contexts)
+) -> np.ndarray:
+    """Draw one batch of binary actions with the sums frozen."""
+    level = clip_schedule.value(sums.t + 1)
+    pre = action_probabilities(kind, sums, contexts)
     post = np.minimum(np.maximum(pre, level), 1.0 - level)
-    actions = (rng.random(pre.shape[0]) < post).astype(np.int64)
-    return BatchActions(
-        actions=actions,
-        prob_pre_clip=pre,
-        prob_post_clip=post,
-        batch_index=t_next,
-        clip_level=level,
-    )
+    return (rng.random(pre.shape[0]) < post).astype(np.int64)
 
 
-def update_state(
-    state: PolicyState,
-    contexts: np.ndarray,
-    actions: np.ndarray,
-    rewards: np.ndarray,
-) -> PolicyState:
-    """Fold one completed batch into the cumulative statistics (t advances by 1)."""
-    contexts = np.asarray(contexts, dtype=float)
-    actions = np.asarray(actions)
-    rewards = np.asarray(rewards, dtype=float)
-    n = contexts.shape[0]
-    if contexts.ndim != 2 or contexts.shape[1] != state.dim:
-        raise ContractError("contexts do not match the state dimension")
-    if actions.shape != (n,) or rewards.shape != (n,):
-        raise ContractError("actions/rewards must align with contexts")
-    if not ((actions == 0) | (actions == 1)).all():
-        raise ContractError("actions must be binary")
-
-    mask1 = actions == 1
-    x0, x1 = contexts[~mask1], contexts[mask1]
-    y0, y1 = rewards[~mask1], rewards[mask1]
-    return PolicyState(
-        gram0=state.gram0 + x0.T @ x0,
-        gram1=state.gram1 + x1.T @ x1,
-        moment0=state.moment0 + x0.T @ y0,
-        moment1=state.moment1 + x1.T @ y1,
-        count0=state.count0 + x0.shape[0],
-        count1=state.count1 + x1.shape[0],
-        t=state.t + 1,
-    )
+def update_state(sums: RunningSums, fit: BatchOlsFit) -> None:
+    """Fold one completed batch's fit into the running sums (t advances by 1)."""
+    if fit.arm0.gram.shape != (sums.dim, sums.dim):
+        raise ContractError("the fit does not match the dimension of the sums")
+    sums.arm0.add(fit.arm0)
+    sums.arm1.add(fit.arm1)
+    sums.t += 1

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import EstimatorUnavailable
 from .estimators import BatchOlsFit, IvwEstimate, RunningSums, fit_batch_ols, ivw_combine
 from .model import TrueModel, realize_rewards, sample_batch_contexts
-from .policies import PolicyState, select_actions, update_state
+from .policies import select_actions, update_state
 from .records import SimulationSetup
 from .stopping import StopDecision, evaluate
 
@@ -47,7 +47,6 @@ def simulate_trajectory(
     rule = setup.rule
     horizon = rule.t_max if t_limit is None else min(rule.t_max, t_limit)
 
-    state = PolicyState.empty(model.dim)
     fits: List[BatchOlsFit] = []
     sums = RunningSums.empty(model.dim)
     stop_trace: List[StopDecision] = []
@@ -60,12 +59,11 @@ def simulate_trajectory(
     while t < horizon:
         t += 1
         x = sample_batch_contexts(setup.context, setup.batch_size, rng)
-        sel = select_actions(setup.policy, state, x, setup.clip, rng)
-        y = realize_rewards(model, x, sel.actions, rng)
-        fit = fit_batch_ols(x, sel.actions, y, batch_index=t)
+        actions = select_actions(setup.policy, sums, x, setup.clip, rng)
+        y = realize_rewards(model, x, actions, rng)
+        fit = fit_batch_ols(x, actions, y, batch_index=t)
         fits.append(fit)
-        sums.add(fit)
-        state = update_state(state, x, sel.actions, y)
+        update_state(sums, fit)
 
         cur_vars: Optional[Tuple[np.ndarray, np.ndarray]] = None
         try:

@@ -1,4 +1,4 @@
-"""From-scratch reference for the combined estimator.
+"""From-scratch reference for the combined estimator and the policy's inputs.
 
 Every call re-sums all per-batch fits and rescans all raw units, the way the
 running sums in `banditstop.estimators` avoid doing; tests compare the two.
@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from banditstop import EstimatorUnavailable, IvwEstimate, KnownSigma, RunningSums
+from banditstop import EstimatorUnavailable, IvwEstimate, KnownSigma, RunningSums, update_state
 from banditstop.estimators import ArmFit, BatchOlsFit
 from banditstop.linalg import inverse_spd, is_invertible_gram, solve_spd
 
@@ -29,8 +29,35 @@ def sums_of(fits: Sequence[BatchOlsFit]) -> RunningSums:
     """Running sums of `fits`, added in order."""
     sums = RunningSums.empty(fits[0].arm0.gram.shape[0])
     for fit in fits:
-        sums.add(fit)
+        update_state(sums, fit)
     return sums
+
+
+@dataclass
+class PolicySums:
+    """One arm's X'X, X'y and unit count, summed from zero in batch order."""
+
+    xx: np.ndarray
+    xy: np.ndarray
+    count: int
+
+
+def policy_sums(batch_data: Sequence[BatchData], dim: int) -> tuple[PolicySums, PolicySums]:
+    """The cumulative per-arm sums the policy reads, straight from the raw units."""
+    arms = tuple(PolicySums(np.zeros((dim, dim)), np.zeros(dim), 0) for _ in (0, 1))
+    for batch in batch_data:
+        mask1 = batch.actions == 1
+        for arm, mask in ((arms[0], ~mask1), (arms[1], mask1)):
+            x, y = batch.contexts[mask], batch.rewards[mask]
+            arm.xx = arm.xx + x.T @ x
+            arm.xy = arm.xy + x.T @ y
+            arm.count += x.shape[0]
+    return arms
+
+
+def ols_estimate(arm: PolicySums) -> Optional[np.ndarray]:
+    """Cumulative OLS estimate, or None while X'X is singular."""
+    return solve_spd(arm.xx, arm.xy) if is_invertible_gram(arm.xx) else None
 
 
 def contributing(fits: Sequence[BatchOlsFit], arm: int) -> List[ArmFit]:

@@ -184,7 +184,8 @@ class TestCalibration:
         # returned constant is exactly the nearest-rank quantile inverted
         # through the radius formula.
         from banditstop import (
-            PolicyState,
+            RunningSums,
+            fit_batch_ols,
             realize_rewards,
             sample_batch_contexts,
             select_actions,
@@ -199,16 +200,16 @@ class TestCalibration:
         devs = []
         for r in range(reps):
             rng = make_rng(derive_seed(seed, r))
-            state = PolicyState.empty(2)
+            sums = RunningSums.empty(2)
             for _ in range(t_ref):
                 x = sample_batch_contexts(spec, n, rng)
-                sel = select_actions(policy, state, x, sched, rng)
-                y = realize_rewards(model, x, sel.actions, rng)
-                state = update_state(state, x, sel.actions, y)
+                actions = select_actions(policy, sums, x, sched, rng)
+                y = realize_rewards(model, x, actions, rng)
+                update_state(sums, fit_batch_ols(x, actions, y))
             devs.append(
                 max(
-                    float(np.sum(np.abs(state.arm_estimate(0) - model.beta0))),
-                    float(np.sum(np.abs(state.arm_estimate(1) - model.beta1))),
+                    float(np.sum(np.abs(sums.arm0.ols_estimate() - model.beta0))),
+                    float(np.sum(np.abs(sums.arm1.ols_estimate() - model.beta1))),
                 )
             )
         rank = math.ceil((1 - delta) * reps)

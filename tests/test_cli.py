@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +83,36 @@ def test_config_error_exit_code(tmp_path):
     assert rc == 2
     rc = main(["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+
+
+@pytest.mark.parametrize(
+    "path, raw",
+    [
+        (("sigma_mode", "sigma"), "-1"),  # ran as if valid
+        (("sigma_mode", "sigma"), "0"),  # stopped every replication at t=1
+        (("stopping", "k"), "NaN"),  # ran every replication to the cap
+        (("batch_size",), "null"),  # raw TypeError, exit 3
+        (("batch_size",), '"abc"'),  # raw ValueError, exit 3
+        (("stopping", "t_max"), "1e400"),  # raw OverflowError, exit 3
+    ],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
+    data = json.loads(DEMO_CONFIG.read_text())
+    data["replications"] = 1
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@VALUE@"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data).replace('"@VALUE@"', raw))
+    out_dir = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err.lower()
+    assert not out_dir.exists()
 
 
 def test_runtime_error_exit_code_with_per_rep_detail(tmp_path):

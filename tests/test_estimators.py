@@ -5,11 +5,10 @@ from banditstop import (
     EpsGreedy,
     EstimatorUnavailable,
     KnownSigma,
-    PolicyState,
     ResidualSigma,
+    RunningSums,
     Schedule,
     TrueModel,
-    action_probabilities,
     constant_clip,
     fit_batch_ols,
     ivw_combine,
@@ -19,7 +18,6 @@ from banditstop import (
     residual_noise_factors,
     sample_batch_contexts,
     select_actions,
-    state_from_sufficient_stats,
     sufficient_statistics,
     uniform_cube_spec,
     update_state,
@@ -250,34 +248,6 @@ class TestSufficientStats:
             np.testing.assert_allclose(gram1 @ beta1, m1, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(gram0 @ beta0, m0, rtol=1e-9, atol=1e-12)
 
-    def test_eps_greedy_replay_from_stats(self):
-        # Next-batch assignment probabilities recomputed from the statistics
-        # alone agree with the logged ones bit-for-bit.
-        rng = make_rng(10)
-        spec = uniform_cube_spec(2)
-        model = TrueModel(beta0=[0.1, -0.2], beta1=[0.6, 0.3], sigma0=1.0, sigma1=1.0)
-        kind = EpsGreedy(Schedule(0.2))
-        sched = constant_clip(0.1)
-        state = PolicyState.empty(2)
-        fits = []
-        logged = []
-        contexts_per_batch = []
-        for t in range(1, 6):
-            x = sample_batch_contexts(spec, 60, rng)
-            sel = select_actions(kind, state, x, sched, rng)
-            y = realize_rewards(model, x, sel.actions, rng)
-            fits.append(fit_batch_ols(x, sel.actions, y, batch_index=t))
-            logged.append(sel.prob_pre_clip)
-            contexts_per_batch.append(x)
-            state = update_state(state, x, sel.actions, y)
-        stats = sufficient_statistics(fits)
-        for t in range(1, 6):
-            replayed_state = state_from_sufficient_stats(
-                type(stats)(entries=stats.entries[: t - 1]), dim=2
-            )
-            probs = action_probabilities(kind, replayed_state, contexts_per_batch[t - 1])
-            np.testing.assert_array_equal(probs, logged[t - 1])
-
 
 class TestLimitSecondMoment:
     def test_symmetric_uniform_halves_raw_moment(self):
@@ -293,30 +263,19 @@ class TestLimitSecondMoment:
         # variance matrix approaches the inverse of the limiting weighted
         # second moment times the noise variance (10% spectral tolerance at
         # t=200, n=500).
-        from banditstop import (
-            EpsGreedy,
-            PolicyState,
-            Schedule,
-            constant_clip,
-            select_actions,
-            update_state,
-        )
-
         spec = uniform_cube_spec(2)
         model = TrueModel(beta0=[0.2, -0.1], beta1=[0.45, 0.25], sigma0=1.0, sigma1=1.0)
         kind = EpsGreedy(Schedule(0.2))
         sched = constant_clip(0.1)
         rng = make_rng(12)
         t, n = 200, 500
-        state = PolicyState.empty(2)
-        fits = []
+        sums = RunningSums.empty(2)
         for j in range(t):
             x = sample_batch_contexts(spec, n, rng)
-            sel = select_actions(kind, state, x, sched, rng)
-            y = realize_rewards(model, x, sel.actions, rng)
-            fits.append(fit_batch_ols(x, sel.actions, y, batch_index=j + 1))
-            state = update_state(state, x, sel.actions, y)
-        v1 = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=n).var1
+            actions = select_actions(kind, sums, x, sched, rng)
+            y = realize_rewards(model, x, actions, rng)
+            update_state(sums, fit_batch_ols(x, actions, y, batch_index=j + 1))
+        v1 = ivw_combine(sums, KnownSigma(1.0), batch_size=n).var1
         limit = limit_arm_second_moment(spec, model, 0.1, 1, 1_000_000, make_rng(13))
         target = np.linalg.inv(limit)  # noise variance 1
         rel = np.linalg.norm(t * v1 - target, 2) / np.linalg.norm(target, 2)

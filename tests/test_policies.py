@@ -6,7 +6,7 @@ from banditstop import (
     ConfigError,
     ContractError,
     EpsGreedy,
-    PolicyState,
+    RunningSums,
     Schedule,
     Thompson,
     Ucb,
@@ -15,6 +15,7 @@ from banditstop import (
     action_probability,
     clip,
     constant_clip,
+    fit_batch_ols,
     make_rng,
     select_actions,
     thompson_sampled_probability,
@@ -22,24 +23,30 @@ from banditstop import (
 )
 
 
-def scalar_state(beta0: float, beta1: float, gram: float = 1.0) -> PolicyState:
-    """d=1 state whose cumulative OLS estimates are exactly (beta0, beta1)."""
-    s = PolicyState.empty(1)
-    s.gram0 = np.array([[gram]])
-    s.gram1 = np.array([[gram]])
-    s.moment0 = np.array([gram * beta0])
-    s.moment1 = np.array([gram * beta1])
-    s.count0 = s.count1 = 5
+def scalar_state(beta0: float, beta1: float, gram: float = 1.0) -> RunningSums:
+    """d=1 sums whose cumulative OLS estimates are exactly (beta0, beta1)."""
+    s = RunningSums.empty(1)
+    for arm, beta in ((s.arm0, beta0), (s.arm1, beta1)):
+        arm.xx = np.array([[gram]])
+        arm.xy = np.array([gram * beta])
+        arm.count = 5
     s.t = 1
     return s
 
 
-def random_state(dim: int, rng: np.random.Generator, n_per_arm: int = 12) -> PolicyState:
-    s = PolicyState.empty(dim)
+def random_state(dim: int, rng: np.random.Generator, n_per_arm: int = 12) -> RunningSums:
+    s = RunningSums.empty(dim)
     x = rng.uniform(-1, 1, size=(2 * n_per_arm, dim))
     a = np.repeat([0, 1], n_per_arm)
     y = rng.normal(size=2 * n_per_arm)
-    return update_state(s, x, a, y)
+    update_state(s, fit_batch_ols(x, a, y))
+    return s
+
+
+def clipped_probabilities(kind, sums, contexts, sched: ClipSchedule) -> np.ndarray:
+    """The probabilities `select_actions` draws the next batch with."""
+    level = sched.value(len(sums) + 1)
+    return np.clip(action_probabilities(kind, sums, contexts), level, 1.0 - level)
 
 
 class TestActionProbability:
@@ -48,7 +55,7 @@ class TestActionProbability:
         [UniformRandom(), EpsGreedy(Schedule(0.2)), Ucb(Schedule(1.0)), Thompson(1.0)],
     )
     def test_empty_state_gives_half(self, kind):
-        state = PolicyState.empty(2)
+        state = RunningSums.empty(2)
         assert action_probability(kind, state, [0.3, -0.7]) == 0.5
 
     def test_eps_greedy_favors_better_arm(self):
@@ -126,80 +133,91 @@ class TestClip:
 
 class TestSelectActions:
     def test_uniform_fraction(self):
-        state = PolicyState.empty(1)
+        state = RunningSums.empty(1)
         x = np.ones((10_000, 1))
-        sel = select_actions(UniformRandom(), state, x, constant_clip(0.1), make_rng(0))
-        assert abs(sel.actions.mean() - 0.5) < 0.015
+        actions = select_actions(UniformRandom(), state, x, constant_clip(0.1), make_rng(0))
+        assert abs(actions.mean() - 0.5) < 0.015
 
     def test_clipped_floor_fraction(self):
         # Pre-clip 0.05 (eps/2) is floored to the clip level 0.1.
         state = scalar_state(beta0=2.0, beta1=1.0)
         x = np.ones((10_000, 1))
-        sel = select_actions(EpsGreedy(Schedule(0.1)), state, x, constant_clip(0.1), make_rng(1))
-        assert np.all(sel.prob_post_clip == 0.1)
-        assert abs(sel.actions.mean() - 0.1) < 3 * np.sqrt(0.1 * 0.9 / 10_000)
+        kind, sched = EpsGreedy(Schedule(0.1)), constant_clip(0.1)
+        actions = select_actions(kind, state, x, sched, make_rng(1))
+        assert np.all(clipped_probabilities(kind, state, x, sched) == 0.1)
+        assert abs(actions.mean() - 0.1) < 3 * np.sqrt(0.1 * 0.9 / 10_000)
 
     def test_deterministic_ucb_clipped(self):
         state = scalar_state(beta0=0.0, beta1=1.0)
         x = np.ones((10_000, 1))
-        sel = select_actions(Ucb(Schedule(0.5)), state, x, constant_clip(0.1), make_rng(2))
-        assert np.all(sel.prob_pre_clip == 1.0)
-        assert np.all(sel.prob_post_clip == 0.9)
-        assert abs(sel.actions.mean() - 0.9) < 3 * np.sqrt(0.1 * 0.9 / 10_000)
+        kind, sched = Ucb(Schedule(0.5)), constant_clip(0.1)
+        actions = select_actions(kind, state, x, sched, make_rng(2))
+        assert np.all(action_probabilities(kind, state, x) == 1.0)
+        assert np.all(clipped_probabilities(kind, state, x, sched) == 0.9)
+        assert abs(actions.mean() - 0.9) < 3 * np.sqrt(0.1 * 0.9 / 10_000)
 
     def test_clipping_invariant_along_trajectory(self):
         rng = make_rng(3)
-        state = PolicyState.empty(2)
+        state = RunningSums.empty(2)
         kind = EpsGreedy(Schedule(0.4, decay=0.3, floor=0.05))
         sched = ClipSchedule(Schedule(0.2, decay=0.25, floor=0.05))
         beta1 = np.array([0.5, -0.2])
         for _ in range(6):
             x = rng.uniform(-1, 1, size=(40, 2))
-            sel = select_actions(kind, state, x, sched, rng)
-            level = sched.value(state.t + 1)
-            assert np.all(sel.prob_post_clip >= level - 1e-15)
-            assert np.all(sel.prob_post_clip <= 1 - level + 1e-15)
-            y = x @ beta1 * sel.actions + rng.normal(size=40)
-            state = update_state(state, x, sel.actions, y)
+            post = clipped_probabilities(kind, state, x, sched)
+            actions = select_actions(kind, state, x, sched, rng)
+            level = sched.value(len(state) + 1)
+            assert np.all(post >= level - 1e-15)
+            assert np.all(post <= 1 - level + 1e-15)
+            y = x @ beta1 * actions + rng.normal(size=40)
+            update_state(state, fit_batch_ols(x, actions, y))
 
 
 class TestUpdateState:
     def test_empty_batch_for_one_arm(self):
-        state = PolicyState.empty(2)
+        state = RunningSums.empty(2)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        new = update_state(state, x, np.array([1, 1]), np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(new.gram0, np.zeros((2, 2)))
-        np.testing.assert_array_equal(new.moment0, np.zeros(2))
-        assert new.count0 == 0 and new.count1 == 2 and new.t == 1
+        update_state(state, fit_batch_ols(x, np.array([1, 1]), np.array([1.0, 2.0])))
+        np.testing.assert_array_equal(state.arm0.xx, np.zeros((2, 2)))
+        np.testing.assert_array_equal(state.arm0.xy, np.zeros(2))
+        assert state.arm0.count == 0 and state.arm1.count == 2 and state.t == 1
 
     def test_rank_one_update(self):
-        state = PolicyState.empty(2)
+        state = RunningSums.empty(2)
         x = np.array([[1.0, 2.0]])
-        new = update_state(state, x, np.array([1]), np.array([3.0]))
-        np.testing.assert_allclose(new.gram1, np.array([[1.0, 2.0], [2.0, 4.0]]))
-        np.testing.assert_allclose(new.moment1, np.array([3.0, 6.0]))
+        update_state(state, fit_batch_ols(x, np.array([1]), np.array([3.0])))
+        np.testing.assert_allclose(state.arm1.xx, np.array([[1.0, 2.0], [2.0, 4.0]]))
+        np.testing.assert_allclose(state.arm1.xy, np.array([3.0, 6.0]))
 
     def test_two_updates_equal_one_combined(self):
         rng = make_rng(4)
         x = rng.uniform(-1, 1, size=(30, 3))
         a = (rng.random(30) < 0.5).astype(int)
         y = rng.normal(size=30)
-        s0 = PolicyState.empty(3)
-        combined = update_state(s0, x, a, y)
-        seq = update_state(update_state(s0, x[:17], a[:17], y[:17]), x[17:], a[17:], y[17:])
-        np.testing.assert_allclose(seq.gram1, combined.gram1, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(seq.gram0, combined.gram0, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(seq.moment1, combined.moment1, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(seq.moment0, combined.moment0, rtol=1e-12, atol=1e-14)
-        assert seq.count0 == combined.count0 and seq.count1 == combined.count1
+        combined = RunningSums.empty(3)
+        update_state(combined, fit_batch_ols(x, a, y))
+        seq = RunningSums.empty(3)
+        update_state(seq, fit_batch_ols(x[:17], a[:17], y[:17]))
+        update_state(seq, fit_batch_ols(x[17:], a[17:], y[17:]))
+        for arm in (0, 1):
+            np.testing.assert_allclose(
+                seq.arm(arm).xx, combined.arm(arm).xx, rtol=1e-12, atol=1e-14
+            )
+            np.testing.assert_allclose(
+                seq.arm(arm).xy, combined.arm(arm).xy, rtol=1e-12, atol=1e-14
+            )
+            assert seq.arm(arm).count == combined.arm(arm).count
         assert seq.t == 2 and combined.t == 1
 
     def test_dimension_mismatch(self):
-        state = PolicyState.empty(2)
+        state = RunningSums.empty(2)
         with pytest.raises(ContractError):
-            update_state(state, np.ones((3, 2)), np.zeros(2, dtype=int), np.ones(3))
+            update_state(state, fit_batch_ols(np.ones((3, 2)), np.zeros(2, dtype=int), np.ones(3)))
         with pytest.raises(ContractError):
-            update_state(state, np.ones((3, 2)), np.array([0, 1, 2]), np.ones(3))
+            update_state(state, fit_batch_ols(np.ones((3, 2)), np.array([0, 1, 2]), np.ones(3)))
+        with pytest.raises(ContractError):
+            update_state(state, fit_batch_ols(np.ones((3, 3)), np.array([0, 1, 0]), np.ones(3)))
+        assert state.t == 0
 
 
 class TestSchedule:

@@ -1,6 +1,7 @@
-"""The running-sum combined estimator against the from-scratch oracle, over
-random batch sequences: dimensions 1-3, arms with fewer units than the
-dimension, and collinear batches, so that per-arm Grams are often singular."""
+"""The running sums (combined estimator and policy inputs) against the
+from-scratch oracle, over random batch sequences: dimensions 1-3, arms with
+fewer units than the dimension, and collinear batches, so that per-arm Grams
+are often singular."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from banditstop import (
     fit_batch_ols,
     ivw_combine,
     residual_noise_factors,
+    update_state,
 )
 
 RTOL = 1e-10
@@ -72,7 +74,7 @@ def test_running_sums_match_oracle(case, sigma_mode):
     for t, batch in enumerate(batches, start=1):
         fit = fit_batch_ols(batch.contexts, batch.actions, batch.rewards, batch_index=t)
         fits.append(fit)
-        sums.add(fit)
+        update_state(sums, fit)
         assert len(sums) == t
         got = outcome(ivw_combine, sums, sigma_mode, 7)
         want = outcome(ivw_oracle.ivw_combine, fits, sigma_mode, 7, batches[:t])
@@ -88,6 +90,25 @@ def test_running_sums_match_oracle(case, sigma_mode):
             )
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(batch_sequences())
+def test_policy_inputs_match_oracle_bitwise(case):
+    # The policy reads X'X, X'y and the counts from the running sums; they
+    # equal the raw per-unit sums, from zero in batch order, bit for bit.
+    dim, batches, _ = case
+    sums = RunningSums.empty(dim)
+    for t, batch in enumerate(batches, start=1):
+        update_state(sums, fit_batch_ols(batch.contexts, batch.actions, batch.rewards, batch_index=t))
+        for arm, want in zip((sums.arm0, sums.arm1), ivw_oracle.policy_sums(batches[:t], dim)):
+            assert np.array_equal(arm.xx, want.xx)
+            assert np.array_equal(arm.xy, want.xy)
+            assert arm.count == want.count
+            got_est, want_est = arm.ols_estimate(), ivw_oracle.ols_estimate(want)
+            assert (got_est is None) == (want_est is None)
+            if want_est is not None:
+                assert np.array_equal(got_est, want_est)
+
+
 def test_single_usable_batch_is_a_bitwise_fixed_point():
     # Singular batches before and after the only usable one leave its
     # estimate untouched, bit for bit.
@@ -98,7 +119,7 @@ def test_single_usable_batch_is_a_bitwise_fixed_point():
     usable = fit_batch_ols(x, a, y)
     sums = RunningSums.empty(2)
     for fit in (fit_batch_ols(x[:1], a[:1], y[:1]), usable, fit_batch_ols(x[1:3], a[1:3], y[1:3])):
-        sums.add(fit)
+        update_state(sums, fit)
     est = ivw_combine(sums, ResidualSigma(), 6)
     assert np.array_equal(est.beta0, usable.arm0.beta)
     assert np.array_equal(est.beta1, usable.arm1.beta)
