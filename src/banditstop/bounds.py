@@ -3,21 +3,40 @@ cost-adjusted regret objectives that the stopping rules optimize.
 
 The tail constant is an existence constant in the underlying concentration
 bound; `calibrate_tail_constant` pins it empirically on pilot replications so
-the bounds are usable at finite sample sizes.
+the bounds are usable at finite sample sizes.  The pilots run in lock-step:
+all of them advance one batch at a time together.  Each pilot draws from its
+own stream in the order a lone trajectory would, so the constant is the same,
+bit for bit, as pilots run one after another would give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
-from .estimators import RunningSums, fit_batch_ols
+from .linalg import inverse_spd, invertible_grams, solve_spd
 from .model import ContextSpec, TrueModel, sample_batch_contexts, realize_rewards
-from .policies import ClipSchedule, PolicyKind, select_actions, update_state
+from .policies import (
+    ClipSchedule,
+    PolicyKind,
+    UniformRandom,
+    needs_inverses,
+    probabilities_from_estimates,
+)
+from .rng import derive_seed, make_rng
+
+# Not called here: perfbench/tracing.py rebinds both names in this module (as
+# it does `sample_batch_contexts` and `realize_rewards`), so they stay bound.
+from .policies import select_actions, update_state  # noqa: F401
+
+# Memory budget of one chunk of lock-step pilots: their stacked contexts and
+# per-unit arrays.  Further pilots run in later chunks, so memory stays of
+# this order whatever the number of pilots.
+PILOT_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -210,36 +229,22 @@ def calibrate_tail_constant(
     reference batch count.
 
     The pilot deviation is measured on the cumulative OLS estimates at t_ref
-    and inverted through radius = sqrt(K / (n t p^2)) with p the clip floor.
+    (`pilot_deviations`) and inverted through radius = sqrt(K / (n t p^2))
+    with p the clip floor.
     """
-    from .rng import derive_seed, make_rng  # local import to keep bounds standalone
-
     if replications < 10:
         raise ConfigError("calibration needs at least 10 pilot replications")
+    if t_ref < 1:
+        raise ConfigError("calibration needs t_ref >= 1")
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
     p = clip_schedule.floor
     if p <= 0:
         raise ConfigError("calibration requires a positive clip floor")
 
-    deviations = np.empty(replications)
-    for r in range(replications):
-        rng = make_rng(derive_seed(seed, r))
-        sums = RunningSums.empty(model.dim)
-        for _ in range(t_ref):
-            x = sample_batch_contexts(spec, batch_size, rng)
-            actions = select_actions(policy, sums, x, clip_schedule, rng)
-            y = realize_rewards(model, x, actions, rng)
-            update_state(sums, fit_batch_ols(x, actions, y))
-        worst = 0.0
-        for arm, beta in ((0, model.beta0), (1, model.beta1)):
-            est = sums.arm(arm).ols_estimate()
-            if est is None:
-                worst = math.inf
-                break
-            worst = max(worst, float(np.sum(np.abs(est - beta))))
-        deviations[r] = worst
-
+    deviations = pilot_deviations(
+        spec, model, policy, clip_schedule, batch_size, t_ref, replications, seed
+    )
     order = np.sort(deviations)
     rank = math.ceil((1.0 - delta) * replications)  # 1-based nearest rank
     quantile = float(order[rank - 1])
@@ -249,6 +254,102 @@ def calibrate_tail_constant(
             "increase t_ref or batch_size"
         )
     return quantile**2 * batch_size * t_ref * p**2
+
+
+def pilot_deviations(
+    spec: ContextSpec,
+    model: TrueModel,
+    policy: PolicyKind,
+    clip_schedule: ClipSchedule,
+    batch_size: int,
+    t_ref: int,
+    replications: int,
+    seed: int,
+) -> np.ndarray:
+    """Each pilot's larger l1 error of the two arms' cumulative OLS estimates
+    after t_ref batches of the policy; inf where an arm's X'X is singular.
+
+    Pilot r runs on ``make_rng(derive_seed(seed, r))`` and draws contexts,
+    action uniforms and reward noise in the order of a lone trajectory.  The
+    pilots advance in lock-step, in chunks of at most PILOT_CHUNK_BYTES of
+    stacked arrays.  Within a batch, the draws from each pilot's stream, its
+    arms' X'X and X'y and its Cholesky solves run per pilot; the singularity
+    checks, the policy formulas and the clipping run once over the stacked
+    pilots.
+    """
+    members = max(1, PILOT_CHUNK_BYTES // (8 * batch_size * (model.dim + 4)))
+    deviations = np.empty(replications)
+    for start in range(0, replications, members):
+        rngs = [
+            make_rng(derive_seed(seed, r))
+            for r in range(start, min(start + members, replications))
+        ]
+        deviations[start : start + len(rngs)] = _lock_step_deviations(
+            spec, model, policy, clip_schedule, batch_size, t_ref, rngs
+        )
+    return deviations
+
+
+def _lock_step_deviations(
+    spec: ContextSpec,
+    model: TrueModel,
+    policy: PolicyKind,
+    clip_schedule: ClipSchedule,
+    batch_size: int,
+    t_ref: int,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    dim = model.dim
+    # Per arm and pilot, X'X and X'y over all units so far, summed batch by
+    # batch in the order `ArmSums.add` sums them.
+    xx = np.zeros((2, len(rngs), dim, dim))
+    xy = np.zeros((2, len(rngs), dim))
+    for t in range(1, t_ref + 1):
+        x = np.stack([sample_batch_contexts(spec, batch_size, rng) for rng in rngs])
+        if isinstance(policy, UniformRandom):
+            pre = np.full(x.shape[:2], 0.5)
+        else:
+            usable, b, inv = _estimates(xx, xy, needs_inverses(policy))
+            probs = probabilities_from_estimates(policy, t, x, b[0], b[1], inv[0], inv[1])
+            pre = np.where(usable[:, None], probs, 0.5)
+        level = clip_schedule.value(t)
+        post = np.minimum(np.maximum(pre, level), 1.0 - level)
+        uniforms = np.stack([rng.random(batch_size) for rng in rngs])
+        actions = (uniforms < post).astype(np.int64)
+        masks = (actions == 0, actions == 1)
+        # From each pilot's own rows, as `fit_batch_ols` forms them: a zero-
+        # masked stacked product rounds differently (X'y at any d, X'X at d=1).
+        for r, rng in enumerate(rngs):
+            y = realize_rewards(model, x[r], actions[r], rng)
+            for arm, mask in enumerate(masks):
+                xa = x[r][mask[r]]
+                xx[arm, r] += xa.T @ xa
+                xy[arm, r] += xa.T @ y[mask[r]]
+
+    usable, b, _ = _estimates(xx, xy, False)
+    deviations = np.full(len(rngs), math.inf)
+    for r in np.flatnonzero(usable):
+        worst = 0.0
+        for arm, beta in ((0, model.beta0), (1, model.beta1)):
+            worst = max(worst, float(np.sum(np.abs(b[arm, r] - beta))))
+        deviations[r] = worst
+    return deviations
+
+
+def _estimates(xx: np.ndarray, xy: np.ndarray, with_inverses: bool):
+    """Which pilots have both arms' X'X invertible, and for those the
+    cumulative OLS estimates (2, R, d) and, if asked, the inverses of X'X
+    (2, R, d, d), else (None, None); zeros for the other pilots."""
+    arms, members, dim = xy.shape
+    usable = invertible_grams(xx.reshape(-1, dim, dim)).reshape(arms, members).all(axis=0)
+    b = np.zeros_like(xy)
+    inv = np.zeros_like(xx) if with_inverses else (None, None)
+    for r in np.flatnonzero(usable):
+        for arm in (0, 1):
+            b[arm, r] = solve_spd(xx[arm, r], xy[arm, r])
+            if with_inverses:
+                inv[arm, r] = inverse_spd(xx[arm, r])
+    return usable, b, inv
 
 
 def constants_from_context(

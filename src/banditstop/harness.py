@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -75,6 +76,13 @@ CALIBRATION_SEED_TAG = 0x5EED_CA11
 class CalibrationConfig:
     t_ref: int
     replications: int = 200
+
+    def __post_init__(self):
+        # Checked here so that a bad block fails before any pilot runs.
+        if self.t_ref < 1:
+            raise ConfigError("bounds.calibration.t_ref must be >= 1")
+        if self.replications < 10:
+            raise ConfigError("bounds.calibration.replications must be >= 10")
 
 
 @dataclass(frozen=True)
@@ -810,6 +818,18 @@ def config_to_dict(config: ExperimentConfig) -> Dict:
     }
 
 
+def _integer(value, key: str) -> int:
+    """An integer config value: an int, or a finite float with an integral
+    value.  Anything else (a bool, a fraction, inf, null, a string) is a
+    ConfigError naming the dotted key."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer():
+            return int(value)
+    raise ConfigError(f"{key} must be an integer, got {json.dumps(value, default=repr)}")
+
+
 def config_from_dict(data: Dict) -> ExperimentConfig:
     try:
         version = data.get("schema_version", SCHEMA_VERSION)
@@ -831,7 +851,9 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
         else:
             raise ConfigError(f"unknown context dist {dist_d['kind']!r}")
         context = ContextSpec(
-            dim=int(ctx["dim"]), dist=dist, sup_bound=float(ctx["sup_bound"])
+            dim=_integer(ctx["dim"], "context.dim"),
+            dist=dist,
+            sup_bound=float(ctx["sup_bound"]),
         )
 
         md = data["model"]
@@ -860,7 +882,7 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
         sd = data["stopping"]
         stopping = StoppingConfig(
             kind=sd["kind"],
-            t_max=int(sd["t_max"]),
+            t_max=_integer(sd["t_max"], "stopping.t_max"),
             k=None if sd.get("k") is None else float(sd["k"]),
             c_prime=None if sd.get("c_prime") is None else float(sd["c_prime"]),
             scale_by_batch=bool(sd.get("scale_by_batch", False)),
@@ -888,7 +910,10 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
                 calibration=None
                 if cal is None
                 else CalibrationConfig(
-                    t_ref=int(cal["t_ref"]), replications=int(cal.get("replications", 200))
+                    t_ref=_integer(cal["t_ref"], "bounds.calibration.t_ref"),
+                    replications=_integer(
+                        cal.get("replications", 200), "bounds.calibration.replications"
+                    ),
                 ),
             )
 
@@ -897,8 +922,10 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
         if idm is not None:
             inference = ConditionalSamplerConfig(
                 mode=idm.get("mode", "independence_shortcut"),
-                n_samples=int(idm.get("n_samples", 1000)),
-                max_attempts=int(idm.get("max_attempts", 100_000)),
+                n_samples=_integer(idm.get("n_samples", 1000), "inference.n_samples"),
+                max_attempts=_integer(
+                    idm.get("max_attempts", 100_000), "inference.max_attempts"
+                ),
                 level=float(idm.get("level", 0.95)),
                 bonferroni=bool(idm.get("bonferroni", True)),
             )
@@ -916,15 +943,17 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
             model=model,
             policy=policy,
             clip=clip,
-            batch_size=int(data["batch_size"]),
+            batch_size=_integer(data["batch_size"], "batch_size"),
             stopping=stopping,
             sigma_mode=sigma_mode,
-            replications=int(data["replications"]),
-            master_seed=int(data["master_seed"]),
+            replications=_integer(data["replications"], "replications"),
+            master_seed=_integer(data["master_seed"], "master_seed"),
             bounds=bounds,
             inference=inference,
             hypothesis=hypothesis,
-            regret_mc_samples=int(data.get("regret_mc_samples", 100_000)),
+            regret_mc_samples=_integer(
+                data.get("regret_mc_samples", 100_000), "regret_mc_samples"
+            ),
             trajectory_json=bool(data.get("trajectory_json", False)),
         )
     except ConfigError:

@@ -42,9 +42,26 @@ def eigvalsh(matrix: np.ndarray) -> np.ndarray:
     return w
 
 
+def _invertible(smallest, largest):
+    """The singularity rule, smallest > RTOL * max(largest, 1), for numpy
+    scalars or arrays alike.  Rounding is monotone, so RTOL * max(l, 1) equals
+    max(RTOL * l, RTOL) exactly and the rule splits into two comparisons."""
+    return (smallest > GRAM_SINGULARITY_RTOL * largest) & (smallest > GRAM_SINGULARITY_RTOL)
+
+
 def is_invertible_gram(gram: np.ndarray) -> bool:
     eigs = eigvalsh(gram)
-    return bool(eigs[0] > GRAM_SINGULARITY_RTOL * max(eigs[-1], 1.0))
+    return bool(_invertible(eigs[0], eigs[-1]))
+
+
+def invertible_grams(grams: np.ndarray) -> np.ndarray:
+    """`is_invertible_gram` of each matrix of an (R, d, d) stack.
+
+    One stacked ``numpy.linalg.eigvalsh`` call, which runs the same ``dsyevd``
+    per matrix as `eigvalsh` (`tests/test_linalg.py` checks the equality).
+    """
+    eigs = np.linalg.eigvalsh(grams)
+    return _invertible(eigs[:, 0], eigs[:, -1])
 
 
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -5,13 +5,14 @@ The policies read a trajectory's running sums (`estimators.RunningSums`):
 each arm's cumulative OLS estimate and X'X over all units so far.
 `update_state` folds one batch's fit into those sums.  Probabilities are
 computed in closed form (Thompson included), so they are a pure function of
-the sums and the contexts.
+the sums and the contexts.  `probabilities_from_estimates` holds the
+formulas once, for one trajectory or broadcast over stacked ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import ndtr
@@ -131,30 +132,52 @@ def action_probabilities(
     b1 = sums.arm1.ols_estimate()
     if b0 is None or b1 is None:
         return np.full(n, 0.5)
-    t_next = sums.t + 1
+    inv0 = inv1 = None
+    if needs_inverses(kind):
+        inv0 = inverse_spd(sums.arm0.xx)
+        inv1 = inverse_spd(sums.arm1.xx)
+    return probabilities_from_estimates(kind, sums.t + 1, contexts, b0, b1, inv0, inv1)
 
+
+def needs_inverses(kind: PolicyKind) -> bool:
+    """Whether `probabilities_from_estimates` reads the inverses of X'X."""
+    return isinstance(kind, (Ucb, Thompson))
+
+
+def probabilities_from_estimates(
+    kind: PolicyKind,
+    t_next: int,
+    contexts: np.ndarray,
+    b0: np.ndarray,
+    b1: np.ndarray,
+    inv0: Optional[np.ndarray] = None,
+    inv1: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Pre-clip probability of arm 1 for each context under the ε-greedy,
+    UCB or Thompson rule, given both arms' cumulative OLS estimates and, for
+    UCB and Thompson, the inverses of their X'X.
+
+    Broadcasts over leading axes: contexts (..., n, d), estimates (..., d)
+    and inverses (..., d, d) give (..., n).  The lock-step pilots of
+    `bounds.calibrate_tail_constant` pass a leading member axis; each member's
+    probabilities equal, bit for bit, those of a call with its arrays alone.
+    """
     if isinstance(kind, EpsGreedy):
         p_t = kind.eps.value(t_next)
-        gap = contexts @ (b1 - b0)
+        gap = _rows_dot(contexts, b1 - b0)
         return np.where(gap > 0, 1.0 - p_t / 2.0, np.where(gap < 0, p_t / 2.0, 0.5))
 
     if isinstance(kind, Ucb):
         c_t = kind.bonus.value(t_next)
-        inv0 = inverse_spd(sums.arm0.xx)
-        inv1 = inverse_spd(sums.arm1.xx)
-        w0 = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", contexts, inv0, contexts), 0.0))
-        w1 = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", contexts, inv1, contexts), 0.0))
-        gap = (contexts @ b1 + c_t * w1) - (contexts @ b0 + c_t * w0)
+        w0 = np.sqrt(np.maximum(_quadratic_forms(contexts, inv0), 0.0))
+        w1 = np.sqrt(np.maximum(_quadratic_forms(contexts, inv1), 0.0))
+        gap = (_rows_dot(contexts, b1) + c_t * w1) - (_rows_dot(contexts, b0) + c_t * w0)
         return np.where(gap > 0, 1.0, np.where(gap < 0, 0.0, 0.5))
 
     if isinstance(kind, Thompson):
-        inv0 = inverse_spd(sums.arm0.xx)
-        inv1 = inverse_spd(sums.arm1.xx)
-        gap = contexts @ (b1 - b0)
+        gap = _rows_dot(contexts, b1 - b0)
         spread = kind.sigma_prior * np.sqrt(
-            np.maximum(
-                np.einsum("ij,jk,ik->i", contexts, inv0 + inv1, contexts), 0.0
-            )
+            np.maximum(_quadratic_forms(contexts, inv0 + inv1), 0.0)
         )
         with np.errstate(divide="ignore", invalid="ignore"):
             probs = ndtr(np.where(spread > 0, gap / spread, 0.0))
@@ -168,6 +191,23 @@ def action_probabilities(
         return probs
 
     raise ConfigError(f"unknown policy kind {type(kind).__name__}")
+
+
+def _rows_dot(contexts: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x_i'v for each row x_i of `contexts` (..., n, d), with v (..., d)."""
+    return np.matmul(contexts, v[..., None])[..., 0]
+
+
+def _quadratic_forms(contexts: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x_i'm x_i for each row x_i of `contexts` (..., n, d), with m (..., d, d).
+
+    Stacked input goes through the 2-d einsum one member at a time: a stacked
+    einsum sums the d*d terms in another order for some shapes (n = 1 with
+    d = 2), which would change the last bits.
+    """
+    if contexts.ndim == 2:
+        return np.einsum("ij,jk,ik->i", contexts, m, contexts)
+    return np.stack([_quadratic_forms(x, mm) for x, mm in zip(contexts, m)])
 
 
 def action_probability(kind: PolicyKind, sums: RunningSums, x: np.ndarray) -> float:

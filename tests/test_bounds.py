@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import pilot_oracle
+from banditstop import bounds
 from banditstop import (
     AdditiveCost,
     BoundConstants,
@@ -180,38 +183,16 @@ class TestCalibration:
         return spec, model, policy, constant_clip(0.1)
 
     def test_quantile_inversion_matches_independent_replay(self):
-        # Re-derive the pilot deviations with an independent loop and check the
+        # Re-derive the pilot deviations with the sequential loop and check the
         # returned constant is exactly the nearest-rank quantile inverted
         # through the radius formula.
-        from banditstop import (
-            RunningSums,
-            fit_batch_ols,
-            realize_rewards,
-            sample_batch_contexts,
-            select_actions,
-            update_state,
-        )
-        from banditstop.rng import derive_seed
-
         spec, model, policy, sched = self._setup()
         n, t_ref, delta, reps, seed = 80, 6, 0.1, 40, 314
         k = calibrate_tail_constant(spec, model, policy, sched, n, t_ref, delta, reps, seed)
 
-        devs = []
-        for r in range(reps):
-            rng = make_rng(derive_seed(seed, r))
-            sums = RunningSums.empty(2)
-            for _ in range(t_ref):
-                x = sample_batch_contexts(spec, n, rng)
-                actions = select_actions(policy, sums, x, sched, rng)
-                y = realize_rewards(model, x, actions, rng)
-                update_state(sums, fit_batch_ols(x, actions, y))
-            devs.append(
-                max(
-                    float(np.sum(np.abs(sums.arm0.ols_estimate() - model.beta0))),
-                    float(np.sum(np.abs(sums.arm1.ols_estimate() - model.beta1))),
-                )
-            )
+        devs = list(
+            pilot_oracle.sequential_deviations(spec, model, policy, sched, n, t_ref, reps, seed)
+        )
         rank = math.ceil((1 - delta) * reps)
         quantile = sorted(devs)[rank - 1]
         assert k == pytest.approx(quantile**2 * n * t_ref * 0.1**2, rel=1e-12)
@@ -232,3 +213,11 @@ class TestCalibration:
         decaying = ClipSchedule(Schedule(0.3, decay=0.5, floor=0.0))
         with pytest.raises(ConfigError):
             calibrate_tail_constant(spec, model, policy, decaying, 80, 6, 0.1, 40, 314)
+
+    @pytest.mark.parametrize("t_ref", [0, -2])
+    def test_rejects_t_ref_below_one(self, t_ref):
+        spec, model, policy, sched = self._setup()
+        with mock.patch.object(bounds, "pilot_deviations") as pilots:
+            with pytest.raises(ConfigError, match="t_ref"):
+                calibrate_tail_constant(spec, model, policy, sched, 80, t_ref, 0.1, 40, 314)
+        pilots.assert_not_called()

@@ -97,6 +97,13 @@ DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
         (("batch_size",), "null"),  # raw TypeError, exit 3
         (("batch_size",), '"abc"'),  # raw ValueError, exit 3
         (("stopping", "t_max"), "1e400"),  # raw OverflowError, exit 3
+        (("batch_size",), "100.7"),  # ran as 100
+        (("batch_size",), "true"),  # ran as 1
+        (("bounds", "calibration", "t_ref"), "2.5"),  # ran as 2
+        (("bounds", "calibration", "replications"), "200.9"),  # ran as 200
+        (("bounds", "calibration", "t_ref"), "0"),  # ran every pilot first
+        (("bounds", "calibration", "t_ref"), "-2"),
+        (("bounds", "calibration", "replications"), "5"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
@@ -111,7 +118,10 @@ def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
     out_dir = tmp_path / "out"
     rc = main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)])
     assert rc == 2
-    assert "config error" in capsys.readouterr().err.lower()
+    err = capsys.readouterr().err
+    assert "config error" in err.lower()
+    if path != ("sigma_mode", "sigma"):  # KnownSigma checks a value, not a key
+        assert ".".join(path) in err
     assert not out_dir.exists()
 
 
@@ -175,6 +185,20 @@ def test_calibrate_k(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["tail_const"] > 0
+
+
+@pytest.mark.parametrize("t_ref", ["0", "-2"])
+def test_calibrate_k_rejects_t_ref_below_one(tmp_path, capsys, t_ref):
+    cfg_path = tmp_path / "config.json"
+    write_config(
+        cfg_path,
+        bounds=BoundsConfig(
+            margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=0.01
+        ),
+    )
+    rc = main(["calibrate-k", "--config", str(cfg_path), "--t-ref", t_ref])
+    assert rc == 2
+    assert "t_ref" in capsys.readouterr().err
 
 
 def test_check_assumptions(tmp_path, capsys):

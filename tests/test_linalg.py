@@ -1,6 +1,7 @@
 """The direct LAPACK kernels in `banditstop.linalg` against the library calls
 they replace: numpy's `eigvalsh` and scipy's `cho_factor`/`cho_solve`,
-compared bit for bit on small Grams, singular and badly scaled ones included."""
+compared bit for bit on small Grams, singular and badly scaled ones included;
+and the stacked singularity check against the per-matrix one."""
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from banditstop import linalg
 
 
 @st.composite
-def grams(draw):
-    dim = draw(st.integers(1, 3))
+def grams(draw, dims=st.integers(1, 3)):
+    dim = draw(dims)
     kind = draw(st.sampled_from(["design", "rank_deficient", "duplicate_rows", "zero", "inverse"]))
     scale = draw(st.sampled_from([1e-8, 1e-4, 1.0, 1e4, 1e8]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -65,6 +66,18 @@ def test_kernels_equal_library_calls(case):
     assert np.array_equal(linalg.solve_spd(gram, rhs), want)
     inv = scipy.linalg.cho_solve(cho, np.eye(gram.shape[0]), check_finite=False)
     assert np.array_equal(linalg.inverse_spd(gram), 0.5 * (inv + inv.T))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(grams(st.just(d)), min_size=1, max_size=8)))
+def test_stacked_singularity_checks_equal_per_matrix(cases):
+    stack = np.stack([gram for gram, _ in cases])
+    assert np.array_equal(
+        np.linalg.eigvalsh(stack), np.stack([linalg.eigvalsh(gram) for gram in stack])
+    )
+    assert linalg.invertible_grams(stack).tolist() == [
+        linalg.is_invertible_gram(gram) for gram in stack
+    ]
 
 
 def test_zero_gram_fails_at_the_first_minor():

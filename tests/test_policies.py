@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditstop import (
     ClipSchedule,
@@ -21,6 +23,7 @@ from banditstop import (
     thompson_sampled_probability,
     update_state,
 )
+from banditstop.policies import probabilities_from_estimates
 
 
 def scalar_state(beta0: float, beta1: float, gram: float = 1.0) -> RunningSums:
@@ -101,6 +104,34 @@ class TestActionProbability:
             p1 = action_probabilities(kind, state, x)
             p2 = action_probabilities(kind, state, x)
             np.testing.assert_array_equal(p1, p2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(
+        [EpsGreedy(Schedule(0.4, decay=0.5, floor=0.05)), Ucb(Schedule(1.0, decay=0.5)), Thompson(0.7)]
+    ),
+    dim=st.integers(1, 3),
+    n=st.integers(1, 6),
+    members=st.integers(1, 40),
+    t_next=st.integers(1, 20),
+    tie=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_probabilities_equal_per_member(kind, dim, n, members, t_next, tie, seed):
+    # The lock-step pilots pass a leading member axis; each member must get
+    # the bits a call with its arrays alone gives.
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, size=(members, n, dim))
+    b0 = rng.normal(size=(members, dim))
+    b1 = b0.copy() if tie else rng.normal(size=(members, dim))
+    designs = rng.normal(size=(2, members, dim + 2, dim))
+    inv0, inv1 = np.linalg.inv(np.matmul(designs.transpose(0, 1, 3, 2), designs))
+    stacked = probabilities_from_estimates(kind, t_next, x, b0, b1, inv0, inv1)
+    assert stacked.shape == (members, n)
+    for r in range(members):
+        alone = probabilities_from_estimates(kind, t_next, x[r], b0[r], b1[r], inv0[r], inv1[r])
+        assert np.array_equal(stacked[r], alone)
 
 
 class TestClip:
