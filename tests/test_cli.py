@@ -83,6 +83,9 @@ def test_config_error_exit_code(tmp_path):
     assert rc == 2
     rc = main(["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
+    bad.write_text("[]")  # was exit 3: 'list' object has no attribute 'get'
+    rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
 
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
@@ -104,6 +107,14 @@ DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
         (("bounds", "calibration", "t_ref"), "0"),  # ran every pilot first
         (("bounds", "calibration", "t_ref"), "-2"),
         (("bounds", "calibration", "replications"), "5"),
+        (("trajectory_json",), '"no"'),  # bool("no") wrote the trajectories
+        (("inference", "bonferroni"), '"false"'),  # read as true
+        (("stopping", "scale_by_batch"), "1"),  # read as true
+        (("model", "sigma0"), '"abc"'),  # bare float() message
+        (("bounds", "delta"), "null"),  # bare float() message
+        (("context", "sup_bound"), "Infinity"),  # ran as if valid
+        (("model", "beta0"), "[0.2, NaN]"),  # ran, stop time 124 instead of 125
+        (("policy", "eps"), "0.2"),  # 'float' object is not subscriptable
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from banditstop import (
     uniform_cube_spec,
 )
 from banditstop.rng import derive_seed, mix64, substream_seed
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -235,6 +239,34 @@ class TestConfigRoundTrip:
         config = small_config(context=spec)
         d = config_to_dict(config)
         assert config_to_dict(config_from_dict(d)) == d
+
+    @pytest.mark.parametrize("name", ["demo.json", "predetermined.json"])
+    def test_every_leaf_of_the_wrong_type_names_its_key(self, name):
+        data = json.loads((REPO / "configs" / name).read_text())
+
+        def leaves(node, path):  # a list is one leaf
+            if not isinstance(node, dict):
+                yield path
+                return
+            for key, value in node.items():
+                yield from leaves(value, path + (key,))
+
+        paths = list(leaves(data, ()))
+        assert len(paths) > 30
+        for path in paths:
+            bad = json.loads(json.dumps(data))
+            node = bad
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = 1 if isinstance(node[path[-1]], str) else "wrong"
+            with pytest.raises(ConfigError, match=re.escape(".".join(path))):
+                config_from_dict(bad)
+
+    def test_readme_schema_block_round_trips(self):
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        data = json.loads(re.sub(r"//.*", "", block))
+        assert config_to_dict(config_from_dict(data)) == data
 
 
 class TestReports:
