@@ -31,12 +31,10 @@ from .estimators import (
     KnownSigma,
     ResidualSigma,
     RunningSums,
-    SufficientStats,
     fit_batch_ols,
     ivw_combine,
     limit_arm_second_moment,
     residual_noise_factors,
-    sufficient_statistics,
 )
 from .harness import (
     BoundsConfig,
@@ -50,7 +48,6 @@ from .harness import (
     load_config,
     prepare,
     record_from_trajectory,
-    replay_stop_decisions,
     run_experiment,
     run_replications,
 )
@@ -82,11 +79,8 @@ from .policies import (
     Ucb,
     UniformRandom,
     action_probabilities,
-    action_probability,
-    clip,
     constant_clip,
     select_actions,
-    thompson_sampled_probability,
     update_state,
 )
 from .records import ExperimentRecord, InferenceResult, SimulationSetup

@@ -7,8 +7,8 @@ Subcommands:
   calibrate-k       pilot calibration of the tail constant
   check-assumptions Monte Carlo check of the model's regularity conditions
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error (per-replication
-detail is still written to the summary when possible).
+Exit codes: 0 success, 2 configuration or trajectory error, 3 runtime error
+(per-replication detail is still written to the summary when possible).
 """
 
 from __future__ import annotations
@@ -19,20 +19,19 @@ import json
 import sys
 from typing import Optional
 
-from . import bounds as bounds_mod
-from .errors import ConfigError
+from .errors import ConfigError, UnsupportedCaseError
 from .harness import (
-    CALIBRATION_SEED_TAG,
     ExperimentConfig,
+    calibrated_tail_const,
     emit_reports,
     load_config,
+    load_trajectory,
     prepare,
-    record_from_trajectory,
     run_replications,
 )
 from .inference import ConditionalSamplerConfig, run_inference
 from .model import check_assumptions
-from .rng import make_rng, substream_seed
+from .rng import make_rng
 from .stopping import closed_form_stop_time, scan_stop_time
 
 
@@ -74,7 +73,7 @@ def _cmd_stop_scan(args: argparse.Namespace) -> int:
         predicted = closed_form_stop_time(prepared.setup.rule)
         out["t_star"] = predicted.t_star
         out["creg_star"] = predicted.creg_star
-    except Exception as exc:  # closed form only exists for margin exponent 1
+    except UnsupportedCaseError as exc:  # closed form only exists for margin exponent 1
         out["closed_form_unavailable"] = str(exc)
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
@@ -82,9 +81,7 @@ def _cmd_stop_scan(args: argparse.Namespace) -> int:
 
 def _cmd_infer(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    with open(args.trajectory) as fh:
-        payload = json.load(fh)
-    record = record_from_trajectory(payload, config)
+    record = load_trajectory(args.trajectory, config)
     cfg = config.inference if config.inference is not None else ConditionalSamplerConfig()
     seed = args.inference_seed if args.inference_seed is not None else record.inference_seed
     result = run_inference(record, cfg, config.hypothesis, seed)
@@ -117,17 +114,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if t_ref is None:
         raise ConfigError("provide --t-ref or a calibration block in the config")
     reps = args.pilot_reps if args.pilot_reps is not None else (cal.replications if cal else 200)
-    k = bounds_mod.calibrate_tail_constant(
-        config.context,
-        config.model,
-        config.policy,
-        config.clip,
-        config.batch_size,
-        t_ref,
-        config.bounds.delta,
-        reps,
-        substream_seed(config.master_seed, CALIBRATION_SEED_TAG),
-    )
+    k = calibrated_tail_const(config, t_ref, reps)
     print(json.dumps({"tail_const": k, "t_ref": t_ref, "pilot_replications": reps}))
     return 0
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -190,17 +190,6 @@ class IvwEstimate:
         return self.var(arm) / self.batch_size
 
 
-@dataclass
-class SufficientStats:
-    """Ordered per-batch (beta1, gram1, beta0, gram0) tuples; enough to replay
-    Gram-based stopping statistics."""
-
-    entries: List[tuple]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def fit_batch_ols(
     contexts: np.ndarray,
     actions: np.ndarray,
@@ -285,14 +274,6 @@ def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> Iv
         batches_used=len(sums),
         batch_size=batch_size,
         sigma_mode=sigma_mode,
-    )
-
-
-def sufficient_statistics(fits: Sequence[BatchOlsFit]) -> SufficientStats:
-    """Project fits onto the per-batch (beta1, gram1, beta0, gram0) list.  The
-    tuples share the fits' arrays, which are never mutated once made."""
-    return SufficientStats(
-        entries=[(f.arm1.beta, f.arm1.gram, f.arm0.beta, f.arm0.gram) for f in fits]
     )
 
 

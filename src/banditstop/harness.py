@@ -41,13 +41,7 @@ from .bounds import (
     regret_bound_time,
 )
 from .errors import ConfigError, EstimatorUnavailable, InfeasibleConditioning
-from .estimators import (
-    KnownSigma,
-    ResidualSigma,
-    SigmaMode,
-    residual_noise_factors,
-    sufficient_statistics,
-)
+from .estimators import IvwEstimate, KnownSigma, ResidualSigma, SigmaMode, residual_noise_factors
 from .inference import ConditionalSamplerConfig, run_inference
 from .model import (
     ContextSpec,
@@ -179,6 +173,22 @@ def _nominal_noise_sd(config: ExperimentConfig) -> float:
     return max(config.model.sigma0, config.model.sigma1)
 
 
+def calibrated_tail_const(config: ExperimentConfig, t_ref: int, replications: int) -> float:
+    """The pilot-calibrated tail constant of `config`'s design at `t_ref`,
+    drawn from the calibration sub-stream of the master seed."""
+    return bounds_mod.calibrate_tail_constant(
+        config.context,
+        config.model,
+        config.policy,
+        config.clip,
+        config.batch_size,
+        t_ref,
+        config.bounds.delta,
+        replications,
+        substream_seed(config.master_seed, CALIBRATION_SEED_TAG),
+    )
+
+
 def resolve_constants(config: ExperimentConfig) -> Optional[BoundConstants]:
     """Build bound constants, running the pilot calibration when requested."""
     bc = config.bounds
@@ -188,17 +198,7 @@ def resolve_constants(config: ExperimentConfig) -> Optional[BoundConstants]:
     if tail is None:
         if bc.calibration is None:
             raise ConfigError("bounds section needs tail_const or a calibration block")
-        tail = bounds_mod.calibrate_tail_constant(
-            config.context,
-            config.model,
-            config.policy,
-            config.clip,
-            config.batch_size,
-            bc.calibration.t_ref,
-            bc.delta,
-            bc.calibration.replications,
-            substream_seed(config.master_seed, CALIBRATION_SEED_TAG),
-        )
+        tail = calibrated_tail_const(config, bc.calibration.t_ref, bc.calibration.replications)
     return BoundConstants(
         context_bound=(
             bc.context_bound if bc.context_bound is not None else config.context.euclidean_bound()
@@ -281,7 +281,7 @@ def run_experiment(
 
     traj = simulate_trajectory(prepared.setup, config.model, rng_traj)
 
-    stats = sufficient_statistics(traj.fits)
+    stats = [(f.arm1.beta, f.arm1.gram, f.arm0.beta, f.arm0.gram) for f in traj.fits]
     noise_plugin: Optional[Tuple[float, float]] = None
     regret_hat: Optional[float] = None
     creg: Optional[CostAdjustedRegret] = None
@@ -525,7 +525,7 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
                 "beta0": arr(b0),
                 "gram0": arr(g0),
             }
-            for i, (b1, g1, b0, g0) in enumerate(rec.stats.entries)
+            for i, (b1, g1, b0, g0) in enumerate(rec.stats)
         ],
         "stop_trace": [
             {
@@ -577,9 +577,9 @@ def emit_reports(
 ) -> Dict[str, str]:
     """Write replications.csv / summary.json (and optional per-rep trajectories).
 
-    Returns the mapping of artifact name to path.  The CSV and the summary are
-    each written via a temporary file and atomic rename, so a failed write
-    leaves no partial report.
+    Returns the mapping of artifact name to path.  Every file is written via
+    a temporary file and atomic rename, so a failed write leaves no partial
+    report.
     """
     if not records:
         raise ConfigError("no records to report")
@@ -614,101 +614,83 @@ def emit_reports(
         traj_dir = os.path.join(out_dir, "trajectories")
         os.makedirs(traj_dir, exist_ok=True)
         for rec in sorted(records, key=lambda r: r.rep_index):
-            path = os.path.join(traj_dir, f"rep_{rec.rep_index:05d}.json")
-            with open(path, "w") as fh:
-                json.dump(trajectory_payload(rec), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            text = json.dumps(trajectory_payload(rec), indent=2, sort_keys=True) + "\n"
+            _write_atomic(os.path.join(traj_dir, f"rep_{rec.rep_index:05d}.json"), text)
         written["trajectories"] = traj_dir
     return written
 
 
 # ---------------------------------------------------------------------------
-# Replay
+# Reading a stored trajectory back
 # ---------------------------------------------------------------------------
 
 
-def replay_stop_decisions(record: ExperimentRecord) -> List:
-    """Recompute every batch's stopping decision from the stored sufficient
-    statistics alone.
-
-    Valid for pre-determined rules (no data involved) and for online rules in
-    known-sigma mode, whose stopping statistic is a function of the Gram
-    matrices; residual-based statistics are not recoverable from the
-    statistics list.
-    """
-    from .errors import ContractError
-    from .linalg import inverse_spd, is_invertible_gram
-    from .stopping import evaluate
-
-    setup = record.setup
-    if not setup.rule.is_predetermined and not isinstance(setup.sigma_mode, KnownSigma):
-        raise ContractError("replay from sufficient statistics needs a known noise scale")
-
-    decisions = []
-    dim = record.setup.context.dim
-    totals = {0: np.zeros((dim, dim)), 1: np.zeros((dim, dim))}
-    prev = None
-    for t, (beta1, gram1, beta0, gram0) in enumerate(record.stats.entries, start=1):
-        if beta1 is not None:
-            totals[1] = totals[1] + gram1
-        if beta0 is not None:
-            totals[0] = totals[0] + gram0
-        current = None
-        if isinstance(setup.sigma_mode, KnownSigma):
-            sig2 = setup.sigma_mode.sigma ** 2
-            if is_invertible_gram(totals[0]) and is_invertible_gram(totals[1]):
-                current = (
-                    setup.batch_size * inverse_spd(totals[0]) * sig2,
-                    setup.batch_size * inverse_spd(totals[1]) * sig2,
-                )
-        decisions.append(evaluate(setup.rule, t, current=current, previous=prev))
-        prev = current
-    return decisions
+def _stored(obj: Dict, path: str, kind, shape=None, nullable: bool = False):
+    """`obj`'s value for the last key of the trajectory's `path`, read as the
+    config leaf type `kind`; any other value is a ConfigError naming `path`."""
+    label, key = f"trajectory key {path!r}", path.rpartition(".")[2]
+    if key not in obj:
+        raise ConfigError(f"{label} is missing")
+    if obj[key] is None and nullable:
+        return None
+    value = kind.read(obj[key], label)
+    if shape is not None and value.shape != shape:
+        raise ConfigError(f"{label} must have shape {shape}, got {value.shape}")
+    return value
 
 
 def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> ExperimentRecord:
     """Rebuild the slice of an ExperimentRecord that inference needs from a
-    stored trajectory JSON payload plus its config."""
-    from .estimators import IvwEstimate, SufficientStats
-
-    prepared = prepare(config)
-    entries = [
-        (
-            None if e["beta1"] is None else np.asarray(e["beta1"], dtype=float),
-            np.asarray(e["gram1"], dtype=float),
-            None if e["beta0"] is None else np.asarray(e["beta0"], dtype=float),
-            np.asarray(e["gram0"], dtype=float),
-        )
-        for e in payload["sufficient_stats"]
-    ]
-    term = payload.get("terminal")
+    stored trajectory JSON payload plus its config.  A payload that is
+    malformed or does not fit the config is a ConfigError naming the key."""
+    payload = _DICT.read(payload, "trajectory")
+    vec, mat = (config.model.dim,), (config.model.dim, config.model.dim)
+    stop_time = _stored(payload, "stop_time", _INT)
+    if not 1 <= stop_time <= config.stopping.t_max:
+        raise ConfigError(f"trajectory key 'stop_time' must lie in 1..{config.stopping.t_max}")
+    entries = []
+    for i, e in enumerate(_stored(payload, "sufficient_stats", _LIST)):
+        path = f"sufficient_stats[{i}]"
+        e = _DICT.read(e, f"trajectory key {path!r}")
+        b1, b0 = (_stored(e, f"{path}.beta{a}", _ARRAY, vec, nullable=True) for a in (1, 0))
+        g1, g0 = (_stored(e, f"{path}.gram{a}", _ARRAY, mat) for a in (1, 0))
+        entries.append((b1, g1, b0, g0))
+    term = _stored(payload, "terminal", _DICT, nullable=True)
     ivw = None
     if term is not None:
+        batch_size = _stored(term, "terminal.batch_size", _INT)
+        if batch_size != config.batch_size:
+            raise ConfigError(f"trajectory key 'terminal.batch_size' must be {config.batch_size}")
         ivw = IvwEstimate(
-            beta0=np.asarray(term["beta0"], dtype=float),
-            beta1=np.asarray(term["beta1"], dtype=float),
-            var0=np.asarray(term["var0"], dtype=float),
-            var1=np.asarray(term["var1"], dtype=float),
+            beta0=_stored(term, "terminal.beta0", _ARRAY, vec),
+            beta1=_stored(term, "terminal.beta1", _ARRAY, vec),
+            var0=_stored(term, "terminal.var0", _ARRAY, mat),
+            var1=_stored(term, "terminal.var1", _ARRAY, mat),
             batches_used=len(entries),
-            batch_size=int(term["batch_size"]),
+            batch_size=batch_size,
             sigma_mode=config.sigma_mode,
         )
-    noise_plugin = payload.get("noise_plugin")
+    noise_plugin = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=True)
     return ExperimentRecord(
-        rep_index=int(payload["rep"]),
-        seed=int(payload["seed"]),
-        setup=prepared.setup,
-        stats=SufficientStats(entries=entries),
+        rep_index=_stored(payload, "rep", _INT),
+        seed=_stored(payload, "seed", _INT),
+        setup=prepare(config).setup,
+        stats=entries,
         stop_trace=[],
-        stop_time=int(payload["stop_time"]),
-        cap_hit=bool(payload["cap_hit"]),
+        stop_time=stop_time,
+        cap_hit=_stored(payload, "cap_hit", _BOOL),
         ivw=ivw,
         noise_plugin=None if noise_plugin is None else (float(noise_plugin[0]), float(noise_plugin[1])),
         regret_hat=None,
         creg=None,
         inference=None,
-        inference_seed=int(payload["inference_seed"]),
+        inference_seed=_stored(payload, "inference_seed", _INT),
     )
+
+
+def load_trajectory(path: str, config: ExperimentConfig) -> ExperimentRecord:
+    """`record_from_trajectory` on a trajectory JSON file."""
+    return record_from_trajectory(_read_json(path, "trajectory"), config)
 
 
 # ---------------------------------------------------------------------------
@@ -725,12 +707,6 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
 
 def _describe(value) -> str:
     return json.dumps(value, default=repr)
-
-
-def _object(value, key: str) -> Dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key or 'config'} must be a JSON object, got {_describe(value)}")
-    return value
 
 
 def _real(value) -> Optional[float]:
@@ -788,6 +764,8 @@ _REAL = _Leaf("a finite number", _real)
 _BOOL = _Leaf("true or false", lambda v: v if isinstance(v, bool) else None)
 _STR = _Leaf("a string", lambda v: v if isinstance(v, str) else None)
 _ARRAY = _Leaf("an array of finite numbers", _array, lambda a: np.asarray(a, dtype=float).tolist())
+_LIST = _Leaf("an array", lambda v: v if isinstance(v, list) else None)
+_DICT = _Leaf("a JSON object", lambda v: v if isinstance(v, dict) else None)
 
 
 class _Section:
@@ -798,7 +776,7 @@ class _Section:
         self.defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
     def read(self, value, key: str):
-        data = _object(value, key)
+        data = _DICT.read(value, key)
         values = {}
         for name, kind in self.keys.items():
             path = f"{key}.{name}" if key else name
@@ -826,7 +804,7 @@ class _Tagged:
         self.kinds, self.fallback = kinds, fallback
 
     def read(self, value, key: str):
-        data = _object(value, key)
+        data = _DICT.read(value, key)
         if "kind" not in data:
             raise ConfigError(f"config is missing required key '{key}.kind'")
         kind = _STR.read(data["kind"], f"{key}.kind")
@@ -936,7 +914,7 @@ def config_to_dict(config: ExperimentConfig) -> Dict:
 def config_from_dict(data: Dict) -> ExperimentConfig:
     """Read a JSON config; any malformed value is a ConfigError."""
     try:
-        version = _object(data, "").get("schema_version", SCHEMA_VERSION)
+        version = _DICT.read(data, "config").get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
         return _CONFIG.read(data, "")
@@ -946,12 +924,15 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return config_from_dict(_read_json(path, "config"))

@@ -69,11 +69,13 @@ def sample_conditional(
     """Draw (arm0, arm1) parameter samples conditioned on the stop time.
 
     Rejection attempts are keyed by attempt index to independent sub-streams
-    of `seed`, so results do not depend on evaluation order.
+    of `seed`, so results do not depend on evaluation order.  Surrogates run
+    `record.setup.rule`; `rule` must be None.
     """
+    if rule is not None:
+        raise ContractError("surrogates run the record's own rule; pass rule=None")
     if record.ivw is None:
         raise ContractError("record has no terminal combined estimate")
-    rule = rule if rule is not None else record.setup.rule
 
     if cfg.mode == INDEPENDENCE_SHORTCUT:
         rng = make_rng(derive_seed(seed, 0))

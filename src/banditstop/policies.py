@@ -6,7 +6,9 @@ each arm's cumulative OLS estimate and X'X over all units so far.
 `update_state` folds one batch's fit into those sums.  Probabilities are
 computed in closed form (Thompson included), so they are a pure function of
 the sums and the contexts.  `probabilities_from_estimates` holds the
-formulas once, for one trajectory or broadcast over stacked ones.
+formulas once, for one trajectory or broadcast over stacked ones;
+`select_actions` clips them.  The tests cross-check the Thompson closed form
+by posterior sampling (`tests/policy_oracle.py`).
 """
 
 from __future__ import annotations
@@ -101,15 +103,6 @@ class Thompson:
 
 
 PolicyKind = Union[UniformRandom, EpsGreedy, Ucb, Thompson]
-
-
-def clip(prob: float, p_t: float) -> float:
-    """Force an assignment probability into [p_t, 1 - p_t]."""
-    if not 0.0 <= prob <= 1.0:
-        raise ContractError("prob must lie in [0, 1]")
-    if not 0.0 < p_t <= 0.5:
-        raise ConfigError("clip level must lie in (0, 1/2]")
-    return min(max(prob, p_t), 1.0 - p_t)
 
 
 def action_probabilities(
@@ -208,35 +201,6 @@ def _quadratic_forms(contexts: np.ndarray, m: np.ndarray) -> np.ndarray:
     if contexts.ndim == 2:
         return np.einsum("ij,jk,ik->i", contexts, m, contexts)
     return np.stack([_quadratic_forms(x, mm) for x, mm in zip(contexts, m)])
-
-
-def action_probability(kind: PolicyKind, sums: RunningSums, x: np.ndarray) -> float:
-    """Scalar form of `action_probabilities` for a single context."""
-    return float(action_probabilities(kind, sums, np.atleast_2d(np.asarray(x, float)))[0])
-
-
-def thompson_sampled_probability(
-    sums: RunningSums,
-    x: np.ndarray,
-    sigma_prior: float,
-    rng: np.random.Generator,
-    draws: int = 100_000,
-) -> float:
-    """Posterior-sampling estimate of P(x'b1_draw > x'b0_draw); cross-checks the
-    closed form used by the Thompson policy."""
-    b0 = sums.arm0.ols_estimate()
-    b1 = sums.arm1.ols_estimate()
-    if b0 is None or b1 is None:
-        return 0.5
-    x = np.asarray(x, dtype=float)
-    mean_gap = float(x @ (b1 - b0))
-    var = sigma_prior**2 * float(
-        x @ inverse_spd(sums.arm0.xx) @ x + x @ inverse_spd(sums.arm1.xx) @ x
-    )
-    if var <= 0:
-        return 1.0 if mean_gap > 0 else (0.0 if mean_gap < 0 else 0.5)
-    gaps = mean_gap + np.sqrt(var) * rng.standard_normal(draws)
-    return float(np.mean(gaps > 0))
 
 
 def select_actions(

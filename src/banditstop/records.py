@@ -10,10 +10,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bounds import CostAdjustedRegret
-from .estimators import IvwEstimate, SigmaMode, SufficientStats
+from .estimators import IvwEstimate, SigmaMode
 from .model import ContextSpec
 from .policies import ClipSchedule, PolicyKind
-from .stopping import StopDecision, StoppingRuleSpec
+from .stopping import StopDecision, StoppingRuleSpec, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ class ExperimentRecord:
     rep_index: int
     seed: int
     setup: SimulationSetup
-    stats: SufficientStats
+    # Per batch (beta1, gram1, beta0, gram0); a beta is None where its Gram is singular.
+    stats: List[Tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray], np.ndarray]]
     stop_trace: List[StopDecision]
     stop_time: int
     cap_hit: bool
@@ -64,8 +65,6 @@ class ExperimentRecord:
 
     @property
     def var_norms(self) -> Tuple[float, float]:
-        from .stopping import spectral_norm
-
         if self.ivw is None:
             return (float("nan"), float("nan"))
         return (spectral_norm(self.ivw.var0), spectral_norm(self.ivw.var1))

@@ -142,7 +142,7 @@ def coverage_run():
         z[r, :2] = (ivw.beta0 - model.beta0) / np.sqrt(np.diag(ivw.beta_cov(0)))
         z[r, 2:] = (ivw.beta1 - model.beta1) / np.sqrt(np.diag(ivw.beta_cov(1)))
         s = np.zeros(2)
-        for beta1, gram1, _b0, _g0 in rec.stats.entries:
+        for beta1, gram1, _b0, _g0 in rec.stats:
             s += gram1 @ (beta1 - model.beta1)
         mart[r] = s / np.sqrt(COV_N * COV_T)
     return spec, model, z, mart

@@ -6,6 +6,7 @@ import pytest
 
 from banditstop import (
     BoundsConfig,
+    CalibrationConfig,
     ConditionalSamplerConfig,
     EpsGreedy,
     ExperimentConfig,
@@ -20,6 +21,7 @@ from banditstop import (
     uniform_cube_spec,
 )
 from banditstop.cli import main
+from banditstop.harness import resolve_constants
 
 
 def write_config(path, **overrides):
@@ -177,6 +179,16 @@ def test_stop_scan(tmp_path, capsys):
     assert out["stop_time"] == 10
     assert out["t_star"] == pytest.approx(10.0)
 
+    # No closed form beyond margin exponent 1: reported, not an error.
+    data = json.loads(cfg_path.read_text())
+    data["bounds"]["margin_exponent"] = 2.0
+    cfg_path.write_text(json.dumps(data))
+    rc = main(["stop-scan", "--config", str(cfg_path)])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert "margin exponent 1" in out["closed_form_unavailable"]
+    assert "t_star" not in out
+
 
 def test_stop_scan_rejects_online_rules(tmp_path):
     cfg_path = tmp_path / "config.json"
@@ -196,6 +208,22 @@ def test_calibrate_k(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["tail_const"] > 0
+
+    # On a config with a calibration block, the constant a simulation would use.
+    config = write_config(
+        cfg_path,
+        bounds=BoundsConfig(
+            margin_exponent=1.0,
+            margin_const=1.0,
+            delta=0.1,
+            unit_cost=0.01,
+            calibration=CalibrationConfig(t_ref=4, replications=20),
+        ),
+    )
+    rc = main(["calibrate-k", "--config", str(cfg_path)])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["tail_const"] == resolve_constants(config).tail_const
 
 
 @pytest.mark.parametrize("t_ref", ["0", "-2"])
@@ -239,3 +267,46 @@ def test_infer_replays_stored_trajectory(tmp_path, capsys):
     np.testing.assert_array_equal(np.asarray(printed["ci_arm1"][0]), record.inference.lo1)
     np.testing.assert_array_equal(np.asarray(printed["ci_arm1"][1]), record.inference.hi1)
     assert printed["stop_time"] == record.stop_time
+
+
+def stored_trajectory(tmp_path):
+    """Config path and trajectory path of one simulated 2-d replication."""
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, trajectory_json=True, replications=1)
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    return cfg_path, out_dir / "trajectories" / "rep_00000.json"
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("3-d config", "must have shape (3,), got (2,)"),  # exit 0, 2-d intervals
+        ("no terminal.var0", "'terminal.var0' is missing"),  # runtime error: 'var0'
+        ('stop_time "abc"', "'stop_time' must be an integer"),  # exit 3
+        ("missing file", "cannot read trajectory file"),  # exit 3
+    ],
+    ids=["dim_mismatch", "missing_var0", "stop_time_string", "missing_file"],
+)
+def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
+    cfg_path, traj = stored_trajectory(tmp_path)
+    payload = json.loads(traj.read_text())
+    if case == "3-d config":
+        write_config(
+            cfg_path,
+            context=uniform_cube_spec(3),
+            model=TrueModel(beta0=[0.2, -0.1, 0.0], beta1=[0.5, 0.3, 0.1]),
+        )
+    elif case == "no terminal.var0":
+        del payload["terminal"]["var0"]
+    elif case == 'stop_time "abc"':
+        payload["stop_time"] = "abc"
+    else:
+        traj = tmp_path / "missing.json"
+    if traj.exists():
+        traj.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["infer", "--config", str(cfg_path), "--trajectory", str(traj)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and expected in err

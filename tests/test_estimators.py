@@ -18,7 +18,6 @@ from banditstop import (
     residual_noise_factors,
     sample_batch_contexts,
     select_actions,
-    sufficient_statistics,
     uniform_cube_spec,
     update_state,
 )
@@ -220,20 +219,8 @@ class TestVarianceEstimators:
 
 
 class TestSufficientStats:
-    def test_single_batch_projection(self):
-        rng = make_rng(8)
-        x = rng.uniform(-1, 1, size=(20, 2))
-        a = (rng.random(20) < 0.5).astype(int)
-        y = rng.normal(size=20)
-        fit = fit_batch_ols(x, a, y, batch_index=1)
-        stats = sufficient_statistics([fit])
-        beta1, gram1, beta0, gram0 = stats.entries[0]
-        np.testing.assert_array_equal(beta1, fit.arm1.beta)
-        np.testing.assert_array_equal(gram1, fit.arm1.gram)
-        np.testing.assert_array_equal(beta0, fit.arm0.beta)
-        np.testing.assert_array_equal(gram0, fit.arm0.gram)
-
     def test_moment_reconstruction(self):
+        # Each batch's stored (beta, gram) pair gives back its moment X'y.
         rng = make_rng(9)
         fits = []
         moments = []
@@ -243,10 +230,9 @@ class TestSufficientStats:
             y = rng.normal(size=30)
             fits.append(fit_batch_ols(x, a, y, batch_index=j + 1))
             moments.append((x[a == 1].T @ y[a == 1], x[a == 0].T @ y[a == 0]))
-        stats = sufficient_statistics(fits)
-        for (beta1, gram1, beta0, gram0), (m1, m0) in zip(stats.entries, moments):
-            np.testing.assert_allclose(gram1 @ beta1, m1, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(gram0 @ beta0, m0, rtol=1e-9, atol=1e-12)
+        for f, (m1, m0) in zip(fits, moments):
+            np.testing.assert_allclose(f.arm1.gram @ f.arm1.beta, m1, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(f.arm0.gram @ f.arm0.beta, m0, rtol=1e-9, atol=1e-12)
 
 
 class TestLimitSecondMoment:

@@ -22,12 +22,12 @@ from banditstop import (
     config_to_dict,
     constant_clip,
     emit_reports,
-    replay_stop_decisions,
     run_experiment,
     run_replications,
     uniform_cube_spec,
 )
 from banditstop.rng import derive_seed, mix64, substream_seed
+from replay_oracle import replay_stop_decisions
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -127,7 +127,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.ivw.var0, b.ivw.var0)
         np.testing.assert_array_equal(a.inference.lo1, b.inference.lo1)
         assert a.regret_hat == b.regret_hat
-        for fa, fb in zip(a.stats.entries, b.stats.entries):
+        for fa, fb in zip(a.stats, b.stats):
             np.testing.assert_array_equal(fa[1], fb[1])
 
     def test_estimator_unavailable_keeps_sampling(self):
@@ -388,21 +388,28 @@ class TestReports:
             fh.write = write
             return fh
 
+        traj_config = small_config(replications=2, trajectory_json=True)
+        traj_records, traj_agg = run_replications(traj_config)
         monkeypatch.setattr(os, "fdopen", failing_fdopen)
         with pytest.raises(OSError, match="disk full"):
             emit_reports(records, str(tmp_path), ["csv"], config, aggregates=agg)
         assert list(tmp_path.iterdir()) == []  # neither replications.csv nor a *.tmp
+        traj_out = tmp_path / "traj"
+        with pytest.raises(OSError, match="disk full"):
+            emit_reports(traj_records, str(traj_out), [], traj_config, aggregates=traj_agg)
+        assert list((traj_out / "trajectories").iterdir()) == []  # neither rep_*.json nor a *.tmp
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_report_mode_follows_umask(self, tmp_path, umask, mode):
-        config = small_config(replications=2)
+        config = small_config(replications=2, trajectory_json=True)
         records, agg = run_replications(config)
         previous = os.umask(umask)
         try:
             emit_reports(records, str(tmp_path), ["csv", "json"], config, aggregates=agg)
         finally:
             os.umask(previous)
-        for name in ("replications.csv", "summary.json"):
+        trajectories = [f"trajectories/rep_{r:05d}.json" for r in range(2)]
+        for name in ["replications.csv", "summary.json", *trajectories]:
             assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
     def test_infinite_creg_marker(self, tmp_path):

@@ -239,3 +239,9 @@ class TestSamplerConfig:
             ConditionalSamplerConfig(n_samples=200, max_attempts=100)
         with pytest.raises(ConfigError):
             ConditionalSamplerConfig(level=1.5)
+
+    def test_rule_argument_rejected(self):
+        # Surrogates run the record's own rule, so any rule passed in would be ignored.
+        config, record = run_small_record()
+        with pytest.raises(ContractError, match="rule"):
+            sample_conditional(record, record.setup.rule, ConditionalSamplerConfig(), seed=1)

@@ -14,16 +14,19 @@ from banditstop import (
     Ucb,
     UniformRandom,
     action_probabilities,
-    action_probability,
-    clip,
     constant_clip,
     fit_batch_ols,
     make_rng,
     select_actions,
-    thompson_sampled_probability,
     update_state,
 )
 from banditstop.policies import probabilities_from_estimates
+from policy_oracle import thompson_sampled_probability
+
+
+def action_probability(kind, sums: RunningSums, x) -> float:
+    """Pre-clip probability of arm 1 for the single context `x`."""
+    return float(action_probabilities(kind, sums, np.atleast_2d(np.asarray(x, float)))[0])
 
 
 def scalar_state(beta0: float, beta1: float, gram: float = 1.0) -> RunningSums:
@@ -135,23 +138,6 @@ def test_stacked_probabilities_equal_per_member(kind, dim, n, members, t_next, t
 
 
 class TestClip:
-    def test_floor(self):
-        assert clip(0.0, 0.1) == 0.1
-
-    def test_ceiling(self):
-        assert clip(0.95, 0.1) == pytest.approx(0.9)
-
-    def test_interior_fixed_point(self):
-        assert clip(0.5, 0.1) == 0.5
-
-    def test_bad_level(self):
-        with pytest.raises(ConfigError):
-            clip(0.5, 0.6)
-
-    def test_bad_prob(self):
-        with pytest.raises(ContractError):
-            clip(1.2, 0.1)
-
     def test_clip_schedule_validation(self):
         with pytest.raises(ConfigError):
             ClipSchedule(Schedule(0.7))
