@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
 from .linalg import inverse_spd, invertible_grams, solve_spd
+from .estimators import masked_sums
 from .model import ContextSpec, TrueModel, sample_batch_contexts, realize_rewards
 from .policies import (
     ClipSchedule,
@@ -272,10 +273,10 @@ def pilot_deviations(
     Pilot r runs on ``make_rng(derive_seed(seed, r))`` and draws contexts,
     action uniforms and reward noise in the order of a lone trajectory.  The
     pilots advance in lock-step, in chunks of at most PILOT_CHUNK_BYTES of
-    stacked arrays.  Within a batch, the draws from each pilot's stream, its
-    arms' X'X and X'y and its Cholesky solves run per pilot; the singularity
-    checks, the policy formulas and the clipping run once over the stacked
-    pilots.
+    stacked arrays.  Within a batch, the draws from each pilot's stream and
+    its Cholesky solves run per pilot; the arms' X'X and X'y (zero-masked
+    products, `estimators.masked_sums`), the singularity checks, the policy
+    formulas and the clipping run once over the stacked pilots.
     """
     members = max(1, PILOT_CHUNK_BYTES // (8 * batch_size * (model.dim + 4)))
     deviations = np.empty(replications)
@@ -301,7 +302,7 @@ def _lock_step_deviations(
 ) -> np.ndarray:
     dim = model.dim
     # Per arm and pilot, X'X and X'y over all units so far, summed batch by
-    # batch in the order `ArmSums.add` sums them.
+    # batch from `masked_sums` as `fit_batch_ols` and `ArmSums.add` sum them.
     xx = np.zeros((2, len(rngs), dim, dim))
     xy = np.zeros((2, len(rngs), dim))
     for t in range(1, t_ref + 1):
@@ -316,15 +317,11 @@ def _lock_step_deviations(
         post = np.minimum(np.maximum(pre, level), 1.0 - level)
         uniforms = np.stack([rng.random(batch_size) for rng in rngs])
         actions = (uniforms < post).astype(np.int64)
-        masks = (actions == 0, actions == 1)
-        # From each pilot's own rows, as `fit_batch_ols` forms them: a zero-
-        # masked stacked product rounds differently (X'y at any d, X'X at d=1).
-        for r, rng in enumerate(rngs):
-            y = realize_rewards(model, x[r], actions[r], rng)
-            for arm, mask in enumerate(masks):
-                xa = x[r][mask[r]]
-                xx[arm, r] += xa.T @ xa
-                xy[arm, r] += xa.T @ y[mask[r]]
+        y = np.stack([realize_rewards(model, x[r], actions[r], rng) for r, rng in enumerate(rngs)])
+        w = np.stack([actions == 0, actions == 1]).astype(float)
+        gram, moment, _ = masked_sums(x, y, w)
+        xx = xx + gram
+        xy = xy + moment
 
     usable, b, _ = _estimates(xx, xy, False)
     deviations = np.full(len(rngs), math.inf)

@@ -200,6 +200,9 @@ def fit_batch_ols(
 
     Solves the normal equations by Cholesky factorization; an arm whose Gram
     matrix is singular gets beta=None (the Gram and count are still reported).
+    Each arm's sums are zero-masked full-length products (`masked_sums`), so
+    they round the same whether the batch is fitted alone or stacked with
+    others.
     """
     contexts = np.asarray(contexts, dtype=float)
     actions = np.asarray(actions)
@@ -215,17 +218,35 @@ def fit_batch_ols(
 
     arms = []
     for mask in masks:
-        xa = contexts[mask]
-        ya = rewards[mask]
-        gram = xa.T @ xa
-        moment = xa.T @ ya
+        w = mask.astype(float)
+        gram, moment, sum_sq = masked_sums(contexts, rewards, w)
         beta, rss = None, None
         if is_invertible_gram(gram):
             beta = solve_spd(gram, moment)
-            resid = ya - xa @ beta
-            rss = float(resid @ resid)
-        arms.append(ArmFit(beta, gram, ya.shape[0], rss, moment, float(ya @ ya)))
+            rss = float(masked_rss(contexts, rewards, w, beta))
+        arms.append(ArmFit(beta, gram, int(np.count_nonzero(mask)), rss, moment, float(sum_sq)))
     return BatchOlsFit(batch_index=batch_index, arm0=arms[0], arm1=arms[1])
+
+
+def masked_sums(contexts: np.ndarray, rewards: np.ndarray, w: np.ndarray):
+    """X'X, X'y and y'y over the rows where the 0/1 weights `w` are 1, as
+    zero-masked full-length products: ``xm.T @ x`` and ``xm.T @ y`` with
+    ``xm = x * w[:, None]``, and a last-axis ``np.add.reduce`` of the masked
+    squares.  Leading axes broadcast: contexts (..., n, d), rewards (..., n)
+    and w (..., n) give (..., d, d), (..., d) and (...).  numpy runs the same
+    BLAS call per member of a stack, so each member's sums equal, bit for
+    bit, those of a call with its arrays alone (`tests/test_stack_invariance.py`).
+    """
+    xm_t = np.swapaxes(contexts * w[..., None], -1, -2)
+    ym = rewards * w
+    return xm_t @ contexts, (xm_t @ rewards[..., None])[..., 0], np.add.reduce(ym * ym, axis=-1)
+
+
+def masked_rss(contexts: np.ndarray, rewards: np.ndarray, w: np.ndarray, beta: np.ndarray):
+    """Sum of squared residuals against `beta` over the rows where `w` is 1,
+    zero-masked like `masked_sums`; beta (..., d) gives (...)."""
+    resid = (rewards - (contexts @ beta[..., None])[..., 0]) * w
+    return np.add.reduce(resid * resid, axis=-1)
 
 
 def _arm_estimate(sums: RunningSums, arm: int) -> np.ndarray:

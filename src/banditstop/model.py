@@ -33,6 +33,11 @@ class UniformBox:
             raise ConfigError("box lower/upper must have matching shapes")
         if np.any(self.lower > self.upper):
             raise ConfigError("inverted box: lower > upper in some coordinate")
+        # `sample_batch_contexts` scales uniform draws by the width.
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = self.upper - self.lower
+        if not np.isfinite(width).all():
+            raise ConfigError("box bounds and their widths must be finite")
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,9 @@ def sample_batch_contexts(spec: ContextSpec, n: int, rng: np.random.Generator) -
         raise ContractError("n must be >= 1")
     dist = spec.dist
     if isinstance(dist, UniformBox):
-        return rng.uniform(dist.lower, dist.upper, size=(n, spec.dim))
+        # What `rng.uniform(lower, upper, size)` computes, draw for draw,
+        # without its argument handling.
+        return dist.lower + (dist.upper - dist.lower) * rng.random((n, spec.dim))
     chol = np.linalg.cholesky(dist.cov)
     out = np.empty((n, spec.dim))
     filled = 0

@@ -48,10 +48,11 @@ def policy_sums(batch_data: Sequence[BatchData], dim: int) -> tuple[PolicySums, 
     for batch in batch_data:
         mask1 = batch.actions == 1
         for arm, mask in ((arms[0], ~mask1), (arms[1], mask1)):
-            x, y = batch.contexts[mask], batch.rewards[mask]
-            arm.xx = arm.xx + x.T @ x
-            arm.xy = arm.xy + x.T @ y
-            arm.count += x.shape[0]
+            # Zero-masked full-length products, as `fit_batch_ols` forms them.
+            xm = batch.contexts * mask.astype(float)[:, None]
+            arm.xx = arm.xx + xm.T @ batch.contexts
+            arm.xy = arm.xy + xm.T @ batch.rewards
+            arm.count += int(mask.sum())
     return arms
 
 

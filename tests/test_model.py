@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditstop import (
     ConfigError,
@@ -55,6 +57,14 @@ class TestContextSampling:
         with pytest.raises(ConfigError):
             UniformBox(lower=[1.0], upper=[0.0])
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [([0.0, -np.inf], [1.0, 0.0]), ([0.0], [np.inf]), ([np.nan], [1.0]), ([-1e308], [1e308])],
+    )
+    def test_non_finite_box_rejected(self, lower, upper):
+        with pytest.raises(ConfigError, match="finite"):
+            UniformBox(lower=lower, upper=upper)
+
     def test_non_pd_covariance_rejected(self):
         with pytest.raises(ConfigError):
             TruncatedGaussian(mean=[0.0, 0.0], cov=[[1.0, 2.0], [2.0, 1.0]], bound=1.0)
@@ -62,6 +72,38 @@ class TestContextSampling:
     def test_box_outside_bound_rejected(self):
         with pytest.raises(ConfigError):
             ContextSpec(dim=1, dist=UniformBox(lower=[-2.0], upper=[2.0]), sup_bound=1.0)
+
+
+@st.composite
+def boxes(draw):
+    dim = draw(st.integers(1, 4))
+    ends = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e300]),
+        st.floats(-1e6, 1e6, allow_subnormal=True),
+    )
+    # Ascending, with -0.0 before 0.0: numpy refuses a width of -0.0.
+    pairs = [
+        sorted(draw(st.lists(ends, min_size=2, max_size=2)), key=lambda v: (v, not np.signbit(v)))
+        for _ in range(dim)
+    ]
+    if draw(st.booleans()):  # a point mass in one coordinate, signed zeros included
+        i = draw(st.integers(0, dim - 1))
+        pairs[i] = [pairs[i][0], pairs[i][0]]
+    lower, upper = (np.array(side) for side in zip(*pairs))
+    return lower, upper
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(box=boxes(), n=st.integers(1, 50), seed=st.integers(0, 2**63 - 1))
+def test_uniform_box_draws_equal_generator_uniform(box, n, seed):
+    lower, upper = box
+    sup = max(float(np.abs(np.concatenate([lower, upper])).max()), 1.0)
+    spec = ContextSpec(dim=lower.size, dist=UniformBox(lower, upper), sup_bound=sup)
+    mine, numpys = make_rng(seed), make_rng(seed)
+    got = sample_batch_contexts(spec, n, mine)
+    want = numpys.uniform(spec.dist.lower, spec.dist.upper, size=(n, lower.size))
+    assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 told apart
+    assert mine.random() == numpys.random()  # the stream is left at the same place
 
 
 class TestRewards:
