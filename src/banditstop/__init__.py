@@ -85,7 +85,7 @@ from .policies import (
 )
 from .records import ExperimentRecord, InferenceResult, SimulationSetup
 from .rng import derive_seed, make_rng, mix64, substream_seed
-from .simulate import Trajectory, simulate_trajectory
+from .simulate import Trajectory, simulate_ensemble, simulate_trajectory
 from .stopping import (
     OnlineOpportunity,
     OnlineThreshold,

@@ -18,26 +18,21 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
-from .linalg import inverse_spd, invertible_grams, solve_spd
 from .estimators import masked_sums
-from .model import ContextSpec, TrueModel, sample_batch_contexts, realize_rewards
-from .policies import (
-    ClipSchedule,
-    PolicyKind,
-    UniformRandom,
-    needs_inverses,
-    probabilities_from_estimates,
-)
+from .model import ContextSpec, TrueModel, stacked_contexts, stacked_rewards
+from .policies import ClipSchedule, PolicyKind, stacked_estimates, stacked_probabilities
 from .rng import derive_seed, make_rng
 
-# Not called here: perfbench/tracing.py rebinds both names in this module (as
-# it does `sample_batch_contexts` and `realize_rewards`), so they stay bound.
+# Not called here: perfbench/tracing.py rebinds these names in this module,
+# so they stay bound.
+from .model import realize_rewards, sample_batch_contexts  # noqa: F401
 from .policies import select_actions, update_state  # noqa: F401
 
-# Memory budget of one chunk of lock-step pilots: their stacked contexts and
-# per-unit arrays.  Further pilots run in later chunks, so memory stays of
-# this order whatever the number of pilots.
-PILOT_CHUNK_BYTES = 1 << 22
+# Memory budget of one chunk of lock-step members: the pilots here, and the
+# replications of `simulate.simulate_ensemble`.  It bounds their stacked
+# per-unit arrays (see `chunk_members`); further members run in later
+# chunks, so memory stays of this order whatever the number of members.
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -272,13 +267,13 @@ def pilot_deviations(
 
     Pilot r runs on ``make_rng(derive_seed(seed, r))`` and draws contexts,
     action uniforms and reward noise in the order of a lone trajectory.  The
-    pilots advance in lock-step, in chunks of at most PILOT_CHUNK_BYTES of
-    stacked arrays.  Within a batch, the draws from each pilot's stream and
-    its Cholesky solves run per pilot; the arms' X'X and X'y (zero-masked
-    products, `estimators.masked_sums`), the singularity checks, the policy
-    formulas and the clipping run once over the stacked pilots.
+    pilots advance in lock-step, in chunks of `chunk_members` pilots.  Within
+    a batch, the draws from each pilot's stream and its Cholesky solves run
+    per pilot; the arms' X'X and X'y (zero-masked products,
+    `estimators.masked_sums`), the singularity checks, the policy formulas
+    and the clipping run once over the stacked pilots.
     """
-    members = max(1, PILOT_CHUNK_BYTES // (8 * batch_size * (model.dim + 4)))
+    members = chunk_members(batch_size, model.dim)
     deviations = np.empty(replications)
     for start in range(0, replications, members):
         rngs = [
@@ -291,6 +286,12 @@ def pilot_deviations(
     return deviations
 
 
+def chunk_members(batch_size: int, dim: int) -> int:
+    """Members per chunk of a lock-step run: as many as CHUNK_BYTES holds of
+    8 * batch_size * (dim + 4) bytes each, and at least one."""
+    return max(1, CHUNK_BYTES // (8 * batch_size * (dim + 4)))
+
+
 def _lock_step_deviations(
     spec: ContextSpec,
     model: TrueModel,
@@ -301,52 +302,31 @@ def _lock_step_deviations(
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     dim = model.dim
-    # Per arm and pilot, X'X and X'y over all units so far, summed batch by
+    # Per pilot and arm, X'X and X'y over all units so far, summed batch by
     # batch from `masked_sums` as `fit_batch_ols` and `ArmSums.add` sum them.
-    xx = np.zeros((2, len(rngs), dim, dim))
-    xy = np.zeros((2, len(rngs), dim))
+    xx = np.zeros((len(rngs), 2, dim, dim))
+    xy = np.zeros((len(rngs), 2, dim))
     for t in range(1, t_ref + 1):
-        x = np.stack([sample_batch_contexts(spec, batch_size, rng) for rng in rngs])
-        if isinstance(policy, UniformRandom):
-            pre = np.full(x.shape[:2], 0.5)
-        else:
-            usable, b, inv = _estimates(xx, xy, needs_inverses(policy))
-            probs = probabilities_from_estimates(policy, t, x, b[0], b[1], inv[0], inv[1])
-            pre = np.where(usable[:, None], probs, 0.5)
+        x = stacked_contexts(spec, batch_size, rngs)
+        pre = stacked_probabilities(policy, t, x, xx, xy)
         level = clip_schedule.value(t)
         post = np.minimum(np.maximum(pre, level), 1.0 - level)
         uniforms = np.stack([rng.random(batch_size) for rng in rngs])
-        actions = (uniforms < post).astype(np.int64)
-        y = np.stack([realize_rewards(model, x[r], actions[r], rng) for r, rng in enumerate(rngs)])
-        w = np.stack([actions == 0, actions == 1]).astype(float)
-        gram, moment, _ = masked_sums(x, y, w)
+        arm1 = uniforms < post
+        y = stacked_rewards(model, x, arm1, rngs)
+        w = np.stack([~arm1, arm1], axis=1).astype(float)
+        gram, moment, _ = masked_sums(x[:, None], y[:, None], w)
         xx = xx + gram
         xy = xy + moment
 
-    usable, b, _ = _estimates(xx, xy, False)
+    usable, b, _ = stacked_estimates(xx, xy, False)
     deviations = np.full(len(rngs), math.inf)
     for r in np.flatnonzero(usable):
         worst = 0.0
         for arm, beta in ((0, model.beta0), (1, model.beta1)):
-            worst = max(worst, float(np.sum(np.abs(b[arm, r] - beta))))
+            worst = max(worst, float(np.sum(np.abs(b[r, arm] - beta))))
         deviations[r] = worst
     return deviations
-
-
-def _estimates(xx: np.ndarray, xy: np.ndarray, with_inverses: bool):
-    """Which pilots have both arms' X'X invertible, and for those the
-    cumulative OLS estimates (2, R, d) and, if asked, the inverses of X'X
-    (2, R, d, d), else (None, None); zeros for the other pilots."""
-    arms, members, dim = xy.shape
-    usable = invertible_grams(xx.reshape(-1, dim, dim)).reshape(arms, members).all(axis=0)
-    b = np.zeros_like(xy)
-    inv = np.zeros_like(xx) if with_inverses else (None, None)
-    for r in np.flatnonzero(usable):
-        for arm in (0, 1):
-            b[arm, r] = solve_spd(xx[arm, r], xy[arm, r])
-            if with_inverses:
-                inv[arm, r] = inverse_spd(xx[arm, r])
-    return usable, b, inv
 
 
 def constants_from_context(

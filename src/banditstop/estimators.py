@@ -22,8 +22,8 @@ three terms do not cancel down to a small residual and lose its digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -168,6 +168,112 @@ class RunningSums:
 
 
 @dataclass
+class StackedSums:
+    """The `ArmSums` of many members at once: each field gains leading
+    (member, arm) axes.  `add` folds one batch per member the way
+    `ArmSums.add` does; each of its products is a stacked matmul that rounds
+    as the 1-d/2-d one there does (`tests/test_stack_invariance.py`), so
+    every member's sums equal, bit for bit, those of its lone trajectory."""
+
+    gram: np.ndarray
+    weighted: np.ndarray
+    usable: np.ndarray
+    xx: np.ndarray
+    xy: np.ndarray
+    count: np.ndarray
+    ref: np.ndarray
+    xe: np.ndarray
+    ee: np.ndarray
+
+    @classmethod
+    def empty(cls, members: int, dim: int) -> "StackedSums":
+        def z(*shape, dtype=float):
+            return np.zeros((members, 2, *shape), dtype)
+
+        return cls(z(dim, dim), z(dim), z(dtype=int), z(dim, dim), z(dim), z(dtype=int), z(dim), z(dim), z())
+
+    def add(self, fit: StackedFit) -> None:
+        # Both branches of `ArmSums.add` for every arm; `usable` picks one.
+        u, beta, gram = fit.usable, fit.beta, fit.gram
+        first = u & (self.usable == 0)
+        shift = beta - self.ref
+        ee = np.where(first, self.ee + (_quad(shift, self.xx) - 2.0 * _dot(shift, self.xe)), self.ee)
+        xe = np.where(first[..., None], self.xe - _mv(self.xx, shift), self.xe)
+        ref = np.where(first[..., None], beta, self.ref)
+        diff = beta - ref
+        gd = _mv(gram, diff)
+        self.xe = np.where(u[..., None], xe + gd, self.xe + fit.moment - _mv(gram, self.ref))
+        self.ee = np.where(
+            u,
+            ee + (fit.rss + _dot(diff, gd)),
+            self.ee + (fit.sum_sq - 2.0 * _dot(self.ref, fit.moment) + _quad(self.ref, gram)),
+        )
+        self.ref = ref
+        self.gram = np.where(u[..., None, None], self.gram + gram, self.gram)
+        self.weighted = np.where(u[..., None], self.weighted + _mv(gram, beta), self.weighted)
+        self.usable = self.usable + u
+        self.xx = self.xx + gram
+        self.xy = self.xy + fit.moment
+        self.count = self.count + fit.count
+
+    def take(self, keep: np.ndarray) -> "StackedSums":
+        """The members where `keep` is True."""
+        return StackedSums(*(getattr(self, f.name)[keep] for f in fields(self)))
+
+    def member(self, k: int, t: int) -> RunningSums:
+        """Member k's sums after t batches, as one trajectory's RunningSums."""
+
+        def arm(a):
+            return ArmSums(
+                gram=self.gram[k, a], weighted=self.weighted[k, a], usable=int(self.usable[k, a]),
+                xx=self.xx[k, a], xy=self.xy[k, a], count=int(self.count[k, a]),
+                ref=self.ref[k, a], xe=self.xe[k, a], ee=float(self.ee[k, a]),
+            )
+
+        return RunningSums(arm(0), arm(1), t)
+
+    def combine(self, sigma_mode: SigmaMode, batch_size: int):
+        """`ivw_combine` of every member: whether it has the estimate (R,),
+        and the estimates (R, 2, d) and scaled variances (R, 2, d, d), zero
+        where it has not.  The Cholesky solves and inverses run per member."""
+        ok = ((self.usable > 0) & is_invertible_gram(self.gram)).all(axis=-1)
+        known = isinstance(sigma_mode, KnownSigma)
+        if not known:
+            ok &= (self.count > self.xy.shape[-1]).all(axis=-1)
+        beta = np.where((self.usable == 1)[..., None], self.ref, 0.0)
+        inv = np.zeros_like(self.gram)
+        for r in np.flatnonzero(ok):
+            for a in (0, 1):
+                if self.usable[r, a] > 1:
+                    beta[r, a] = solve_spd(self.gram[r, a], self.weighted[r, a])
+                inv[r, a] = inverse_spd(self.gram[r, a])
+        if known:
+            factor = np.full(ok.shape + (2,), sigma_mode.sigma**2)
+        else:
+            # `ArmSums.squared_residual` over the count, max(., 0) as Python's;
+            # members without the estimate get a finite stand-in.
+            delta = beta - self.ref
+            sq = self.ee - 2.0 * _dot(delta, self.xe) + _quad(delta, self.xx)
+            factor = np.where(0.0 > sq, 0.0, sq) / np.maximum(self.count, 1)
+        return ok, beta, batch_size * inv * factor[..., None, None]
+
+
+def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked m @ v: m (..., d, d), v (..., d)."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked u @ v of vectors (..., d)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _quad(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Stacked v @ m @ v."""
+    return (v[..., None, :] @ m @ v[..., :, None])[..., 0, 0]
+
+
+@dataclass
 class IvwEstimate:
     """Gram-weighted combination of the per-batch OLS estimates."""
 
@@ -226,6 +332,49 @@ def fit_batch_ols(
             rss = float(masked_rss(contexts, rewards, w, beta))
         arms.append(ArmFit(beta, gram, int(np.count_nonzero(mask)), rss, moment, float(sum_sq)))
     return BatchOlsFit(batch_index=batch_index, arm0=arms[0], arm1=arms[1])
+
+
+class StackedFit(NamedTuple):
+    """Both arms' batch fits for any leading (member) axes: gram (..., 2, d, d),
+    moment (..., 2, d), count, sum_sq, usable (..., 2), and beta (..., 2, d)
+    and rss (..., 2), zero where the arm's Gram is singular."""
+
+    gram: np.ndarray
+    moment: np.ndarray
+    count: np.ndarray
+    sum_sq: np.ndarray
+    usable: np.ndarray
+    beta: np.ndarray
+    rss: np.ndarray
+
+    def member(self, batch_index: int, k: int) -> BatchOlsFit:
+        """Member k's BatchOlsFit."""
+        usable, count, rss, sum_sq = (a[k].tolist() for a in (self.usable, self.count, self.rss, self.sum_sq))
+        gram, moment, beta = self.gram[k], self.moment[k], self.beta[k]
+        arm0, arm1 = (
+            ArmFit(
+                beta[a] if usable[a] else None, gram[a], count[a],
+                rss[a] if usable[a] else None, moment[a], sum_sq[a],
+            )
+            for a in (0, 1)
+        )
+        return BatchOlsFit(batch_index, arm0, arm1)
+
+
+def fit_arms(contexts: np.ndarray, rewards: np.ndarray, masks: np.ndarray) -> StackedFit:
+    """Per-arm OLS of one batch, or of one batch per member of a stack:
+    contexts (..., n, d), rewards (..., n) and the arms' masks (..., 2, n)
+    (bool).
+    The sums, the singularity checks and the residuals run once over the
+    stack; the Cholesky solves run per member and arm."""
+    x, y, w = contexts[..., None, :, :], rewards[..., None, :], masks.astype(float)
+    gram, moment, sum_sq = masked_sums(x, y, w)
+    usable = is_invertible_gram(gram)
+    beta = np.zeros(moment.shape)
+    for i in zip(*np.nonzero(usable)):
+        beta[i] = solve_spd(gram[i], moment[i])
+    rss = masked_rss(x, y, w, beta)
+    return StackedFit(gram, moment, np.add.reduce(masks, axis=-1), sum_sq, usable, beta, rss)
 
 
 def masked_sums(contexts: np.ndarray, rewards: np.ndarray, w: np.ndarray):

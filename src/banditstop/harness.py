@@ -60,7 +60,7 @@ from .rng import (
     make_rng,
     substream_seed,
 )
-from .simulate import simulate_trajectory
+from .simulate import Trajectory, simulate_ensemble, simulate_trajectory
 from .stopping import (
     OnlineOpportunity,
     OnlineThreshold,
@@ -275,12 +275,21 @@ def run_experiment(
     """Simulate one seeded replication end to end (trajectory, stopping,
     regret oracle, inference)."""
     prepared = prepared if prepared is not None else prepare(config)
+    traj = simulate_trajectory(prepared.setup, config.model, _trajectory_rng(config, rep_index))
+    return _record(config, prepared, rep_index, traj)
+
+
+def _trajectory_rng(config: ExperimentConfig, rep_index: int) -> np.random.Generator:
+    return make_rng(substream_seed(derive_seed(config.master_seed, rep_index), TRAJECTORY_STREAM))
+
+
+def _record(
+    config: ExperimentConfig, prepared: PreparedExperiment, rep_index: int, traj: Trajectory
+) -> ExperimentRecord:
+    """Replication `rep_index`'s record from its trajectory: the regret
+    oracle, the plug-in noise scales, the objective and inference."""
     seed = derive_seed(config.master_seed, rep_index)
-    rng_traj = make_rng(substream_seed(seed, TRAJECTORY_STREAM))
     inference_seed = substream_seed(seed, INFERENCE_STREAM)
-
-    traj = simulate_trajectory(prepared.setup, config.model, rng_traj)
-
     stats = [(f.arm1.beta, f.arm1.gram, f.arm0.beta, f.arm0.gram) for f in traj.fits]
     noise_plugin: Optional[Tuple[float, float]] = None
     regret_hat: Optional[float] = None
@@ -347,8 +356,11 @@ def run_replications(
 ) -> Tuple[List[ExperimentRecord], Dict]:
     """Run all replications (optionally in a permuted order) and aggregate.
 
-    The reducer sorts by replication index, so aggregates are independent of
-    execution order.
+    Several replications run in lock-step through `simulate_ensemble`, in
+    chunks, and each chunk's records are built before the next chunk runs;
+    a lone replication runs `run_experiment`.  Each replication gets the
+    same trajectory either way, so records and aggregates are independent
+    of execution order: the reducer sorts by replication index.
     """
     prepared = prepare(config)
     indices = list(range(config.replications))
@@ -357,7 +369,12 @@ def run_replications(
             raise ConfigError("execution_order must be a permutation of range(replications)")
         indices = list(execution_order)
 
-    records = [run_experiment(config, r, prepared=prepared) for r in indices]
+    if len(indices) == 1:
+        records = [run_experiment(config, indices[0], prepared=prepared)]
+    else:
+        rngs = [_trajectory_rng(config, r) for r in indices]
+        trajectories = simulate_ensemble(prepared.setup, config.model, rngs)
+        records = [_record(config, prepared, r, traj) for r, traj in zip(indices, trajectories)]
     records.sort(key=lambda rec: rec.rep_index)
     return records, aggregate(records, config)
 

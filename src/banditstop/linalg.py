@@ -49,19 +49,16 @@ def _invertible(smallest, largest):
     return (smallest > GRAM_SINGULARITY_RTOL * largest) & (smallest > GRAM_SINGULARITY_RTOL)
 
 
-def is_invertible_gram(gram: np.ndarray) -> bool:
-    eigs = eigvalsh(gram)
-    return bool(_invertible(eigs[0], eigs[-1]))
-
-
-def invertible_grams(grams: np.ndarray) -> np.ndarray:
-    """`is_invertible_gram` of each matrix of an (R, d, d) stack.
-
-    One stacked ``numpy.linalg.eigvalsh`` call, which runs the same ``dsyevd``
-    per matrix as `eigvalsh` (`tests/test_linalg.py` checks the equality).
-    """
-    eigs = np.linalg.eigvalsh(grams)
-    return _invertible(eigs[:, 0], eigs[:, -1])
+def is_invertible_gram(gram: np.ndarray):
+    """The singularity rule for one (d, d) Gram matrix (a bool) or for each
+    matrix of a stack (..., d, d) (a bool array).  A stack takes one
+    ``numpy.linalg.eigvalsh`` call, which runs the same ``dsyevd`` per
+    matrix as `eigvalsh` (`tests/test_linalg.py` checks the equality)."""
+    if gram.ndim == 2:
+        eigs = eigvalsh(gram)
+        return bool(_invertible(eigs[0], eigs[-1]))
+    eigs = np.linalg.eigvalsh(gram)
+    return _invertible(eigs[..., 0], eigs[..., -1])
 
 
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -177,14 +177,6 @@ def sample_batch_contexts(spec: ContextSpec, n: int, rng: np.random.Generator) -
     )
 
 
-def _draw_noise(rng: np.random.Generator, scale: np.ndarray, family: str) -> np.ndarray:
-    if family == "gaussian":
-        return scale * rng.standard_normal(scale.shape)
-    # Uniform on [-a, a] with a = sqrt(3) * sd has mean 0 and the requested sd.
-    half = np.sqrt(3.0) * scale
-    return rng.uniform(-1.0, 1.0, size=scale.shape) * half
-
-
 def realize_rewards(
     model: TrueModel,
     contexts: np.ndarray,
@@ -200,10 +192,39 @@ def realize_rewards(
         raise ContractError("actions must be a vector aligned with contexts")
     if not ((actions == 0) | (actions == 1)).all():
         raise ContractError("actions must be binary")
-    arm1 = actions == 1
+    return _rewards(model, contexts, actions == 1, _unit_noise(rng, actions.shape, model.noise))
+
+
+def stacked_rewards(model: TrueModel, contexts: np.ndarray, arm1: np.ndarray, rngs) -> np.ndarray:
+    """`realize_rewards` of stacked members: contexts (R, n, d) and arm-1
+    masks (R, n), with one generator each.  Each member draws its noise from
+    its own generator as a lone call does; the rest runs once over the stack."""
+    noise = np.stack([_unit_noise(rng, arm1.shape[1:], model.noise) for rng in rngs])
+    return _rewards(model, contexts, arm1, noise)
+
+
+def stacked_contexts(spec: ContextSpec, n: int, rngs) -> np.ndarray:
+    """`sample_batch_contexts` from each generator, stacked as (R, n, dim)."""
+    dist = spec.dist
+    if isinstance(dist, UniformBox):
+        u = np.stack([rng.random((n, spec.dim)) for rng in rngs])
+        return dist.lower + (dist.upper - dist.lower) * u
+    return np.stack([sample_batch_contexts(spec, n, rng) for rng in rngs])
+
+
+def _unit_noise(rng: np.random.Generator, shape, family: str) -> np.ndarray:
+    if family == "gaussian":
+        return rng.standard_normal(shape)
+    return rng.uniform(-1.0, 1.0, size=shape)
+
+
+def _rewards(model: TrueModel, contexts: np.ndarray, arm1: np.ndarray, noise: np.ndarray) -> np.ndarray:
     means = np.where(arm1, contexts @ model.beta1, contexts @ model.beta0)
     scales = np.where(arm1, model.sigma1, model.sigma0)
-    return means + _draw_noise(rng, scales, model.noise)
+    if model.noise != "gaussian":
+        # Uniform on [-a, a] with a = sqrt(3) * sd has mean 0 and the requested sd.
+        scales = np.sqrt(3.0) * scales
+    return means + noise * scales
 
 
 def optimal_rewards(model: TrueModel, contexts: np.ndarray) -> np.ndarray:

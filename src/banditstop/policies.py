@@ -7,7 +7,9 @@ each arm's cumulative OLS estimate and X'X over all units so far.
 computed in closed form (Thompson included), so they are a pure function of
 the sums and the contexts.  `probabilities_from_estimates` holds the
 formulas once, for one trajectory or broadcast over stacked ones;
-`select_actions` clips them.  The tests cross-check the Thompson closed form
+`select_actions` clips them.  `stacked_probabilities` gives the
+probabilities of many members at once, for the lock-step pilots of
+`bounds` and the lock-step replications of `simulate.simulate_ensemble`.  The tests cross-check the Thompson closed form
 by posterior sampling (`tests/policy_oracle.py`).
 """
 
@@ -22,10 +24,7 @@ from scipy.special import ndtr
 from .errors import ConfigError, ContractError
 from .estimators import BatchOlsFit, RunningSums
 
-# The estimates come from `ArmSums.ols_estimate`; `is_invertible_gram` and
-# `solve_spd` stay bound here because perfbench/tracing.py counts calls
-# through this module's names.
-from .linalg import inverse_spd, is_invertible_gram, solve_spd  # noqa: F401
+from .linalg import inverse_spd, is_invertible_gram, solve_spd
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,36 @@ def action_probabilities(
     return probabilities_from_estimates(kind, sums.t + 1, contexts, b0, b1, inv0, inv1)
 
 
+def stacked_probabilities(
+    kind: PolicyKind, t_next: int, contexts: np.ndarray, xx: np.ndarray, xy: np.ndarray
+) -> np.ndarray:
+    """`action_probabilities` of stacked members at batch index `t_next`:
+    contexts (R, n, d) and each member's X'X (R, 2, d, d) and X'y (R, 2, d)
+    give (R, n), equal member by member to the lone call's."""
+    if isinstance(kind, UniformRandom):
+        return np.full(contexts.shape[:2], 0.5)
+    usable, b, inv = stacked_estimates(xx, xy, needs_inverses(kind))
+    inv0, inv1 = (None, None) if inv is None else (inv[:, 0], inv[:, 1])
+    probs = probabilities_from_estimates(kind, t_next, contexts, b[:, 0], b[:, 1], inv0, inv1)
+    return np.where(usable[:, None], probs, 0.5)
+
+
+def stacked_estimates(xx: np.ndarray, xy: np.ndarray, with_inverses: bool):
+    """Which members have both arms' X'X invertible (R,), their cumulative
+    OLS estimates (R, 2, d) and, if asked, the inverses of X'X (R, 2, d, d),
+    else None; zeros for the other members.  One stacked singularity check;
+    the Cholesky solves of `ArmSums.ols_estimate` run per member."""
+    usable = is_invertible_gram(xx).all(axis=-1)
+    b = np.zeros_like(xy)
+    inv = np.zeros_like(xx) if with_inverses else None
+    for r in np.flatnonzero(usable):
+        for arm in (0, 1):
+            b[r, arm] = solve_spd(xx[r, arm], xy[r, arm])
+            if with_inverses:
+                inv[r, arm] = inverse_spd(xx[r, arm])
+    return usable, b, inv
+
+
 def needs_inverses(kind: PolicyKind) -> bool:
     """Whether `probabilities_from_estimates` reads the inverses of X'X."""
     return isinstance(kind, (Ucb, Thompson))
@@ -151,9 +180,9 @@ def probabilities_from_estimates(
     UCB and Thompson, the inverses of their X'X.
 
     Broadcasts over leading axes: contexts (..., n, d), estimates (..., d)
-    and inverses (..., d, d) give (..., n).  The lock-step pilots of
-    `bounds.calibrate_tail_constant` pass a leading member axis; each member's
-    probabilities equal, bit for bit, those of a call with its arrays alone.
+    and inverses (..., d, d) give (..., n).  `stacked_probabilities` passes a
+    leading member axis; each member's probabilities equal, bit for bit,
+    those of a call with its arrays alone.
     """
     if isinstance(kind, EpsGreedy):
         p_t = kind.eps.value(t_next)

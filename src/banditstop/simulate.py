@@ -2,21 +2,46 @@
 observe rewards, fit per-batch OLS, update the variance estimates, and test
 the stopping rule — shared by the experiment harness and the conditional
 rejection sampler.
+
+`simulate_trajectory` runs one trajectory.  `simulate_ensemble` runs many in
+lock-step: a chunk of members advances one batch at a time, and stopped
+members leave the stack.  Each member draws its contexts, action uniforms
+and reward noise from its own generator in the order of a lone trajectory,
+and its Cholesky solves run alone; every other step runs once over a
+(members, arms) stack, in forms that round the same stacked or alone
+(`tests/test_stack_invariance.py`).  So each member's trajectory equals,
+bit for bit, the one `simulate_trajectory` gives its generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .bounds import chunk_members
 from .errors import EstimatorUnavailable
-from .estimators import BatchOlsFit, IvwEstimate, RunningSums, fit_batch_ols, ivw_combine
-from .model import TrueModel, realize_rewards, sample_batch_contexts
-from .policies import select_actions, update_state
+from .estimators import (
+    BatchOlsFit,
+    IvwEstimate,
+    RunningSums,
+    StackedFit,
+    StackedSums,
+    fit_arms,
+    fit_batch_ols,
+    ivw_combine,
+)
+from .model import (
+    TrueModel,
+    realize_rewards,
+    sample_batch_contexts,
+    stacked_contexts,
+    stacked_rewards,
+)
+from .policies import select_actions, stacked_probabilities, update_state
 from .records import SimulationSetup
-from .stopping import StopDecision, evaluate
+from .stopping import StopDecision, decide, evaluate
 
 
 @dataclass
@@ -89,3 +114,94 @@ def simulate_trajectory(
         ivw=ivw,
         rule_fired=fired,
     )
+
+
+def simulate_ensemble(
+    setup: SimulationSetup,
+    model: TrueModel,
+    rngs: Sequence[np.random.Generator],
+    *,
+    t_limit: Optional[int] = None,
+) -> Iterator[Trajectory]:
+    """`simulate_trajectory` for each generator of `rngs`, in order, with the
+    members run in lock-step.
+
+    Members run in chunks of `bounds.chunk_members`; a chunk is simulated
+    when its first trajectory is asked for, so a caller that uses each
+    trajectory as it comes holds one chunk at a time.  A chunk of one member
+    runs `simulate_trajectory`, which is faster alone.
+    """
+    size = chunk_members(setup.batch_size, model.dim)
+    for start in range(0, len(rngs), size):
+        chunk = rngs[start : start + size]
+        if len(chunk) == 1:
+            yield simulate_trajectory(setup, model, chunk[0], t_limit=t_limit)
+        else:
+            yield from _lock_step(setup, model, chunk, t_limit)
+
+
+def _lock_step(
+    setup: SimulationSetup,
+    model: TrueModel,
+    rngs: Sequence[np.random.Generator],
+    t_limit: Optional[int],
+) -> Iterator[Trajectory]:
+    rule, n = setup.rule, setup.batch_size
+    horizon = rule.t_max if t_limit is None else min(rule.t_max, t_limit)
+    online = not rule.is_predetermined
+    traces: List[List[StopDecision]] = [[] for _ in rngs]
+    prev: List[Optional[Tuple[float, float]]] = [None] * len(rngs)
+    ends: List[tuple] = [()] * len(rngs)  # each member's sums and estimate at its stop
+    batches: List[StackedFit] = []
+    rows = []  # per batch, each member's row in its stack
+    live = np.arange(len(rngs))  # the member of each row
+    sums = StackedSums.empty(len(rngs), model.dim)
+    t = 0
+    while live.size:
+        t += 1
+        members = [rngs[i] for i in live]
+        x = stacked_contexts(setup.context, n, members)
+        pre = stacked_probabilities(setup.policy, t, x, sums.xx, sums.xy)
+        level = setup.clip.value(t)
+        post = np.minimum(np.maximum(pre, level), 1.0 - level)
+        actions = np.stack([rng.random(n) for rng in members]) < post
+        y = stacked_rewards(model, x, actions, members)
+        fit = fit_arms(x, y, np.stack([~actions, actions], axis=1))
+        sums.add(fit)
+        batches.append(fit)
+        rows.append(np.full(len(rngs), -1))
+        rows[-1][live] = np.arange(live.size)
+
+        if online:
+            ok, beta, var = sums.combine(setup.sigma_mode, n)
+            norms = np.linalg.eigvalsh(var)[..., -1].tolist()
+        stop = np.zeros(live.size, dtype=bool)
+        for k, i in enumerate(live):
+            cur = tuple(norms[k]) if online and ok[k] else None
+            traces[i].append(decide(rule, t, cur, prev[i]))
+            prev[i] = cur
+            stop[k] = traces[i][-1].stop or t == horizon
+        if not stop.any():
+            continue
+        if not online:
+            ok, beta, var = sums.combine(setup.sigma_mode, n)
+        for k in np.flatnonzero(stop):
+            ivw = None
+            if ok[k]:
+                ivw = IvwEstimate(beta[k, 0], beta[k, 1], var[k, 0], var[k, 1], t, n, setup.sigma_mode)
+            ends[live[k]] = (sums.member(k, t), ivw)
+        live, sums = live[~stop], sums.take(~stop)
+
+    # Each member's fits are built as its trajectory is handed out, so a
+    # caller that uses each trajectory as it comes holds one member's at a time.
+    for i, own in enumerate(np.array(rows).T.tolist()):
+        last = traces[i][-1]
+        yield Trajectory(
+            fits=[batches[b].member(b + 1, own[b]) for b in range(last.t)],
+            sums=ends[i][0],
+            stop_trace=traces[i],
+            stop_time=last.t,
+            cap_hit=last.stop and last.cap_hit,
+            ivw=ends[i][1],
+            rule_fired=last.stop and not last.cap_hit,
+        )

@@ -114,6 +114,25 @@ def evaluate(
     diagnostic flag rather than an error.  The hard cap always stops with
     cap_hit set.
     """
+    norms = prev = None
+    if not spec.is_predetermined and current is not None:
+        norms = (spectral_norm(current[0]), spectral_norm(current[1]))
+        if isinstance(spec.rule, OnlineOpportunity) and previous is not None:
+            prev = (spectral_norm(previous[0]), spectral_norm(previous[1]))
+    return decide(spec, t, norms, prev)
+
+
+NormPair = Tuple[float, float]  # spectral norms of (arm0, arm1) variance matrices
+
+
+def decide(
+    spec: StoppingRuleSpec,
+    t: int,
+    norms: Optional[NormPair] = None,
+    previous: Optional[NormPair] = None,
+) -> StopDecision:
+    """`evaluate` given the spectral norms of the variance matrices instead
+    of the matrices, for callers that compute the norms of many at once."""
     if t < 1:
         raise ContractError("t must be >= 1")
     rule = spec.rule
@@ -131,24 +150,22 @@ def evaluate(
         diagnostics.update(bound_t=bound_now, threshold=rule.k)
         stop = bound_now <= rule.k
     elif isinstance(rule, OnlineThreshold):
-        if current is None:
+        if norms is None:
             diagnostics["estimator_unavailable"] = 1.0
         else:
-            norm0 = spectral_norm(current[0])
-            norm1 = spectral_norm(current[1])
+            norm0, norm1 = norms
             diagnostics.update(var_norm_arm0=norm0, var_norm_arm1=norm1, threshold=rule.k)
             stop = norm0 <= rule.k and norm1 <= rule.k
     elif isinstance(rule, OnlineOpportunity):
-        if current is None:
+        if norms is None:
             diagnostics["estimator_unavailable"] = 1.0
         elif previous is None:
             diagnostics["insufficient_history"] = 1.0
         else:
             level = rule.c_prime * (rule.batch_size if rule.scale_by_batch else 1.0)
-            norm0 = spectral_norm(current[0])
-            norm1 = spectral_norm(current[1])
-            dec0 = spectral_norm(previous[0]) - norm0
-            dec1 = spectral_norm(previous[1]) - norm1
+            norm0, norm1 = norms
+            dec0 = previous[0] - norm0
+            dec1 = previous[1] - norm1
             diagnostics.update(
                 var_norm_arm0=norm0,
                 var_norm_arm1=norm1,

@@ -1,0 +1,154 @@
+"""`simulate.simulate_ensemble` against `simulate_trajectory`, member by
+member and bit for bit, over random set-ups: every policy kind with decaying
+schedules, known and residual sigma, all four stopping rules with cap hits
+and `t_limit`, dimensions 1-3, batches smaller than the dimension (singular
+arms, batches with no estimator), box and truncated-Gaussian contexts, both
+noise families, and 1-40 members in chunks of 1-8."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from banditstop import (
+    ClipSchedule,
+    ContextSpec,
+    EpsGreedy,
+    KnownSigma,
+    OnlineOpportunity,
+    OnlineThreshold,
+    PredeterminedOpportunity,
+    PredeterminedThreshold,
+    ResidualSigma,
+    Schedule,
+    SimulationSetup,
+    StoppingRuleSpec,
+    Thompson,
+    TrueModel,
+    TruncatedGaussian,
+    Ucb,
+    UniformBox,
+    UniformRandom,
+    bounds,
+    constants_from_context,
+    make_rng,
+    simulate,
+)
+
+
+@st.composite
+def schedules(draw, initial):
+    start = draw(initial)
+    decay = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return Schedule(start, decay=decay, floor=draw(st.floats(0.01, 1.0)) * start)
+
+
+@st.composite
+def set_ups(draw):
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        centre, half = rng.uniform(-0.5, 0.5, size=dim), rng.uniform(0.2, 1.0, size=dim)
+        dist = UniformBox(centre - half, centre + half)
+        sup = float(np.abs(np.concatenate([dist.lower, dist.upper])).max())
+    else:
+        a = rng.normal(size=(dim, dim))
+        dist = TruncatedGaussian(
+            mean=rng.uniform(-0.3, 0.3, size=dim), cov=0.3 * (a @ a.T) + 0.2 * np.eye(dim), bound=1.5
+        )
+        sup = 1.5
+    spec = ContextSpec(dim=dim, dist=dist, sup_bound=sup)
+    model = TrueModel(
+        beta0=rng.uniform(-1, 1, size=dim),
+        beta1=rng.uniform(-1, 1, size=dim),
+        sigma0=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        sigma1=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        noise=draw(st.sampled_from(["gaussian", "bounded_uniform"])),
+    )
+    policy = draw(
+        st.one_of(
+            st.just(UniformRandom()),
+            schedules(st.floats(0.05, 1.0)).map(EpsGreedy),
+            schedules(st.floats(0.1, 2.0)).map(Ucb),
+            st.floats(0.1, 3.0).map(Thompson),
+        )
+    )
+    clip = ClipSchedule(draw(schedules(st.floats(0.05, 0.5))))
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, 20]))
+    kind = draw(st.sampled_from(["opportunity", "threshold", "online_threshold", "online_opportunity"]))
+    if kind in ("opportunity", "threshold"):
+        consts = constants_from_context(
+            spec, margin_exponent=1.0, margin_const=1.0, noise_sd=1.0, delta=0.1,
+            tail_const=draw(st.sampled_from([0.01, 1.0, 100.0])), unit_cost=draw(st.sampled_from([1e-3, 0.1])),
+            batch_size=n, clip_floor=clip.floor,
+        )
+        rule = (
+            PredeterminedOpportunity(consts)
+            if kind == "opportunity"
+            else PredeterminedThreshold(consts, draw(st.sampled_from([0.1, 1.0, 10.0])))
+        )
+    elif kind == "online_threshold":
+        rule = OnlineThreshold(draw(st.sampled_from([0.3, 1.0, 3.0, 10.0])))
+    else:
+        rule = OnlineOpportunity(
+            draw(st.sampled_from([0.01, 0.1, 1.0])), scale_by_batch=draw(st.booleans()), batch_size=n
+        )
+    sigma_mode = draw(st.sampled_from([KnownSigma(1.0), KnownSigma(0.5), ResidualSigma()]))
+    setup = SimulationSetup(
+        context=spec, policy=policy, clip=clip, batch_size=n, sigma_mode=sigma_mode,
+        rule=StoppingRuleSpec(rule, t_max=draw(st.integers(1, 12))),
+    )
+    return setup, model
+
+
+def assert_same_arrays(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert np.array_equal(a, b)
+
+
+def assert_same_trajectory(got, want):
+    assert (got.stop_time, got.cap_hit, got.rule_fired) == (want.stop_time, want.cap_hit, want.rule_fired)
+    assert len(got.fits) == len(want.fits) == got.stop_time
+    for f, g in zip(got.fits, want.fits):
+        assert f.batch_index == g.batch_index
+        for p, q in ((f.arm0, g.arm0), (f.arm1, g.arm1)):
+            assert_same_arrays(p.beta, q.beta)
+            assert np.array_equal(p.gram, q.gram) and np.array_equal(p.moment, q.moment)
+            assert (p.count, p.rss, p.sum_sq) == (q.count, q.rss, q.sum_sq)
+    assert [(d.stop, d.t, d.cap_hit, d.diagnostics) for d in got.stop_trace] == [
+        (d.stop, d.t, d.cap_hit, d.diagnostics) for d in want.stop_trace
+    ]
+    assert (got.ivw is None) == (want.ivw is None)
+    if want.ivw is not None:
+        for name in ("beta0", "beta1", "var0", "var1"):
+            assert np.array_equal(getattr(got.ivw, name), getattr(want.ivw, name))
+        assert (got.ivw.batches_used, got.ivw.batch_size) == (want.ivw.batches_used, want.ivw.batch_size)
+    assert got.sums.t == want.sums.t
+    for p, q in ((got.sums.arm0, want.sums.arm0), (got.sums.arm1, want.sums.arm1)):
+        for name in ("gram", "weighted", "xx", "xy", "ref", "xe"):
+            assert np.array_equal(getattr(p, name), getattr(q, name))
+        assert (p.usable, p.count, p.ee) == (q.usable, q.count, q.ee)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    set_up=set_ups(),
+    members=st.integers(1, 40),
+    per_chunk=st.integers(1, 8),
+    t_limit=st.one_of(st.none(), st.integers(1, 12)),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_ensemble_members_equal_lone_trajectories(set_up, members, per_chunk, t_limit, seed):
+    setup, model = set_up
+    seeds = [seed + i for i in range(members)]
+    budget = per_chunk * 8 * setup.batch_size * (model.dim + 4)
+    lock_step = mock.patch.object(simulate, "_lock_step", wraps=simulate._lock_step)
+    with mock.patch.object(bounds, "CHUNK_BYTES", budget), lock_step as calls:
+        got = list(simulate.simulate_ensemble(setup, model, [make_rng(s) for s in seeds], t_limit=t_limit))
+    sizes = [min(per_chunk, members - start) for start in range(0, members, per_chunk)]
+    assert calls.call_count == sum(size > 1 for size in sizes)
+    assert len(got) == members
+    for traj, s in zip(got, seeds):
+        assert_same_trajectory(traj, simulate.simulate_trajectory(setup, model, make_rng(s), t_limit=t_limit))

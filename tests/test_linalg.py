@@ -75,7 +75,7 @@ def test_stacked_singularity_checks_equal_per_matrix(cases):
     assert np.array_equal(
         np.linalg.eigvalsh(stack), np.stack([linalg.eigvalsh(gram) for gram in stack])
     )
-    assert linalg.invertible_grams(stack).tolist() == [
+    assert linalg.is_invertible_gram(stack).tolist() == [
         linalg.is_invertible_gram(gram) for gram in stack
     ]
 

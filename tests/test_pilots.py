@@ -91,7 +91,7 @@ def test_lock_step_pilots_equal_sequential_pilots(set_up, t_ref, replications, m
     chunks = mock.patch.object(
         bounds, "_lock_step_deviations", wraps=bounds._lock_step_deviations
     )
-    with mock.patch.object(bounds, "PILOT_CHUNK_BYTES", budget), chunks as chunk_calls:
+    with mock.patch.object(bounds, "CHUNK_BYTES", budget), chunks as chunk_calls:
         got = bounds.pilot_deviations(spec, model, policy, clip, n, t_ref, replications, seed)
         try:
             k = bounds.calibrate_tail_constant(
