@@ -187,10 +187,8 @@ class StackedSums:
 
     @classmethod
     def empty(cls, members: int, dim: int) -> "StackedSums":
-        def z(*shape, dtype=float):
-            return np.zeros((members, 2, *shape), dtype)
-
-        return cls(z(dim, dim), z(dim), z(dtype=int), z(dim, dim), z(dim), z(dtype=int), z(dim), z(dim), z())
+        lone = (np.asarray(getattr(ArmSums.empty(dim), f.name)) for f in fields(cls))
+        return cls(*(np.zeros((members, 2) + z.shape, z.dtype) for z in lone))
 
     def add(self, fit: StackedFit) -> None:
         # Both branches of `ArmSums.add` for every arm; `usable` picks one.
@@ -222,15 +220,8 @@ class StackedSums:
 
     def member(self, k: int, t: int) -> RunningSums:
         """Member k's sums after t batches, as one trajectory's RunningSums."""
-
-        def arm(a):
-            return ArmSums(
-                gram=self.gram[k, a], weighted=self.weighted[k, a], usable=int(self.usable[k, a]),
-                xx=self.xx[k, a], xy=self.xy[k, a], count=int(self.count[k, a]),
-                ref=self.ref[k, a], xe=self.xe[k, a], ee=float(self.ee[k, a]),
-            )
-
-        return RunningSums(arm(0), arm(1), t)
+        arm0, arm1 = (ArmSums(**{f.name: getattr(self, f.name)[k, a] for f in fields(self)}) for a in (0, 1))
+        return RunningSums(arm0, arm1, t)
 
     def combine(self, sigma_mode: SigmaMode, batch_size: int):
         """`ivw_combine` of every member: whether it has the estimate (R,),
@@ -258,18 +249,16 @@ class StackedSums:
         return ok, beta, batch_size * inv * factor[..., None, None]
 
 
+# m @ v, u @ v and v @ m @ v over stacks of vectors (..., d) and matrices (..., d, d).
 def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Stacked m @ v: m (..., d, d), v (..., d)."""
     return (m @ v[..., None])[..., 0]
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Stacked u @ v of vectors (..., d)."""
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _quad(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Stacked v @ m @ v."""
     return (v[..., None, :] @ m @ v[..., :, None])[..., 0, 0]
 
 

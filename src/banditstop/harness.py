@@ -231,17 +231,20 @@ def build_rule(config: ExperimentConfig, consts: Optional[BoundConstants]) -> St
     )
 
 
-def prepare(config: ExperimentConfig) -> PreparedExperiment:
-    consts = resolve_constants(config)
-    rule = build_rule(config, consts)
-    setup = SimulationSetup(
+def _setup(config: ExperimentConfig, consts: Optional[BoundConstants]) -> SimulationSetup:
+    return SimulationSetup(
         context=config.context,
         policy=config.policy,
         clip=config.clip,
         batch_size=config.batch_size,
         sigma_mode=config.sigma_mode,
-        rule=rule,
+        rule=build_rule(config, consts),
     )
+
+
+def prepare(config: ExperimentConfig) -> PreparedExperiment:
+    consts = resolve_constants(config)
+    setup = _setup(config, consts)
     cost_mode: Optional[CostMode]
     if config.stopping.kind == "predetermined_threshold":
         cost_mode = ThresholdCost(config.stopping.k)
@@ -688,10 +691,13 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
             sigma_mode=config.sigma_mode,
         )
     noise_plugin = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=True)
+    # Only a pre-determined rule reads the bound constants, and they may need
+    # the pilot calibration.
+    consts = resolve_constants(config) if config.stopping.kind.startswith("predetermined") else None
     return ExperimentRecord(
         rep_index=_stored(payload, "rep", _INT),
         seed=_stored(payload, "seed", _INT),
-        setup=prepare(config).setup,
+        setup=_setup(config, consts),
         stats=entries,
         stop_trace=[],
         stop_time=stop_time,

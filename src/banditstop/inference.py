@@ -58,6 +58,7 @@ class ConditionalSamples:
     arm1: np.ndarray
     acceptance_rate: float
     attempts: int
+    batches: int = 0  # surrogate batches simulated: the sum of their stop times
 
 
 def sample_conditional(
@@ -96,11 +97,12 @@ def sample_conditional(
     target_cap = record.cap_hit
 
     kept0, kept1 = [], []
-    attempts = 0
+    attempts = batches = 0
     for attempt in range(1, cfg.max_attempts + 1):
         attempts = attempt
         rng = make_rng(derive_seed(seed, attempt))
         surrogate = simulate_trajectory(record.setup, plug_model, rng, t_limit=target_t)
+        batches += surrogate.stop_time
         if surrogate.ivw is None:
             continue
         if target_cap:
@@ -122,6 +124,7 @@ def sample_conditional(
         arm1=np.asarray(kept1),
         acceptance_rate=len(kept0) / attempts,
         attempts=attempts,
+        batches=batches,
     )
 
 

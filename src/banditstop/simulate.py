@@ -22,23 +22,9 @@ import numpy as np
 
 from .bounds import chunk_members
 from .errors import EstimatorUnavailable
-from .estimators import (
-    BatchOlsFit,
-    IvwEstimate,
-    RunningSums,
-    StackedFit,
-    StackedSums,
-    fit_arms,
-    fit_batch_ols,
-    ivw_combine,
-)
-from .model import (
-    TrueModel,
-    realize_rewards,
-    sample_batch_contexts,
-    stacked_contexts,
-    stacked_rewards,
-)
+from .estimators import BatchOlsFit, IvwEstimate, RunningSums, StackedFit, StackedSums, fit_arms
+from .estimators import fit_batch_ols, ivw_combine
+from .model import TrueModel, realize_rewards, sample_batch_contexts, stacked_contexts, stacked_rewards
 from .policies import select_actions, stacked_probabilities, update_state
 from .records import SimulationSetup
 from .stopping import StopDecision, decide, evaluate
@@ -140,12 +126,7 @@ def simulate_ensemble(
             yield from _lock_step(setup, model, chunk, t_limit)
 
 
-def _lock_step(
-    setup: SimulationSetup,
-    model: TrueModel,
-    rngs: Sequence[np.random.Generator],
-    t_limit: Optional[int],
-) -> Iterator[Trajectory]:
+def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Iterator[Trajectory]:
     rule, n = setup.rule, setup.batch_size
     horizon = rule.t_max if t_limit is None else min(rule.t_max, t_limit)
     online = not rule.is_predetermined
@@ -198,10 +179,6 @@ def _lock_step(
         last = traces[i][-1]
         yield Trajectory(
             fits=[batches[b].member(b + 1, own[b]) for b in range(last.t)],
-            sums=ends[i][0],
-            stop_trace=traces[i],
-            stop_time=last.t,
-            cap_hit=last.stop and last.cap_hit,
-            ivw=ends[i][1],
-            rule_fired=last.stop and not last.cap_hit,
+            sums=ends[i][0], stop_trace=traces[i], stop_time=last.t, ivw=ends[i][1],
+            cap_hit=last.stop and last.cap_hit, rule_fired=last.stop and not last.cap_hit,
         )

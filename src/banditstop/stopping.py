@@ -122,14 +122,11 @@ def evaluate(
     return decide(spec, t, norms, prev)
 
 
-NormPair = Tuple[float, float]  # spectral norms of (arm0, arm1) variance matrices
-
-
 def decide(
     spec: StoppingRuleSpec,
     t: int,
-    norms: Optional[NormPair] = None,
-    previous: Optional[NormPair] = None,
+    norms: Optional[Tuple[float, float]] = None,
+    previous: Optional[Tuple[float, float]] = None,
 ) -> StopDecision:
     """`evaluate` given the spectral norms of the variance matrices instead
     of the matrices, for callers that compute the norms of many at once."""

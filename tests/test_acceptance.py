@@ -133,11 +133,10 @@ def coverage_run():
         master_seed=20260810,
         regret_mc_samples=1000,
     )
-    prepared = bs.prepare(config)
+    records, _ = bs.run_replications(config)
     z = np.empty((COV_R, 4))
     mart = np.empty((COV_R, 2))
-    for r in range(COV_R):
-        rec = bs.run_experiment(config, r, prepared=prepared)
+    for r, rec in enumerate(records):
         ivw = rec.ivw
         z[r, :2] = (ivw.beta0 - model.beta0) / np.sqrt(np.diag(ivw.beta_cov(0)))
         z[r, 2:] = (ivw.beta1 - model.beta1) / np.sqrt(np.diag(ivw.beta_cov(1)))
@@ -204,10 +203,9 @@ def test_acceptance_05_bound_validity():
         master_seed=777_000,  # disjoint from the calibration pilots
         regret_mc_samples=100_000,
     )
-    prepared = bs.prepare(config)
+    records, _ = bs.run_replications(config)
     violations = 0
-    for r in range(500):
-        rec = bs.run_experiment(config, r, prepared=prepared)
+    for rec in records:
         assert rec.stop_time == t_ref
         if rec.regret_hat > bound:
             violations += 1
@@ -329,8 +327,7 @@ def test_acceptance_08_creg_consistency():
             if kind.endswith("opportunity")
             else bs.ThresholdCost(extra["k"])
         )
-        for r in range(50):
-            rec = bs.run_experiment(config, r, prepared=prepared)
+        for rec in bs.run_replications(config)[0]:
             simulated = bs.cumulative_cost_adjusted_regret(
                 prepared.consts, rec.stop_time, mode
             )
@@ -421,10 +418,9 @@ def test_acceptance_10_type_i_error():
         hypothesis=(np.array([0.2, -0.1]), np.array([0.5, 0.3])),
         regret_mc_samples=1000,
     )
-    prepared = bs.prepare(config)
+    records, _ = bs.run_replications(config)
     rejections = 0
-    for r in range(1000):
-        rec = bs.run_experiment(config, r, prepared=prepared)
+    for rec in records:
         if rec.inference.reject:
             rejections += 1
     rate = rejections / 1000

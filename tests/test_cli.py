@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from banditstop import (
     run_experiment,
     uniform_cube_spec,
 )
+from banditstop import bounds
 from banditstop.cli import main
-from banditstop.harness import resolve_constants
+from banditstop.harness import load_config, resolve_constants
 
 
 def write_config(path, **overrides):
@@ -267,6 +269,45 @@ def test_infer_replays_stored_trajectory(tmp_path, capsys):
     np.testing.assert_array_equal(np.asarray(printed["ci_arm1"][0]), record.inference.lo1)
     np.testing.assert_array_equal(np.asarray(printed["ci_arm1"][1]), record.inference.hi1)
     assert printed["stop_time"] == record.stop_time
+
+
+def test_infer_calibrates_only_for_predetermined_rules(tmp_path, capsys):
+    demo = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
+    demo["replications"] = 1
+    cfg_path = tmp_path / "demo.json"
+    cfg_path.write_text(json.dumps(demo))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "demo")]) == 0
+    capsys.readouterr()
+    traj = tmp_path / "demo" / "trajectories" / "rep_00000.json"
+    # The online rule needs no tail constant, so infer must not calibrate.
+    refuse = AssertionError("calibrated")
+    with mock.patch.object(bounds, "calibrate_tail_constant", side_effect=refuse):
+        assert main(["infer", "--config", str(cfg_path), "--trajectory", str(traj)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    record = run_experiment(load_config(str(cfg_path)), 0)
+    assert printed["stop_time"] == record.stop_time
+    assert printed["beta0"] == record.ivw.beta0.tolist() and printed["beta1"] == record.ivw.beta1.tolist()
+    assert printed["ci_arm0"] == [record.inference.lo0.tolist(), record.inference.hi0.tolist()]
+    assert printed["ci_arm1"] == [record.inference.lo1.tolist(), record.inference.hi1.tolist()]
+    assert printed["samples_retained"] == record.inference.samples_retained
+
+    cfg_path = tmp_path / "predetermined.json"
+    write_config(
+        cfg_path,
+        policy=UniformRandom(),
+        stopping=StoppingConfig(kind="predetermined_opportunity", t_max=8),
+        bounds=BoundsConfig(
+            margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=0.01,
+            calibration=CalibrationConfig(t_ref=3, replications=10),
+        ),
+        trajectory_json=True,
+        replications=1,
+    )
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "pre")]) == 0
+    traj = tmp_path / "pre" / "trajectories" / "rep_00000.json"
+    with mock.patch.object(bounds, "calibrate_tail_constant", wraps=bounds.calibrate_tail_constant) as cal:
+        assert main(["infer", "--config", str(cfg_path), "--trajectory", str(traj)]) == 0
+    assert cal.call_count == 1
 
 
 def stored_trajectory(tmp_path):

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+
+import banditstop.inference as inference
 
 from banditstop import (
     ConditionalSamplerConfig,
@@ -204,6 +208,22 @@ class TestRejectionSampler:
         assert s.arm0.shape[0] == s.arm1.shape[0] <= 200
         assert s.acceptance_rate == pytest.approx(s.arm0.shape[0] / s.attempts)
         assert s.acceptance_rate * cfg.max_attempts >= s.arm0.shape[0] - 1e-9
+
+    def test_batches_count_every_surrogate_batch(self):
+        config, record = run_small_record(k=6.5, n=30, seed=11)
+        cfg = ConditionalSamplerConfig(mode="resimulation_rejection", n_samples=100, max_attempts=400)
+        stop_times = []
+        original = inference.simulate_trajectory
+
+        def counted(*args, **kwargs):
+            trajectory = original(*args, **kwargs)
+            stop_times.append(trajectory.stop_time)
+            return trajectory
+
+        with mock.patch.object(inference, "simulate_trajectory", counted):
+            s = sample_conditional(record, None, cfg, seed=9)
+        assert len(stop_times) == s.attempts and s.batches == sum(stop_times) > s.attempts
+        assert sample_conditional(record, None, ConditionalSamplerConfig(), seed=9).batches == 0
 
     def test_determinism(self):
         config, record = run_small_record(k=6.5, n=30, seed=11)
