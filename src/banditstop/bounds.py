@@ -6,7 +6,9 @@ bound; `calibrate_tail_constant` pins it empirically on pilot replications so
 the bounds are usable at finite sample sizes.  The pilots run in lock-step:
 all of them advance one batch at a time together.  Each pilot draws from its
 own stream in the order a lone trajectory would, so the constant is the same,
-bit for bit, as pilots run one after another would give.
+bit for bit, as pilots run one after another would give.  `CHUNK_BYTES`
+bounds the pilots of one lock-step chunk, and the replications of one chunk
+of `simulate.simulate_ensemble`.
 """
 
 from __future__ import annotations
@@ -292,6 +294,19 @@ def chunk_members(batch_size: int, dim: int) -> int:
     return max(1, CHUNK_BYTES // (8 * batch_size * (dim + 4)))
 
 
+def lock_step_batch(spec, model, policy, clip_schedule, batch_size, t, rngs, xx, xy):
+    """Batch t of stacked members whose per-arm X'X and X'y are xx and xy:
+    their contexts (R, n, d), arm-1 masks (R, n) and rewards (R, n).  Each
+    member draws contexts, action uniforms and reward noise from its own
+    generator, in the order of a lone trajectory."""
+    x = stacked_contexts(spec, batch_size, rngs)
+    pre = stacked_probabilities(policy, t, x, xx, xy)
+    level = clip_schedule.value(t)
+    post = np.minimum(np.maximum(pre, level), 1.0 - level)
+    arm1 = np.stack([rng.random(batch_size) for rng in rngs]) < post
+    return x, arm1, stacked_rewards(model, x, arm1, rngs)
+
+
 def _lock_step_deviations(
     spec: ContextSpec,
     model: TrueModel,
@@ -307,13 +322,7 @@ def _lock_step_deviations(
     xx = np.zeros((len(rngs), 2, dim, dim))
     xy = np.zeros((len(rngs), 2, dim))
     for t in range(1, t_ref + 1):
-        x = stacked_contexts(spec, batch_size, rngs)
-        pre = stacked_probabilities(policy, t, x, xx, xy)
-        level = clip_schedule.value(t)
-        post = np.minimum(np.maximum(pre, level), 1.0 - level)
-        uniforms = np.stack([rng.random(batch_size) for rng in rngs])
-        arm1 = uniforms < post
-        y = stacked_rewards(model, x, arm1, rngs)
+        x, arm1, y = lock_step_batch(spec, model, policy, clip_schedule, batch_size, t, rngs, xx, xy)
         w = np.stack([~arm1, arm1], axis=1).astype(float)
         gram, moment, _ = masked_sums(x[:, None], y[:, None], w)
         xx = xx + gram

@@ -17,6 +17,13 @@ squared residual over all units has the closed form
 ``sum (y - x'b)^2 = sum y^2 - 2 b'X'y + b'X'X b``; the sums keep e = y - x'ref
 in place of y, centred at the first usable batch estimate ref, so that the
 three terms do not cancel down to a small residual and lose its digits.
+
+Stacking: a batch's per-arm sums are zero-masked full-length products
+(:func:`masked_sums`, :func:`masked_rss`), which numpy rounds the same for
+one batch alone or for a stack of members' batches.  The lock-step engine of
+``simulate.simulate_ensemble`` fits a stack with :func:`fit_arms` and folds
+it into :class:`StackedSums`, whose fold and combined estimate mirror
+:meth:`ArmSums.add` and :func:`ivw_combine` member by member, bit for bit.
 """
 
 from __future__ import annotations
@@ -184,11 +191,15 @@ class StackedSums:
     ref: np.ndarray
     xe: np.ndarray
     ee: np.ndarray
+    t: int = 0
 
     @classmethod
     def empty(cls, members: int, dim: int) -> "StackedSums":
-        lone = (np.asarray(getattr(ArmSums.empty(dim), f.name)) for f in fields(cls))
+        lone = (np.asarray(getattr(ArmSums.empty(dim), f.name)) for f in fields(ArmSums))
         return cls(*(np.zeros((members, 2) + z.shape, z.dtype) for z in lone))
+
+    def __len__(self) -> int:
+        return self.t
 
     def add(self, fit: StackedFit) -> None:
         # Both branches of `ArmSums.add` for every arm; `usable` picks one.
@@ -213,18 +224,20 @@ class StackedSums:
         self.xx = self.xx + gram
         self.xy = self.xy + fit.moment
         self.count = self.count + fit.count
+        self.t += 1
 
     def take(self, keep: np.ndarray) -> "StackedSums":
         """The members where `keep` is True."""
-        return StackedSums(*(getattr(self, f.name)[keep] for f in fields(self)))
+        return StackedSums(*(getattr(self, f.name)[keep] for f in fields(ArmSums)), t=self.t)
 
-    def member(self, k: int, t: int) -> RunningSums:
-        """Member k's sums after t batches, as one trajectory's RunningSums."""
-        arm0, arm1 = (ArmSums(**{f.name: getattr(self, f.name)[k, a] for f in fields(self)}) for a in (0, 1))
-        return RunningSums(arm0, arm1, t)
+    def member(self, k: int) -> RunningSums:
+        """Member k's sums, as one trajectory's RunningSums."""
+        arm0, arm1 = (ArmSums(**{f.name: getattr(self, f.name)[k, a] for f in fields(ArmSums)}) for a in (0, 1))
+        return RunningSums(arm0, arm1, self.t)
 
     def combine(self, sigma_mode: SigmaMode, batch_size: int):
-        """`ivw_combine` of every member: whether it has the estimate (R,),
+        """`ivw_combine` of every member (which calls this for a StackedSums):
+        whether it has the estimate (R,),
         and the estimates (R, 2, d) and scaled variances (R, 2, d, d), zero
         where it has not.  The Cholesky solves and inverses run per member."""
         ok = ((self.usable > 0) & is_invertible_gram(self.gram)).all(axis=-1)
@@ -416,7 +429,10 @@ def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> Iv
     """The Gram-weighted estimate of the batches summed so far, with its
     scaled variance ``batch_size * (sum of contributing Grams)^{-1} * factor``:
     sigma^2 with a known noise scale, else the arm's mean squared residual
-    against its combined estimate."""
+    against its combined estimate.  Stacked sums give `StackedSums.combine`
+    of all members at once."""
+    if isinstance(sums, StackedSums):
+        return sums.combine(sigma_mode, batch_size)
     if not sums:
         raise EstimatorUnavailable("no batch fits supplied")
     beta0 = _arm_estimate(sums, 0)

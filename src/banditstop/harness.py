@@ -13,7 +13,9 @@ emitted byte except the single `generated_at` field in summary.json.
 Replication r uses seed derive_seed(master_seed, r); within a replication the
 trajectory, the regret oracle, and inference run on independent named
 sub-streams.  Replications may execute in any order; the
-reducer sorts by replication index.
+reducer sorts by replication index.  `run_replications` runs several
+replications in lock-step (`simulate.simulate_ensemble`), which gives each
+the trajectory it gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -375,7 +377,7 @@ def run_replications(
     if len(indices) == 1:
         records = [run_experiment(config, indices[0], prepared=prepared)]
     else:
-        rngs = [_trajectory_rng(config, r) for r in indices]
+        rngs = (_trajectory_rng(config, r) for r in indices)
         trajectories = simulate_ensemble(prepared.setup, config.model, rngs)
         records = [_record(config, prepared, r, traj) for r, traj in zip(indices, trajectories)]
     records.sort(key=lambda rec: rec.rep_index)

@@ -12,6 +12,10 @@ arithmetic. The kernels here call the LAPACK routines directly:
 - `eigvalsh` calls ``dsyevd(m, compute_v=0, lower=1)``, the routine that
   ``numpy.linalg.eigvalsh`` ends in (jobz ``'N'``, lower triangle).
 
+`is_invertible_gram` also takes a stack of Grams, for the lock-step engines;
+a stack goes through one ``numpy.linalg.eigvalsh`` call, which runs that same
+``dsyevd`` per matrix.
+
 Each wrapper copies its input to a Fortran-ordered buffer and passes it to
 the same routine with the same arguments, which does the same floating-point
 operations, so the results equal scipy's and numpy's bit for bit. numpy

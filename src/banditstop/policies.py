@@ -7,10 +7,10 @@ each arm's cumulative OLS estimate and X'X over all units so far.
 computed in closed form (Thompson included), so they are a pure function of
 the sums and the contexts.  `probabilities_from_estimates` holds the
 formulas once, for one trajectory or broadcast over stacked ones;
-`select_actions` clips them.  `stacked_probabilities` gives the
-probabilities of many members at once, for the lock-step pilots of
-`bounds` and the lock-step replications of `simulate.simulate_ensemble`.  The tests cross-check the Thompson closed form
-by posterior sampling (`tests/policy_oracle.py`).
+`select_actions` clips them.  `stacked_probabilities` gives those of many
+members at once, for the lock-step loops of `bounds` and `simulate`.  The
+tests cross-check the Thompson closed form by posterior sampling
+(`tests/policy_oracle.py`).
 """
 
 from __future__ import annotations

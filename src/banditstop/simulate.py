@@ -16,16 +16,17 @@ bit for bit, the one `simulate_trajectory` gives its generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .bounds import chunk_members
+from .bounds import chunk_members, lock_step_batch
 from .errors import EstimatorUnavailable
 from .estimators import BatchOlsFit, IvwEstimate, RunningSums, StackedFit, StackedSums, fit_arms
 from .estimators import fit_batch_ols, ivw_combine
-from .model import TrueModel, realize_rewards, sample_batch_contexts, stacked_contexts, stacked_rewards
-from .policies import select_actions, stacked_probabilities, update_state
+from .model import TrueModel, realize_rewards, sample_batch_contexts
+from .policies import select_actions, update_state
 from .records import SimulationSetup
 from .stopping import StopDecision, decide, evaluate
 
@@ -105,21 +106,20 @@ def simulate_trajectory(
 def simulate_ensemble(
     setup: SimulationSetup,
     model: TrueModel,
-    rngs: Sequence[np.random.Generator],
+    rngs: Iterable[np.random.Generator],
     *,
     t_limit: Optional[int] = None,
 ) -> Iterator[Trajectory]:
     """`simulate_trajectory` for each generator of `rngs`, in order, with the
     members run in lock-step.
 
-    Members run in chunks of `bounds.chunk_members`; a chunk is simulated
-    when its first trajectory is asked for, so a caller that uses each
-    trajectory as it comes holds one chunk at a time.  A chunk of one member
+    Members run in chunks of `bounds.chunk_members`; a chunk takes its
+    generators and is simulated when its first trajectory is asked for, so a
+    caller that uses each trajectory as it comes holds one chunk at a time.  A chunk of one member
     runs `simulate_trajectory`, which is faster alone.
     """
-    size = chunk_members(setup.batch_size, model.dim)
-    for start in range(0, len(rngs), size):
-        chunk = rngs[start : start + size]
+    size, rngs = chunk_members(setup.batch_size, model.dim), iter(rngs)
+    while chunk := list(islice(rngs, size)):
         if len(chunk) == 1:
             yield simulate_trajectory(setup, model, chunk[0], t_limit=t_limit)
         else:
@@ -141,20 +141,17 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
     while live.size:
         t += 1
         members = [rngs[i] for i in live]
-        x = stacked_contexts(setup.context, n, members)
-        pre = stacked_probabilities(setup.policy, t, x, sums.xx, sums.xy)
-        level = setup.clip.value(t)
-        post = np.minimum(np.maximum(pre, level), 1.0 - level)
-        actions = np.stack([rng.random(n) for rng in members]) < post
-        y = stacked_rewards(model, x, actions, members)
-        fit = fit_arms(x, y, np.stack([~actions, actions], axis=1))
+        x, arm1, y = lock_step_batch(
+            setup.context, model, setup.policy, setup.clip, n, t, members, sums.xx, sums.xy
+        )
+        fit = fit_arms(x, y, np.stack([~arm1, arm1], axis=1))
         sums.add(fit)
         batches.append(fit)
         rows.append(np.full(len(rngs), -1))
         rows[-1][live] = np.arange(live.size)
 
+        ok, beta, var = ivw_combine(sums, setup.sigma_mode, n)
         if online:
-            ok, beta, var = sums.combine(setup.sigma_mode, n)
             norms = np.linalg.eigvalsh(var)[..., -1].tolist()
         stop = np.zeros(live.size, dtype=bool)
         for k, i in enumerate(live):
@@ -162,15 +159,11 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
             traces[i].append(decide(rule, t, cur, prev[i]))
             prev[i] = cur
             stop[k] = traces[i][-1].stop or t == horizon
-        if not stop.any():
-            continue
-        if not online:
-            ok, beta, var = sums.combine(setup.sigma_mode, n)
         for k in np.flatnonzero(stop):
             ivw = None
             if ok[k]:
                 ivw = IvwEstimate(beta[k, 0], beta[k, 1], var[k, 0], var[k, 1], t, n, setup.sigma_mode)
-            ends[live[k]] = (sums.member(k, t), ivw)
+            ends[live[k]] = (sums.member(k), ivw)
         live, sums = live[~stop], sums.take(~stop)
 
     # Each member's fits are built as its trajectory is handed out, so a
