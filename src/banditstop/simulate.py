@@ -150,6 +150,9 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
         rows.append(np.full(len(rngs), -1))
         rows[-1][live] = np.arange(live.size)
 
+        # Through `ivw_combine` (which hands stacked sums to `StackedSums.combine`)
+        # and every batch, as a lone trajectory does: perfbench's tracer
+        # wraps this name, and its growth metric needs the early batches too.
         ok, beta, var = ivw_combine(sums, setup.sigma_mode, n)
         if online:
             norms = np.linalg.eigvalsh(var)[..., -1].tolist()
