@@ -636,7 +636,8 @@ def emit_reports(
         traj_dir = os.path.join(out_dir, "trajectories")
         os.makedirs(traj_dir, exist_ok=True)
         for rec in sorted(records, key=lambda r: r.rep_index):
-            text = json.dumps(trajectory_payload(rec), indent=2, sort_keys=True) + "\n"
+            # One line, no indent: with `indent` json runs its pure-Python encoder.
+            text = json.dumps(trajectory_payload(rec), sort_keys=True) + "\n"
             _write_atomic(os.path.join(traj_dir, f"rep_{rec.rep_index:05d}.json"), text)
         written["trajectories"] = traj_dir
     return written

@@ -157,16 +157,24 @@ def sample_batch_contexts(spec: ContextSpec, n: int, rng: np.random.Generator) -
         raise ContractError("n must be >= 1")
     dist = spec.dist
     if isinstance(dist, UniformBox):
-        # What `rng.uniform(lower, upper, size)` computes, draw for draw,
-        # without its argument handling.
-        return dist.lower + (dist.upper - dist.lower) * rng.random((n, spec.dim))
+        # Scaled in place one coordinate column at a time: a broadcast against
+        # the trailing length-dim axis makes numpy's inner loop dim elements
+        # long, while each column is one loop over all n draws.
+        return _scale_to_box(rng.random((n, spec.dim)), dist)
     chol = np.linalg.cholesky(dist.cov)
     out = np.empty((n, spec.dim))
     filled = 0
     for _ in range(_TRUNCATION_MAX_ROUNDS):
         need = n - filled
-        draws = dist.mean + rng.standard_normal((max(need * 2, 16), spec.dim)) @ chol.T
-        keep = draws[np.max(np.abs(draws), axis=1) <= dist.bound]
+        draws = rng.standard_normal((max(need * 2, 16), spec.dim)) @ chol.T
+        # mean + z and max_j |x_j| <= bound, one column at a time as above:
+        # the same sums, and the same rows kept.
+        inside = np.ones(draws.shape[0], dtype=bool)
+        for j in range(spec.dim):
+            col = draws[:, j]
+            col += dist.mean[j]
+            inside &= np.abs(col) <= dist.bound
+        keep = draws[inside]
         take = min(keep.shape[0], need)
         out[filled : filled + take] = keep[:take]
         filled += take
@@ -207,9 +215,20 @@ def stacked_contexts(spec: ContextSpec, n: int, rngs) -> np.ndarray:
     """`sample_batch_contexts` from each generator, stacked as (R, n, dim)."""
     dist = spec.dist
     if isinstance(dist, UniformBox):
-        u = np.stack([rng.random((n, spec.dim)) for rng in rngs])
-        return dist.lower + (dist.upper - dist.lower) * u
+        return _scale_to_box(np.stack([rng.random((n, spec.dim)) for rng in rngs]), dist)
     return np.stack([sample_batch_contexts(spec, n, rng) for rng in rngs])
+
+
+def _scale_to_box(u: np.ndarray, box: UniformBox) -> np.ndarray:
+    """Map uniform [0, 1) draws u (..., dim) to the box in place, one column at
+    a time: u * width + lower, which is what `rng.uniform(lower, upper, size)`
+    computes, draw for draw, since IEEE + and * commute."""
+    width = box.upper - box.lower
+    for j in range(u.shape[-1]):
+        col = u[..., j]
+        col *= width[j]
+        col += box.lower[j]
+    return u
 
 
 def _unit_noise(rng: np.random.Generator, shape, family: str) -> np.ndarray:
@@ -227,13 +246,6 @@ def _rewards(model: TrueModel, contexts: np.ndarray, arm1: np.ndarray, noise: np
     return means + noise * scales
 
 
-def optimal_rewards(model: TrueModel, contexts: np.ndarray) -> np.ndarray:
-    """Per-context value of the better arm (no noise)."""
-    r0 = contexts @ model.beta0
-    r1 = contexts @ model.beta1
-    return np.maximum(r0, r1)
-
-
 def estimate_policy_regret(
     model: TrueModel,
     spec: ContextSpec,
@@ -244,12 +256,22 @@ def estimate_policy_regret(
     """Monte Carlo value gap of the plug-in policy sign(learned_difference . x).
 
     Averages, over fresh contexts, the reward the best arm earns minus the
-    reward of the arm the learned rule picks.
+    reward of the arm the learned rule picks: max(r0, r1) - chosen, with
+    r_a = x . beta_a.  That is |r1 - r0| where the rule picks the worse arm
+    and 0 where it picks the better one (or the arms tie), which is how it
+    is computed: three matrix-vector products, no masked select.  The
+    identity is exact in IEEE arithmetic while r1 - r0 is finite, since
+    a - b = -(b - a) and v * 1.0 = v; only the sign of an all-zero mean can
+    differ (0.0 against -0.0, which compare equal).  Where x . beta
+    overflows, an infinite gap times 0 is NaN where max-minus-chosen can be 0.
     """
     x = sample_batch_contexts(spec, mc_samples, rng)
-    picks_arm1 = x @ np.asarray(learned_difference, dtype=float) > 0
-    chosen = np.where(picks_arm1, x @ model.beta1, x @ model.beta0)
-    return float(np.mean(optimal_rewards(model, x) - chosen))
+    gap = x @ model.beta1
+    gap -= x @ model.beta0
+    wrong = (x @ np.asarray(learned_difference, dtype=float) > 0) != (gap > 0)
+    np.abs(gap, out=gap)
+    gap *= wrong
+    return float(np.mean(gap))
 
 
 def check_assumptions(

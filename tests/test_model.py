@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import regret_oracle
 from banditstop import (
     ConfigError,
     ContextSpec,
@@ -11,11 +12,14 @@ from banditstop import (
     TruncatedGaussian,
     UniformBox,
     check_assumptions,
+    estimate_policy_regret,
+    limit_arm_second_moment,
     make_rng,
     realize_rewards,
     sample_batch_contexts,
     uniform_cube_spec,
 )
+from banditstop.model import stacked_contexts
 
 
 class TestContextSampling:
@@ -104,6 +108,121 @@ def test_uniform_box_draws_equal_generator_uniform(box, n, seed):
     want = numpys.uniform(spec.dist.lower, spec.dist.upper, size=(n, lower.size))
     assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 told apart
     assert mine.random() == numpys.random()  # the stream is left at the same place
+
+
+def box_spec(box) -> ContextSpec:
+    lower, upper = box
+    sup = max(float(np.abs(np.concatenate([lower, upper])).max()), 1.0)
+    return ContextSpec(dim=lower.size, dist=UniformBox(lower, upper), sup_bound=sup)
+
+
+@st.composite
+def gaussians(draw):
+    """Truncated Gaussians whose acceptance rate stays above about 5%."""
+    dim = draw(st.integers(1, 4))
+    unit = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5))
+    mean = np.array(draw(st.lists(unit, min_size=dim, max_size=dim)))
+    lower = np.array(draw(st.lists(unit, min_size=dim * dim, max_size=dim * dim)))
+    scales = draw(st.lists(st.floats(0.2, 1.0), min_size=dim, max_size=dim))
+    chol = np.tril(lower.reshape(dim, dim), -1) + np.diag(scales)
+    bound = draw(st.floats(1.0, 3.0))
+    dist = TruncatedGaussian(mean=mean, cov=chol @ chol.T, bound=bound)
+    return ContextSpec(dim=dim, dist=dist, sup_bound=bound)
+
+
+def specs():
+    return st.one_of(boxes().map(box_spec), gaussians())
+
+
+SEEDS = st.integers(0, 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=gaussians(), n=st.integers(1, 300), seed=SEEDS)
+def test_truncated_gaussian_draws_equal_broadcast_form(spec, n, seed):
+    mine, theirs = make_rng(seed), make_rng(seed)
+    got = sample_batch_contexts(spec, n, mine)
+    want, rounds = regret_oracle.truncated_gaussian_draws(spec, n, theirs)
+    event(f"rejection rounds > 1: {rounds > 1}")
+    assert got.tobytes() == want.tobytes()  # the same rows kept, in order
+    assert mine.random() == theirs.random()
+
+
+def test_truncated_gaussian_draws_equal_over_many_rejection_rounds():
+    # About 5% of draws fall in the box, so filling 500 rows takes many rounds.
+    spec = ContextSpec(
+        dim=2, dist=TruncatedGaussian(mean=[0.2, -0.1], cov=np.eye(2), bound=0.3), sup_bound=0.3
+    )
+    mine, theirs = make_rng(21), make_rng(21)
+    got = sample_batch_contexts(spec, 500, mine)
+    want, rounds = regret_oracle.truncated_gaussian_draws(spec, 500, theirs)
+    assert rounds > 5
+    assert got.tobytes() == want.tobytes()
+    assert mine.random() == theirs.random()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=specs(), n=st.integers(1, 40), members=st.integers(1, 4), seed=SEEDS)
+def test_stacked_contexts_equal_stacked_lone_draws(spec, n, members, seed):
+    mine = [make_rng(seed + i) for i in range(members)]
+    lone = [make_rng(seed + i) for i in range(members)]
+    got = stacked_contexts(spec, n, mine)
+    want = np.stack([sample_batch_contexts(spec, n, rng) for rng in lone])
+    assert got.tobytes() == want.tobytes()
+    assert [rng.random() for rng in mine] == [rng.random() for rng in lone]
+
+
+# With box ends up to 1e300 in size, x . beta and r1 - r0 stay finite.
+COEFFICIENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300]), st.floats(-10.0, 10.0, allow_subnormal=True)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    spec=specs(),
+    learned=st.sampled_from(["zero", "difference", "negated", "random"]),
+    mc_samples=st.sampled_from([1, 2, 7, 20_000]),
+    seed=SEEDS,
+)
+def test_policy_regret_equals_max_minus_chosen(data, spec, learned, mc_samples, seed):
+    vector = st.lists(COEFFICIENTS, min_size=spec.dim, max_size=spec.dim).map(np.array)
+    beta0 = data.draw(vector)
+    beta1 = beta0.copy() if data.draw(st.booleans()) else data.draw(vector)
+    model = TrueModel(beta0=beta0, beta1=beta1)
+    difference = beta1 - beta0
+    learned_difference = {
+        "zero": np.zeros(spec.dim),
+        "difference": difference,
+        "negated": -difference,
+        "random": data.draw(vector),
+    }[learned]
+    mine, theirs = make_rng(seed), make_rng(seed)
+    got = estimate_policy_regret(model, spec, learned_difference, mc_samples, mine)
+    want = regret_oracle.policy_regret(model, spec, learned_difference, mc_samples, theirs)
+    assert got == want
+    assert mine.random() == theirs.random()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    spec=specs(),
+    clip_floor=st.floats(0.0, 0.5),
+    arm=st.sampled_from([0, 1]),
+    mc_samples=st.sampled_from([1, 2, 7, 2_000]),
+    seed=SEEDS,
+)
+def test_limit_arm_second_moment_equals_broadcast_form(data, spec, clip_floor, arm, mc_samples, seed):
+    vector = st.lists(st.floats(-10.0, 10.0), min_size=spec.dim, max_size=spec.dim).map(np.array)
+    model = TrueModel(beta0=data.draw(vector), beta1=data.draw(vector))
+    mine, theirs = make_rng(seed), make_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # x x' of 1e300-sized boxes overflows
+        got = limit_arm_second_moment(spec, model, clip_floor, arm, mc_samples, mine)
+        want = regret_oracle.limit_arm_second_moment(spec, model, clip_floor, arm, mc_samples, theirs)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert mine.random() == theirs.random()
 
 
 class TestRewards:
