@@ -97,23 +97,21 @@ def boxes(draw):
     return lower, upper
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(box=boxes(), n=st.integers(1, 50), seed=st.integers(0, 2**63 - 1))
-def test_uniform_box_draws_equal_generator_uniform(box, n, seed):
-    lower, upper = box
-    sup = max(float(np.abs(np.concatenate([lower, upper])).max()), 1.0)
-    spec = ContextSpec(dim=lower.size, dist=UniformBox(lower, upper), sup_bound=sup)
-    mine, numpys = make_rng(seed), make_rng(seed)
-    got = sample_batch_contexts(spec, n, mine)
-    want = numpys.uniform(spec.dist.lower, spec.dist.upper, size=(n, lower.size))
-    assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 told apart
-    assert mine.random() == numpys.random()  # the stream is left at the same place
-
-
 def box_spec(box) -> ContextSpec:
     lower, upper = box
     sup = max(float(np.abs(np.concatenate([lower, upper])).max()), 1.0)
     return ContextSpec(dim=lower.size, dist=UniformBox(lower, upper), sup_bound=sup)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(box=boxes(), n=st.integers(1, 50), seed=st.integers(0, 2**63 - 1))
+def test_uniform_box_draws_equal_generator_uniform(box, n, seed):
+    spec = box_spec(box)
+    mine, numpys = make_rng(seed), make_rng(seed)
+    got = sample_batch_contexts(spec, n, mine)
+    want = numpys.uniform(spec.dist.lower, spec.dist.upper, size=(n, spec.dim))
+    assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 told apart
+    assert mine.random() == numpys.random()  # the stream is left at the same place
 
 
 @st.composite
