@@ -469,9 +469,4 @@ def limit_arm_second_moment(
     favors_arm = gap > 0 if arm == 1 else gap < 0
     against = gap < 0 if arm == 1 else gap > 0
     w = np.where(favors_arm, 1.0 - clip_floor, np.where(against, clip_floor, 0.5))
-    # x * w[:, None], one column at a time: each is one loop over all draws
-    # rather than mc_samples loops of length dim.
-    xw = np.empty_like(x)
-    for j in range(x.shape[1]):
-        np.multiply(x[:, j], w, out=xw[:, j])
-    return xw.T @ x / mc_samples
+    return (x * w[:, None]).T @ x / mc_samples

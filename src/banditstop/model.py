@@ -166,15 +166,8 @@ def sample_batch_contexts(spec: ContextSpec, n: int, rng: np.random.Generator) -
     filled = 0
     for _ in range(_TRUNCATION_MAX_ROUNDS):
         need = n - filled
-        draws = rng.standard_normal((max(need * 2, 16), spec.dim)) @ chol.T
-        # mean + z and max_j |x_j| <= bound, one column at a time as above:
-        # the same sums, and the same rows kept.
-        inside = np.ones(draws.shape[0], dtype=bool)
-        for j in range(spec.dim):
-            col = draws[:, j]
-            col += dist.mean[j]
-            inside &= np.abs(col) <= dist.bound
-        keep = draws[inside]
+        draws = dist.mean + rng.standard_normal((max(need * 2, 16), spec.dim)) @ chol.T
+        keep = draws[np.max(np.abs(draws), axis=1) <= dist.bound]
         take = min(keep.shape[0], need)
         out[filled : filled + take] = keep[:take]
         filled += take

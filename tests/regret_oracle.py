@@ -1,37 +1,16 @@
-"""Broadcast reference forms of the draw-sized Monte Carlo paths.
+"""Broadcast reference form of the regret Monte Carlo.
 
-`banditstop.model` scales context draws and tests the truncation box one
-coordinate column at a time, `estimate_policy_regret` computes the value gap
-as |r1 - r0| where the learned rule picks the worse arm, and
-`limit_arm_second_moment` weights its draws column by column.  These are the
-whole-array forms those replaced; tests require equal bits from both.
+`banditstop.model` scales uniform-box context draws one coordinate column at
+a time, and `estimate_policy_regret` computes the value gap as |r1 - r0|
+where the learned rule picks the worse arm.  These are the whole-array forms
+those replaced; tests require equal bits from both.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from banditstop import ContextSpec, TrueModel, UniformBox
-
-_TRUNCATION_MAX_ROUNDS = 1000
-
-
-def truncated_gaussian_draws(spec: ContextSpec, n: int, rng: np.random.Generator):
-    """(n, dim) truncated-Gaussian contexts and the number of rejection rounds used."""
-    dist = spec.dist
-    chol = np.linalg.cholesky(dist.cov)
-    out = np.empty((n, spec.dim))
-    filled = 0
-    for rounds in range(1, _TRUNCATION_MAX_ROUNDS + 1):
-        need = n - filled
-        draws = dist.mean + rng.standard_normal((max(need * 2, 16), spec.dim)) @ chol.T
-        keep = draws[np.max(np.abs(draws), axis=1) <= dist.bound]
-        take = min(keep.shape[0], need)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-        if filled == n:
-            return out, rounds
-    raise AssertionError("acceptance rate too low for the oracle")
+from banditstop import ContextSpec, TrueModel, UniformBox, sample_batch_contexts
 
 
 def contexts(spec: ContextSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -39,7 +18,7 @@ def contexts(spec: ContextSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     dist = spec.dist
     if isinstance(dist, UniformBox):
         return dist.lower + (dist.upper - dist.lower) * rng.random((n, spec.dim))
-    return truncated_gaussian_draws(spec, n, rng)[0]
+    return sample_batch_contexts(spec, n, rng)
 
 
 def policy_regret(
@@ -56,19 +35,3 @@ def policy_regret(
     best = np.maximum(x @ model.beta0, x @ model.beta1)
     return float(np.mean(best - chosen))
 
-
-def limit_arm_second_moment(
-    spec: ContextSpec,
-    model: TrueModel,
-    clip_floor: float,
-    arm: int,
-    mc_samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """E[w(x) x x'] with the draws weighted by one broadcast."""
-    x = contexts(spec, mc_samples, rng)
-    gap = x @ model.arm_difference()
-    favors_arm = gap > 0 if arm == 1 else gap < 0
-    against = gap < 0 if arm == 1 else gap > 0
-    w = np.where(favors_arm, 1.0 - clip_floor, np.where(against, clip_floor, 0.5))
-    return (x * w[:, None]).T @ x / mc_samples
