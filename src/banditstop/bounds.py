@@ -270,10 +270,10 @@ def pilot_deviations(
     Pilot r runs on ``make_rng(derive_seed(seed, r))`` and draws contexts,
     action uniforms and reward noise in the order of a lone trajectory.  The
     pilots advance in lock-step, in chunks of `chunk_members` pilots.  Within
-    a batch, the draws from each pilot's stream and its Cholesky solves run
-    per pilot; the arms' X'X and X'y (zero-masked products,
-    `estimators.masked_sums`), the singularity checks, the policy formulas
-    and the clipping run once over the stacked pilots.
+    a batch, the draws from each pilot's stream run per pilot; the arms' X'X
+    and X'y (zero-masked products, `estimators.masked_sums`), the
+    singularity checks, the Cholesky solves, the policy formulas and the
+    clipping run once over the stacked pilots.
     """
     members = chunk_members(batch_size, model.dim)
     deviations = np.empty(replications)

@@ -239,18 +239,17 @@ class StackedSums:
         """`ivw_combine` of every member (which calls this for a StackedSums):
         whether it has the estimate (R,),
         and the estimates (R, 2, d) and scaled variances (R, 2, d, d), zero
-        where it has not.  The Cholesky solves and inverses run per member."""
+        where it has not.  The Cholesky solves and inverses run once over the
+        stack, with the identity in place of the Grams of members without."""
         ok = ((self.usable > 0) & is_invertible_gram(self.gram)).all(axis=-1)
         known = isinstance(sigma_mode, KnownSigma)
         if not known:
             ok &= (self.count > self.xy.shape[-1]).all(axis=-1)
+        has = ok[:, None, None, None]
+        gram = np.where(has, self.gram, np.eye(self.xy.shape[-1]))
         beta = np.where((self.usable == 1)[..., None], self.ref, 0.0)
-        inv = np.zeros_like(self.gram)
-        for r in np.flatnonzero(ok):
-            for a in (0, 1):
-                if self.usable[r, a] > 1:
-                    beta[r, a] = solve_spd(self.gram[r, a], self.weighted[r, a])
-                inv[r, a] = inverse_spd(self.gram[r, a])
+        beta = np.where(ok[:, None, None] & (self.usable > 1)[..., None], solve_spd(gram, self.weighted), beta)
+        inv = np.where(has, inverse_spd(gram), 0.0)
         if known:
             factor = np.full(ok.shape + (2,), sigma_mode.sigma**2)
         else:
@@ -367,14 +366,14 @@ def fit_arms(contexts: np.ndarray, rewards: np.ndarray, masks: np.ndarray) -> St
     """Per-arm OLS of one batch, or of one batch per member of a stack:
     contexts (..., n, d), rewards (..., n) and the arms' masks (..., 2, n)
     (bool).
-    The sums, the singularity checks and the residuals run once over the
-    stack; the Cholesky solves run per member and arm."""
+    The sums, the singularity checks, the Cholesky solves and the residuals
+    run once over the stack; singular Grams are solved as the identity and
+    their estimates zeroed."""
     x, y, w = contexts[..., None, :, :], rewards[..., None, :], masks.astype(float)
     gram, moment, sum_sq = masked_sums(x, y, w)
     usable = is_invertible_gram(gram)
-    beta = np.zeros(moment.shape)
-    for i in zip(*np.nonzero(usable)):
-        beta[i] = solve_spd(gram[i], moment[i])
+    solved = solve_spd(np.where(usable[..., None, None], gram, np.eye(gram.shape[-1])), moment)
+    beta = np.where(usable[..., None], solved, 0.0)
     rss = masked_rss(x, y, w, beta)
     return StackedFit(gram, moment, np.add.reduce(masks, axis=-1), sum_sq, usable, beta, rss)
 

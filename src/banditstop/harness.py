@@ -153,6 +153,9 @@ class ExperimentConfig:
             raise ConfigError("replications must be >= 1")
         if self.model.dim != self.context.dim:
             raise ConfigError("model dimension does not match the context spec")
+        l1 = sum(abs(v) for v in self.model.beta0.tolist() + self.model.beta1.tolist())
+        if not math.isfinite(self.context.sup_bound * l1):  # the bound on |x . beta|
+            raise ConfigError("model.beta0 and model.beta1 are too large: x . beta overflows at context.sup_bound")
         if self.stopping.kind.startswith("predetermined") and self.bounds is None:
             raise ConfigError("pre-determined rules need a bounds section")
         if self.hypothesis is not None:

@@ -1,34 +1,24 @@
 """Small dense symmetric-matrix helpers shared by policies and estimators.
 
-The batch loop factors and decomposes a handful of d×d matrices per batch,
-so the library wrappers around LAPACK (argument checks, array conversion,
-routine lookup, batching over leading dimensions) cost several times the
-arithmetic. The kernels here call the LAPACK routines directly:
-
-- `solve_spd` and `inverse_spd` call ``dpotrf(m, lower=1, clean=0)`` and
-  ``dpotrs(c, b, lower=1)``, the routines and arguments that
-  ``scipy.linalg.cho_factor(m, lower=True, check_finite=False)`` and
-  ``scipy.linalg.cho_solve`` end in;
-- `eigvalsh` calls ``dsyevd(m, compute_v=0, lower=1)``, the routine that
-  ``numpy.linalg.eigvalsh`` ends in (jobz ``'N'``, lower triangle).
-
-`is_invertible_gram` also takes a stack of Grams, for the lock-step engines;
-a stack goes through one ``numpy.linalg.eigvalsh`` call, which runs that same
-``dsyevd`` per matrix.
-
-Each wrapper copies its input to a Fortran-ordered buffer and passes it to
-the same routine with the same arguments, which does the same floating-point
-operations, so the results equal scipy's and numpy's bit for bit. numpy
-links its own OpenBLAS build, not scipy's, so `tests/test_linalg.py` checks
-the equality against both libraries as installed. Failures raise what scipy
-raises: `np.linalg.LinAlgError` with the leading-minor message when the
-matrix is not positive definite, and `ValueError` for an illegal argument.
+`solve_spd` and `inverse_spd` are one Cholesky kernel, generated per
+dimension as straight-line code in the textbook loop order using only +, -,
+*, / and sqrt.  It runs on floats for one (d, d) matrix and on numpy arrays,
+one per entry, for a stack (..., d, d); IEEE 754 rounds each operation the
+same either way, so a matrix gets the same bits stacked as alone
+(`tests/test_stack_invariance.py`).  It agrees with scipy's ``cho_solve`` to
+rounding and raises LAPACK's LinAlgError at the first pivot that is not > 0,
+NaN included (`tests/test_linalg.py`).  Only `eigvalsh` calls LAPACK:
+``dsyevd(m, compute_v=0, lower=1)``, as ``numpy.linalg.eigvalsh`` does, and
+`is_invertible_gram` runs numpy's on a stack.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
+from scipy.linalg.lapack import dsyevd
 
 from .errors import ContractError
 
@@ -65,28 +55,61 @@ def is_invertible_gram(gram: np.ndarray):
     return _invertible(eigs[..., 0], eigs[..., -1])
 
 
+@lru_cache(maxsize=None)
+def _kernel(dim: int, stacked: bool):
+    """For dimension `dim`, on floats or on arrays: `factor(m)`, from A's
+    entries in row-major order to L's; `solve(l, b)`, from those and b's
+    entries to x (``L z = b``, then ``L' x = z``); and `inverse(l)`, the
+    entries of ``(X + X') / 2`` for X solved against the identity."""
+
+    def assign(target, first, pairs, divisor=None):  # first - u0 * v0 - ..., left to right
+        value = first + "".join(f" - {u} * {v}" for u, v in pairs)
+        return f"    {target} = " + (f"({value}) / {divisor}" if divisor else value)
+
+    l, z = [[f"l{i}_{j}" for j in range(i + 1)] for i in range(dim)], [f"z{i}" for i in range(dim)]
+    lower, zs = ", ".join(sum(l, [])), ", ".join(z)
+    lines = ["def factor(m):", "    " + ", ".join(f"a{i}_{j}" for i in range(dim) for j in range(dim)) + ", = m"]
+    for j in range(dim):
+        lines += [
+            assign("p", f"a{j}_{j}", zip(l[j], l[j][:j])),
+            "    if not (p > 0).all():" if stacked else "    if not p > 0:",
+            f"        raise _error('{j + 1}-th leading minor of the array is not positive definite')",
+            f"    {l[j][j]} = _sqrt(p)",
+        ]
+        lines += [assign(l[i][j], f"a{i}_{j}", zip(l[i], l[j][:j]), l[j][j]) for i in range(j + 1, dim)]
+    lines += [f"    return {lower},", "def solve(l, b):", f"    {lower}, = l", f"    {zs}, = b"]
+    lines += [assign(z[i], z[i], zip(l[i], z[:i]), l[i][i]) for i in range(dim)]
+    lines += [assign(z[i], z[i], [(l[k][i], z[k]) for k in range(i + 1, dim)], l[i][i]) for i in reversed(range(dim))]
+    lines += [f"    return {zs},", "def inverse(l):"]
+    lines += [f"    x{c} = solve(l, {tuple(float(i == c) for i in range(dim))})" for c in range(dim)]
+    lines.append("    return " + "".join(f"0.5 * (x{j}[{i}] + x{i}[{j}]), " for i in range(dim) for j in range(dim)))
+    names = {"_error": np.linalg.LinAlgError, "_sqrt": np.sqrt if stacked else math.sqrt}
+    exec("\n".join(lines), names)
+    return names["factor"], names["solve"], names["inverse"]
+
+
+def _entries(matrix: np.ndarray) -> np.ndarray:
+    """A stack's (..., d, d) entries as d * d arrays (...), in row-major order."""
+    return np.moveaxis(matrix.reshape(matrix.shape[:-2] + (-1,)), -1, 0)
+
+
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` for symmetric positive definite input via Cholesky."""
-    c, info = dpotrf(matrix, lower=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-    if info < 0:
-        raise ValueError(
-            f"LAPACK reported an illegal value in {-info}-th argument "
-            f'on entry to "POTRF".'
-        )
-    x, info = dpotrs(c, rhs, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return x
+    """Solve ``matrix @ x = rhs`` for symmetric positive definite input via
+    Cholesky: one (d, d) matrix with rhs (d,), or a stack (..., d, d) with
+    rhs (..., d)."""
+    factor, solve, _ = _kernel(matrix.shape[-1], matrix.ndim > 2)
+    if matrix.ndim == 2:
+        return np.array(solve(factor(matrix.ravel().tolist()), rhs.tolist()))
+    return np.stack(solve(factor(_entries(matrix)), np.moveaxis(rhs, -1, 0)), axis=-1)
 
 
 def inverse_spd(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, via factorization."""
-    inv = solve_spd(matrix, np.eye(matrix.shape[0]))
-    return 0.5 * (inv + inv.T)
+    """Inverse of a symmetric positive definite matrix, or of each of a
+    stack: the solves against the identity, X, symmetrized as (X + X') / 2."""
+    factor, _, inverse = _kernel(matrix.shape[-1], matrix.ndim > 2)
+    if matrix.ndim == 2:
+        return np.array(inverse(factor(matrix.ravel().tolist()))).reshape(matrix.shape)
+    return np.stack(inverse(factor(_entries(matrix))), axis=-1).reshape(matrix.shape)
 
 
 def require_symmetric(matrix: np.ndarray, what: str = "matrix") -> np.ndarray:

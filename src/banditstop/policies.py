@@ -148,17 +148,14 @@ def stacked_probabilities(
 def stacked_estimates(xx: np.ndarray, xy: np.ndarray, with_inverses: bool):
     """Which members have both arms' X'X invertible (R,), their cumulative
     OLS estimates (R, 2, d) and, if asked, the inverses of X'X (R, 2, d, d),
-    else None; zeros for the other members.  One stacked singularity check;
-    the Cholesky solves of `ArmSums.ols_estimate` run per member."""
+    else None; zeros for the other members.  The singularity check and the
+    Cholesky solves run once over the stack, with the identity in place of
+    the other members' X'X."""
     usable = is_invertible_gram(xx).all(axis=-1)
-    b = np.zeros_like(xy)
-    inv = np.zeros_like(xx) if with_inverses else None
-    for r in np.flatnonzero(usable):
-        for arm in (0, 1):
-            b[r, arm] = solve_spd(xx[r, arm], xy[r, arm])
-            if with_inverses:
-                inv[r, arm] = inverse_spd(xx[r, arm])
-    return usable, b, inv
+    keep = usable[:, None, None, None]
+    xx = np.where(keep, xx, np.eye(xx.shape[-1]))
+    inv = np.where(keep, inverse_spd(xx), 0.0) if with_inverses else None
+    return usable, np.where(keep[..., 0], solve_spd(xx, xy), 0.0), inv
 
 
 def needs_inverses(kind: PolicyKind) -> bool:

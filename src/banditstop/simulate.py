@@ -6,11 +6,11 @@ rejection sampler.
 `simulate_trajectory` runs one trajectory.  `simulate_ensemble` runs many in
 lock-step: a chunk of members advances one batch at a time, and stopped
 members leave the stack.  Each member draws its contexts, action uniforms
-and reward noise from its own generator in the order of a lone trajectory,
-and its Cholesky solves run alone; every other step runs once over a
-(members, arms) stack, in forms that round the same stacked or alone
-(`tests/test_stack_invariance.py`).  So each member's trajectory equals,
-bit for bit, the one `simulate_trajectory` gives its generator.
+and reward noise from its own generator in the order of a lone trajectory;
+every other step, the Cholesky solves included (`linalg.solve_spd`), runs
+once over a (members, arms) stack, in forms that round the same stacked or
+alone (`tests/test_stack_invariance.py`).  So each member's trajectory
+equals, bit for bit, the one `simulate_trajectory` gives its generator.
 """
 
 from __future__ import annotations
@@ -156,10 +156,11 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
         ok, beta, var = ivw_combine(sums, setup.sigma_mode, n)
         if online:
             norms = np.linalg.eigvalsh(var)[..., -1].tolist()
+        fixed = None if online else decide(rule, t)  # a pre-determined rule reads no data
         stop = np.zeros(live.size, dtype=bool)
         for k, i in enumerate(live):
             cur = tuple(norms[k]) if online and ok[k] else None
-            traces[i].append(decide(rule, t, cur, prev[i]))
+            traces[i].append(decide(rule, t, cur, prev[i]) if online else fixed)
             prev[i] = cur
             stop[k] = traces[i][-1].stop or t == horizon
         for k in np.flatnonzero(stop):

@@ -140,6 +140,22 @@ def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
     assert not out_dir.exists()
 
 
+def test_overflowing_rewards_exit_2(tmp_path, capsys):
+    # x . beta1 reaches -1e600: the regret Monte Carlo would read NaN.
+    data = json.loads(DEMO_CONFIG.read_text())
+    data["context"]["sup_bound"] = 1e300
+    data["context"]["dist"]["lower"] = [-1e300, -1.0]
+    data["model"]["beta1"] = [1e300, 0.0]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out_dir = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err.lower() and "model.beta1" in err
+    assert not out_dir.exists()
+
+
 def test_runtime_error_exit_code_with_per_rep_detail(tmp_path):
     cfg_path = tmp_path / "config.json"
     write_config(

@@ -1,7 +1,9 @@
-"""The direct LAPACK kernels in `banditstop.linalg` against the library calls
-they replace: numpy's `eigvalsh` and scipy's `cho_factor`/`cho_solve`,
-compared bit for bit on small Grams, singular and badly scaled ones included;
-and the stacked singularity check against the per-matrix one."""
+"""The kernels in `banditstop.linalg` against the library calls they stand
+for: `eigvalsh` against numpy's, bit for bit, on small Grams, singular and
+badly scaled ones included; the Cholesky kernel against scipy's
+`cho_factor`/`cho_solve`, within a condition-scaled tolerance, and with
+LAPACK's error where the matrix is not positive definite; and the stacked
+singularity check against the per-matrix one."""
 
 import numpy as np
 import pytest
@@ -45,27 +47,66 @@ def reference_cholesky(matrix):
         return exc
 
 
+def assert_close_to_solution(got, want, gram):
+    """Both solves are backward stable, so each is within a few units of
+    d * cond * eps of the exact solution, relative to its norm."""
+    tol = 8 * gram.shape[0] * np.linalg.cond(gram) * np.finfo(float).eps
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(grams())
 def test_kernels_equal_library_calls(case):
     gram, rhs = case
     eigs = np.linalg.eigvalsh(gram)
     assert np.array_equal(linalg.eigvalsh(gram), eigs)
-    assert linalg.is_invertible_gram(gram) == bool(
-        eigs[0] > linalg.GRAM_SINGULARITY_RTOL * max(eigs[-1], 1.0)
-    )
-
-    cho = reference_cholesky(gram)
-    if isinstance(cho, np.linalg.LinAlgError):
-        for call in (lambda: linalg.solve_spd(gram, rhs), lambda: linalg.inverse_spd(gram)):
-            with pytest.raises(np.linalg.LinAlgError) as raised:
-                call()
-            assert str(raised.value) == str(cho)
+    invertible = linalg.is_invertible_gram(gram)
+    assert invertible == bool(eigs[0] > linalg.GRAM_SINGULARITY_RTOL * max(eigs[-1], 1.0))
+    if not invertible:
+        # The package solves only Grams that pass the check; below it, rounding
+        # decides whether a pivot comes out > 0, differently in each kernel.
         return
-    want = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-    assert np.array_equal(linalg.solve_spd(gram, rhs), want)
-    inv = scipy.linalg.cho_solve(cho, np.eye(gram.shape[0]), check_finite=False)
-    assert np.array_equal(linalg.inverse_spd(gram), 0.5 * (inv + inv.T))
+    cho = reference_cholesky(gram)
+    assert_close_to_solution(linalg.solve_spd(gram, rhs), scipy.linalg.cho_solve(cho, rhs), gram)
+    inv = scipy.linalg.cho_solve(cho, np.eye(gram.shape[0]))
+    assert_close_to_solution(linalg.inverse_spd(gram), 0.5 * (inv + inv.T), gram)
+
+
+@st.composite
+def not_positive_definite(draw):
+    """L D L' with unit lower L and a diagonal D whose entries are positive
+    before the k-th, which is negative, or a k-th row and column of zeros:
+    the k-th pivot is not > 0 whatever the rounding."""
+    dim = draw(st.integers(1, 4))
+    k = draw(st.integers(1, dim))
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lower = np.tril(rng.uniform(-1.0, 1.0, size=(dim, dim)), -1) + np.eye(dim)
+    d = rng.uniform(0.5, 2.0, size=dim)
+    d[k - 1] = -d[k - 1]
+    m = scale * (lower * d) @ lower.T
+    if draw(st.booleans()):
+        m[k - 1, :] = m[:, k - 1] = 0.0
+    return k, m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(not_positive_definite())
+def test_not_positive_definite_raises_lapacks_error(case):
+    k, m = case
+    cho = reference_cholesky(m)
+    assert isinstance(cho, np.linalg.LinAlgError)
+    assert str(cho) == f"{k}-th leading minor of the array is not positive definite"
+    stack = np.stack([np.eye(m.shape[0]), m])
+    for call in (
+        lambda: linalg.solve_spd(m, np.ones(m.shape[0])),
+        lambda: linalg.inverse_spd(m),
+        lambda: linalg.solve_spd(stack, np.ones(stack.shape[:-1])),
+        lambda: linalg.inverse_spd(stack),
+    ):
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            call()
+        assert str(raised.value) == str(cho)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -83,3 +124,11 @@ def test_stacked_singularity_checks_equal_per_matrix(cases):
 def test_zero_gram_fails_at_the_first_minor():
     with pytest.raises(np.linalg.LinAlgError, match="^1-th leading minor"):
         linalg.solve_spd(np.zeros((2, 2)), np.ones(2))
+
+
+def test_nan_pivot_fails():
+    # Reference LAPACK's dpotrf2 fails a NaN pivot; OpenBLAS's potrf lets it through.
+    m = np.array([[4.0, 1.0], [1.0, np.nan]])
+    for call in (lambda: linalg.solve_spd(m, np.ones(2)), lambda: linalg.inverse_spd(m[None])):
+        with pytest.raises(np.linalg.LinAlgError, match="^2-th leading minor"):
+            call()

@@ -95,3 +95,28 @@ def test_stacked_eigvalsh_equals_dsyevd(case):
     eigs = np.linalg.eigvalsh(g)
     for r, a in each(len(g)):
         assert np.array_equal(eigs[r, a], linalg.eigvalsh(g[r, a]))
+
+
+@st.composite
+def spd_stacks(draw):
+    """Stacks (R, 2, d, d) of Grams at scales 1e-8 to 1e8, the singular ones
+    replaced by the identity as the engines replace them, with right-hand
+    sides (R, 2, d)."""
+    members = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, 2 * dim + 2, size=(members, 2, 1, 1))
+    x = rng.normal(size=(members, 2, 2 * dim + 1, dim)) * (np.arange(2 * dim + 1)[:, None] < rows)
+    gram = (np.swapaxes(x, -1, -2) @ x) * 10.0 ** rng.integers(-8, 9, size=(members, 2, 1, 1))
+    gram = np.where(linalg.is_invertible_gram(gram)[..., None, None], gram, np.eye(dim))
+    return gram, rng.normal(size=(members, 2, dim))
+
+
+@SETTINGS
+@given(spd_stacks())
+def test_stacked_cholesky_equals_lone(case):
+    gram, rhs = case
+    solved, inv = linalg.solve_spd(gram, rhs), linalg.inverse_spd(gram)
+    for r, a in each(len(gram)):
+        assert np.array_equal(solved[r, a], linalg.solve_spd(gram[r, a], rhs[r, a]))
+        assert np.array_equal(inv[r, a], linalg.inverse_spd(gram[r, a]))
