@@ -230,17 +230,12 @@ class StackedSums:
         """The members where `keep` is True."""
         return StackedSums(*(getattr(self, f.name)[keep] for f in fields(ArmSums)), t=self.t)
 
-    def member(self, k: int) -> RunningSums:
-        """Member k's sums, as one trajectory's RunningSums."""
-        arm0, arm1 = (ArmSums(**{f.name: getattr(self, f.name)[k, a] for f in fields(ArmSums)}) for a in (0, 1))
-        return RunningSums(arm0, arm1, self.t)
-
     def combine(self, sigma_mode: SigmaMode, batch_size: int):
         """`ivw_combine` of every member (which calls this for a StackedSums):
-        whether it has the estimate (R,),
-        and the estimates (R, 2, d) and scaled variances (R, 2, d, d), zero
-        where it has not.  The Cholesky solves and inverses run once over the
-        stack, with the identity in place of the Grams of members without."""
+        whether it has the estimate (R,), the estimates (R, 2, d) and scaled
+        variances (R, 2, d, d), zero where it has not, and the noise scales
+        (R, 2).  The Cholesky solves and inverses run once over the stack,
+        with the identity in place of the Grams of members without."""
         ok = ((self.usable > 0) & is_invertible_gram(self.gram)).all(axis=-1)
         known = isinstance(sigma_mode, KnownSigma)
         if not known:
@@ -252,13 +247,15 @@ class StackedSums:
         inv = np.where(has, inverse_spd(gram), 0.0)
         if known:
             factor = np.full(ok.shape + (2,), sigma_mode.sigma**2)
+            sd = np.full(ok.shape + (2,), sigma_mode.sigma)
         else:
             # `ArmSums.squared_residual` over the count, max(., 0) as Python's;
             # members without the estimate get a finite stand-in.
             delta = beta - self.ref
             sq = self.ee - 2.0 * _dot(delta, self.xe) + _quad(delta, self.xx)
             factor = np.where(0.0 > sq, 0.0, sq) / np.maximum(self.count, 1)
-        return ok, beta, batch_size * inv * factor[..., None, None]
+            sd = np.sqrt(factor)
+        return ok, beta, batch_size * inv * factor[..., None, None], sd
 
 
 # m @ v, u @ v and v @ m @ v over stacks of vectors (..., d) and matrices (..., d, d).
@@ -282,9 +279,11 @@ class IvwEstimate:
     beta1: np.ndarray
     var0: np.ndarray  # batch-size-scaled variance matrix, see module docstring
     var1: np.ndarray
-    batches_used: int
     batch_size: int
-    sigma_mode: SigmaMode
+    # Per-arm noise sd the variances were scaled with: the known sigma, or the
+    # root mean squared residual.  None only when read from a trajectory file
+    # that stored none.
+    noise_sd: Optional[tuple[float, float]]
 
     def beta(self, arm: int) -> np.ndarray:
         return self.beta1 if arm == 1 else self.beta0
@@ -347,19 +346,6 @@ class StackedFit(NamedTuple):
     usable: np.ndarray
     beta: np.ndarray
     rss: np.ndarray
-
-    def member(self, batch_index: int, k: int) -> BatchOlsFit:
-        """Member k's BatchOlsFit."""
-        usable, count, rss, sum_sq = (a[k].tolist() for a in (self.usable, self.count, self.rss, self.sum_sq))
-        gram, moment, beta = self.gram[k], self.moment[k], self.beta[k]
-        arm0, arm1 = (
-            ArmFit(
-                beta[a] if usable[a] else None, gram[a], count[a],
-                rss[a] if usable[a] else None, moment[a], sum_sq[a],
-            )
-            for a in (0, 1)
-        )
-        return BatchOlsFit(batch_index, arm0, arm1)
 
 
 def fit_arms(contexts: np.ndarray, rewards: np.ndarray, masks: np.ndarray) -> StackedFit:
@@ -438,16 +424,17 @@ def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> Iv
     beta1 = _arm_estimate(sums, 1)
     if isinstance(sigma_mode, KnownSigma):
         factors = (sigma_mode.sigma**2, sigma_mode.sigma**2)
+        noise_sd = (sigma_mode.sigma, sigma_mode.sigma)
     else:
         factors = residual_noise_factors(sums, beta0, beta1)
+        noise_sd = (math.sqrt(factors[0]), math.sqrt(factors[1]))
     return IvwEstimate(
         beta0=beta0,
         beta1=beta1,
         var0=batch_size * inverse_spd(sums.arm0.gram) * factors[0],
         var1=batch_size * inverse_spd(sums.arm1.gram) * factors[1],
-        batches_used=len(sums),
         batch_size=batch_size,
-        sigma_mode=sigma_mode,
+        noise_sd=noise_sd,
     )
 
 

@@ -35,15 +35,14 @@ from . import bounds as bounds_mod
 from .bounds import (
     AdditiveCost,
     BoundConstants,
-    CostAdjustedRegret,
     CostMode,
     ThresholdCost,
     cost_adjusted_regret,
     regret_bound_from_variance,
     regret_bound_time,
 )
-from .errors import ConfigError, EstimatorUnavailable, InfeasibleConditioning
-from .estimators import IvwEstimate, KnownSigma, ResidualSigma, SigmaMode, residual_noise_factors
+from .errors import ConfigError, InfeasibleConditioning
+from .estimators import IvwEstimate, KnownSigma, ResidualSigma, SigmaMode
 from .inference import ConditionalSamplerConfig, run_inference
 from .model import (
     ContextSpec,
@@ -295,26 +294,15 @@ def _record(
     config: ExperimentConfig, prepared: PreparedExperiment, rep_index: int, traj: Trajectory
 ) -> ExperimentRecord:
     """Replication `rep_index`'s record from its trajectory: the regret
-    oracle, the plug-in noise scales, the objective and inference."""
+    oracle, the objective and inference."""
     seed = derive_seed(config.master_seed, rep_index)
     inference_seed = substream_seed(seed, INFERENCE_STREAM)
-    stats = [(f.arm1.beta, f.arm1.gram, f.arm0.beta, f.arm0.gram) for f in traj.fits]
-    noise_plugin: Optional[Tuple[float, float]] = None
     regret_hat: Optional[float] = None
-    creg: Optional[CostAdjustedRegret] = None
     error: Optional[str] = None
 
     if traj.ivw is None:
         error = "estimator unavailable at the stop time"
     else:
-        if isinstance(config.sigma_mode, KnownSigma):
-            noise_plugin = (config.sigma_mode.sigma, config.sigma_mode.sigma)
-        else:
-            try:
-                f0, f1 = residual_noise_factors(traj.sums, traj.ivw.beta0, traj.ivw.beta1)
-                noise_plugin = (math.sqrt(f0), math.sqrt(f1))
-            except EstimatorUnavailable as exc:
-                error = str(exc)
         rng_regret = make_rng(substream_seed(seed, REGRET_STREAM))
         regret_hat = estimate_policy_regret(
             config.model,
@@ -328,12 +316,11 @@ def _record(
         rep_index=rep_index,
         seed=seed,
         setup=prepared.setup,
-        stats=stats,
+        stats=traj.stats,
         stop_trace=traj.stop_trace,
         stop_time=traj.stop_time,
         cap_hit=traj.cap_hit,
         ivw=traj.ivw,
-        noise_plugin=noise_plugin,
         regret_hat=regret_hat,
         creg=None,
         inference=None,
@@ -541,7 +528,7 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
         "inference_seed": rec.inference_seed,
         "stop_time": rec.stop_time,
         "cap_hit": rec.cap_hit,
-        "noise_plugin": arr(rec.noise_plugin),
+        "noise_plugin": None if rec.ivw is None else arr(rec.ivw.noise_sd),
         "sufficient_stats": [
             {
                 "batch_index": i + 1,
@@ -681,6 +668,7 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
         b1, b0 = (_stored(e, f"{path}.beta{a}", _ARRAY, vec, nullable=True) for a in (1, 0))
         g1, g0 = (_stored(e, f"{path}.gram{a}", _ARRAY, mat) for a in (1, 0))
         entries.append((b1, g1, b0, g0))
+    noise_sd = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=True)
     term = _stored(payload, "terminal", _DICT, nullable=True)
     ivw = None
     if term is not None:
@@ -692,11 +680,9 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
             beta1=_stored(term, "terminal.beta1", _ARRAY, vec),
             var0=_stored(term, "terminal.var0", _ARRAY, mat),
             var1=_stored(term, "terminal.var1", _ARRAY, mat),
-            batches_used=len(entries),
             batch_size=batch_size,
-            sigma_mode=config.sigma_mode,
+            noise_sd=None if noise_sd is None else tuple(noise_sd.tolist()),
         )
-    noise_plugin = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=True)
     # Only a pre-determined rule reads the bound constants, and they may need
     # the pilot calibration.
     consts = resolve_constants(config) if config.stopping.kind.startswith("predetermined") else None
@@ -709,7 +695,6 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
         stop_time=stop_time,
         cap_hit=_stored(payload, "cap_hit", _BOOL),
         ivw=ivw,
-        noise_plugin=None if noise_plugin is None else (float(noise_plugin[0]), float(noise_plugin[1])),
         regret_hat=None,
         creg=None,
         inference=None,

@@ -15,6 +15,9 @@ from .model import ContextSpec
 from .policies import ClipSchedule, PolicyKind
 from .stopping import StopDecision, StoppingRuleSpec, spectral_norm
 
+# One batch's (beta1, gram1, beta0, gram0); a beta is None where its Gram is singular.
+BatchStats = Tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True)
 class SimulationSetup:
@@ -49,13 +52,11 @@ class ExperimentRecord:
     rep_index: int
     seed: int
     setup: SimulationSetup
-    # Per batch (beta1, gram1, beta0, gram0); a beta is None where its Gram is singular.
-    stats: List[Tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray], np.ndarray]]
+    stats: List[BatchStats]
     stop_trace: List[StopDecision]
     stop_time: int
     cap_hit: bool
     ivw: Optional[IvwEstimate]
-    noise_plugin: Optional[Tuple[float, float]]  # per-arm noise sd for resimulation
     regret_hat: Optional[float]
     creg: Optional[CostAdjustedRegret]
     inference: Optional[InferenceResult]

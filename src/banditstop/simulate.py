@@ -23,18 +23,16 @@ import numpy as np
 
 from .bounds import chunk_members, lock_step_batch
 from .errors import EstimatorUnavailable
-from .estimators import BatchOlsFit, IvwEstimate, RunningSums, StackedFit, StackedSums, fit_arms
-from .estimators import fit_batch_ols, ivw_combine
+from .estimators import IvwEstimate, RunningSums, StackedFit, StackedSums, fit_arms, fit_batch_ols, ivw_combine
 from .model import TrueModel, realize_rewards, sample_batch_contexts
 from .policies import select_actions, update_state
-from .records import SimulationSetup
+from .records import BatchStats, SimulationSetup
 from .stopping import StopDecision, decide, evaluate
 
 
 @dataclass
 class Trajectory:
-    fits: List[BatchOlsFit]
-    sums: RunningSums
+    stats: List[BatchStats]  # per batch (beta1, gram1, beta0, gram0), as ExperimentRecord.stats
     stop_trace: List[StopDecision]
     stop_time: int
     cap_hit: bool
@@ -59,7 +57,7 @@ def simulate_trajectory(
     rule = setup.rule
     horizon = rule.t_max if t_limit is None else min(rule.t_max, t_limit)
 
-    fits: List[BatchOlsFit] = []
+    stats: List[BatchStats] = []
     sums = RunningSums.empty(model.dim)
     stop_trace: List[StopDecision] = []
     prev_vars: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -74,7 +72,7 @@ def simulate_trajectory(
         actions = select_actions(setup.policy, sums, x, setup.clip, rng)
         y = realize_rewards(model, x, actions, rng)
         fit = fit_batch_ols(x, actions, y, batch_index=t)
-        fits.append(fit)
+        stats.append((fit.arm1.beta, fit.arm1.gram, fit.arm0.beta, fit.arm0.gram))
         update_state(sums, fit)
 
         cur_vars: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -93,8 +91,7 @@ def simulate_trajectory(
             break
 
     return Trajectory(
-        fits=fits,
-        sums=sums,
+        stats=stats,
         stop_trace=stop_trace,
         stop_time=t,
         cap_hit=capped,
@@ -132,7 +129,7 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
     online = not rule.is_predetermined
     traces: List[List[StopDecision]] = [[] for _ in rngs]
     prev: List[Optional[Tuple[float, float]]] = [None] * len(rngs)
-    ends: List[tuple] = [()] * len(rngs)  # each member's sums and estimate at its stop
+    ivws: List[Optional[IvwEstimate]] = [None] * len(rngs)  # each member's estimate at its stop
     batches: List[StackedFit] = []
     rows = []  # per batch, each member's row in its stack
     live = np.arange(len(rngs))  # the member of each row
@@ -153,7 +150,7 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
         # Through `ivw_combine` (which hands stacked sums to `StackedSums.combine`)
         # and every batch, as a lone trajectory does: perfbench's tracer
         # wraps this name, and its growth metric needs the early batches too.
-        ok, beta, var = ivw_combine(sums, setup.sigma_mode, n)
+        ok, beta, var, sd = ivw_combine(sums, setup.sigma_mode, n)
         if online:
             norms = np.linalg.eigvalsh(var)[..., -1].tolist()
         fixed = None if online else decide(rule, t)  # a pre-determined rule reads no data
@@ -163,19 +160,22 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
             traces[i].append(decide(rule, t, cur, prev[i]) if online else fixed)
             prev[i] = cur
             stop[k] = traces[i][-1].stop or t == horizon
-        for k in np.flatnonzero(stop):
-            ivw = None
-            if ok[k]:
-                ivw = IvwEstimate(beta[k, 0], beta[k, 1], var[k, 0], var[k, 1], t, n, setup.sigma_mode)
-            ends[live[k]] = (sums.member(k), ivw)
+        for k in np.flatnonzero(stop & ok):
+            ivws[live[k]] = IvwEstimate(beta[k, 0], beta[k, 1], var[k, 0], var[k, 1], n, tuple(sd[k].tolist()))
         live, sums = live[~stop], sums.take(~stop)
 
-    # Each member's fits are built as its trajectory is handed out, so a
+    # Each member's stats are built as its trajectory is handed out, so a
     # caller that uses each trajectory as it comes holds one member's at a time.
     for i, own in enumerate(np.array(rows).T.tolist()):
         last = traces[i][-1]
         yield Trajectory(
-            fits=[batches[b].member(b + 1, own[b]) for b in range(last.t)],
-            sums=ends[i][0], stop_trace=traces[i], stop_time=last.t, ivw=ends[i][1],
+            stats=[_member_stats(batches[b], own[b]) for b in range(last.t)],
+            stop_trace=traces[i], stop_time=last.t, ivw=ivws[i],
             cap_hit=last.stop and last.cap_hit, rule_fired=last.stop and not last.cap_hit,
         )
+
+
+def _member_stats(fit: StackedFit, k: int) -> BatchStats:
+    """Row k's (beta1, gram1, beta0, gram0) of a stacked batch fit."""
+    (u0, u1), beta, gram = fit.usable[k].tolist(), fit.beta[k], fit.gram[k]
+    return (beta[1] if u1 else None, gram[1], beta[0] if u0 else None, gram[0])

@@ -129,15 +129,16 @@ def ivw_combine(
     beta1 = combine_arm(fits, 1)
     if isinstance(sigma_mode, KnownSigma):
         factors = (sigma_mode.sigma**2, sigma_mode.sigma**2)
+        noise_sd = (sigma_mode.sigma, sigma_mode.sigma)
     else:
         factors = residual_noise_factors(batch_data, beta0, beta1)
+        noise_sd = (float(np.sqrt(factors[0])), float(np.sqrt(factors[1])))
     var0, var1 = (batch_size * inverse_spd(combined_gram(fits, a)) * f for a, f in zip((0, 1), factors))
     return IvwEstimate(
         beta0=beta0,
         beta1=beta1,
         var0=var0,
         var1=var1,
-        batches_used=len(fits),
         batch_size=batch_size,
-        sigma_mode=sigma_mode,
+        noise_sd=noise_sd,
     )

@@ -163,8 +163,8 @@ class TestRunExperiment:
         )
         record = run_experiment(config, 0)
         assert record.ivw is not None
-        assert record.noise_plugin is not None
-        assert abs(record.noise_plugin[0] - 1.0) < 0.5  # crude scale sanity
+        assert record.ivw.noise_sd is not None
+        assert abs(record.ivw.noise_sd[0] - 1.0) < 0.5  # crude scale sanity
 
 
 class TestRunReplications:

@@ -79,9 +79,8 @@ def test_running_sums_match_oracle(case, sigma_mode):
         got = outcome(ivw_combine, sums, sigma_mode, 7)
         want = outcome(ivw_oracle.ivw_combine, fits, sigma_mode, 7, batches[:t])
         if not isinstance(want, EstimatorUnavailable):
-            want = (want.beta0, want.beta1, want.var0, want.var1)
-            assert got.batches_used == t
-            got = (got.beta0, got.beta1, got.var0, got.var1)
+            want = (want.beta0, want.beta1, want.var0, want.var1, want.noise_sd)
+            got = (got.beta0, got.beta1, got.var0, got.var1, got.noise_sd)
         assert_same(got, want)
         for beta0, beta1 in ((probe[0], probe[1]), (-probe[1], 3.0 * probe[0])):
             assert_same(
