@@ -51,7 +51,6 @@ class BoundConstants:
     margin_exponent: float
     margin_const: float
     dim: int
-    noise_sd: float
     delta: float
     tail_const: float
     unit_cost: float
@@ -343,7 +342,6 @@ def constants_from_context(
     *,
     margin_exponent: float,
     margin_const: float,
-    noise_sd: float,
     delta: float,
     tail_const: float,
     unit_cost: float,
@@ -356,7 +354,6 @@ def constants_from_context(
         margin_exponent=margin_exponent,
         margin_const=margin_const,
         dim=spec.dim,
-        noise_sd=noise_sd,
         delta=delta,
         tail_const=tail_const,
         unit_cost=unit_cost,

@@ -95,7 +95,6 @@ class BoundsConfig:
     unit_cost: float
     tail_const: Optional[float] = None
     context_bound: Optional[float] = None  # None: sqrt(dim) * sup bound of the context spec
-    noise_sd: Optional[float] = None  # None: taken from the sigma mode / model
     calibration: Optional[CalibrationConfig] = None
 
 
@@ -171,12 +170,6 @@ class PreparedExperiment:
     cost_mode: Optional[CostMode]
 
 
-def _nominal_noise_sd(config: ExperimentConfig) -> float:
-    if isinstance(config.sigma_mode, KnownSigma):
-        return config.sigma_mode.sigma
-    return max(config.model.sigma0, config.model.sigma1)
-
-
 def calibrated_tail_const(config: ExperimentConfig, t_ref: int, replications: int) -> float:
     """The pilot-calibrated tail constant of `config`'s design at `t_ref`,
     drawn from the calibration sub-stream of the master seed."""
@@ -210,7 +203,6 @@ def resolve_constants(config: ExperimentConfig) -> Optional[BoundConstants]:
         margin_exponent=bc.margin_exponent,
         margin_const=bc.margin_const,
         dim=config.context.dim,
-        noise_sd=bc.noise_sd if bc.noise_sd is not None else _nominal_noise_sd(config),
         delta=bc.delta,
         tail_const=tail,
         unit_cost=bc.unit_cost,
@@ -897,7 +889,6 @@ _CONFIG = _Section(
         unit_cost=_REAL,
         tail_const=_REAL,
         context_bound=_REAL,
-        noise_sd=_REAL,
         calibration=_Section(CalibrationConfig, t_ref=_INT, replications=_INT),
     ),
     inference=_Section(

@@ -182,7 +182,6 @@ def test_acceptance_05_bound_validity():
         spec,
         margin_exponent=1.0,
         margin_const=2.5,  # analytic envelope of the margin law for this model
-        noise_sd=1.0,
         delta=delta,
         tail_const=tail,
         unit_cost=0.01,
@@ -249,7 +248,6 @@ def test_acceptance_07_closed_form_stop_times():
             margin_exponent=1.0,
             margin_const=1.0,
             dim=2,
-            noise_sd=1.0,
             delta=0.1,
             tail_const=K,
             unit_cost=c_unit,
@@ -274,7 +272,6 @@ def test_acceptance_07_closed_form_stop_times():
         margin_exponent=1.0,
         margin_const=1.0,
         dim=2,
-        noise_sd=1.0,
         delta=0.1,
         tail_const=625.0,
         unit_cost=0.01,

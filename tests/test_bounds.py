@@ -30,14 +30,13 @@ from banditstop import (
 
 
 def consts(
-    L=1.0, lam=1.0, M=1.0, d=1, sigma=1.0, delta=0.1, K=1.0, c=0.0, n=1, p=1.0
+    L=1.0, lam=1.0, M=1.0, d=1, delta=0.1, K=1.0, c=0.0, n=1, p=1.0
 ) -> BoundConstants:
     return BoundConstants(
         context_bound=L,
         margin_exponent=lam,
         margin_const=M,
         dim=d,
-        noise_sd=sigma,
         delta=delta,
         tail_const=K,
         unit_cost=c,

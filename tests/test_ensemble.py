@@ -79,7 +79,7 @@ def set_ups(draw):
     kind = draw(st.sampled_from(["opportunity", "threshold", "online_threshold", "online_opportunity"]))
     if kind in ("opportunity", "threshold"):
         consts = constants_from_context(
-            spec, margin_exponent=1.0, margin_const=1.0, noise_sd=1.0, delta=0.1,
+            spec, margin_exponent=1.0, margin_const=1.0, delta=0.1,
             tail_const=draw(st.sampled_from([0.01, 1.0, 100.0])), unit_cost=draw(st.sampled_from([1e-3, 0.1])),
             batch_size=n, clip_floor=clip.floor,
         )

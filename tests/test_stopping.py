@@ -28,7 +28,6 @@ def consts(K=625.0, M=1.0, L=1.0, lam=1.0, c=0.01, n=100, p=0.5, delta=0.1, d=2)
         margin_exponent=lam,
         margin_const=M,
         dim=d,
-        noise_sd=1.0,
         delta=delta,
         tail_const=K,
         unit_cost=c,
