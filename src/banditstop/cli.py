@@ -47,6 +47,9 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
+    for f in formats:
+        if f not in ("csv", "json"):
+            raise ConfigError(f"--format entry {f!r} is not csv or json")
     records, aggregates = run_replications(config)
     emit_reports(records, args.out, formats, config, aggregates=aggregates)
     fatal = [rec for rec in records if rec.error is not None]

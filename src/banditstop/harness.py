@@ -660,6 +660,12 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
         b1, b0 = (_stored(e, f"{path}.beta{a}", _ARRAY, vec, nullable=True) for a in (1, 0))
         g1, g0 = (_stored(e, f"{path}.gram{a}", _ARRAY, mat) for a in (1, 0))
         entries.append((b1, g1, b0, g0))
+    if len(entries) != stop_time:
+        raise ConfigError(f"trajectory key 'sufficient_stats' must have stop_time = {stop_time} entries")
+    # A cap hit means the rule did not fire by t_max; resimulation conditions on it.
+    cap_hit = _stored(payload, "cap_hit", _BOOL)
+    if cap_hit and stop_time != config.stopping.t_max:
+        raise ConfigError(f"trajectory key 'cap_hit' may be true only at stop_time = {config.stopping.t_max}")
     noise_sd = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=True)
     term = _stored(payload, "terminal", _DICT, nullable=True)
     ivw = None
@@ -685,7 +691,7 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
         stats=entries,
         stop_trace=[],
         stop_time=stop_time,
-        cap_hit=_stored(payload, "cap_hit", _BOOL),
+        cap_hit=cap_hit,
         ivw=ivw,
         regret_hat=None,
         creg=None,

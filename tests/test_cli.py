@@ -12,6 +12,7 @@ from banditstop import (
     EpsGreedy,
     ExperimentConfig,
     KnownSigma,
+    ResidualSigma,
     Schedule,
     StoppingConfig,
     TrueModel,
@@ -56,6 +57,17 @@ def test_simulate_writes_reports(tmp_path, capsys):
     assert (out_dir / "summary.json").exists()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["aggregates"]["replications"] == 2
+
+
+def test_simulate_rejects_an_unknown_format(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path)
+    out_dir = tmp_path / "out"
+    # Exited 0 and wrote replications.csv alone.
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--format", "csv,jsn"])
+    assert rc == 2
+    assert "--format entry 'jsn' is not csv or json" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_simulate_reps_and_seed_overrides(tmp_path):
@@ -287,6 +299,33 @@ def test_infer_replays_stored_trajectory(tmp_path, capsys):
     assert printed["stop_time"] == record.stop_time
 
 
+def test_infer_replays_a_residual_sigma_trajectory_through_resimulation(tmp_path, capsys):
+    # The surrogates run under the stored plug-in noise scales, so the
+    # intervals equal the in-process ones only if those reach the file intact.
+    cfg_path = tmp_path / "config.json"
+    config = write_config(
+        cfg_path,
+        sigma_mode=ResidualSigma(),
+        stopping=StoppingConfig(kind="online_threshold", t_max=20, k=2.0),
+        inference=ConditionalSamplerConfig(mode="resimulation_rejection", n_samples=100, max_attempts=1000),
+        trajectory_json=True,
+    )
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    traj = out_dir / "trajectories" / "rep_00000.json"
+    assert main(["infer", "--config", str(cfg_path), "--trajectory", str(traj)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    record = run_experiment(config, 0)
+    assert json.loads(traj.read_text())["noise_plugin"] == list(record.ivw.noise_sd)
+    assert record.ivw.noise_sd[0] != record.ivw.noise_sd[1]  # residual, not the known scale
+    assert not record.cap_hit and printed["stop_time"] == record.stop_time
+    assert printed["samples_retained"] == record.inference.samples_retained == 100
+    assert printed["acceptance_rate"] == record.inference.acceptance_rate < 1.0
+    assert printed["ci_arm0"] == [record.inference.lo0.tolist(), record.inference.hi0.tolist()]
+    assert printed["ci_arm1"] == [record.inference.lo1.tolist(), record.inference.hi1.tolist()]
+
+
 def test_infer_calibrates_only_for_predetermined_rules(tmp_path, capsys):
     demo = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
     demo["replications"] = 1
@@ -342,8 +381,10 @@ def stored_trajectory(tmp_path):
         ("no terminal.var0", "'terminal.var0' is missing"),  # runtime error: 'var0'
         ('stop_time "abc"', "'stop_time' must be an integer"),  # exit 3
         ("missing file", "cannot read trajectory file"),  # exit 3
+        ("one entry short", "'sufficient_stats' must have stop_time"),  # exit 0
+        ("cap hit before t_max", "'cap_hit' may be true only at stop_time = 8"),  # exit 0
     ],
-    ids=["dim_mismatch", "missing_var0", "stop_time_string", "missing_file"],
+    ids=["dim_mismatch", "missing_var0", "stop_time_string", "missing_file", "stats_count", "early_cap_hit"],
 )
 def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
     cfg_path, traj = stored_trajectory(tmp_path)
@@ -358,6 +399,12 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         del payload["terminal"]["var0"]
     elif case == 'stop_time "abc"':
         payload["stop_time"] = "abc"
+    elif case == "one entry short":
+        del payload["sufficient_stats"][-1]
+    elif case == "cap hit before t_max":
+        assert payload["cap_hit"] and payload["stop_time"] == 8
+        payload["stop_time"] = 7
+        del payload["sufficient_stats"][-1]
     else:
         traj = tmp_path / "missing.json"
     if traj.exists():
