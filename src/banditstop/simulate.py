@@ -23,7 +23,8 @@ import numpy as np
 
 from .bounds import chunk_members, lock_step_batch
 from .errors import EstimatorUnavailable
-from .estimators import IvwEstimate, RunningSums, StackedFit, StackedSums, fit_arms, fit_batch_ols, ivw_combine
+from .estimators import IvwEstimate, RunningSums, StackedFit, StackedSums, fit_arms
+from .estimators import fit_batch_ols, ivw_combine
 from .model import TrueModel, realize_rewards, sample_batch_contexts
 from .policies import select_actions, update_state
 from .records import BatchStats, SimulationSetup
@@ -161,7 +162,8 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
             prev[i] = cur
             stop[k] = traces[i][-1].stop or t == horizon
         for k in np.flatnonzero(stop & ok):
-            ivws[live[k]] = IvwEstimate(beta[k, 0], beta[k, 1], var[k, 0], var[k, 1], n, tuple(sd[k].tolist()))
+            noise_sd = tuple(sd[k].tolist())
+            ivws[live[k]] = IvwEstimate(beta[k, 0], beta[k, 1], var[k, 0], var[k, 1], n, noise_sd)
         live, sums = live[~stop], sums.take(~stop)
 
     # Each member's stats are built as its trajectory is handed out, so a
