@@ -47,6 +47,8 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
+    if not formats:
+        raise ConfigError(f"--format {args.format!r} names no format; give csv, json or both")
     for f in formats:
         if f not in ("csv", "json"):
             raise ConfigError(f"--format entry {f!r} is not csv or json")
@@ -87,6 +89,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     record = load_trajectory(args.trajectory, config)
     cfg = config.inference if config.inference is not None else ConditionalSamplerConfig()
     seed = args.inference_seed if args.inference_seed is not None else record.inference_seed
+    if not 0 <= seed < 1 << 64:
+        given = "--inference-seed" if args.inference_seed is not None else "trajectory key 'inference_seed'"
+        raise ConfigError(f"{given} must be in [0, 2**64), got {seed}")
     result = run_inference(record, cfg, config.hypothesis, seed)
     print(
         json.dumps(
@@ -124,6 +129,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_check_assumptions(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
+    if args.mc_samples < 1000:
+        raise ConfigError(f"--mc-samples must be >= 1000, got {args.mc_samples}")
     report = check_assumptions(
         config.context,
         config.model,

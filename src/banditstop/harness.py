@@ -149,6 +149,8 @@ class ExperimentConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.model.dim != self.context.dim:
             raise ConfigError("model dimension does not match the context spec")
         l1 = sum(abs(v) for v in self.model.beta0.tolist() + self.model.beta1.tolist())

@@ -8,8 +8,8 @@ same either way, so a matrix gets the same bits stacked as alone
 (`tests/test_stack_invariance.py`).  It agrees with scipy's ``cho_solve`` to
 rounding and raises LAPACK's LinAlgError at the first pivot that is not > 0,
 NaN included (`tests/test_linalg.py`).  Only `eigvalsh` calls LAPACK:
-``dsyevd(m, compute_v=0, lower=1)``, as ``numpy.linalg.eigvalsh`` does, and
-`is_invertible_gram` runs numpy's on a stack.
+numpy's lower-triangle ``dsyevd`` gufunc, which ``numpy.linalg.eigvalsh``
+ends in, without that wrapper's cost.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd
+from numpy.linalg._umath_linalg import eigvalsh_lo
 
 from .errors import ContractError
 
@@ -29,30 +29,21 @@ GRAM_SINGULARITY_RTOL = 1e-10
 
 
 def eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix in ascending order, from its lower triangle."""
-    w, _, info = dsyevd(matrix, compute_v=0, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
-    return w
-
-
-def _invertible(smallest, largest):
-    """The singularity rule, smallest > RTOL * max(largest, 1), for numpy
-    scalars or arrays alike.  Rounding is monotone, so RTOL * max(l, 1) equals
-    max(RTOL * l, RTOL) exactly and the rule splits into two comparisons."""
-    return (smallest > GRAM_SINGULARITY_RTOL * largest) & (smallest > GRAM_SINGULARITY_RTOL)
+    """Eigenvalues in ascending order, from the lower triangle, of a symmetric
+    (d, d) matrix or of each of a stack (..., d, d): the bits of
+    ``numpy.linalg.eigvalsh``, except that where LAPACK fails to converge
+    that raises and this returns NaNs."""
+    return eigvalsh_lo(matrix, signature="d->d")
 
 
 def is_invertible_gram(gram: np.ndarray):
-    """The singularity rule for one (d, d) Gram matrix (a bool) or for each
-    matrix of a stack (..., d, d) (a bool array).  A stack takes one
-    ``numpy.linalg.eigvalsh`` call, which runs the same ``dsyevd`` per
-    matrix as `eigvalsh` (`tests/test_linalg.py` checks the equality)."""
-    if gram.ndim == 2:
-        eigs = eigvalsh(gram)
-        return bool(_invertible(eigs[0], eigs[-1]))
-    eigs = np.linalg.eigvalsh(gram)
-    return _invertible(eigs[..., 0], eigs[..., -1])
+    """The singularity rule, smallest > RTOL * max(largest, 1), for one (d, d)
+    Gram matrix (a numpy bool) or for each of a stack (..., d, d) (a bool
+    array); a NaN eigenvalue fails it.  Rounding is monotone, so RTOL * max(l, 1)
+    equals max(RTOL * l, RTOL) exactly and the rule splits into two comparisons."""
+    eigs = eigvalsh(gram)  # [()] makes a lone matrix's values numpy scalars, faster than 0-d arrays
+    smallest, largest = eigs[..., 0][()], eigs[..., -1][()]
+    return (smallest > GRAM_SINGULARITY_RTOL * largest) & (smallest > GRAM_SINGULARITY_RTOL)
 
 
 @lru_cache(maxsize=None)

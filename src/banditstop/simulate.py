@@ -25,6 +25,7 @@ from .bounds import chunk_members, lock_step_batch
 from .errors import EstimatorUnavailable
 from .estimators import IvwEstimate, RunningSums, StackedFit, StackedSums, fit_arms
 from .estimators import fit_batch_ols, ivw_combine
+from .linalg import eigvalsh
 from .model import TrueModel, realize_rewards, sample_batch_contexts
 from .policies import select_actions, update_state
 from .records import BatchStats, SimulationSetup
@@ -153,7 +154,7 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
         # wraps this name, and its growth metric needs the early batches too.
         ok, beta, var, sd = ivw_combine(sums, setup.sigma_mode, n)
         if online:
-            norms = np.linalg.eigvalsh(var)[..., -1].tolist()
+            norms = eigvalsh(var)[..., -1].tolist()
         fixed = None if online else decide(rule, t)  # a pre-determined rule reads no data
         stop = np.zeros(live.size, dtype=bool)
         for k, i in enumerate(live):

@@ -97,8 +97,7 @@ VariancePair = Tuple[np.ndarray, np.ndarray]  # (arm0 matrix, arm1 matrix)
 
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric PSD matrix."""
-    m = require_symmetric(matrix, "spectral_norm input")
-    return float(eigvalsh(m)[-1])
+    return float(eigvalsh(require_symmetric(matrix, "spectral_norm input"))[-1])
 
 
 def evaluate(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +18,7 @@ from banditstop import (
     ResidualSigma,
     Schedule,
     StoppingConfig,
+    Thompson,
     TrueModel,
     UniformRandom,
     config_to_dict,
@@ -68,6 +72,67 @@ def test_simulate_rejects_an_unknown_format(tmp_path, capsys):
     assert rc == 2
     assert "--format entry 'jsn' is not csv or json" in capsys.readouterr().err
     assert not out_dir.exists()
+    # Ran every replication, wrote no file and exited 0.
+    with mock.patch("banditstop.cli.run_replications") as run:
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--format", ","])
+    assert rc == 2
+    assert "--format ',' names no format" in capsys.readouterr().err
+    run.assert_not_called()
+    assert not out_dir.exists()
+
+
+# Each was masked to 64 bits: --seed -1 ran as 2**64 - 1, and 2**64 as 0.
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("where", ["--seed", "master_seed"])
+def test_a_seed_outside_u64_exits_2(tmp_path, capsys, where, seed):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path)
+    args = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    if where == "--seed":
+        args += ["--seed", str(seed)]
+    else:
+        data = json.loads(cfg_path.read_text())
+        data["master_seed"] = seed
+        cfg_path.write_text(json.dumps(data))
+    with mock.patch("banditstop.cli.run_replications") as run:
+        assert main(args) == 2
+    assert f"master_seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    run.assert_not_called()
+
+
+def test_the_u64_seed_range_ends_are_accepted(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, replications=1)
+    for seed in ("0", str(2**64 - 1)):
+        args = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / seed), "--seed", seed]
+        assert main(args) == 0
+
+
+def test_banditstop_imports_scipy_only_for_thompson(tmp_path):
+    """A fresh process, since this one has scipy loaded already: an
+    epsilon-greedy simulate loads no scipy module, and a Thompson one loads
+    `scipy.special` when it first needs it."""
+    greedy, thompson = tmp_path / "greedy.json", tmp_path / "thompson.json"
+    write_config(greedy)
+    write_config(thompson, policy=Thompson(1.0), replications=1, inference=None)
+    script = """if True:
+        import sys
+        from banditstop.cli import main
+        assert main(["simulate", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
+        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        assert not loaded, loaded
+        assert main(["simulate", "--config", sys.argv[2], "--out", sys.argv[4]]) == 0
+        assert "scipy.special" in sys.modules
+    """
+    src = str(Path(__import__("banditstop").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = [str(tmp_path / "out_greedy"), str(tmp_path / "out_thompson")]
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(greedy), str(thompson), *out],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out_thompson" / "summary.json").exists()
 
 
 def test_simulate_reps_and_seed_overrides(tmp_path):
@@ -280,6 +345,15 @@ def test_check_assumptions(tmp_path, capsys):
     assert abs(out["lambda_min_hat"] - 1 / 3) < 0.05
 
 
+def test_check_assumptions_rejects_too_few_mc_samples(tmp_path, capsys):
+    # Exited 3 with a runtime error.
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path)
+    rc = main(["check-assumptions", "--config", str(cfg_path), "--mc-samples", "999"])
+    assert rc == 2
+    assert "config error: --mc-samples must be >= 1000, got 999" in capsys.readouterr().err
+
+
 def test_infer_replays_stored_trajectory(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     config = write_config(cfg_path, trajectory_json=True, replications=1)
@@ -414,3 +488,24 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and expected in err
+
+
+# Each was masked to 64 bits, as --seed was.
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize(
+    "where", ["--inference-seed", "trajectory key 'inference_seed'"], ids=["flag", "stored"]
+)
+def test_infer_rejects_a_seed_outside_u64(tmp_path, capsys, where, seed):
+    cfg_path, traj = stored_trajectory(tmp_path)
+    args = ["infer", "--config", str(cfg_path), "--trajectory", str(traj)]
+    if where == "--inference-seed":
+        args += [where, str(seed)]
+    else:
+        payload = json.loads(traj.read_text())
+        payload["inference_seed"] = seed
+        traj.write_text(json.dumps(payload))
+    capsys.readouterr()
+    with mock.patch("banditstop.cli.run_inference") as run:
+        assert main(args) == 2
+    run.assert_not_called()
+    assert f"config error: {where} must be in [0, 2**64), got {seed}" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 """The kernels in `banditstop.linalg` against the library calls they stand
-for: `eigvalsh` against numpy's, bit for bit, on small Grams, singular and
-badly scaled ones included; the Cholesky kernel against scipy's
+for: `eigvalsh` against numpy's, bit for bit, on small Grams, singular,
+badly scaled and non-finite ones included; the Cholesky kernel against scipy's
 `cho_factor`/`cho_solve`, within a condition-scaled tolerance, and with
 LAPACK's error where the matrix is not positive definite; and the stacked
 singularity check against the per-matrix one."""
@@ -119,6 +119,25 @@ def test_stacked_singularity_checks_equal_per_matrix(cases):
     assert linalg.is_invertible_gram(stack).tolist() == [
         linalg.is_invertible_gram(gram) for gram in stack
     ]
+
+
+# The strategy draws finite Grams only.
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[np.nan, 0.0], [0.0, 1.0]],  # eigenvalues [0, -0]: no NaN, yet singular
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[-np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[2.0, 0.0, 0.0], [0.0, 1.0, -np.inf], [0.0, -np.inf, 1.0]],
+    ],
+)
+def test_non_finite_grams_are_singular(gram):
+    gram = np.array(gram)
+    assert np.array_equal(linalg.eigvalsh(gram), np.linalg.eigvalsh(gram), equal_nan=True)
+    assert not linalg.is_invertible_gram(gram)
+    assert linalg.is_invertible_gram(np.stack([np.eye(len(gram)), gram])).tolist() == [True, False]
 
 
 def test_zero_gram_fails_at_the_first_minor():
