@@ -193,7 +193,7 @@ def probabilities_from_estimates(
         return np.where(gap > 0, 1.0, np.where(gap < 0, 0.0, 0.5))
 
     if isinstance(kind, Thompson):
-        from scipy.special import ndtr  # here, not at the top: importing scipy doubles start-up
+        from scipy.special import ndtr  # deferred: only Thompson needs scipy, which is slow to import
         gap = _rows_dot(contexts, b1 - b0)
         spread = kind.sigma_prior * np.sqrt(
             np.maximum(_quadratic_forms(contexts, inv0 + inv1), 0.0)
