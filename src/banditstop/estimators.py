@@ -12,11 +12,20 @@ Running sums: a trajectory folds each batch's fit into one
 :func:`ivw_combine` and :func:`residual_noise_factors` cost the same at every
 batch index.  The same sums feed the policy: each arm's X'X and raw X'y over
 all units give the cumulative OLS estimate (:meth:`ArmSums.ols_estimate`),
-and a trajectory keeps no other store of them.  The
-squared residual over all units has the closed form
-``sum (y - x'b)^2 = sum y^2 - 2 b'X'y + b'X'X b``; the sums keep e = y - x'ref
+and a trajectory keeps no other store of them.  Under residual sigma the sums
+also keep the squared residual over all units, in the closed form
+``sum (y - x'b)^2 = sum y^2 - 2 b'X'y + b'X'X b``; they keep e = y - x'ref
 in place of y, centred at the first usable batch estimate ref, so that the
 three terms do not cancel down to a small residual and lose its digits.
+Sums made for a known noise scale fold no residual terms: only
+:func:`residual_noise_factors` reads them.
+
+Per batch, :func:`ivw_combine` forms no variance matrix.  A stopping rule
+reads only the spectral norm of each arm's scaled variance, and
+``||n f G^{-1}||_2 = n f / lambda_min(G)`` for the combined Gram G: the
+singularity check of G already computes lambda_min (`linalg.gram_check`).
+The matrices ``n * inverse_spd(G) * f`` are formed when read, once per
+trajectory at its stop (:meth:`IvwCombination.estimate`).
 
 Stacking: a batch's per-arm sums are zero-masked full-length products
 (:func:`masked_sums`, :func:`masked_rss`), which numpy rounds the same for
@@ -35,7 +44,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ContractError, EstimatorUnavailable
-from .linalg import inverse_spd, is_invertible_gram, solve_spd
+from .linalg import gram_check, inverse_spd, is_invertible_gram, solve_spd
 from .model import ContextSpec, TrueModel, sample_batch_contexts
 
 
@@ -59,8 +68,9 @@ SigmaMode = Union[KnownSigma, ResidualSigma]
 @dataclass
 class ArmFit:
     """One arm's OLS output in one batch; `beta` and `rss` are None when the
-    Gram is singular.  `moment` (X'y) and `sum_sq` (y'y) carry such an arm's
-    units into the running residual sums."""
+    Gram is singular, and `rss` also when the fit was made without residuals.
+    `moment` (X'y) and `sum_sq` (y'y) carry such an arm's units into the
+    running residual sums."""
 
     beta: Optional[np.ndarray]
     gram: np.ndarray
@@ -83,10 +93,11 @@ class BatchOlsFit:
 @dataclass
 class ArmSums:
     """One arm's running sums.  `gram`, `weighted` (Gram @ beta) and `usable`
-    count only batches whose own Gram is invertible; `xx`, `xy` (X'y),
-    `count`, `xe` (X'e) and `ee` (e'e) cover all units, with e = y - x'ref.
-    `ref` is zero until the first usable batch, then its estimate: the
-    combined one while it is alone.
+    count only batches whose own Gram is invertible; `xx`, `xy` (X'y) and
+    `count` cover all units.  `ref` is zero until the first usable batch, then
+    its estimate: the combined one while it is alone.  `xe` (X'e) and `ee`
+    (e'e), with e = y - x'ref, are the residual terms over all units; sums
+    made without them (``residual=False``) hold None in both.
     """
 
     gram: np.ndarray
@@ -96,11 +107,11 @@ class ArmSums:
     xy: np.ndarray
     count: int
     ref: np.ndarray
-    xe: np.ndarray
-    ee: float
+    xe: Optional[np.ndarray]
+    ee: Optional[float]
 
     @classmethod
-    def empty(cls, dim: int) -> "ArmSums":
+    def empty(cls, dim: int, residual: bool = True) -> "ArmSums":
         return cls(
             gram=np.zeros((dim, dim)),
             weighted=np.zeros(dim),
@@ -109,33 +120,40 @@ class ArmSums:
             xy=np.zeros(dim),
             count=0,
             ref=np.zeros(dim),
-            xe=np.zeros(dim),
-            ee=0.0,
+            xe=np.zeros(dim) if residual else None,
+            ee=0.0 if residual else None,
         )
 
     def add(self, fit: ArmFit) -> None:
-        if fit.beta is None:
-            ref = self.ref
-            self.xe = self.xe + fit.moment - fit.gram @ ref
-            self.ee += fit.sum_sq - 2.0 * (ref @ fit.moment) + ref @ fit.gram @ ref
-        else:
+        if self.ee is not None:
+            self._add_residual(fit)
+        if fit.beta is not None:
             if self.usable == 0:
-                # Recentre the sums of earlier singular batches at this estimate.
-                shift = fit.beta - self.ref
-                self.ee += shift @ self.xx @ shift - 2.0 * (shift @ self.xe)
-                self.xe = self.xe - self.xx @ shift
                 self.ref = fit.beta
-            # OLS orthogonality: the batch's residuals against ref are its own
-            # residuals plus X (beta_b - ref), with X' resid = 0.
-            gd = fit.gram @ (fit.beta - self.ref)
-            self.xe = self.xe + gd
-            self.ee += fit.rss + (fit.beta - self.ref) @ gd
             self.gram = self.gram + fit.gram
             self.weighted = self.weighted + fit.gram @ fit.beta
             self.usable += 1
         self.xx = self.xx + fit.gram
         self.xy = self.xy + fit.moment
         self.count += fit.count
+
+    def _add_residual(self, fit: ArmFit) -> None:
+        ref = self.ref
+        if fit.beta is None:
+            self.xe = self.xe + fit.moment - fit.gram @ ref
+            self.ee += fit.sum_sq - 2.0 * (ref @ fit.moment) + ref @ fit.gram @ ref
+            return
+        if self.usable == 0:
+            # Recentre the sums of earlier singular batches at this estimate.
+            shift = fit.beta - ref
+            self.ee += shift @ self.xx @ shift - 2.0 * (shift @ self.xe)
+            self.xe = self.xe - self.xx @ shift
+            ref = fit.beta
+        # OLS orthogonality: the batch's residuals against ref are its own
+        # residuals plus X (beta_b - ref), with X' resid = 0.
+        gd = fit.gram @ (fit.beta - ref)
+        self.xe = self.xe + gd
+        self.ee += fit.rss + (fit.beta - ref) @ gd
 
     def ols_estimate(self) -> Optional[np.ndarray]:
         """Cumulative OLS estimate over all units, or None while X'X is singular."""
@@ -160,8 +178,10 @@ class RunningSums:
     t: int = 0
 
     @classmethod
-    def empty(cls, dim: int) -> "RunningSums":
-        return cls(arm0=ArmSums.empty(dim), arm1=ArmSums.empty(dim))
+    def empty(cls, dim: int, residual: bool = True) -> "RunningSums":
+        """Sums with the residual terms, or without them (`residual` False)
+        for a known noise scale, which never reads them."""
+        return cls(arm0=ArmSums.empty(dim, residual), arm1=ArmSums.empty(dim, residual))
 
     @property
     def dim(self) -> int:
@@ -189,14 +209,17 @@ class StackedSums:
     xy: np.ndarray
     count: np.ndarray
     ref: np.ndarray
-    xe: np.ndarray
-    ee: np.ndarray
+    xe: Optional[np.ndarray]
+    ee: Optional[np.ndarray]
     t: int = 0
 
     @classmethod
-    def empty(cls, members: int, dim: int) -> "StackedSums":
-        lone = (np.asarray(getattr(ArmSums.empty(dim), f.name)) for f in fields(ArmSums))
-        return cls(*(np.zeros((members, 2) + z.shape, z.dtype) for z in lone))
+    def empty(cls, members: int, dim: int, residual: bool = True) -> "StackedSums":
+        def stack(z):
+            return None if z is None else np.zeros((members, 2) + np.shape(z), np.result_type(z))
+
+        lone = ArmSums.empty(dim, residual)
+        return cls(*(stack(getattr(lone, f.name)) for f in fields(ArmSums)))
 
     def __len__(self) -> int:
         return self.t
@@ -204,19 +227,9 @@ class StackedSums:
     def add(self, fit: StackedFit) -> None:
         # Both branches of `ArmSums.add` for every arm; `usable` picks one.
         u, beta, gram = fit.usable, fit.beta, fit.gram
-        first = u & (self.usable == 0)
-        shift = beta - self.ref
-        ee = np.where(first, self.ee + (_quad(shift, self.xx) - 2.0 * _dot(shift, self.xe)), self.ee)
-        xe = np.where(first[..., None], self.xe - _mv(self.xx, shift), self.xe)
-        ref = np.where(first[..., None], beta, self.ref)
-        diff = beta - ref
-        gd = _mv(gram, diff)
-        self.xe = np.where(u[..., None], xe + gd, self.xe + fit.moment - _mv(gram, self.ref))
-        self.ee = np.where(
-            u,
-            ee + (fit.rss + _dot(diff, gd)),
-            self.ee + (fit.sum_sq - 2.0 * _dot(self.ref, fit.moment) + _quad(self.ref, gram)),
-        )
+        ref = np.where((u & (self.usable == 0))[..., None], beta, self.ref)
+        if self.ee is not None:
+            self._add_residual(fit, ref)
         self.ref = ref
         self.gram = np.where(u[..., None, None], self.gram + gram, self.gram)
         self.weighted = np.where(u[..., None], self.weighted + _mv(gram, beta), self.weighted)
@@ -226,25 +239,39 @@ class StackedSums:
         self.count = self.count + fit.count
         self.t += 1
 
+    def _add_residual(self, fit: StackedFit, ref: np.ndarray) -> None:
+        u, beta, gram = fit.usable, fit.beta, fit.gram
+        first = u & (self.usable == 0)
+        shift = beta - self.ref
+        ee = np.where(first, self.ee + (_quad(shift, self.xx) - 2.0 * _dot(shift, self.xe)), self.ee)
+        xe = np.where(first[..., None], self.xe - _mv(self.xx, shift), self.xe)
+        diff = beta - ref
+        gd = _mv(gram, diff)
+        self.xe = np.where(u[..., None], xe + gd, self.xe + fit.moment - _mv(gram, self.ref))
+        self.ee = np.where(
+            u,
+            ee + (fit.rss + _dot(diff, gd)),
+            self.ee + (fit.sum_sq - 2.0 * _dot(self.ref, fit.moment) + _quad(self.ref, gram)),
+        )
+
     def take(self, keep: np.ndarray) -> "StackedSums":
         """The members where `keep` is True."""
-        return StackedSums(*(getattr(self, f.name)[keep] for f in fields(ArmSums)), t=self.t)
+        kept = (getattr(self, f.name) for f in fields(ArmSums))
+        return StackedSums(*(None if z is None else z[keep] for z in kept), t=self.t)
 
-    def combine(self, sigma_mode: SigmaMode, batch_size: int):
-        """`ivw_combine` of every member (which calls this for a StackedSums):
-        whether it has the estimate (R,), the estimates (R, 2, d) and scaled
-        variances (R, 2, d, d), zero where it has not, and the noise scales
-        (R, 2).  The Cholesky solves and inverses run once over the stack,
-        with the identity in place of the Grams of members without."""
-        ok = ((self.usable > 0) & is_invertible_gram(self.gram)).all(axis=-1)
+    def combine(self, sigma_mode: SigmaMode, batch_size: int) -> "StackedEstimate":
+        """`ivw_combine` of every member (which calls this for a StackedSums).
+        The singularity checks, which give the norms' lambda_min, and the
+        Cholesky solves run once over the stack, with the identity in place
+        of the Grams of members without the estimate."""
+        invertible, smallest = gram_check(self.gram)
+        ok = ((self.usable > 0) & invertible).all(axis=-1)
         known = isinstance(sigma_mode, KnownSigma)
         if not known:
             ok &= (self.count > self.xy.shape[-1]).all(axis=-1)
-        has = ok[:, None, None, None]
-        gram = np.where(has, self.gram, np.eye(self.xy.shape[-1]))
+        gram = np.where(ok[:, None, None, None], self.gram, np.eye(self.xy.shape[-1]))
         beta = np.where((self.usable == 1)[..., None], self.ref, 0.0)
         beta = np.where(ok[:, None, None] & (self.usable > 1)[..., None], solve_spd(gram, self.weighted), beta)
-        inv = np.where(has, inverse_spd(gram), 0.0)
         if known:
             factor = np.full(ok.shape + (2,), sigma_mode.sigma**2)
             sd = np.full(ok.shape + (2,), sigma_mode.sigma)
@@ -255,7 +282,31 @@ class StackedSums:
             sq = self.ee - 2.0 * _dot(delta, self.xe) + _quad(delta, self.xx)
             factor = np.where(0.0 > sq, 0.0, sq) / np.maximum(self.count, 1)
             sd = np.sqrt(factor)
-        return ok, beta, batch_size * inv * factor[..., None, None], sd
+        norms = batch_size * factor / np.where(ok[:, None], smallest, 1.0)
+        return StackedEstimate(ok, beta, norms, sd, gram, factor, batch_size)
+
+
+class StackedEstimate(NamedTuple):
+    """`StackedSums.combine` of R members: whether each has the estimate (R,),
+    the estimates (R, 2, d), zero where it has not, the spectral norms of the
+    scaled variances (R, 2) and the noise scales (R, 2); `estimate` forms a
+    member's variance matrices from the combined Grams (R, 2, d, d) and the
+    noise factors (R, 2)."""
+
+    ok: np.ndarray
+    beta: np.ndarray
+    norms: np.ndarray
+    sd: np.ndarray
+    gram: np.ndarray
+    factor: np.ndarray
+    batch_size: int
+
+    def estimate(self, k: int) -> "IvwEstimate":
+        """Member k's estimate, with the variances `IvwCombination.estimate`
+        gives its lone trajectory."""
+        var = self.batch_size * inverse_spd(self.gram[k]) * self.factor[k][:, None, None]
+        noise_sd = tuple(self.sd[k].tolist())
+        return IvwEstimate(self.beta[k, 0], self.beta[k, 1], var[0], var[1], self.batch_size, noise_sd)
 
 
 # m @ v, u @ v and v @ m @ v over stacks of vectors (..., d) and matrices (..., d, d).
@@ -296,11 +347,41 @@ class IvwEstimate:
         return self.var(arm) / self.batch_size
 
 
+@dataclass(frozen=True)
+class IvwCombination:
+    """`ivw_combine` of one trajectory's sums: both arms' estimates and the
+    spectral norms of their scaled variances, n f / lambda_min(G), which is
+    all a stopping rule reads.  The variance matrices n f G^{-1} are formed
+    from the combined Grams G and noise factors f only when read."""
+
+    beta0: np.ndarray
+    beta1: np.ndarray
+    var_norms: tuple[float, float]
+    batch_size: int
+    noise_sd: tuple[float, float]
+    grams: tuple[np.ndarray, np.ndarray]
+    factors: tuple[float, float]
+
+    @property
+    def var0(self) -> np.ndarray:
+        return self.batch_size * inverse_spd(self.grams[0]) * self.factors[0]
+
+    @property
+    def var1(self) -> np.ndarray:
+        return self.batch_size * inverse_spd(self.grams[1]) * self.factors[1]
+
+    def estimate(self) -> IvwEstimate:
+        """The terminal estimate, with its variance matrices formed now."""
+        return IvwEstimate(self.beta0, self.beta1, self.var0, self.var1, self.batch_size, self.noise_sd)
+
+
 def fit_batch_ols(
     contexts: np.ndarray,
     actions: np.ndarray,
     rewards: np.ndarray,
     batch_index: int = 0,
+    *,
+    residual: bool = True,
 ) -> BatchOlsFit:
     """Per-arm OLS on one batch.
 
@@ -308,7 +389,8 @@ def fit_batch_ols(
     matrix is singular gets beta=None (the Gram and count are still reported).
     Each arm's sums are zero-masked full-length products (`masked_sums`), so
     they round the same whether the batch is fitted alone or stacked with
-    others.
+    others.  With `residual` False the residual sums of squares, which only
+    residual-sigma running sums read, are not computed.
     """
     contexts = np.asarray(contexts, dtype=float)
     actions = np.asarray(actions)
@@ -329,7 +411,8 @@ def fit_batch_ols(
         beta, rss = None, None
         if is_invertible_gram(gram):
             beta = solve_spd(gram, moment)
-            rss = float(masked_rss(contexts, rewards, w, beta))
+            if residual:
+                rss = float(masked_rss(contexts, rewards, w, beta))
         arms.append(ArmFit(beta, gram, int(np.count_nonzero(mask)), rss, moment, float(sum_sq)))
     return BatchOlsFit(batch_index=batch_index, arm0=arms[0], arm1=arms[1])
 
@@ -337,7 +420,8 @@ def fit_batch_ols(
 class StackedFit(NamedTuple):
     """Both arms' batch fits for any leading (member) axes: gram (..., 2, d, d),
     moment (..., 2, d), count, sum_sq, usable (..., 2), and beta (..., 2, d)
-    and rss (..., 2), zero where the arm's Gram is singular."""
+    and rss (..., 2), zero where the arm's Gram is singular (rss is None for
+    a fit made without residuals)."""
 
     gram: np.ndarray
     moment: np.ndarray
@@ -348,10 +432,12 @@ class StackedFit(NamedTuple):
     rss: np.ndarray
 
 
-def fit_arms(contexts: np.ndarray, rewards: np.ndarray, masks: np.ndarray) -> StackedFit:
+def fit_arms(
+    contexts: np.ndarray, rewards: np.ndarray, masks: np.ndarray, residual: bool = True
+) -> StackedFit:
     """Per-arm OLS of one batch, or of one batch per member of a stack:
     contexts (..., n, d), rewards (..., n) and the arms' masks (..., 2, n)
-    (bool).
+    (bool), with the residual sums of squares if `residual`.
     The sums, the singularity checks, the Cholesky solves and the residuals
     run once over the stack; singular Grams are solved as the identity and
     their estimates zeroed."""
@@ -360,7 +446,7 @@ def fit_arms(contexts: np.ndarray, rewards: np.ndarray, masks: np.ndarray) -> St
     usable = is_invertible_gram(gram)
     solved = solve_spd(np.where(usable[..., None, None], gram, np.eye(gram.shape[-1])), moment)
     beta = np.where(usable[..., None], solved, 0.0)
-    rss = masked_rss(x, y, w, beta)
+    rss = masked_rss(x, y, w, beta) if residual else None
     return StackedFit(gram, moment, np.add.reduce(masks, axis=-1), sum_sq, usable, beta, rss)
 
 
@@ -385,19 +471,23 @@ def masked_rss(contexts: np.ndarray, rewards: np.ndarray, w: np.ndarray, beta: n
     return np.add.reduce(resid * resid, axis=-1)
 
 
-def _arm_estimate(sums: RunningSums, arm: int) -> np.ndarray:
+def _arm_estimate(sums: RunningSums, arm: int) -> tuple[np.ndarray, float]:
+    """The arm's combined estimate and the smallest eigenvalue of its combined Gram."""
     s = sums.arm(arm)
     if s.usable == 0:
         raise EstimatorUnavailable(f"no batch with a usable arm-{arm} fit")
-    if not is_invertible_gram(s.gram):
+    invertible, smallest = gram_check(s.gram)
+    if not invertible:
         raise EstimatorUnavailable(f"combined arm-{arm} Gram matrix is singular")
-    return s.ref.copy() if s.usable == 1 else solve_spd(s.gram, s.weighted)
+    return (s.ref.copy() if s.usable == 1 else solve_spd(s.gram, s.weighted)), smallest
 
 
 def residual_noise_factors(
     sums: RunningSums, beta0: np.ndarray, beta1: np.ndarray
 ) -> tuple[float, float]:
     """Per-arm mean squared residuals over all units, against the supplied estimates."""
+    if sums.arm0.ee is None:
+        raise ContractError("these running sums keep no residual terms (made for a known noise scale)")
     dim = np.asarray(beta0).size
     factors = []
     for a, beta in ((0, beta0), (1, beta1)):
@@ -410,9 +500,9 @@ def residual_noise_factors(
     return factors[0], factors[1]
 
 
-def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> IvwEstimate:
-    """The Gram-weighted estimate of the batches summed so far, with its
-    scaled variance ``batch_size * (sum of contributing Grams)^{-1} * factor``:
+def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> IvwCombination:
+    """The Gram-weighted estimate of the batches summed so far.  Its scaled
+    variance is ``batch_size * (sum of contributing Grams)^{-1} * factor``:
     sigma^2 with a known noise scale, else the arm's mean squared residual
     against its combined estimate.  Stacked sums give `StackedSums.combine`
     of all members at once."""
@@ -420,21 +510,21 @@ def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> Iv
         return sums.combine(sigma_mode, batch_size)
     if not sums:
         raise EstimatorUnavailable("no batch fits supplied")
-    beta0 = _arm_estimate(sums, 0)
-    beta1 = _arm_estimate(sums, 1)
+    (beta0, low0), (beta1, low1) = _arm_estimate(sums, 0), _arm_estimate(sums, 1)
     if isinstance(sigma_mode, KnownSigma):
         factors = (sigma_mode.sigma**2, sigma_mode.sigma**2)
         noise_sd = (sigma_mode.sigma, sigma_mode.sigma)
     else:
         factors = residual_noise_factors(sums, beta0, beta1)
         noise_sd = (math.sqrt(factors[0]), math.sqrt(factors[1]))
-    return IvwEstimate(
+    return IvwCombination(
         beta0=beta0,
         beta1=beta1,
-        var0=batch_size * inverse_spd(sums.arm0.gram) * factors[0],
-        var1=batch_size * inverse_spd(sums.arm1.gram) * factors[1],
+        var_norms=(float(batch_size * factors[0] / low0), float(batch_size * factors[1] / low1)),
         batch_size=batch_size,
         noise_sd=noise_sd,
+        grams=(sums.arm0.gram, sums.arm1.gram),
+        factors=factors,
     )
 
 

@@ -255,14 +255,13 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
     return PreparedExperiment(config=config, setup=setup, consts=consts, cost_mode=cost_mode)
 
 
-def _terminal_bound(
-    prepared: PreparedExperiment, stop_time: int, var_norms: Tuple[float, float]
-) -> Optional[float]:
+def _terminal_bound(prepared: PreparedExperiment, record: ExperimentRecord) -> Optional[float]:
     consts = prepared.consts
     if consts is None:
         return None
     if prepared.config.stopping.kind.startswith("predetermined"):
-        return regret_bound_time(stop_time, consts)
+        return regret_bound_time(record.stop_time, consts)
+    var_norms = record.var_norms
     if not all(math.isfinite(v) for v in var_norms):
         return None
     return regret_bound_from_variance(max(var_norms), consts)
@@ -323,7 +322,7 @@ def _record(
     )
 
     if prepared.cost_mode is not None and traj.ivw is not None:
-        bound = _terminal_bound(prepared, traj.stop_time, record.var_norms)
+        bound = _terminal_bound(prepared, record)
         if bound is not None:
             record.creg = cost_adjusted_regret(
                 bound, traj.stop_time, prepared.consts, prepared.cost_mode

@@ -41,9 +41,17 @@ def is_invertible_gram(gram: np.ndarray):
     Gram matrix (a numpy bool) or for each of a stack (..., d, d) (a bool
     array); a NaN eigenvalue fails it.  Rounding is monotone, so RTOL * max(l, 1)
     equals max(RTOL * l, RTOL) exactly and the rule splits into two comparisons."""
+    return gram_check(gram)[0]
+
+
+def gram_check(gram: np.ndarray):
+    """`is_invertible_gram` together with the smallest eigenvalue it read, for
+    one Gram (numpy scalars) or a stack (arrays): the spectral norm of
+    c * gram^{-1} is c / smallest, so a caller that needs both makes one
+    eigendecomposition."""
     eigs = eigvalsh(gram)  # [()] makes a lone matrix's values numpy scalars, faster than 0-d arrays
     smallest, largest = eigs[..., 0][()], eigs[..., -1][()]
-    return (smallest > GRAM_SINGULARITY_RTOL * largest) & (smallest > GRAM_SINGULARITY_RTOL)
+    return (smallest > GRAM_SINGULARITY_RTOL * largest) & (smallest > GRAM_SINGULARITY_RTOL), smallest
 
 
 @lru_cache(maxsize=None)

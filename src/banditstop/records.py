@@ -5,6 +5,7 @@ per-batch statistics, the stop trace, terminal estimates, and inference output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -64,8 +65,11 @@ class ExperimentRecord:
     error: Optional[str] = None
     inference_error: Optional[str] = None
 
-    @property
+    @cached_property
     def var_norms(self) -> Tuple[float, float]:
+        """Spectral norms of the terminal variance matrices (NaN without an
+        estimate), computed on first read: the objective of an online rule
+        and the CSV row read them."""
         if self.ivw is None:
             return (float("nan"), float("nan"))
         return (spectral_norm(self.ivw.var0), spectral_norm(self.ivw.var1))

@@ -11,25 +11,30 @@ every other step, the Cholesky solves included (`linalg.solve_spd`), runs
 once over a (members, arms) stack, in forms that round the same stacked or
 alone (`tests/test_stack_invariance.py`).  So each member's trajectory
 equals, bit for bit, the one `simulate_trajectory` gives its generator.
+
+Both loops compute per batch only what the policy and the stopping rule
+read: the running sums (with residual terms only under residual sigma), the
+combined estimate and the spectral norms of its scaled variances,
+n f / lambda_min(G) (`estimators.ivw_combine`), carried one batch for the
+opportunity rule.  The variance matrices are formed once, at the stop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from .bounds import chunk_members, lock_step_batch
 from .errors import EstimatorUnavailable
-from .estimators import IvwEstimate, RunningSums, StackedFit, StackedSums, fit_arms
+from .estimators import IvwEstimate, KnownSigma, RunningSums, StackedFit, StackedSums, fit_arms
 from .estimators import fit_batch_ols, ivw_combine
-from .linalg import eigvalsh
 from .model import TrueModel, realize_rewards, sample_batch_contexts
 from .policies import select_actions, update_state
 from .records import BatchStats, SimulationSetup
-from .stopping import StopDecision, decide, evaluate
+from .stopping import NormPair, StopDecision, evaluate
 
 
 @dataclass
@@ -60,10 +65,11 @@ def simulate_trajectory(
     horizon = rule.t_max if t_limit is None else min(rule.t_max, t_limit)
 
     stats: List[BatchStats] = []
-    sums = RunningSums.empty(model.dim)
+    residual = not isinstance(setup.sigma_mode, KnownSigma)
+    sums = RunningSums.empty(model.dim, residual)
     stop_trace: List[StopDecision] = []
-    prev_vars: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    ivw: Optional[IvwEstimate] = None
+    norms: Optional[NormPair] = None
+    ivw = None
     fired = False
     capped = False
     t = 0
@@ -73,20 +79,19 @@ def simulate_trajectory(
         x = sample_batch_contexts(setup.context, setup.batch_size, rng)
         actions = select_actions(setup.policy, sums, x, setup.clip, rng)
         y = realize_rewards(model, x, actions, rng)
-        fit = fit_batch_ols(x, actions, y, batch_index=t)
+        fit = fit_batch_ols(x, actions, y, batch_index=t, residual=residual)
         stats.append((fit.arm1.beta, fit.arm1.gram, fit.arm0.beta, fit.arm0.gram))
         update_state(sums, fit)
 
-        cur_vars: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        previous = norms
         try:
             ivw = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
-            cur_vars = (ivw.var0, ivw.var1)
+            norms = ivw.var_norms
         except EstimatorUnavailable:
-            ivw = None
+            ivw = norms = None
 
-        decision = evaluate(rule, t, current=cur_vars, previous=prev_vars)
+        decision = evaluate(rule, t, current=norms, previous=previous)
         stop_trace.append(decision)
-        prev_vars = cur_vars
         if decision.stop:
             fired = not decision.cap_hit
             capped = decision.cap_hit
@@ -97,7 +102,7 @@ def simulate_trajectory(
         stop_trace=stop_trace,
         stop_time=t,
         cap_hit=capped,
-        ivw=ivw,
+        ivw=None if ivw is None else ivw.estimate(),
         rule_fired=fired,
     )
 
@@ -130,12 +135,13 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
     horizon = rule.t_max if t_limit is None else min(rule.t_max, t_limit)
     online = not rule.is_predetermined
     traces: List[List[StopDecision]] = [[] for _ in rngs]
-    prev: List[Optional[Tuple[float, float]]] = [None] * len(rngs)
+    prev: List[Optional[NormPair]] = [None] * len(rngs)
     ivws: List[Optional[IvwEstimate]] = [None] * len(rngs)  # each member's estimate at its stop
     batches: List[StackedFit] = []
     rows = []  # per batch, each member's row in its stack
     live = np.arange(len(rngs))  # the member of each row
-    sums = StackedSums.empty(len(rngs), model.dim)
+    residual = not isinstance(setup.sigma_mode, KnownSigma)
+    sums = StackedSums.empty(len(rngs), model.dim, residual)
     t = 0
     while live.size:
         t += 1
@@ -143,7 +149,7 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
         x, arm1, y = lock_step_batch(
             setup.context, model, setup.policy, setup.clip, n, t, members, sums.xx, sums.xy
         )
-        fit = fit_arms(x, y, np.stack([~arm1, arm1], axis=1))
+        fit = fit_arms(x, y, np.stack([~arm1, arm1], axis=1), residual)
         sums.add(fit)
         batches.append(fit)
         rows.append(np.full(len(rngs), -1))
@@ -152,19 +158,17 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
         # Through `ivw_combine` (which hands stacked sums to `StackedSums.combine`)
         # and every batch, as a lone trajectory does: perfbench's tracer
         # wraps this name, and its growth metric needs the early batches too.
-        ok, beta, var, sd = ivw_combine(sums, setup.sigma_mode, n)
-        if online:
-            norms = eigvalsh(var)[..., -1].tolist()
-        fixed = None if online else decide(rule, t)  # a pre-determined rule reads no data
+        combined = ivw_combine(sums, setup.sigma_mode, n)
+        ok, norms = combined.ok, combined.norms.tolist()
+        fixed = None if online else evaluate(rule, t)  # a pre-determined rule reads no data
         stop = np.zeros(live.size, dtype=bool)
         for k, i in enumerate(live):
             cur = tuple(norms[k]) if online and ok[k] else None
-            traces[i].append(decide(rule, t, cur, prev[i]) if online else fixed)
+            traces[i].append(evaluate(rule, t, cur, prev[i]) if online else fixed)
             prev[i] = cur
             stop[k] = traces[i][-1].stop or t == horizon
         for k in np.flatnonzero(stop & ok):
-            noise_sd = tuple(sd[k].tolist())
-            ivws[live[k]] = IvwEstimate(beta[k, 0], beta[k, 1], var[k, 0], var[k, 1], n, noise_sd)
+            ivws[live[k]] = combined.estimate(k)
         live, sums = live[~stop], sums.take(~stop)
 
     # Each member's stats are built as its trajectory is handed out, so a

@@ -1,6 +1,11 @@
 """The four stopping rules (pre-determined opportunity-cost and threshold,
 online variance-threshold and variance-opportunity-cost) plus the closed-form
 stop-time approximations available when the margin exponent is 1.
+
+The online rules read each arm's spectral norm of the scaled variance
+n f G^{-1}, which the simulation loops take as n f / lambda_min(G) from
+`estimators.ivw_combine` without forming the matrix; `spectral_norm`
+reduces a formed matrix (a record's terminal variances).
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ class StopDecision:
     diagnostics: Dict[str, float] = field(default_factory=dict)
 
 
-VariancePair = Tuple[np.ndarray, np.ndarray]  # (arm0 matrix, arm1 matrix)
+NormPair = Tuple[float, float]  # (arm 0, arm 1) spectral norms of the scaled variances
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
@@ -103,32 +108,18 @@ def spectral_norm(matrix: np.ndarray) -> float:
 def evaluate(
     spec: StoppingRuleSpec,
     t: int,
-    current: Optional[VariancePair] = None,
-    previous: Optional[VariancePair] = None,
+    current: Optional[NormPair] = None,
+    previous: Optional[NormPair] = None,
 ) -> StopDecision:
     """Evaluate the stopping rule at batch t.
 
-    Online rules need the current per-arm variance matrices (and the previous
-    ones for the opportunity variant); missing inputs yield "continue" with a
-    diagnostic flag rather than an error.  The hard cap always stops with
-    cap_hit set.
+    Online rules read the spectral norms of the current per-arm scaled
+    variance matrices (``IvwCombination.var_norms``), and the opportunity
+    variant those of the previous batch too, which the caller carries from
+    one batch to the next; missing inputs yield "continue" with a diagnostic
+    flag rather than an error.  Pre-determined rules read neither.  The hard
+    cap always stops with cap_hit set.
     """
-    norms = prev = None
-    if not spec.is_predetermined and current is not None:
-        norms = (spectral_norm(current[0]), spectral_norm(current[1]))
-        if isinstance(spec.rule, OnlineOpportunity) and previous is not None:
-            prev = (spectral_norm(previous[0]), spectral_norm(previous[1]))
-    return decide(spec, t, norms, prev)
-
-
-def decide(
-    spec: StoppingRuleSpec,
-    t: int,
-    norms: Optional[Tuple[float, float]] = None,
-    previous: Optional[Tuple[float, float]] = None,
-) -> StopDecision:
-    """`evaluate` given the spectral norms of the variance matrices instead
-    of the matrices, for callers that compute the norms of many at once."""
     if t < 1:
         raise ContractError("t must be >= 1")
     rule = spec.rule
@@ -146,20 +137,20 @@ def decide(
         diagnostics.update(bound_t=bound_now, threshold=rule.k)
         stop = bound_now <= rule.k
     elif isinstance(rule, OnlineThreshold):
-        if norms is None:
+        if current is None:
             diagnostics["estimator_unavailable"] = 1.0
         else:
-            norm0, norm1 = norms
+            norm0, norm1 = current
             diagnostics.update(var_norm_arm0=norm0, var_norm_arm1=norm1, threshold=rule.k)
             stop = norm0 <= rule.k and norm1 <= rule.k
     elif isinstance(rule, OnlineOpportunity):
-        if norms is None:
+        if current is None:
             diagnostics["estimator_unavailable"] = 1.0
         elif previous is None:
             diagnostics["insufficient_history"] = 1.0
         else:
             level = rule.c_prime * (rule.batch_size if rule.scale_by_batch else 1.0)
-            norm0, norm1 = norms
+            norm0, norm1 = current
             dec0 = previous[0] - norm0
             dec1 = previous[1] - norm1
             diagnostics.update(

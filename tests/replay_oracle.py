@@ -9,7 +9,7 @@ from typing import List
 
 import numpy as np
 
-from banditstop import ContractError, ExperimentRecord, KnownSigma, StopDecision, evaluate
+from banditstop import ContractError, ExperimentRecord, KnownSigma, StopDecision, evaluate, spectral_norm
 from banditstop.linalg import inverse_spd, is_invertible_gram
 
 
@@ -19,7 +19,9 @@ def replay_stop_decisions(record: ExperimentRecord) -> List[StopDecision]:
     Valid for pre-determined rules (no data involved) and for online rules in
     known-sigma mode, whose stopping statistic is a function of the Gram
     matrices; residual-based statistics are not recoverable from the
-    statistics list.
+    statistics list.  The norms the rule reads come from the replayed
+    variance matrices by `spectral_norm`, independently of the n f / lambda_min
+    form the simulation uses.
     """
     setup = record.setup
     if not setup.rule.is_predetermined and not isinstance(setup.sigma_mode, KnownSigma):
@@ -38,9 +40,8 @@ def replay_stop_decisions(record: ExperimentRecord) -> List[StopDecision]:
         if isinstance(setup.sigma_mode, KnownSigma):
             sig2 = setup.sigma_mode.sigma ** 2
             if is_invertible_gram(totals[0]) and is_invertible_gram(totals[1]):
-                current = (
-                    setup.batch_size * inverse_spd(totals[0]) * sig2,
-                    setup.batch_size * inverse_spd(totals[1]) * sig2,
+                current = tuple(
+                    spectral_norm(setup.batch_size * inverse_spd(g) * sig2) for g in (totals[0], totals[1])
                 )
         decisions.append(evaluate(setup.rule, t, current=current, previous=prev))
         prev = current

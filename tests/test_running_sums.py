@@ -3,12 +3,16 @@ from-scratch oracle, over random batch sequences: dimensions 1-3, arms with
 fewer units than the dimension, and collinear batches, so that per-arm Grams
 are often singular."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ivw_oracle
 from banditstop import (
+    ContractError,
     EstimatorUnavailable,
     KnownSigma,
     ResidualSigma,
@@ -16,8 +20,10 @@ from banditstop import (
     fit_batch_ols,
     ivw_combine,
     residual_noise_factors,
+    spectral_norm,
     update_state,
 )
+from banditstop.linalg import inverse_spd
 
 RTOL = 1e-10
 
@@ -122,3 +128,68 @@ def test_single_usable_batch_is_a_bitwise_fixed_point():
     est = ivw_combine(sums, ResidualSigma(), 6)
     assert np.array_equal(est.beta0, usable.arm0.beta)
     assert np.array_equal(est.beta1, usable.arm1.beta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(batch_sequences(), st.sampled_from([KnownSigma(1.3), ResidualSigma()]))
+def test_combined_variances_equal_the_oracle_bitwise(case, sigma_mode):
+    # The variance matrices, formed only when read, are the oracle's
+    # n * inverse_spd(G) * f bit for bit, with the residual factors the
+    # package computes (the oracle's own, from raw units, agree to RTOL
+    # above); the estimates are the oracle's bit for bit, and the terminal
+    # estimate carries the same bits.  The norms the stopping rule reads,
+    # n f / lambda_min(G), agree with the matrices' spectral norms to rounding.
+    dim, batches, _ = case
+    sums, fits = RunningSums.empty(dim), []
+    for t, batch in enumerate(batches, start=1):
+        fits.append(fit_batch_ols(batch.contexts, batch.actions, batch.rewards, batch_index=t))
+        update_state(sums, fits[-1])
+        est = outcome(ivw_combine, sums, sigma_mode, 7)
+        if isinstance(est, EstimatorUnavailable):
+            continue
+        factors = (
+            (1.3**2, 1.3**2)
+            if isinstance(sigma_mode, KnownSigma)
+            else residual_noise_factors(sums, est.beta0, est.beta1)
+        )
+        assert est.factors == factors
+        terminal = est.estimate()
+        for arm, (beta, var, norm) in enumerate(zip((est.beta0, est.beta1), (est.var0, est.var1), est.var_norms)):
+            gram = ivw_oracle.combined_gram(fits, arm)
+            assert np.array_equal(beta, ivw_oracle.combine_arm(fits, arm))
+            assert np.array_equal(var, 7 * inverse_spd(gram) * factors[arm])
+            assert np.array_equal(terminal.var(arm), var) and np.array_equal(terminal.beta(arm), beta)
+            # The tolerance of test_estimators.py's identity test.
+            assert abs(norm - spectral_norm(var)) <= 32.0 * np.finfo(float).eps * np.linalg.cond(gram) * norm
+        assert terminal.noise_sd == est.noise_sd
+        if isinstance(sigma_mode, KnownSigma):
+            oracle = ivw_oracle.ivw_combine(fits, sigma_mode, 7)
+            assert np.array_equal(est.var0, oracle.var0) and np.array_equal(est.var1, oracle.var1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(batch_sequences())
+def test_known_sigma_sums_keep_no_residual_state(case):
+    # Sums made without residual terms, from fits made without residual sums
+    # of squares, hold None for both terms and otherwise equal the full sums
+    # bit for bit, so the known-sigma estimate is unchanged.
+    dim, batches, _ = case
+    full, lean = RunningSums.empty(dim), RunningSums.empty(dim, residual=False)
+    for t, batch in enumerate(batches, start=1):
+        update_state(full, fit_batch_ols(batch.contexts, batch.actions, batch.rewards, batch_index=t))
+        fit = fit_batch_ols(batch.contexts, batch.actions, batch.rewards, batch_index=t, residual=False)
+        assert fit.arm0.rss is None and fit.arm1.rss is None
+        update_state(lean, fit)
+        for a in (0, 1):
+            kept, bare = dataclasses.asdict(full.arm(a)), dataclasses.asdict(lean.arm(a))
+            assert bare.pop("xe") is None and bare.pop("ee") is None
+            for name, value in bare.items():
+                assert np.array_equal(value, kept[name]), name
+        got, want = (outcome(ivw_combine, s, KnownSigma(1.3), 7) for s in (lean, full))
+        if isinstance(want, EstimatorUnavailable):
+            assert str(got) == str(want)
+        else:
+            for name in ("beta0", "beta1", "var_norms", "noise_sd", "var0", "var1"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    with pytest.raises(ContractError):
+        residual_noise_factors(lean, np.zeros(dim), np.zeros(dim))

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,18 +7,29 @@ import pytest
 from banditstop import (
     BoundConstants,
     ContractError,
+    EpsGreedy,
+    KnownSigma,
     OnlineOpportunity,
     OnlineThreshold,
     PredeterminedOpportunity,
     PredeterminedThreshold,
+    ResidualSigma,
+    Schedule,
+    SimulationSetup,
     StoppingRuleSpec,
+    TrueModel,
     UnsupportedCaseError,
     closed_form_stop_time,
+    constant_clip,
     cumulative_cost_adjusted_regret,
     evaluate,
+    linalg,
     make_rng,
     scan_stop_time,
+    simulate,
     spectral_norm,
+    stopping,
+    uniform_cube_spec,
 )
 from banditstop.bounds import AdditiveCost, ThresholdCost
 
@@ -67,31 +79,31 @@ class TestSpectralNorm:
 class TestEvaluateOnline:
     def test_threshold_stop(self):
         spec = StoppingRuleSpec(OnlineThreshold(k=1.0), t_max=100)
-        d = evaluate(spec, 3, current=(diag(0.7), diag(0.5)))
+        d = evaluate(spec, 3, current=(0.7, 0.5))
         assert d.stop and not d.cap_hit
         assert d.diagnostics["var_norm_arm0"] == pytest.approx(0.7)
 
     def test_threshold_requires_both_arms(self):
         spec = StoppingRuleSpec(OnlineThreshold(k=1.0), t_max=100)
-        assert not evaluate(spec, 3, current=(diag(1.4), diag(0.5))).stop
+        assert not evaluate(spec, 3, current=(1.4, 0.5)).stop
 
     def test_opportunity_decrements(self):
         spec = StoppingRuleSpec(OnlineOpportunity(c_prime=0.02), t_max=100)
-        prev = (diag(1.0), diag(1.0))
-        stop_case = evaluate(spec, 2, current=(diag(0.99), diag(0.985)), previous=prev)
+        prev = (1.0, 1.0)
+        stop_case = evaluate(spec, 2, current=(0.99, 0.985), previous=prev)
         assert stop_case.stop  # decrements 0.01 and 0.015
-        cont_case = evaluate(spec, 2, current=(diag(0.99), diag(0.95)), previous=prev)
+        cont_case = evaluate(spec, 2, current=(0.99, 0.95), previous=prev)
         assert not cont_case.stop  # decrement 0.05 too large
 
     def test_negative_decrement_counts_as_stop(self):
         spec = StoppingRuleSpec(OnlineOpportunity(c_prime=0.02), t_max=100)
-        prev = (diag(1.0), diag(1.0))
-        d = evaluate(spec, 2, current=(diag(1.05), diag(1.01)), previous=prev)
+        prev = (1.0, 1.0)
+        d = evaluate(spec, 2, current=(1.05, 1.01), previous=prev)
         assert d.stop
 
     def test_opportunity_needs_history(self):
         spec = StoppingRuleSpec(OnlineOpportunity(c_prime=0.02), t_max=100)
-        d = evaluate(spec, 1, current=(diag(1.0), diag(1.0)), previous=None)
+        d = evaluate(spec, 1, current=(1.0, 1.0), previous=None)
         assert not d.stop and "insufficient_history" in d.diagnostics
 
     def test_missing_estimates_continue_with_flag(self):
@@ -103,15 +115,60 @@ class TestEvaluateOnline:
         spec = StoppingRuleSpec(
             OnlineOpportunity(c_prime=0.001, scale_by_batch=True, batch_size=100), t_max=50
         )
-        prev = (diag(1.0), diag(1.0))
-        d = evaluate(spec, 2, current=(diag(0.95), diag(0.95)), previous=prev)
+        prev = (1.0, 1.0)
+        d = evaluate(spec, 2, current=(0.95, 0.95), previous=prev)
         assert d.stop  # level 0.1 vs decrements 0.05
         assert d.diagnostics["level"] == pytest.approx(0.1)
 
     def test_cap(self):
         spec = StoppingRuleSpec(OnlineThreshold(k=1e-9), t_max=4)
-        d = evaluate(spec, 4, current=(diag(1.0), diag(1.0)))
+        d = evaluate(spec, 4, current=(1.0, 1.0))
         assert d.stop and d.cap_hit
+
+
+class TestCarriedNorms:
+    """The lone loop carries each batch's variance norms to the next, so the
+    opportunity rule costs no eigenvalue call that the threshold rule does not."""
+
+    def run(self, rule, sigma_mode):
+        setup = SimulationSetup(
+            context=uniform_cube_spec(2), policy=EpsGreedy(Schedule(0.2)), clip=constant_clip(0.1),
+            batch_size=20, sigma_mode=sigma_mode, rule=StoppingRuleSpec(rule, t_max=25),
+        )
+        model = TrueModel(beta0=[0.2, -0.1], beta1=[0.45, 0.25])
+        eigvalsh = mock.Mock(wraps=linalg.eigvalsh)
+        after_batch = []
+
+        def counted_evaluate(*args, **kwargs):
+            decision = stopping.evaluate(*args, **kwargs)
+            after_batch.append(eigvalsh.call_count)
+            return decision
+
+        with mock.patch.object(linalg, "eigvalsh", eigvalsh), mock.patch.object(
+            stopping, "eigvalsh", eigvalsh
+        ), mock.patch.object(simulate, "evaluate", counted_evaluate):
+            traj = simulate.simulate_trajectory(setup, model, make_rng(3))
+        return np.diff([0] + after_batch).tolist(), traj
+
+    @pytest.mark.parametrize("sigma_mode", [KnownSigma(1.0), ResidualSigma()])
+    def test_same_eigenvalue_calls_per_batch(self, sigma_mode):
+        per_threshold, threshold = self.run(OnlineThreshold(k=1e-9), sigma_mode)
+        per_opportunity, opportunity = self.run(OnlineOpportunity(c_prime=1e-9), sigma_mode)
+        common = min(threshold.stop_time, opportunity.stop_time)
+        assert common > 10 and min(per_threshold) > 0
+        assert per_opportunity[:common] == per_threshold[:common]
+
+    def test_decrement_is_carried_norm_minus_current(self):
+        _, traj = self.run(OnlineOpportunity(c_prime=1e-9), KnownSigma(1.0))
+        checked = 0
+        for before, now in zip(traj.stop_trace, traj.stop_trace[1:]):
+            if "var_norm_arm0" not in before.diagnostics:  # the first batch logs no norms
+                continue
+            for arm in (0, 1):
+                prev, cur = before.diagnostics[f"var_norm_arm{arm}"], now.diagnostics[f"var_norm_arm{arm}"]
+                assert now.diagnostics[f"decrement_arm{arm}"] == prev - cur
+            checked += 1
+        assert checked > 10
 
 
 class TestEvaluatePredetermined:
@@ -127,7 +184,7 @@ class TestEvaluatePredetermined:
     def test_data_independence(self):
         c = consts()
         spec = StoppingRuleSpec(PredeterminedOpportunity(c), t_max=1000)
-        with_data = evaluate(spec, 10, current=(diag(9.0), diag(9.0)), previous=(diag(9.5), diag(9.5)))
+        with_data = evaluate(spec, 10, current=(9.0, 9.0), previous=(9.5, 9.5))
         without = evaluate(spec, 10)
         assert with_data.stop == without.stop
         assert with_data.diagnostics == without.diagnostics
