@@ -429,7 +429,7 @@ class StackedFit(NamedTuple):
     sum_sq: np.ndarray
     usable: np.ndarray
     beta: np.ndarray
-    rss: np.ndarray
+    rss: Optional[np.ndarray]
 
 
 def fit_arms(
