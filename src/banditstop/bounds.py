@@ -20,8 +20,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
-from .estimators import masked_sums
-from .model import ContextSpec, TrueModel, stacked_contexts, stacked_rewards
+from .estimators import arm_masks, masked_sums
+from .model import ContextSpec, TrueModel, stacked_contexts, stacked_rewards, stacked_uniforms
 from .policies import ClipSchedule, PolicyKind, stacked_estimates, stacked_probabilities
 from .rng import derive_seed, make_rng
 
@@ -302,7 +302,7 @@ def lock_step_batch(spec, model, policy, clip_schedule, batch_size, t, rngs, xx,
     pre = stacked_probabilities(policy, t, x, xx, xy)
     level = clip_schedule.value(t)
     post = np.minimum(np.maximum(pre, level), 1.0 - level)
-    arm1 = np.stack([rng.random(batch_size) for rng in rngs]) < post
+    arm1 = stacked_uniforms(rngs, (batch_size,)) < post
     return x, arm1, stacked_rewards(model, x, arm1, rngs)
 
 
@@ -322,8 +322,8 @@ def _lock_step_deviations(
     xy = np.zeros((len(rngs), 2, dim))
     for t in range(1, t_ref + 1):
         x, arm1, y = lock_step_batch(spec, model, policy, clip_schedule, batch_size, t, rngs, xx, xy)
-        w = np.stack([~arm1, arm1], axis=1).astype(float)
-        gram, moment, _ = masked_sums(x[:, None], y[:, None], w)
+        w = arm_masks(arm1).astype(float)
+        gram, moment, _ = masked_sums(x[:, None], y[:, None], w, squares=False)
         xx = xx + gram
         xy = xy + moment
 

@@ -24,8 +24,13 @@ Per batch, :func:`ivw_combine` forms no variance matrix.  A stopping rule
 reads only the spectral norm of each arm's scaled variance, and
 ``||n f G^{-1}||_2 = n f / lambda_min(G)`` for the combined Gram G: the
 singularity check of G already computes lambda_min (`linalg.gram_check`).
-The matrices ``n * inverse_spd(G) * f`` are formed when read, once per
-trajectory at its stop (:meth:`IvwCombination.estimate`).
+With a known noise scale f = sigma^2 needs no estimate, so the combined
+estimate is not solved either; under residual sigma f is the mean squared
+residual against it, so it is solved every batch.  The estimates and the
+matrices ``n * inverse_spd(G) * f`` are formed when read, once per
+trajectory at its stop (:meth:`IvwCombination.estimate`,
+:meth:`StackedEstimate.estimate`).  Fits made for a known noise scale skip
+y'y and the RSS, which only residual-sigma sums read.
 
 Stacking: a batch's per-arm sums are zero-masked full-length products
 (:func:`masked_sums`, :func:`masked_rss`), which numpy rounds the same for
@@ -33,6 +38,9 @@ one batch alone or for a stack of members' batches.  The lock-step engine of
 ``simulate.simulate_ensemble`` fits a stack with :func:`fit_arms` and folds
 it into :class:`StackedSums`, whose fold and combined estimate mirror
 :meth:`ArmSums.add` and :func:`ivw_combine` member by member, bit for bit.
+Where a stacked select (``np.where``) would pick the same branch for every
+member, as it mostly does once every arm has a usable batch, only that
+branch is computed (:func:`select`).
 """
 
 from __future__ import annotations
@@ -64,20 +72,22 @@ class ResidualSigma:
 
 SigmaMode = Union[KnownSigma, ResidualSigma]
 
+_NO_RESIDUAL_TERMS = "a fit made without residual terms cannot be folded into residual-sigma sums"
+
 
 @dataclass
 class ArmFit:
     """One arm's OLS output in one batch; `beta` and `rss` are None when the
-    Gram is singular, and `rss` also when the fit was made without residuals.
-    `moment` (X'y) and `sum_sq` (y'y) carry such an arm's units into the
-    running residual sums."""
+    Gram is singular.  `moment` (X'y) and `sum_sq` (y'y) carry such an arm's
+    units into the running residual sums.  A fit made without residual terms
+    has None for both `rss` and `sum_sq`."""
 
     beta: Optional[np.ndarray]
     gram: np.ndarray
     count: int
     rss: Optional[float]
     moment: np.ndarray
-    sum_sq: float
+    sum_sq: Optional[float]
 
 
 @dataclass
@@ -138,6 +148,8 @@ class ArmSums:
         self.count += fit.count
 
     def _add_residual(self, fit: ArmFit) -> None:
+        if fit.sum_sq is None:
+            raise ContractError(_NO_RESIDUAL_TERMS)
         ref = self.ref
         if fit.beta is None:
             self.xe = self.xe + fit.moment - fit.gram @ ref
@@ -226,33 +238,43 @@ class StackedSums:
 
     def add(self, fit: StackedFit) -> None:
         # Both branches of `ArmSums.add` for every arm; `usable` picks one.
+        # Where every arm takes the same branch, only that one is computed.
         u, beta, gram = fit.usable, fit.beta, fit.gram
-        ref = np.where((u & (self.usable == 0))[..., None], beta, self.ref)
+        first = u & (self.usable == 0)
+        first = first if np.count_nonzero(first) else None
+        every = np.count_nonzero(u) == u.size
+        ref = self.ref if first is None else np.where(first[..., None], beta, self.ref)
         if self.ee is not None:
-            self._add_residual(fit, ref)
+            self._add_residual(fit, ref, first, every)
         self.ref = ref
-        self.gram = np.where(u[..., None, None], self.gram + gram, self.gram)
-        self.weighted = np.where(u[..., None], self.weighted + _mv(gram, beta), self.weighted)
+        summed = self.gram + gram
+        self.gram = summed if every else np.where(u[..., None, None], summed, self.gram)
+        summed = self.weighted + _mv(gram, beta)
+        self.weighted = summed if every else np.where(u[..., None], summed, self.weighted)
         self.usable = self.usable + u
         self.xx = self.xx + gram
         self.xy = self.xy + fit.moment
         self.count = self.count + fit.count
         self.t += 1
 
-    def _add_residual(self, fit: StackedFit, ref: np.ndarray) -> None:
+    def _add_residual(self, fit: StackedFit, ref: np.ndarray, first: Optional[np.ndarray], every: bool) -> None:
+        if fit.sum_sq is None:
+            raise ContractError(_NO_RESIDUAL_TERMS)
         u, beta, gram = fit.usable, fit.beta, fit.gram
-        first = u & (self.usable == 0)
-        shift = beta - self.ref
-        ee = np.where(first, self.ee + (_quad(shift, self.xx) - 2.0 * _dot(shift, self.xe)), self.ee)
-        xe = np.where(first[..., None], self.xe - _mv(self.xx, shift), self.xe)
+        ee, xe = self.ee, self.xe
+        if first is not None:  # some arm's first usable batch: recentre its earlier sums
+            shift = beta - self.ref
+            ee = np.where(first, ee + (_quad(shift, self.xx) - 2.0 * _dot(shift, xe)), ee)
+            xe = np.where(first[..., None], xe - _mv(self.xx, shift), xe)
         diff = beta - ref
         gd = _mv(gram, diff)
-        self.xe = np.where(u[..., None], xe + gd, self.xe + fit.moment - _mv(gram, self.ref))
-        self.ee = np.where(
-            u,
-            ee + (fit.rss + _dot(diff, gd)),
-            self.ee + (fit.sum_sq - 2.0 * _dot(self.ref, fit.moment) + _quad(self.ref, gram)),
-        )
+        xe, ee = xe + gd, ee + (fit.rss + _dot(diff, gd))
+        if not every:  # singular arms fold their raw terms against the unchanged ref
+            xe = np.where(u[..., None], xe, self.xe + fit.moment - _mv(gram, self.ref))
+            ee = np.where(
+                u, ee, self.ee + (fit.sum_sq - 2.0 * _dot(self.ref, fit.moment) + _quad(self.ref, gram))
+            )
+        self.xe, self.ee = xe, ee
 
     def take(self, keep: np.ndarray) -> "StackedSums":
         """The members where `keep` is True."""
@@ -261,52 +283,59 @@ class StackedSums:
 
     def combine(self, sigma_mode: SigmaMode, batch_size: int) -> "StackedEstimate":
         """`ivw_combine` of every member (which calls this for a StackedSums).
-        The singularity checks, which give the norms' lambda_min, and the
-        Cholesky solves run once over the stack, with the identity in place
-        of the Grams of members without the estimate."""
+        The singularity checks, which give the norms' lambda_min, run once
+        over the stack.  Under residual sigma the noise factors need the
+        estimates, whose Cholesky solves run once over the stack with the
+        identity in place of the Grams of members without the estimate;
+        under a known noise scale they are solved only for a member read
+        at its stop (`StackedEstimate.estimate`)."""
         invertible, smallest = gram_check(self.gram)
         ok = ((self.usable > 0) & invertible).all(axis=-1)
-        known = isinstance(sigma_mode, KnownSigma)
-        if not known:
-            ok &= (self.count > self.xy.shape[-1]).all(axis=-1)
-        gram = np.where(ok[:, None, None, None], self.gram, np.eye(self.xy.shape[-1]))
-        beta = np.where((self.usable == 1)[..., None], self.ref, 0.0)
-        beta = np.where(ok[:, None, None] & (self.usable > 1)[..., None], solve_spd(gram, self.weighted), beta)
-        if known:
+        if isinstance(sigma_mode, KnownSigma):
             factor = np.full(ok.shape + (2,), sigma_mode.sigma**2)
             sd = np.full(ok.shape + (2,), sigma_mode.sigma)
         else:
+            ok &= (self.count > self.xy.shape[-1]).all(axis=-1)
+            gram = select(ok[:, None, None, None], self.gram, np.eye(self.xy.shape[-1]))
+            beta = select(ok[:, None, None] & (self.usable > 1)[..., None], solve_spd(gram, self.weighted), self.ref)
             # `ArmSums.squared_residual` over the count, max(., 0) as Python's;
             # members without the estimate get a finite stand-in.
             delta = beta - self.ref
             sq = self.ee - 2.0 * _dot(delta, self.xe) + _quad(delta, self.xx)
             factor = np.where(0.0 > sq, 0.0, sq) / np.maximum(self.count, 1)
             sd = np.sqrt(factor)
-        norms = batch_size * factor / np.where(ok[:, None], smallest, 1.0)
-        return StackedEstimate(ok, beta, norms, sd, gram, factor, batch_size)
+        norms = batch_size * factor / select(ok[:, None], smallest, 1.0)
+        return StackedEstimate(ok, norms, sd, factor, batch_size, self.gram, self.weighted, self.ref, self.usable)
 
 
 class StackedEstimate(NamedTuple):
     """`StackedSums.combine` of R members: whether each has the estimate (R,),
-    the estimates (R, 2, d), zero where it has not, the spectral norms of the
-    scaled variances (R, 2) and the noise scales (R, 2); `estimate` forms a
-    member's variance matrices from the combined Grams (R, 2, d, d) and the
-    noise factors (R, 2)."""
+    the spectral norms of the scaled variances (R, 2), the noise scales and
+    factors (R, 2), and the sums a member's estimate is formed from when read
+    (`estimate`): the combined Grams (R, 2, d, d), the weighted sums G beta
+    (R, 2, d), the first usable estimates (R, 2, d) and the usable counts
+    (R, 2)."""
 
     ok: np.ndarray
-    beta: np.ndarray
     norms: np.ndarray
     sd: np.ndarray
-    gram: np.ndarray
     factor: np.ndarray
     batch_size: int
+    gram: np.ndarray
+    weighted: np.ndarray
+    ref: np.ndarray
+    usable: np.ndarray
 
     def estimate(self, k: int) -> "IvwEstimate":
-        """Member k's estimate, with the variances `IvwCombination.estimate`
-        gives its lone trajectory."""
+        """Member k's estimate, with the estimates and variances
+        `IvwCombination.estimate` gives its lone trajectory: the first usable
+        estimate where it is the only one, else the solution of G beta = G
+        beta summed, which the Cholesky kernel gives the same bits stacked
+        as alone."""
+        beta = np.where((self.usable[k] == 1)[:, None], self.ref[k], solve_spd(self.gram[k], self.weighted[k]))
         var = self.batch_size * inverse_spd(self.gram[k]) * self.factor[k][:, None, None]
         noise_sd = tuple(self.sd[k].tolist())
-        return IvwEstimate(self.beta[k, 0], self.beta[k, 1], var[0], var[1], self.batch_size, noise_sd)
+        return IvwEstimate(beta[0], beta[1], var[0], var[1], self.batch_size, noise_sd)
 
 
 # m @ v, u @ v and v @ m @ v over stacks of vectors (..., d) and matrices (..., d, d).
@@ -349,18 +378,29 @@ class IvwEstimate:
 
 @dataclass(frozen=True)
 class IvwCombination:
-    """`ivw_combine` of one trajectory's sums: both arms' estimates and the
-    spectral norms of their scaled variances, n f / lambda_min(G), which is
-    all a stopping rule reads.  The variance matrices n f G^{-1} are formed
-    from the combined Grams G and noise factors f only when read."""
+    """`ivw_combine` of one trajectory's sums: the spectral norms of both
+    arms' scaled variances, n f / lambda_min(G), which is all a stopping rule
+    reads, and what the rest is formed from when read: per arm the combined
+    Gram G, the weighted sum G beta (`weighted`), the estimate of the only
+    usable batch where there is just one (`single`, else None) and the noise
+    factor f.  The estimates solve G beta = weighted, and the variance matrices are
+    n f G^{-1}."""
 
-    beta0: np.ndarray
-    beta1: np.ndarray
     var_norms: tuple[float, float]
     batch_size: int
     noise_sd: tuple[float, float]
     grams: tuple[np.ndarray, np.ndarray]
     factors: tuple[float, float]
+    weighted: tuple[np.ndarray, np.ndarray]
+    single: tuple[Optional[np.ndarray], Optional[np.ndarray]]
+
+    @property
+    def beta0(self) -> np.ndarray:
+        return _combined_estimate(self.grams[0], self.weighted[0], self.single[0])
+
+    @property
+    def beta1(self) -> np.ndarray:
+        return _combined_estimate(self.grams[1], self.weighted[1], self.single[1])
 
     @property
     def var0(self) -> np.ndarray:
@@ -371,7 +411,7 @@ class IvwCombination:
         return self.batch_size * inverse_spd(self.grams[1]) * self.factors[1]
 
     def estimate(self) -> IvwEstimate:
-        """The terminal estimate, with its variance matrices formed now."""
+        """The terminal estimate, with its estimates and variance matrices formed now."""
         return IvwEstimate(self.beta0, self.beta1, self.var0, self.var1, self.batch_size, self.noise_sd)
 
 
@@ -389,8 +429,9 @@ def fit_batch_ols(
     matrix is singular gets beta=None (the Gram and count are still reported).
     Each arm's sums are zero-masked full-length products (`masked_sums`), so
     they round the same whether the batch is fitted alone or stacked with
-    others.  With `residual` False the residual sums of squares, which only
-    residual-sigma running sums read, are not computed.
+    others.  With `residual` False the residual terms, y'y and the residual
+    sums of squares, which only residual-sigma running sums read, are not
+    computed: both are None.
     """
     contexts = np.asarray(contexts, dtype=float)
     actions = np.asarray(actions)
@@ -407,26 +448,27 @@ def fit_batch_ols(
     arms = []
     for mask in masks:
         w = mask.astype(float)
-        gram, moment, sum_sq = masked_sums(contexts, rewards, w)
+        gram, moment, sum_sq = masked_sums(contexts, rewards, w, residual)
         beta, rss = None, None
         if is_invertible_gram(gram):
             beta = solve_spd(gram, moment)
             if residual:
                 rss = float(masked_rss(contexts, rewards, w, beta))
-        arms.append(ArmFit(beta, gram, int(np.count_nonzero(mask)), rss, moment, float(sum_sq)))
+        sum_sq = None if sum_sq is None else float(sum_sq)
+        arms.append(ArmFit(beta, gram, int(np.count_nonzero(mask)), rss, moment, sum_sq))
     return BatchOlsFit(batch_index=batch_index, arm0=arms[0], arm1=arms[1])
 
 
 class StackedFit(NamedTuple):
     """Both arms' batch fits for any leading (member) axes: gram (..., 2, d, d),
     moment (..., 2, d), count, sum_sq, usable (..., 2), and beta (..., 2, d)
-    and rss (..., 2), zero where the arm's Gram is singular (rss is None for
-    a fit made without residuals)."""
+    and rss (..., 2), zero where the arm's Gram is singular (sum_sq and rss
+    are None for a fit made without residual terms)."""
 
     gram: np.ndarray
     moment: np.ndarray
     count: np.ndarray
-    sum_sq: np.ndarray
+    sum_sq: Optional[np.ndarray]
     usable: np.ndarray
     beta: np.ndarray
     rss: Optional[np.ndarray]
@@ -437,31 +479,50 @@ def fit_arms(
 ) -> StackedFit:
     """Per-arm OLS of one batch, or of one batch per member of a stack:
     contexts (..., n, d), rewards (..., n) and the arms' masks (..., 2, n)
-    (bool), with the residual sums of squares if `residual`.
-    The sums, the singularity checks, the Cholesky solves and the residuals
-    run once over the stack; singular Grams are solved as the identity and
-    their estimates zeroed."""
+    (bool, `arm_masks`), with the residual terms (y'y and the residual sums
+    of squares) if `residual`.  The sums, the singularity checks, the
+    Cholesky solves and the residuals run once over the stack; singular
+    Grams are solved as the identity and their estimates zeroed."""
     x, y, w = contexts[..., None, :, :], rewards[..., None, :], masks.astype(float)
-    gram, moment, sum_sq = masked_sums(x, y, w)
+    gram, moment, sum_sq = masked_sums(x, y, w, residual)
     usable = is_invertible_gram(gram)
-    solved = solve_spd(np.where(usable[..., None, None], gram, np.eye(gram.shape[-1])), moment)
-    beta = np.where(usable[..., None], solved, 0.0)
+    solved = solve_spd(select(usable[..., None, None], gram, np.eye(gram.shape[-1])), moment)
+    beta = select(usable[..., None], solved, 0.0)
     rss = masked_rss(x, y, w, beta) if residual else None
     return StackedFit(gram, moment, np.add.reduce(masks, axis=-1), sum_sq, usable, beta, rss)
 
 
-def masked_sums(contexts: np.ndarray, rewards: np.ndarray, w: np.ndarray):
+def arm_masks(arm1: np.ndarray) -> np.ndarray:
+    """The masks (..., 2, n) of arm 0 and arm 1 from arm-1 masks (..., n)."""
+    masks = np.empty(arm1.shape[:-1] + (2,) + arm1.shape[-1:], dtype=bool)
+    np.logical_not(arm1, out=masks[..., 0, :])
+    masks[..., 1, :] = arm1
+    return masks
+
+
+def select(mask: np.ndarray, a: np.ndarray, b) -> np.ndarray:
+    """``np.where(mask, a, b)`` for `a` of the result's shape: `a` itself,
+    uncopied, where `mask` holds everywhere, as it mostly does in the
+    lock-step loops."""
+    return a if np.count_nonzero(mask) == mask.size else np.where(mask, a, b)
+
+
+def masked_sums(contexts: np.ndarray, rewards: np.ndarray, w: np.ndarray, squares: bool = True):
     """X'X, X'y and y'y over the rows where the 0/1 weights `w` are 1, as
     zero-masked full-length products: ``xm.T @ x`` and ``xm.T @ y`` with
     ``xm = x * w[:, None]``, and a last-axis ``np.add.reduce`` of the masked
-    squares.  Leading axes broadcast: contexts (..., n, d), rewards (..., n)
-    and w (..., n) give (..., d, d), (..., d) and (...).  numpy runs the same
-    BLAS call per member of a stack, so each member's sums equal, bit for
-    bit, those of a call with its arrays alone (`tests/test_stack_invariance.py`).
+    squares (None, not computed, with `squares` False).  Leading axes
+    broadcast: contexts (..., n, d), rewards (..., n) and w (..., n) give
+    (..., d, d), (..., d) and (...).  numpy runs the same BLAS call per
+    member of a stack, so each member's sums equal, bit for bit, those of a
+    call with its arrays alone (`tests/test_stack_invariance.py`).
     """
     xm_t = np.swapaxes(contexts * w[..., None], -1, -2)
+    moment = (xm_t @ rewards[..., None])[..., 0]
+    if not squares:
+        return xm_t @ contexts, moment, None
     ym = rewards * w
-    return xm_t @ contexts, (xm_t @ rewards[..., None])[..., 0], np.add.reduce(ym * ym, axis=-1)
+    return xm_t @ contexts, moment, np.add.reduce(ym * ym, axis=-1)
 
 
 def masked_rss(contexts: np.ndarray, rewards: np.ndarray, w: np.ndarray, beta: np.ndarray):
@@ -471,15 +532,21 @@ def masked_rss(contexts: np.ndarray, rewards: np.ndarray, w: np.ndarray, beta: n
     return np.add.reduce(resid * resid, axis=-1)
 
 
-def _arm_estimate(sums: RunningSums, arm: int) -> tuple[np.ndarray, float]:
-    """The arm's combined estimate and the smallest eigenvalue of its combined Gram."""
+def _smallest_eigenvalue(sums: RunningSums, arm: int) -> float:
+    """The smallest eigenvalue of the arm's combined Gram, once it has the estimate."""
     s = sums.arm(arm)
     if s.usable == 0:
         raise EstimatorUnavailable(f"no batch with a usable arm-{arm} fit")
     invertible, smallest = gram_check(s.gram)
     if not invertible:
         raise EstimatorUnavailable(f"combined arm-{arm} Gram matrix is singular")
-    return (s.ref.copy() if s.usable == 1 else solve_spd(s.gram, s.weighted)), smallest
+    return smallest
+
+
+def _combined_estimate(gram: np.ndarray, weighted: np.ndarray, single: Optional[np.ndarray]) -> np.ndarray:
+    """The Gram-weighted estimate: the only usable batch's own estimate, or
+    the solution of gram @ beta = weighted."""
+    return single.copy() if single is not None else solve_spd(gram, weighted)
 
 
 def residual_noise_factors(
@@ -504,27 +571,31 @@ def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> Iv
     """The Gram-weighted estimate of the batches summed so far.  Its scaled
     variance is ``batch_size * (sum of contributing Grams)^{-1} * factor``:
     sigma^2 with a known noise scale, else the arm's mean squared residual
-    against its combined estimate.  Stacked sums give `StackedSums.combine`
-    of all members at once."""
+    against its combined estimate.  Only the residual factors need the
+    estimates now; otherwise they are solved when read.  Stacked sums give
+    `StackedSums.combine` of all members at once."""
     if isinstance(sums, StackedSums):
         return sums.combine(sigma_mode, batch_size)
     if not sums:
         raise EstimatorUnavailable("no batch fits supplied")
-    (beta0, low0), (beta1, low1) = _arm_estimate(sums, 0), _arm_estimate(sums, 1)
+    low0, low1 = _smallest_eigenvalue(sums, 0), _smallest_eigenvalue(sums, 1)
+    grams = (sums.arm0.gram, sums.arm1.gram)
+    weighted = (sums.arm0.weighted, sums.arm1.weighted)
+    single = tuple(s.ref if s.usable == 1 else None for s in (sums.arm0, sums.arm1))
     if isinstance(sigma_mode, KnownSigma):
         factors = (sigma_mode.sigma**2, sigma_mode.sigma**2)
         noise_sd = (sigma_mode.sigma, sigma_mode.sigma)
     else:
-        factors = residual_noise_factors(sums, beta0, beta1)
+        factors = residual_noise_factors(sums, *map(_combined_estimate, grams, weighted, single))
         noise_sd = (math.sqrt(factors[0]), math.sqrt(factors[1]))
     return IvwCombination(
-        beta0=beta0,
-        beta1=beta1,
         var_norms=(float(batch_size * factors[0] / low0), float(batch_size * factors[1] / low1)),
         batch_size=batch_size,
         noise_sd=noise_sd,
-        grams=(sums.arm0.gram, sums.arm1.gram),
+        grams=grams,
         factors=factors,
+        weighted=weighted,
+        single=single,
     )
 
 

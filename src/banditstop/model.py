@@ -2,6 +2,11 @@
 model, and empirical checks of the regularity conditions the analysis relies
 on (bounded contexts, well-conditioned second moment, margin behavior near
 the decision boundary).
+
+The stacked helpers (`stacked_contexts`, `stacked_uniforms`,
+`stacked_rewards`) serve the lock-step loops: per batch, each member's
+generator fills its own row of one preallocated buffer with the draws of
+the lone call, in the lone order, and the rest runs once over the stack.
 """
 
 from __future__ import annotations
@@ -199,16 +204,33 @@ def realize_rewards(
 def stacked_rewards(model: TrueModel, contexts: np.ndarray, arm1: np.ndarray, rngs) -> np.ndarray:
     """`realize_rewards` of stacked members: contexts (R, n, d) and arm-1
     masks (R, n), with one generator each.  Each member draws its noise from
-    its own generator as a lone call does; the rest runs once over the stack."""
-    noise = np.stack([_unit_noise(rng, arm1.shape[1:], model.noise) for rng in rngs])
+    its own generator as a lone call does, into its own row of one (R, n)
+    buffer; the rest runs once over the stack."""
+    noise = np.empty(arm1.shape)
+    for row, rng in zip(noise, rngs):
+        if model.noise == "gaussian":
+            rng.standard_normal(out=row)
+        else:  # `Generator.uniform` takes no `out`
+            row[...] = _unit_noise(rng, row.shape, model.noise)
     return _rewards(model, contexts, arm1, noise)
 
 
+def stacked_uniforms(rngs, shape) -> np.ndarray:
+    """``rng.random(shape)`` of each generator, stacked as (R, *shape): each
+    fills its own row of one buffer, with the draws of the lone call."""
+    out = np.empty((len(rngs),) + tuple(shape))
+    for row, rng in zip(out, rngs):
+        rng.random(out=row)
+    return out
+
+
 def stacked_contexts(spec: ContextSpec, n: int, rngs) -> np.ndarray:
-    """`sample_batch_contexts` from each generator, stacked as (R, n, dim)."""
+    """`sample_batch_contexts` from each generator, stacked as (R, n, dim):
+    box draws fill one buffer (`stacked_uniforms`), truncated-Gaussian ones
+    are drawn alone and stacked."""
     dist = spec.dist
     if isinstance(dist, UniformBox):
-        return _scale_to_box(np.stack([rng.random((n, spec.dim)) for rng in rngs]), dist)
+        return _scale_to_box(stacked_uniforms(rngs, (n, spec.dim)), dist)
     return np.stack([sample_batch_contexts(spec, n, rng) for rng in rngs])
 
 

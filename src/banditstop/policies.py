@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .estimators import BatchOlsFit, RunningSums
+from .estimators import BatchOlsFit, RunningSums, select
 
 from .linalg import inverse_spd, is_invertible_gram, solve_spd
 
@@ -141,7 +141,7 @@ def stacked_probabilities(
     usable, b, inv = stacked_estimates(xx, xy, needs_inverses(kind))
     inv0, inv1 = (None, None) if inv is None else (inv[:, 0], inv[:, 1])
     probs = probabilities_from_estimates(kind, t_next, contexts, b[:, 0], b[:, 1], inv0, inv1)
-    return np.where(usable[:, None], probs, 0.5)
+    return select(usable[:, None], probs, 0.5)
 
 
 def stacked_estimates(xx: np.ndarray, xy: np.ndarray, with_inverses: bool):
@@ -152,9 +152,9 @@ def stacked_estimates(xx: np.ndarray, xy: np.ndarray, with_inverses: bool):
     the other members' X'X."""
     usable = is_invertible_gram(xx).all(axis=-1)
     keep = usable[:, None, None, None]
-    xx = np.where(keep, xx, np.eye(xx.shape[-1]))
-    inv = np.where(keep, inverse_spd(xx), 0.0) if with_inverses else None
-    return usable, np.where(keep[..., 0], solve_spd(xx, xy), 0.0), inv
+    xx = select(keep, xx, np.eye(xx.shape[-1]))
+    inv = select(keep, inverse_spd(xx), 0.0) if with_inverses else None
+    return usable, select(keep[..., 0], solve_spd(xx, xy), 0.0), inv
 
 
 def needs_inverses(kind: PolicyKind) -> bool:

@@ -6,17 +6,21 @@ rejection sampler.
 `simulate_trajectory` runs one trajectory.  `simulate_ensemble` runs many in
 lock-step: a chunk of members advances one batch at a time, and stopped
 members leave the stack.  Each member draws its contexts, action uniforms
-and reward noise from its own generator in the order of a lone trajectory;
-every other step, the Cholesky solves included (`linalg.solve_spd`), runs
-once over a (members, arms) stack, in forms that round the same stacked or
-alone (`tests/test_stack_invariance.py`).  So each member's trajectory
-equals, bit for bit, the one `simulate_trajectory` gives its generator.
+and reward noise from its own generator in the order of a lone trajectory,
+into its own row of the stacked buffers (`model.stacked_uniforms`); every
+other step, the Cholesky solves included (`linalg.solve_spd`), runs once
+over a (members, arms) stack, in forms that round the same stacked or alone
+(`tests/test_stack_invariance.py`).  So each member's trajectory equals,
+bit for bit, the one `simulate_trajectory` gives its generator.
 
 Both loops compute per batch only what the policy and the stopping rule
-read: the running sums (with residual terms only under residual sigma), the
-combined estimate and the spectral norms of its scaled variances,
-n f / lambda_min(G) (`estimators.ivw_combine`), carried one batch for the
-opportunity rule.  The variance matrices are formed once, at the stop.
+read: the batch fits, the running sums and the spectral norms of the
+scaled variances, n f / lambda_min(G) (`estimators.ivw_combine`), carried
+one batch for the opportunity rule.  Under residual sigma the fits and sums
+also keep the residual terms, and the combined estimate is solved every
+batch for the noise factors; under a known noise scale neither is.  The
+combined estimate and the variance matrices are formed once, at the stop.
+The stack shrinks only on a batch where some member stops.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .bounds import chunk_members, lock_step_batch
 from .errors import EstimatorUnavailable
-from .estimators import IvwEstimate, KnownSigma, RunningSums, StackedFit, StackedSums, fit_arms
+from .estimators import IvwEstimate, KnownSigma, RunningSums, StackedFit, StackedSums, arm_masks, fit_arms
 from .estimators import fit_batch_ols, ivw_combine
 from .model import TrueModel, realize_rewards, sample_batch_contexts
 from .policies import select_actions, update_state
@@ -138,38 +142,45 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
     prev: List[Optional[NormPair]] = [None] * len(rngs)
     ivws: List[Optional[IvwEstimate]] = [None] * len(rngs)  # each member's estimate at its stop
     batches: List[StackedFit] = []
-    rows = []  # per batch, each member's row in its stack
-    live = np.arange(len(rngs))  # the member of each row
+    rows = []  # per batch, each member's row in its stack (-1 once stopped); shared until a stop
+    live, members = list(range(len(rngs))), list(rngs)  # the member and generator of each row
+    row = np.arange(len(rngs))
     residual = not isinstance(setup.sigma_mode, KnownSigma)
     sums = StackedSums.empty(len(rngs), model.dim, residual)
     t = 0
-    while live.size:
+    while live:
         t += 1
-        members = [rngs[i] for i in live]
         x, arm1, y = lock_step_batch(
             setup.context, model, setup.policy, setup.clip, n, t, members, sums.xx, sums.xy
         )
-        fit = fit_arms(x, y, np.stack([~arm1, arm1], axis=1), residual)
+        fit = fit_arms(x, y, arm_masks(arm1), residual)
         sums.add(fit)
         batches.append(fit)
-        rows.append(np.full(len(rngs), -1))
-        rows[-1][live] = np.arange(live.size)
+        rows.append(row)
 
         # Through `ivw_combine` (which hands stacked sums to `StackedSums.combine`)
         # and every batch, as a lone trajectory does: perfbench's tracer
         # wraps this name, and its growth metric needs the early batches too.
         combined = ivw_combine(sums, setup.sigma_mode, n)
-        ok, norms = combined.ok, combined.norms.tolist()
+        ok, norms = combined.ok.tolist(), combined.norms.tolist()
         fixed = None if online else evaluate(rule, t)  # a pre-determined rule reads no data
-        stop = np.zeros(live.size, dtype=bool)
+        stop = [False] * len(live)
         for k, i in enumerate(live):
             cur = tuple(norms[k]) if online and ok[k] else None
-            traces[i].append(evaluate(rule, t, cur, prev[i]) if online else fixed)
+            decision = evaluate(rule, t, cur, prev[i]) if online else fixed
+            traces[i].append(decision)
             prev[i] = cur
-            stop[k] = traces[i][-1].stop or t == horizon
-        for k in np.flatnonzero(stop & ok):
-            ivws[live[k]] = combined.estimate(k)
-        live, sums = live[~stop], sums.take(~stop)
+            if decision.stop or t == horizon:
+                stop[k] = True
+                if ok[k]:
+                    ivws[i] = combined.estimate(k)
+        if any(stop):
+            keep = ~np.array(stop)
+            sums = sums.take(keep)
+            live = [i for i, s in zip(live, stop) if not s]
+            members = [rngs[i] for i in live]
+            row = np.full(len(rngs), -1)
+            row[live] = np.arange(len(live))
 
     # Each member's stats are built as its trajectory is handed out, so a
     # caller that uses each trajectory as it comes holds one member's at a time.

@@ -151,3 +151,61 @@ def test_nan_pivot_fails():
     for call in (lambda: linalg.solve_spd(m, np.ones(2)), lambda: linalg.inverse_spd(m[None])):
         with pytest.raises(np.linalg.LinAlgError, match="^2-th leading minor"):
             call()
+
+
+def spd_stack(members, dim, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(members, 2, dim + 3, dim))
+    return np.swapaxes(x, -1, -2) @ x, rng.normal(size=(members, 2, dim))
+
+
+def assert_stacked_equals_lone(matrix, rhs):
+    # The stacked kernel against the 2-d float path, member by member, bit for bit.
+    solved, inv = linalg.solve_spd(matrix, rhs), linalg.inverse_spd(matrix)
+    rhs = np.broadcast_to(rhs, solved.shape)
+    assert inv.shape == matrix.shape
+    for idx in np.ndindex(matrix.shape[:-2]):
+        assert solved[idx].tobytes() == linalg.solve_spd(matrix[idx], rhs[idx]).tobytes()
+        assert inv[idx].tobytes() == linalg.inverse_spd(matrix[idx]).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("members", [1, 2, 3])
+def test_stacks_of_a_few_equal_the_float_path(members, dim):
+    assert_stacked_equals_lone(*spd_stack(members, dim, seed=10 * members + dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_non_contiguous_stacks_equal_the_float_path(dim):
+    from banditstop.estimators import StackedSums
+
+    gram, rhs = spd_stack(6, dim, seed=dim)
+    assert not gram[::2].flags.c_contiguous
+    assert_stacked_equals_lone(gram[::2], rhs[::2])
+    assert_stacked_equals_lone(np.swapaxes(gram, -1, -2), rhs[..., ::-1])  # a transposed view
+    sums = StackedSums.empty(6, dim)
+    sums.gram, sums.weighted = gram, rhs
+    kept = sums.take(np.array([True, False, True, True, False, True]))
+    assert_stacked_equals_lone(kept.gram, kept.weighted)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_broadcast_rhs_equals_the_float_path(dim):
+    gram, rhs = spd_stack(3, dim, seed=dim + 20)
+    for shared in (rhs[0, 0], rhs[0], rhs[:, :1]):  # (d,), (2, d), (R, 1, d)
+        assert linalg.solve_spd(gram, shared).shape == gram.shape[:-1]
+        assert_stacked_equals_lone(gram, shared)
+
+
+def test_a_stack_fails_at_its_first_failing_pivot():
+    # The stacked kernel checks each pivot over the whole stack before the
+    # next, so a later member failing at pivot 1 is reported before an
+    # earlier one failing at pivot 2.
+    second = np.array([[1.0, 2.0], [2.0, 1.0]])  # pivots 1, then 1 - 4
+    first = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    cases = ((np.stack([second, np.eye(2)]), 2), (np.stack([second, first]), 1), (np.stack([first, second]), 1))
+    for stack, k in cases:
+        for call in (lambda: linalg.solve_spd(stack, np.ones(2)), lambda: linalg.inverse_spd(stack)):
+            with pytest.raises(np.linalg.LinAlgError) as raised:
+                call()
+            assert str(raised.value) == f"{k}-th leading minor of the array is not positive definite"

@@ -18,7 +18,10 @@ from banditstop import (
     sample_batch_contexts,
     uniform_cube_spec,
 )
-from banditstop.model import stacked_contexts
+from banditstop.bounds import lock_step_batch
+from banditstop.model import stacked_contexts, stacked_rewards
+from banditstop.policies import EpsGreedy, Schedule, constant_clip, select_actions
+from banditstop import RunningSums, fit_batch_ols, update_state
 
 
 class TestContextSampling:
@@ -143,6 +146,65 @@ def test_stacked_contexts_equal_stacked_lone_draws(spec, n, members, seed):
     want = np.stack([sample_batch_contexts(spec, n, rng) for rng in lone])
     assert got.tobytes() == want.tobytes()
     assert [rng.random() for rng in mine] == [rng.random() for rng in lone]
+
+
+DRAW_SPECS = {
+    "box": ContextSpec(dim=2, dist=UniformBox([-1.0, 0.5], [1.0, 2.0]), sup_bound=2.0),
+    "truncated_gaussian": ContextSpec(
+        dim=2, dist=TruncatedGaussian(mean=[0.2, -0.1], cov=[[1.0, 0.3], [0.3, 0.5]], bound=1.5), sup_bound=1.5
+    ),
+}
+
+
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize("noise", ["gaussian", "bounded_uniform"])
+@pytest.mark.parametrize("context", sorted(DRAW_SPECS))
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_stacked_draws_equal_lone_draws(members, noise, context, seed):
+    # Each member's contexts, action uniforms and reward noise, drawn into
+    # its row of the stacked buffers, are the bits of the lone per-generator
+    # calls, and every generator is left in the lone call's state.
+    spec, n = DRAW_SPECS[context], 9
+    model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3], sigma0=0.5, sigma1=2.0, noise=noise)
+    policy, clip = EpsGreedy(Schedule(0.3)), constant_clip(0.1)
+
+    def states(rngs):
+        return [rng.bit_generator.state for rng in rngs]
+
+    def fresh():
+        return [make_rng(seed + i) for i in range(members)]
+
+    stacked, lone = fresh(), fresh()
+    x = stacked_contexts(spec, n, stacked)
+    assert x.tobytes() == np.stack([sample_batch_contexts(spec, n, rng) for rng in lone]).tobytes()
+    assert states(stacked) == states(lone)
+    arm1 = x[..., 0] > 0.3
+    y = stacked_rewards(model, x, arm1, stacked)
+    want = np.stack([realize_rewards(model, xk, ak.astype(int), rng) for xk, ak, rng in zip(x, arm1, lone)])
+    assert y.tobytes() == want.tobytes()
+    assert states(stacked) == states(lone)
+
+    # One batch of the lock-step loops at t = 2, after a first batch that
+    # gives each member its own estimates.
+    sums = []
+    for k in range(members):
+        rng = make_rng(seed + 100 + k)
+        xk = sample_batch_contexts(spec, n, rng)
+        first = RunningSums.empty(spec.dim)
+        update_state(first, fit_batch_ols(xk, rng.integers(0, 2, size=n), rng.normal(size=n), batch_index=1))
+        sums.append(first)
+    xx = np.stack([[s.arm0.xx, s.arm1.xx] for s in sums])
+    xy = np.stack([[s.arm0.xy, s.arm1.xy] for s in sums])
+    stacked, lone = fresh(), fresh()
+    x, arm1, y = lock_step_batch(spec, model, policy, clip, n, 2, stacked, xx, xy)
+    for k, rng in enumerate(lone):
+        xk = sample_batch_contexts(spec, n, rng)
+        actions = select_actions(policy, sums[k], xk, clip, rng)
+        yk = realize_rewards(model, xk, actions, rng)
+        assert x[k].tobytes() == xk.tobytes()
+        assert np.array_equal(arm1[k], actions == 1)
+        assert y[k].tobytes() == yk.tobytes()
+    assert states(stacked) == states(lone)
 
 
 # With box ends up to 1e300 in size, x . beta and r1 - r0 stay finite.

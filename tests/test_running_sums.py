@@ -193,3 +193,84 @@ def test_known_sigma_sums_keep_no_residual_state(case):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
     with pytest.raises(ContractError):
         residual_noise_factors(lean, np.zeros(dim), np.zeros(dim))
+
+
+def test_fits_without_residual_terms_carry_no_squares():
+    # A fit made without residual terms has None for y'y as for the RSS, in
+    # both fit types, and residual-sigma sums refuse it rather than fold a
+    # y'y that was never computed.
+    from banditstop.estimators import StackedSums, arm_masks, fit_arms
+
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-1.0, 1.0, size=(12, 2)), rng.normal(size=12)
+    actions = np.tile([0, 1], 6)
+    lean = fit_batch_ols(x, actions, y, batch_index=1, residual=False)
+    assert [lean.arm0.sum_sq, lean.arm1.sum_sq, lean.arm0.rss, lean.arm1.rss] == [None] * 4
+    full = fit_batch_ols(x, actions, y, batch_index=1)
+    assert all(isinstance(v, float) for v in (full.arm0.sum_sq, full.arm1.sum_sq))
+    update_state(RunningSums.empty(2, residual=False), lean)
+    with pytest.raises(ContractError, match="without residual terms"):
+        update_state(RunningSums.empty(2), lean)
+
+    masks = arm_masks(np.stack([actions == 1] * 3))
+    stacked = fit_arms(np.stack([x] * 3), np.stack([y] * 3), masks, residual=False)
+    assert stacked.sum_sq is None and stacked.rss is None
+    assert fit_arms(np.stack([x] * 3), np.stack([y] * 3), masks).sum_sq.shape == (3, 2)
+    StackedSums.empty(3, 2, residual=False).add(stacked)
+    with pytest.raises(ContractError, match="without residual terms"):
+        StackedSums.empty(3, 2).add(stacked)
+
+
+def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
+    # Under a known noise scale neither loop solves the combined estimate
+    # per batch: with a uniform policy, which reads no estimate, the only
+    # solves in `banditstop.estimators` are the batch fits' and, at the
+    # stop, the terminal estimate's.  That estimate is the oracle's, bit
+    # for bit.
+    from unittest import mock
+
+    from banditstop import (
+        OnlineThreshold, SimulationSetup, StoppingRuleSpec, UniformRandom, constant_clip, estimators,
+        make_rng, simulate_ensemble, simulate_trajectory, uniform_cube_spec,
+    )
+    from banditstop.estimators import ArmFit, BatchOlsFit
+    from banditstop.linalg import solve_spd
+    from banditstop.model import TrueModel
+
+    setup = SimulationSetup(
+        context=uniform_cube_spec(2), policy=UniformRandom(), clip=constant_clip(0.5), batch_size=4,
+        sigma_mode=KnownSigma(1.0), rule=StoppingRuleSpec(OnlineThreshold(0.5), t_max=40),
+    )
+    model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3])
+
+    def fits_of(traj):
+        def arm(beta, gram):
+            return ArmFit(beta, gram, 0, None, np.zeros(2), None)
+
+        return [BatchOlsFit(t, arm(b0, g0), arm(b1, g1)) for t, (b1, g1, b0, g0) in enumerate(traj.stats, 1)]
+
+    def terminal_solves(traj):
+        usable = [sum(f.arm(a).beta is not None for f in fits_of(traj)) for a in (0, 1)]
+        return sum(u > 1 for u in usable)
+
+    def check_terminal(traj):
+        oracle = ivw_oracle.ivw_combine(fits_of(traj), KnownSigma(1.0), 4)
+        for name in ("beta0", "beta1", "var0", "var1"):
+            assert getattr(traj.ivw, name).tobytes() == getattr(oracle, name).tobytes(), name
+
+    seeds = range(6)
+    with mock.patch.object(estimators, "solve_spd", wraps=solve_spd) as solves:
+        lone = [simulate_trajectory(setup, model, make_rng(s)) for s in seeds]
+    assert all(traj.ivw is not None for traj in lone)
+    fit_solves = sum(b is not None for traj in lone for b1, _, b0, _ in traj.stats for b in (b0, b1))
+    assert solves.call_count == fit_solves + sum(terminal_solves(traj) for traj in lone)
+    assert sum(traj.stop_time for traj in lone) > 6 * 3  # several batches each
+
+    with mock.patch.object(estimators, "solve_spd", wraps=solve_spd) as solves:
+        ensemble = list(simulate_ensemble(setup, model, [make_rng(s) for s in seeds]))
+    # One stacked fit per batch of the stack, and one stacked solve per member at its stop.
+    assert solves.call_count == max(traj.stop_time for traj in ensemble) + len(seeds)
+    for got, want in zip(ensemble, lone):
+        assert got.stop_time == want.stop_time
+        check_terminal(got)
+        check_terminal(want)
