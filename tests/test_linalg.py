@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditstop import linalg
+from banditstop.estimators import StackedSums
 
 
 @st.composite
@@ -177,8 +178,6 @@ def test_stacks_of_a_few_equal_the_float_path(members, dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_non_contiguous_stacks_equal_the_float_path(dim):
-    from banditstop.estimators import StackedSums
-
     gram, rhs = spd_stack(6, dim, seed=dim)
     assert not gram[::2].flags.c_contiguous
     assert_stacked_equals_lone(gram[::2], rhs[::2])

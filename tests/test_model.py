@@ -8,20 +8,25 @@ from banditstop import (
     ConfigError,
     ContextSpec,
     ContractError,
+    EpsGreedy,
+    RunningSums,
+    Schedule,
     TrueModel,
     TruncatedGaussian,
     UniformBox,
     check_assumptions,
+    constant_clip,
     estimate_policy_regret,
+    fit_batch_ols,
     make_rng,
     realize_rewards,
     sample_batch_contexts,
+    select_actions,
     uniform_cube_spec,
+    update_state,
 )
 from banditstop.bounds import lock_step_batch
 from banditstop.model import stacked_contexts, stacked_rewards
-from banditstop.policies import EpsGreedy, Schedule, constant_clip, select_actions
-from banditstop import RunningSums, fit_batch_ols, update_state
 
 
 class TestContextSampling:

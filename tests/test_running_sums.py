@@ -4,6 +4,7 @@ fewer units than the dimension, and collinear batches, so that per-arm Grams
 are often singular."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,15 +16,27 @@ from banditstop import (
     ContractError,
     EstimatorUnavailable,
     KnownSigma,
+    OnlineThreshold,
     ResidualSigma,
     RunningSums,
+    SimulationSetup,
+    StoppingRuleSpec,
+    TrueModel,
+    UniformRandom,
+    constant_clip,
+    estimators,
     fit_batch_ols,
     ivw_combine,
+    make_rng,
     residual_noise_factors,
+    simulate_ensemble,
+    simulate_trajectory,
     spectral_norm,
+    uniform_cube_spec,
     update_state,
 )
-from banditstop.linalg import inverse_spd
+from banditstop.estimators import ArmFit, BatchOlsFit, StackedSums, arm_masks, fit_arms
+from banditstop.linalg import inverse_spd, solve_spd
 
 RTOL = 1e-10
 
@@ -199,8 +212,6 @@ def test_fits_without_residual_terms_carry_no_squares():
     # A fit made without residual terms has None for y'y as for the RSS, in
     # both fit types, and residual-sigma sums refuse it rather than fold a
     # y'y that was never computed.
-    from banditstop.estimators import StackedSums, arm_masks, fit_arms
-
     rng = np.random.default_rng(3)
     x, y = rng.uniform(-1.0, 1.0, size=(12, 2)), rng.normal(size=12)
     actions = np.tile([0, 1], 6)
@@ -227,16 +238,6 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
     # solves in `banditstop.estimators` are the batch fits' and, at the
     # stop, the terminal estimate's.  That estimate is the oracle's, bit
     # for bit.
-    from unittest import mock
-
-    from banditstop import (
-        OnlineThreshold, SimulationSetup, StoppingRuleSpec, UniformRandom, constant_clip, estimators,
-        make_rng, simulate_ensemble, simulate_trajectory, uniform_cube_spec,
-    )
-    from banditstop.estimators import ArmFit, BatchOlsFit
-    from banditstop.linalg import solve_spd
-    from banditstop.model import TrueModel
-
     setup = SimulationSetup(
         context=uniform_cube_spec(2), policy=UniformRandom(), clip=constant_clip(0.5), batch_size=4,
         sigma_mode=KnownSigma(1.0), rule=StoppingRuleSpec(OnlineThreshold(0.5), t_max=40),
