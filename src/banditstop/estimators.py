@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, EstimatorUnavailable
 from .linalg import gram_check, inverse_spd, is_invertible_gram, solve_spd
-from .model import ContextSpec, TrueModel, sample_batch_contexts
+from .model import ContextSpec, TrueModel, sample_batch_contexts, split_arms
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,12 @@ class ArmSums:
     its estimate: the combined one while it is alone.  `xe` (X'e) and `ee`
     (e'e), with e = y - x'ref, are the residual terms over all units; sums
     made without them (``residual=False``) hold None in both.
+
+    Until the arm's first singular batch, `gram` and `xx` receive the same
+    additions in the same order, so they are one array: one sum per batch,
+    and :meth:`ols_estimate` reads the singularity verdict that
+    :func:`ivw_combine` took of it (:meth:`check_gram`) instead of a second
+    eigendecomposition.
     """
 
     gram: np.ndarray
@@ -119,14 +125,17 @@ class ArmSums:
     ref: np.ndarray
     xe: Optional[np.ndarray]
     ee: Optional[float]
+    # Not a field: the last combined Gram `check_gram` checked, and its verdict.
+    _checked = (None, False)
 
     @classmethod
     def empty(cls, dim: int, residual: bool = True) -> "ArmSums":
+        gram = np.zeros((dim, dim))
         return cls(
-            gram=np.zeros((dim, dim)),
+            gram=gram,
             weighted=np.zeros(dim),
             usable=0,
-            xx=np.zeros((dim, dim)),
+            xx=gram,
             xy=np.zeros(dim),
             count=0,
             ref=np.zeros(dim),
@@ -137,13 +146,14 @@ class ArmSums:
     def add(self, fit: ArmFit) -> None:
         if self.ee is not None:
             self._add_residual(fit)
+        shared = self.xx is self.gram
         if fit.beta is not None:
             if self.usable == 0:
                 self.ref = fit.beta
             self.gram = self.gram + fit.gram
             self.weighted = self.weighted + fit.gram @ fit.beta
             self.usable += 1
-        self.xx = self.xx + fit.gram
+        self.xx = self.gram if shared and fit.beta is not None else self.xx + fit.gram
         self.xy = self.xy + fit.moment
         self.count += fit.count
 
@@ -167,9 +177,19 @@ class ArmSums:
         self.xe = self.xe + gd
         self.ee += fit.rss + (fit.beta - ref) @ gd
 
+    def check_gram(self):
+        """`linalg.gram_check` of the combined Gram, kept for `ols_estimate`
+        while X'X is that array."""
+        invertible, smallest = gram_check(self.gram)
+        self._checked = (self.gram, invertible)
+        return invertible, smallest
+
     def ols_estimate(self) -> Optional[np.ndarray]:
         """Cumulative OLS estimate over all units, or None while X'X is singular."""
-        if not is_invertible_gram(self.xx):
+        checked, invertible = self._checked
+        if checked is not self.xx:
+            invertible = is_invertible_gram(self.xx)
+        if not invertible:
             return None
         return solve_spd(self.xx, self.xy)
 
@@ -376,15 +396,15 @@ class IvwEstimate:
         return self.var(arm) / self.batch_size
 
 
-@dataclass(frozen=True)
-class IvwCombination:
+class IvwCombination(NamedTuple):
     """`ivw_combine` of one trajectory's sums: the spectral norms of both
     arms' scaled variances, n f / lambda_min(G), which is all a stopping rule
     reads, and what the rest is formed from when read: per arm the combined
     Gram G, the weighted sum G beta (`weighted`), the estimate of the only
     usable batch where there is just one (`single`, else None) and the noise
     factor f.  The estimates solve G beta = weighted, and the variance matrices are
-    n f G^{-1}."""
+    n f G^{-1}.  A named tuple, as `StackedEstimate`: one is made every batch,
+    and a tuple is built in about a quarter of a frozen dataclass's time."""
 
     var_norms: tuple[float, float]
     batch_size: int
@@ -441,12 +461,10 @@ def fit_batch_ols(
         raise ContractError("contexts must be a 2-d matrix")
     if actions.shape != (n,) or rewards.shape != (n,):
         raise ContractError("actions/rewards must align with contexts")
-    masks = (actions == 0, actions == 1)
-    if not (masks[0] | masks[1]).all():
-        raise ContractError("actions must be binary")
+    masks, counts = split_arms(actions)
 
     arms = []
-    for mask in masks:
+    for mask, count in zip(masks, counts):
         w = mask.astype(float)
         gram, moment, sum_sq = masked_sums(contexts, rewards, w, residual)
         beta, rss = None, None
@@ -455,7 +473,7 @@ def fit_batch_ols(
             if residual:
                 rss = float(masked_rss(contexts, rewards, w, beta))
         sum_sq = None if sum_sq is None else float(sum_sq)
-        arms.append(ArmFit(beta, gram, int(np.count_nonzero(mask)), rss, moment, sum_sq))
+        arms.append(ArmFit(beta, gram, count, rss, moment, sum_sq))
     return BatchOlsFit(batch_index=batch_index, arm0=arms[0], arm1=arms[1])
 
 
@@ -517,7 +535,7 @@ def masked_sums(contexts: np.ndarray, rewards: np.ndarray, w: np.ndarray, square
     member of a stack, so each member's sums equal, bit for bit, those of a
     call with its arrays alone (`tests/test_stack_invariance.py`).
     """
-    xm_t = np.swapaxes(contexts * w[..., None], -1, -2)
+    xm_t = (contexts * w[..., None]).mT
     moment = (xm_t @ rewards[..., None])[..., 0]
     if not squares:
         return xm_t @ contexts, moment, None
@@ -537,7 +555,7 @@ def _smallest_eigenvalue(sums: RunningSums, arm: int) -> float:
     s = sums.arm(arm)
     if s.usable == 0:
         raise EstimatorUnavailable(f"no batch with a usable arm-{arm} fit")
-    invertible, smallest = gram_check(s.gram)
+    invertible, smallest = s.check_gram()
     if not invertible:
         raise EstimatorUnavailable(f"combined arm-{arm} Gram matrix is singular")
     return smallest

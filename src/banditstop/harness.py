@@ -522,13 +522,14 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
         "stop_time": rec.stop_time,
         "cap_hit": rec.cap_hit,
         "noise_plugin": None if rec.ivw is None else arr(rec.ivw.noise_sd),
+        # Batch statistics are always arrays, so they skip `arr`'s np.asarray.
         "sufficient_stats": [
             {
                 "batch_index": i + 1,
-                "beta1": arr(b1),
-                "gram1": arr(g1),
-                "beta0": arr(b0),
-                "gram0": arr(g0),
+                "beta1": None if b1 is None else b1.tolist(),
+                "gram1": g1.tolist(),
+                "beta0": None if b0 is None else b0.tolist(),
+                "gram0": g0.tolist(),
             }
             for i, (b1, g1, b0, g0) in enumerate(rec.stats)
         ],

@@ -189,16 +189,30 @@ def realize_rewards(
     actions: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Observed rewards: x . beta_arm plus centered noise with the arm's scale."""
+    """Observed rewards: x . beta_arm plus centered noise with the arm's scale,
+    for binary `actions` (`split_arms`)."""
     contexts = np.asarray(contexts, dtype=float)
     actions = np.asarray(actions)
     if contexts.ndim != 2 or contexts.shape[1] != model.dim:
         raise ContractError("context matrix does not match model dimension")
     if actions.shape != (contexts.shape[0],):
         raise ContractError("actions must be a vector aligned with contexts")
-    if not ((actions == 0) | (actions == 1)).all():
+    arm1 = actions if actions.dtype == bool else split_arms(actions)[0][1]
+    return _rewards(model, contexts, arm1, _unit_noise(rng, actions.shape, model.noise))
+
+
+def split_arms(actions: np.ndarray):
+    """The masks (arm 0, arm 1) of a vector of binary actions, and each arm's
+    unit count.  A bool vector is an arm-1 mask by its dtype, as
+    `policies.select_actions` draws it; any other must hold only 0s and 1s."""
+    if actions.dtype == bool:
+        n1 = int(np.count_nonzero(actions))
+        return (~actions, actions), (actions.size - n1, n1)
+    masks = (actions == 0, actions == 1)
+    counts = (int(np.count_nonzero(masks[0])), int(np.count_nonzero(masks[1])))
+    if counts[0] + counts[1] != actions.size:
         raise ContractError("actions must be binary")
-    return _rewards(model, contexts, actions == 1, _unit_noise(rng, actions.shape, model.noise))
+    return masks, counts
 
 
 def stacked_rewards(model: TrueModel, contexts: np.ndarray, arm1: np.ndarray, rngs) -> np.ndarray:

@@ -16,6 +16,7 @@ tests cross-check the Thompson closed form by posterior sampling
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -193,13 +194,11 @@ def probabilities_from_estimates(
         return np.where(gap > 0, 1.0, np.where(gap < 0, 0.0, 0.5))
 
     if isinstance(kind, Thompson):
-        from scipy.special import ndtr  # deferred: only Thompson needs scipy, which is slow to import
         gap = _rows_dot(contexts, b1 - b0)
         spread = kind.sigma_prior * np.sqrt(
             np.maximum(_quadratic_forms(contexts, inv0 + inv1), 0.0)
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            probs = ndtr(np.where(spread > 0, gap / spread, 0.0))
+        probs = _ndtr()(np.divide(gap, spread, out=np.zeros(gap.shape), where=spread > 0))
         degenerate = spread == 0
         if degenerate.any():
             probs = np.where(
@@ -210,6 +209,15 @@ def probabilities_from_estimates(
         return probs
 
     raise ConfigError(f"unknown policy kind {type(kind).__name__}")
+
+
+@lru_cache(maxsize=None)
+def _ndtr():
+    """scipy's standard normal CDF, imported at the first Thompson call: only
+    Thompson needs scipy, which is slow to import."""
+    from scipy.special import ndtr
+
+    return ndtr
 
 
 def _rows_dot(contexts: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -236,11 +244,12 @@ def select_actions(
     clip_schedule: ClipSchedule,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw one batch of binary actions with the sums frozen."""
+    """Draw one batch of actions with the sums frozen, as an arm-1 mask: a
+    bool vector, True where the unit gets arm 1 (`model.split_arms`)."""
     level = clip_schedule.value(sums.t + 1)
     pre = action_probabilities(kind, sums, contexts)
     post = np.minimum(np.maximum(pre, level), 1.0 - level)
-    return (rng.random(pre.shape[0]) < post).astype(np.int64)
+    return rng.random(pre.shape[0]) < post
 
 
 def update_state(sums: RunningSums, fit: BatchOlsFit) -> None:

@@ -21,6 +21,14 @@ also keep the residual terms, and the combined estimate is solved every
 batch for the noise factors; under a known noise scale neither is.  The
 combined estimate and the variance matrices are formed once, at the stop.
 The stack shrinks only on a batch where some member stops.
+
+The lone loop's fixed cost per batch is a few dozen numpy calls, so it
+makes none it can skip with the same bits: actions pass from
+`select_actions` as an arm-1 bool mask, which `realize_rewards` and
+`fit_batch_ols` take as binary by its dtype, and until an arm's first
+singular batch its X'X and combined Gram are one array, whose singularity
+verdict `ivw_combine` takes once for the policy to read at the next batch
+(`estimators.ArmSums`): four eigendecompositions per batch, not six.
 """
 
 from __future__ import annotations

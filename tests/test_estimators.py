@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditstop import (
+    ContractError,
     EpsGreedy,
     EstimatorUnavailable,
     KnownSigma,
@@ -90,6 +91,49 @@ class TestFitBatchOls:
         assert fit.arm1.beta is None and fit.arm0.beta is None
         np.testing.assert_allclose(fit.arm1.gram, np.array([[2.0, 0.0], [0.0, 0.0]]))
         assert fit.arm1.count == 2
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, float])
+@pytest.mark.parametrize("layout", ["mixed", "all_arm1", "all_arm0", "one_arm1"])
+@pytest.mark.parametrize("noise", ["gaussian", "bounded_uniform"])
+def test_bool_masks_act_as_the_same_actions_of_another_dtype(dtype, layout, noise):
+    # `select_actions` hands out arm-1 masks; the same actions as 0/1 of any
+    # dtype give the same reward draws and the same fits, bit for bit.
+    n = 12
+    model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3], sigma0=0.7, sigma1=1.3, noise=noise)
+    x = sample_batch_contexts(uniform_cube_spec(2), n, make_rng(3))
+    mask = {
+        "mixed": make_rng(4).random(n) < 0.4,
+        "all_arm1": np.ones(n, dtype=bool),
+        "all_arm0": np.zeros(n, dtype=bool),
+        "one_arm1": np.arange(n) == 5,
+    }[layout]
+    same = mask.astype(dtype)
+    rng_mask, rng_same = make_rng(9), make_rng(9)
+    y = realize_rewards(model, x, mask, rng_mask)
+    assert y.tobytes() == realize_rewards(model, x, same, rng_same).tobytes()
+    assert rng_mask.bit_generator.state == rng_same.bit_generator.state
+    for residual in (True, False):
+        got, want = fit_batch_ols(x, mask, y, 3, residual=residual), fit_batch_ols(x, same, y, 3, residual=residual)
+        for a in (0, 1):
+            g, w = got.arm(a), want.arm(a)
+            assert type(g.count) is type(w.count) is int and g.count == w.count == np.count_nonzero(mask == a)
+            for name in ("beta", "gram", "rss", "moment", "sum_sq"):
+                u, v = getattr(g, name), getattr(w, name)
+                assert (u is None) == (v is None), name
+                assert u is None or np.asarray(u).tobytes() == np.asarray(v).tobytes(), name
+
+
+@pytest.mark.parametrize("bad", [2, 0.5, -1, np.nan])
+def test_non_binary_actions_raise(bad):
+    model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3])
+    x = sample_batch_contexts(uniform_cube_spec(2), 6, make_rng(0))
+    actions = np.array([0, 1, 1, 0, 1, 0], dtype=float if isinstance(bad, float) else int)
+    actions[2] = bad
+    with pytest.raises(ContractError, match="binary"):
+        realize_rewards(model, x, actions, make_rng(1))
+    with pytest.raises(ContractError, match="binary"):
+        fit_batch_ols(x, actions, np.zeros(6))
 
 
 class TestIvwCombine:

@@ -14,21 +14,31 @@ from hypothesis import strategies as st
 import ivw_oracle
 from banditstop import (
     ContractError,
+    EpsGreedy,
     EstimatorUnavailable,
     KnownSigma,
     OnlineThreshold,
     ResidualSigma,
     RunningSums,
+    Schedule,
     SimulationSetup,
     StoppingRuleSpec,
+    Thompson,
     TrueModel,
+    Ucb,
     UniformRandom,
     constant_clip,
     estimators,
+    evaluate,
     fit_batch_ols,
     ivw_combine,
+    linalg,
     make_rng,
+    realize_rewards,
     residual_noise_factors,
+    sample_batch_contexts,
+    select_actions,
+    simulate,
     simulate_ensemble,
     simulate_trajectory,
     spectral_norm,
@@ -275,3 +285,98 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
         assert got.stop_time == want.stop_time
         check_terminal(got)
         check_terminal(want)
+
+
+def fresh_check_trajectory(setup, model, rng):
+    """The lone loop of `simulate_trajectory`, with each arm's X'X replaced
+    by a copy after every batch: no arm shares it with its combined Gram,
+    so every X'X is summed on its own and the policy checks it afresh
+    (`ArmSums.ols_estimate`).  Returns the stop time, the per-batch stats,
+    the stop trace and the terminal combination (or None)."""
+    residual = not isinstance(setup.sigma_mode, KnownSigma)
+    sums = RunningSums.empty(model.dim, residual)
+    stats, trace, norms, ivw = [], [], None, None
+    for t in range(1, setup.rule.t_max + 1):
+        for arm in (sums.arm0, sums.arm1):
+            arm.xx = arm.xx.copy()
+        x = sample_batch_contexts(setup.context, setup.batch_size, rng)
+        actions = select_actions(setup.policy, sums, x, setup.clip, rng)
+        y = realize_rewards(model, x, actions, rng)
+        fit = fit_batch_ols(x, actions, y, batch_index=t, residual=residual)
+        stats.append((fit.arm1.beta, fit.arm1.gram, fit.arm0.beta, fit.arm0.gram))
+        update_state(sums, fit)
+        previous = norms
+        try:
+            ivw = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
+            norms = ivw.var_norms
+        except EstimatorUnavailable:
+            ivw = norms = None
+        trace.append(evaluate(setup.rule, t, current=norms, previous=previous))
+        if trace[-1].stop:
+            break
+    return t, stats, trace, ivw
+
+
+def bits(a):
+    return None if a is None else np.asarray(a, float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "policy", [EpsGreedy(Schedule(0.2)), Ucb(Schedule(1.0, decay=0.5, floor=0.1)), Thompson(1.0)]
+)
+@pytest.mark.parametrize("sigma_mode", [KnownSigma(1.0), ResidualSigma()])
+@pytest.mark.parametrize("batch_size", [3, 6])
+def test_the_shared_gram_changes_no_bit_of_a_lone_trajectory(policy, sigma_mode, batch_size):
+    # Batches of 3 or 6 units at d = 2 leave arms singular often, so arms
+    # stop sharing X'X with the combined Gram at different batches.
+    setup = SimulationSetup(
+        context=uniform_cube_spec(2), policy=policy, clip=constant_clip(0.2), batch_size=batch_size,
+        sigma_mode=sigma_mode, rule=StoppingRuleSpec(OnlineThreshold(0.5), t_max=40),
+    )
+    model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3])
+    singular = reused = 0
+    for seed in range(8):
+        with mock.patch.object(linalg, "eigvalsh", wraps=linalg.eigvalsh) as shared:
+            got = simulate_trajectory(setup, model, make_rng(seed))
+        with mock.patch.object(linalg, "eigvalsh", wraps=linalg.eigvalsh) as fresh:
+            t, stats, trace, ivw = fresh_check_trajectory(setup, model, make_rng(seed))
+        reused += fresh.call_count - shared.call_count
+        assert got.stop_time == t
+        assert [tuple(map(bits, s)) for s in got.stats] == [tuple(map(bits, s)) for s in stats]
+        assert [(d.t, d.stop, d.cap_hit, {k: bits(v) for k, v in d.diagnostics.items()}) for d in got.stop_trace] == [
+            (d.t, d.stop, d.cap_hit, {k: bits(v) for k, v in d.diagnostics.items()}) for d in trace
+        ]
+        assert (got.ivw is None) == (ivw is None)
+        if ivw is not None:
+            want = ivw.estimate()
+            for name in ("beta0", "beta1", "var0", "var1"):
+                assert bits(getattr(got.ivw, name)) == bits(getattr(want, name)), name
+            assert got.ivw.noise_sd == want.noise_sd
+        singular += sum(b is None for b1, _, b0, _ in stats for b in (b1, b0))
+    assert singular > 10 and reused > 0, (singular, reused)
+
+
+def test_a_lone_batch_makes_four_eigendecompositions_once_both_arms_have_a_usable_batch():
+    # The demo set-up: both arms are usable from the first batch.  There the
+    # policy checks both X'X afresh (nothing is combined yet); from then on it
+    # reads the verdicts `ivw_combine` took of the same arrays, so a batch
+    # makes the two batch fits' checks and the two combined Grams' checks.
+    setup = SimulationSetup(
+        context=uniform_cube_spec(2), policy=EpsGreedy(Schedule(0.2)), clip=constant_clip(0.1), batch_size=100,
+        sigma_mode=KnownSigma(1.0), rule=StoppingRuleSpec(OnlineThreshold(0.05), t_max=200),
+    )
+    model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3])
+    for seed in range(3):
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(eigs.call_count)
+            return evaluate(*args, **kwargs)
+
+        with mock.patch.object(linalg, "eigvalsh", wraps=linalg.eigvalsh) as eigs, mock.patch.object(
+            simulate, "evaluate", counted
+        ):
+            traj = simulate_trajectory(setup, model, make_rng(seed))
+        per_batch = np.diff([0] + seen).tolist()
+        assert all(b is not None for s in traj.stats for b in (s[0], s[2]))
+        assert traj.stop_time > 20 and per_batch == [6] + [4] * (traj.stop_time - 1)
