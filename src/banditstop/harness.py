@@ -41,9 +41,10 @@ from .bounds import (
     regret_bound_from_variance,
     regret_bound_time,
 )
-from .errors import ConfigError, InfeasibleConditioning
+from .errors import ConfigError, ContractError, InfeasibleConditioning
 from .estimators import IvwEstimate, KnownSigma, ResidualSigma, SigmaMode
-from .inference import ConditionalSamplerConfig, run_inference
+from .inference import RESIMULATION_REJECTION, ConditionalSamplerConfig, run_inference
+from .linalg import eigvalsh, require_symmetric
 from .model import (
     ContextSpec,
     TrueModel,
@@ -149,6 +150,8 @@ class ExperimentConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.regret_mc_samples < 1:
+            raise ConfigError("regret_mc_samples must be >= 1")
         if not 0 <= self.master_seed < 1 << 64:
             raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.model.dim != self.context.dim:
@@ -646,10 +649,24 @@ def _stored(obj: Dict, path: str, kind, shape=None, nullable: bool = False):
     return value
 
 
+def _stored_variance(term: Dict, path: str, shape) -> np.ndarray:
+    """`_stored` for a variance matrix, which must also be symmetric (as
+    `linalg.require_symmetric` checks) and have no negative eigenvalue."""
+    var = _stored(term, path, _ARRAY, shape)
+    try:
+        require_symmetric(var)
+    except ContractError:
+        raise ConfigError(f"trajectory key {path!r} must be symmetric") from None
+    if eigvalsh(var)[0] < 0:
+        raise ConfigError(f"trajectory key {path!r} must have no negative eigenvalue")
+    return var
+
+
 def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> ExperimentRecord:
     """Rebuild the slice of an ExperimentRecord that inference needs from a
     stored trajectory JSON payload plus its config.  A payload that is
-    malformed or does not fit the config is a ConfigError naming the key."""
+    malformed, does not fit the config or cannot be inferred from is a
+    ConfigError naming the key."""
     payload = _DICT.read(payload, "trajectory")
     vec, mat = (config.model.dim,), (config.model.dim, config.model.dim)
     stop_time = _stored(payload, "stop_time", _INT)
@@ -668,21 +685,21 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
     cap_hit = _stored(payload, "cap_hit", _BOOL)
     if cap_hit and stop_time != config.stopping.t_max:
         raise ConfigError(f"trajectory key 'cap_hit' may be true only at stop_time = {config.stopping.t_max}")
-    noise_sd = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=True)
-    term = _stored(payload, "terminal", _DICT, nullable=True)
-    ivw = None
-    if term is not None:
-        batch_size = _stored(term, "terminal.batch_size", _INT)
-        if batch_size != config.batch_size:
-            raise ConfigError(f"trajectory key 'terminal.batch_size' must be {config.batch_size}")
-        ivw = IvwEstimate(
-            beta0=_stored(term, "terminal.beta0", _ARRAY, vec),
-            beta1=_stored(term, "terminal.beta1", _ARRAY, vec),
-            var0=_stored(term, "terminal.var0", _ARRAY, mat),
-            var1=_stored(term, "terminal.var1", _ARRAY, mat),
-            batch_size=batch_size,
-            noise_sd=None if noise_sd is None else tuple(noise_sd.tolist()),
-        )
+    # Resimulation draws the surrogates' noise at the stored plug-in scales.
+    resimulation = config.inference is not None and config.inference.mode == RESIMULATION_REJECTION
+    noise_sd = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=not resimulation)
+    term = _stored(payload, "terminal", _DICT)  # null: the run left nothing to infer from
+    batch_size = _stored(term, "terminal.batch_size", _INT)
+    if batch_size != config.batch_size:
+        raise ConfigError(f"trajectory key 'terminal.batch_size' must be {config.batch_size}")
+    ivw = IvwEstimate(
+        beta0=_stored(term, "terminal.beta0", _ARRAY, vec),
+        beta1=_stored(term, "terminal.beta1", _ARRAY, vec),
+        var0=_stored_variance(term, "terminal.var0", mat),
+        var1=_stored_variance(term, "terminal.var1", mat),
+        batch_size=batch_size,
+        noise_sd=None if noise_sd is None else tuple(noise_sd.tolist()),
+    )
     # Only a pre-determined rule reads the bound constants, and they may need
     # the pilot calibration.
     consts = resolve_constants(config) if config.stopping.kind.startswith("predetermined") else None

@@ -7,14 +7,16 @@ from the Gaussian limit; it is exact when the stopping statistic depends on
 the Gram matrices alone (known-sigma variance mode) and the policy does not
 feed estimates back into assignment, because the stop event is then
 independent of the estimator's Gaussian fluctuation.  The resimulation
-sampler makes no such assumption: it replays whole surrogate trajectories
-under plug-in parameters, keeps those whose stop time matches the observed
-one, and returns their terminal estimates.
+sampler makes no such assumption: it replays surrogate trajectories under
+plug-in parameters and the observed run's rule, with the rule's cap lowered to
+the observed stop time, keeps those that stop at that time the way the
+observed run did (by the rule, or at the cap), and returns their terminal
+estimates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import math
@@ -71,7 +73,7 @@ def sample_conditional(
 
     Rejection attempts are keyed by attempt index to independent sub-streams
     of `seed`, so results do not depend on evaluation order.  Surrogates run
-    `record.setup.rule`; `rule` must be None.
+    `record.setup.rule` capped at the record's stop time; `rule` must be None.
     """
     if rule is not None:
         raise ContractError("surrogates run the record's own rule; pass rule=None")
@@ -93,29 +95,27 @@ def sample_conditional(
         sigma1=record.ivw.noise_sd[1],
         noise="gaussian",
     )
-    target_t = record.stop_time
-    target_cap = record.cap_hit
+    # Surrogates run the record's rule with its cap lowered to the target
+    # stop time: none runs past it, and one that reaches it without the rule
+    # firing stops there with cap_hit set.  A surrogate matches when it
+    # stopped at that time the way the record did, by the rule or at the cap.
+    cap = min(record.setup.rule.t_max, record.stop_time)
+    setup = replace(record.setup, rule=replace(record.setup.rule, t_max=cap))
+    target = (record.stop_time, record.cap_hit)
 
     kept0, kept1 = [], []
     attempts = batches = 0
     for attempt in range(1, cfg.max_attempts + 1):
         attempts = attempt
         rng = make_rng(derive_seed(seed, attempt))
-        surrogate = simulate_trajectory(record.setup, plug_model, rng, t_limit=target_t)
+        surrogate = simulate_trajectory(setup, plug_model, rng)
         batches += surrogate.stop_time
-        if surrogate.ivw is None:
+        if surrogate.ivw is None or (surrogate.stop_time, surrogate.cap_hit) != target:
             continue
-        if target_cap:
-            # The observed run ended at the cap: accept surrogates that also
-            # survive to the cap without the rule firing earlier.
-            matched = surrogate.stop_time == target_t and not surrogate.rule_fired
-        else:
-            matched = surrogate.stop_time == target_t and surrogate.rule_fired
-        if matched:
-            kept0.append(surrogate.ivw.beta0)
-            kept1.append(surrogate.ivw.beta1)
-            if len(kept0) >= cfg.n_samples:
-                break
+        kept0.append(surrogate.ivw.beta0)
+        kept1.append(surrogate.ivw.beta1)
+        if len(kept0) >= cfg.n_samples:
+            break
 
     if not kept0:
         raise InfeasibleConditioning(attempts)

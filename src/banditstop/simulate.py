@@ -3,8 +3,10 @@ observe rewards, fit per-batch OLS, update the variance estimates, and test
 the stopping rule — shared by the experiment harness and the conditional
 rejection sampler.
 
-`simulate_trajectory` runs one trajectory.  `simulate_ensemble` runs many in
-lock-step: a chunk of members advances one batch at a time, and stopped
+`simulate_trajectory` runs one trajectory, which ends on its one stopping
+decision: the rule fires, or its cap `t_max` stops the run (the rejection
+sampler lowers the cap to the target stop time).  `simulate_ensemble` runs
+many in lock-step: a chunk of members advances one batch at a time, and stopped
 members leave the stack.  Each member draws its contexts, action uniforms
 and reward noise from its own generator in the order of a lone trajectory,
 into its own row of the stacked buffers (`model.stacked_uniforms`); every
@@ -41,7 +43,7 @@ import numpy as np
 
 from .bounds import chunk_members, lock_step_batch
 from .errors import EstimatorUnavailable
-from .estimators import IvwEstimate, KnownSigma, RunningSums, StackedFit, StackedSums, arm_masks, fit_arms
+from .estimators import IvwEstimate, KnownSigma, RunningSums, StackedSums, arm_masks, fit_arms
 from .estimators import fit_batch_ols, ivw_combine
 from .model import TrueModel, realize_rewards, sample_batch_contexts
 from .policies import select_actions, update_state
@@ -52,42 +54,30 @@ from .stopping import NormPair, StopDecision, evaluate
 @dataclass
 class Trajectory:
     stats: List[BatchStats]  # per batch (beta1, gram1, beta0, gram0), as ExperimentRecord.stats
-    stop_trace: List[StopDecision]
-    stop_time: int
-    cap_hit: bool
+    stop_trace: List[StopDecision]  # ends on the run's one stopping decision
     ivw: Optional[IvwEstimate]
-    rule_fired: bool  # False when only the hard cap ended the run
+
+    @property
+    def stop_time(self) -> int:
+        return self.stop_trace[-1].t
+
+    @property
+    def cap_hit(self) -> bool:
+        return self.stop_trace[-1].cap_hit
 
 
-def simulate_trajectory(
-    setup: SimulationSetup,
-    model: TrueModel,
-    rng: np.random.Generator,
-    *,
-    t_limit: Optional[int] = None,
-) -> Trajectory:
-    """Run the batch protocol until the stopping rule fires (or a cap is hit).
-
-    `t_limit` optionally truncates the scan below the rule's own cap — the
-    rejection sampler uses it to abandon surrogates that outlive the target
-    stop time.  When truncated at `t_limit` without the rule firing, the
-    trajectory reports stop_time = t_limit with rule_fired=False.
-    """
+def simulate_trajectory(setup: SimulationSetup, model: TrueModel, rng: np.random.Generator) -> Trajectory:
+    """Run the batch protocol until the stopping rule fires, or its cap
+    `t_max` stops the run with cap_hit set."""
     rule = setup.rule
-    horizon = rule.t_max if t_limit is None else min(rule.t_max, t_limit)
-
     stats: List[BatchStats] = []
     residual = not isinstance(setup.sigma_mode, KnownSigma)
     sums = RunningSums.empty(model.dim, residual)
     stop_trace: List[StopDecision] = []
     norms: Optional[NormPair] = None
     ivw = None
-    fired = False
-    capped = False
-    t = 0
 
-    while t < horizon:
-        t += 1
+    for t in range(1, rule.t_max + 1):
         x = sample_batch_contexts(setup.context, setup.batch_size, rng)
         actions = select_actions(setup.policy, sums, x, setup.clip, rng)
         y = realize_rewards(model, x, actions, rng)
@@ -105,26 +95,13 @@ def simulate_trajectory(
         decision = evaluate(rule, t, current=norms, previous=previous)
         stop_trace.append(decision)
         if decision.stop:
-            fired = not decision.cap_hit
-            capped = decision.cap_hit
             break
 
-    return Trajectory(
-        stats=stats,
-        stop_trace=stop_trace,
-        stop_time=t,
-        cap_hit=capped,
-        ivw=None if ivw is None else ivw.estimate(),
-        rule_fired=fired,
-    )
+    return Trajectory(stats, stop_trace, None if ivw is None else ivw.estimate())
 
 
 def simulate_ensemble(
-    setup: SimulationSetup,
-    model: TrueModel,
-    rngs: Iterable[np.random.Generator],
-    *,
-    t_limit: Optional[int] = None,
+    setup: SimulationSetup, model: TrueModel, rngs: Iterable[np.random.Generator]
 ) -> Iterator[Trajectory]:
     """`simulate_trajectory` for each generator of `rngs`, in order, with the
     members run in lock-step.
@@ -137,22 +114,19 @@ def simulate_ensemble(
     size, rngs = chunk_members(setup.batch_size, model.dim), iter(rngs)
     while chunk := list(islice(rngs, size)):
         if len(chunk) == 1:
-            yield simulate_trajectory(setup, model, chunk[0], t_limit=t_limit)
+            yield simulate_trajectory(setup, model, chunk[0])
         else:
-            yield from _lock_step(setup, model, chunk, t_limit)
+            yield from _lock_step(setup, model, chunk)
 
 
-def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Iterator[Trajectory]:
+def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Trajectory]:
     rule, n = setup.rule, setup.batch_size
-    horizon = rule.t_max if t_limit is None else min(rule.t_max, t_limit)
     online = not rule.is_predetermined
+    stats: List[List[BatchStats]] = [[] for _ in rngs]
     traces: List[List[StopDecision]] = [[] for _ in rngs]
     prev: List[Optional[NormPair]] = [None] * len(rngs)
     ivws: List[Optional[IvwEstimate]] = [None] * len(rngs)  # each member's estimate at its stop
-    batches: List[StackedFit] = []
-    rows = []  # per batch, each member's row in its stack (-1 once stopped); shared until a stop
     live, members = list(range(len(rngs))), list(rngs)  # the member and generator of each row
-    row = np.arange(len(rngs))
     residual = not isinstance(setup.sigma_mode, KnownSigma)
     sums = StackedSums.empty(len(rngs), model.dim, residual)
     t = 0
@@ -163,45 +137,28 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs, t_limit) -> Itera
         )
         fit = fit_arms(x, y, arm_masks(arm1), residual)
         sums.add(fit)
-        batches.append(fit)
-        rows.append(row)
 
         # Through `ivw_combine` (which hands stacked sums to `StackedSums.combine`)
         # and every batch, as a lone trajectory does: perfbench's tracer
         # wraps this name, and its growth metric needs the early batches too.
         combined = ivw_combine(sums, setup.sigma_mode, n)
-        ok, norms = combined.ok.tolist(), combined.norms.tolist()
+        ok, norms, usable = combined.ok.tolist(), combined.norms.tolist(), fit.usable.tolist()
         fixed = None if online else evaluate(rule, t)  # a pre-determined rule reads no data
         stop = [False] * len(live)
         for k, i in enumerate(live):
+            (u0, u1), beta, gram = usable[k], fit.beta[k], fit.gram[k]
+            stats[i].append((beta[1] if u1 else None, gram[1], beta[0] if u0 else None, gram[0]))
             cur = tuple(norms[k]) if online and ok[k] else None
             decision = evaluate(rule, t, cur, prev[i]) if online else fixed
             traces[i].append(decision)
             prev[i] = cur
-            if decision.stop or t == horizon:
+            if decision.stop:
                 stop[k] = True
                 if ok[k]:
                     ivws[i] = combined.estimate(k)
         if any(stop):
-            keep = ~np.array(stop)
-            sums = sums.take(keep)
+            sums = sums.take(~np.array(stop))
             live = [i for i, s in zip(live, stop) if not s]
             members = [rngs[i] for i in live]
-            row = np.full(len(rngs), -1)
-            row[live] = np.arange(len(live))
 
-    # Each member's stats are built as its trajectory is handed out, so a
-    # caller that uses each trajectory as it comes holds one member's at a time.
-    for i, own in enumerate(np.array(rows).T.tolist()):
-        last = traces[i][-1]
-        yield Trajectory(
-            stats=[_member_stats(batches[b], own[b]) for b in range(last.t)],
-            stop_trace=traces[i], stop_time=last.t, ivw=ivws[i],
-            cap_hit=last.stop and last.cap_hit, rule_fired=last.stop and not last.cap_hit,
-        )
-
-
-def _member_stats(fit: StackedFit, k: int) -> BatchStats:
-    """Row k's (beta1, gram1, beta0, gram0) of a stacked batch fit."""
-    (u0, u1), beta, gram = fit.usable[k].tolist(), fit.beta[k], fit.gram[k]
-    return (beta[1] if u1 else None, gram[1], beta[0] if u0 else None, gram[0])
+    yield from map(Trajectory, stats, traces, ivws)

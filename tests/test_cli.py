@@ -196,6 +196,8 @@ DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
         (("context", "sup_bound"), "Infinity"),  # ran as if valid
         (("model", "beta0"), "[0.2, NaN]"),  # ran, stop time 124 instead of 125
         (("policy", "eps"), "0.2"),  # 'float' object is not subscriptable
+        (("regret_mc_samples",), "0"),  # runtime error: n must be >= 1, exit 3
+        (("regret_mc_samples",), "-3"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
@@ -457,8 +459,15 @@ def stored_trajectory(tmp_path):
         ("missing file", "cannot read trajectory file"),  # exit 3
         ("one entry short", "'sufficient_stats' must have stop_time"),  # exit 0
         ("cap hit before t_max", "'cap_hit' may be true only at stop_time = 8"),  # exit 0
+        ("no terminal", "'terminal' must be a JSON object, got null"),  # exit 3
+        ("no noise_plugin for resimulation", "'noise_plugin' must be an array of finite numbers, got null"),  # exit 3
+        ("negative definite var1", "'terminal.var1' must have no negative eigenvalue"),  # exit 0, zero-width intervals
+        ("asymmetric var0", "'terminal.var0' must be symmetric"),  # read through its lower triangle
     ],
-    ids=["dim_mismatch", "missing_var0", "stop_time_string", "missing_file", "stats_count", "early_cap_hit"],
+    ids=[
+        "dim_mismatch", "missing_var0", "stop_time_string", "missing_file", "stats_count", "early_cap_hit",
+        "null_terminal", "null_noise_plugin", "negative_var1", "asymmetric_var0",
+    ],
 )
 def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
     cfg_path, traj = stored_trajectory(tmp_path)
@@ -479,6 +488,16 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         assert payload["cap_hit"] and payload["stop_time"] == 8
         payload["stop_time"] = 7
         del payload["sufficient_stats"][-1]
+    elif case == "no terminal":
+        payload["terminal"] = None
+    elif case == "no noise_plugin for resimulation":
+        resimulation = ConditionalSamplerConfig(mode="resimulation_rejection", n_samples=100, max_attempts=1000)
+        write_config(cfg_path, trajectory_json=True, replications=1, inference=resimulation)
+        payload["noise_plugin"] = None
+    elif case == "negative definite var1":
+        payload["terminal"]["var1"] = [[-1, 0], [0, -1]]
+    elif case == "asymmetric var0":
+        payload["terminal"]["var0"][0][1] += 1.0
     else:
         traj = tmp_path / "missing.json"
     if traj.exists():

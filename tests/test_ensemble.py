@@ -1,7 +1,7 @@
 """`simulate.simulate_ensemble` against `simulate_trajectory`, member by
 member and bit for bit, over random set-ups: every policy kind with decaying
 schedules, known and residual sigma, all four stopping rules with cap hits
-and `t_limit`, dimensions 1-3, batches smaller than the dimension (singular
+at t_max 1-12, dimensions 1-3, batches smaller than the dimension (singular
 arms, batches with no estimator), box and truncated-Gaussian contexts, both
 noise families, and 1-40 members in chunks of 1-8."""
 
@@ -109,8 +109,11 @@ def assert_same_arrays(a, b):
 
 
 def assert_same_trajectory(got, want):
-    assert (got.stop_time, got.cap_hit, got.rule_fired) == (want.stop_time, want.cap_hit, want.rule_fired)
-    assert len(got.stats) == len(want.stats) == got.stop_time
+    assert (got.stop_time, got.cap_hit) == (want.stop_time, want.cap_hit)
+    for traj in (got, want):  # each ends on its only stopping decision
+        T = traj.stop_time
+        assert [d.stop for d in traj.stop_trace] == [False] * (T - 1) + [True]
+        assert T == len(traj.stats) == traj.stop_trace[-1].t
     for f, g in zip(got.stats, want.stats):
         assert len(f) == len(g) == 4
         for p, q in zip(f, g):
@@ -132,18 +135,17 @@ def assert_same_trajectory(got, want):
     set_up=set_ups(),
     members=st.integers(1, 40),
     per_chunk=st.integers(1, 8),
-    t_limit=st.one_of(st.none(), st.integers(1, 12)),
     seed=st.integers(0, 2**63 - 1),
 )
-def test_ensemble_members_equal_lone_trajectories(set_up, members, per_chunk, t_limit, seed):
+def test_ensemble_members_equal_lone_trajectories(set_up, members, per_chunk, seed):
     setup, model = set_up
     seeds = [seed + i for i in range(members)]
     budget = per_chunk * 8 * setup.batch_size * (model.dim + 4)
     lock_step = mock.patch.object(simulate, "_lock_step", wraps=simulate._lock_step)
     with mock.patch.object(bounds, "CHUNK_BYTES", budget), lock_step as calls:
-        got = list(simulate.simulate_ensemble(setup, model, [make_rng(s) for s in seeds], t_limit=t_limit))
+        got = list(simulate.simulate_ensemble(setup, model, [make_rng(s) for s in seeds]))
     sizes = [min(per_chunk, members - start) for start in range(0, members, per_chunk)]
     assert calls.call_count == sum(size > 1 for size in sizes)
     assert len(got) == members
     for traj, s in zip(got, seeds):
-        assert_same_trajectory(traj, simulate.simulate_trajectory(setup, model, make_rng(s), t_limit=t_limit))
+        assert_same_trajectory(traj, simulate.simulate_trajectory(setup, model, make_rng(s)))

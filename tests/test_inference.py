@@ -17,9 +17,11 @@ from banditstop import (
     UniformRandom,
     bootstrap_interval,
     constant_clip,
+    derive_seed,
     make_rng,
     run_experiment,
     sample_conditional,
+    simulate_trajectory,
     uniform_cube_spec,
 )
 from banditstop import test_hypothesis as hypothesis_rejects
@@ -224,6 +226,32 @@ class TestRejectionSampler:
             s = sample_conditional(record, None, cfg, seed=9)
         assert len(stop_times) == s.attempts and s.batches == sum(stop_times) > s.attempts
         assert sample_conditional(record, None, ConditionalSamplerConfig(), seed=9).batches == 0
+
+    @pytest.mark.parametrize("t_max, cap_hit", [(30, False), (4, True)], ids=["fired", "cap"])
+    def test_kept_draws_equal_those_of_uncapped_surrogates(self, t_max, cap_hit):
+        # Surrogates under the record's own rule, run past the target time,
+        # kept when they stop at it the way the target did.
+        config, record = run_small_record(k=1.55, n=20, t_max=t_max, seed=99)
+        assert record.cap_hit == cap_hit and (record.stop_time == t_max) == cap_hit
+        cfg = ConditionalSamplerConfig(mode="resimulation_rejection", n_samples=100, max_attempts=1000)
+        seed = 23
+        samples = sample_conditional(record, None, cfg, seed)
+
+        plug = TrueModel(
+            beta0=record.ivw.beta0, beta1=record.ivw.beta1,
+            sigma0=record.ivw.noise_sd[0], sigma1=record.ivw.noise_sd[1], noise="gaussian",
+        )
+        kept, attempts = [], 0
+        while len(kept) < cfg.n_samples and attempts < cfg.max_attempts:
+            attempts += 1
+            surrogate = simulate_trajectory(record.setup, plug, make_rng(derive_seed(seed, attempts)))
+            ended = surrogate.stop_time == record.stop_time and surrogate.cap_hit == cap_hit
+            if ended and surrogate.ivw is not None:
+                kept.append((surrogate.ivw.beta0, surrogate.ivw.beta1))
+        assert 0 < len(kept) < attempts  # some surrogates rejected
+        assert (samples.attempts, samples.acceptance_rate) == (attempts, len(kept) / attempts)
+        assert samples.arm0.tobytes() == np.array([b0 for b0, _ in kept]).tobytes()
+        assert samples.arm1.tobytes() == np.array([b1 for _, b1 in kept]).tobytes()
 
     def test_determinism(self):
         config, record = run_small_record(k=6.5, n=30, seed=11)
