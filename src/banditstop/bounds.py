@@ -271,8 +271,8 @@ def pilot_deviations(
     pilots advance in lock-step, in chunks of `chunk_members` pilots.  Within
     a batch, the draws from each pilot's stream run per pilot; the arms' X'X
     and X'y (zero-masked products, `estimators.masked_sums`), the
-    singularity checks, the Cholesky solves, the policy formulas and the
-    clipping run once over the stacked pilots.
+    singularity checks, the Cholesky solves, the policy formulas, the
+    clipping and the l1 errors run once over the stacked pilots.
     """
     members = chunk_members(batch_size, model.dim)
     deviations = np.empty(replications)
@@ -328,13 +328,8 @@ def _lock_step_deviations(
         xy = xy + moment
 
     usable, b, _ = stacked_estimates(xx, xy, False)
-    deviations = np.full(len(rngs), math.inf)
-    for r in np.flatnonzero(usable):
-        worst = 0.0
-        for arm, beta in ((0, model.beta0), (1, model.beta1)):
-            worst = max(worst, float(np.sum(np.abs(b[r, arm] - beta))))
-        deviations[r] = worst
-    return deviations
+    errors = np.add.reduce(np.abs(b - np.stack([model.beta0, model.beta1])), axis=-1)
+    return np.where(usable, errors.max(axis=-1), math.inf)
 
 
 def constants_from_context(

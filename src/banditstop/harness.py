@@ -688,6 +688,13 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
     # Resimulation draws the surrogates' noise at the stored plug-in scales.
     resimulation = config.inference is not None and config.inference.mode == RESIMULATION_REJECTION
     noise_sd = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=not resimulation)
+    # A known-sigma run stores the known scale for both arms.
+    if noise_sd is not None and isinstance(config.sigma_mode, KnownSigma):
+        sigma = config.sigma_mode.sigma
+        if noise_sd.tolist() != [sigma, sigma]:
+            raise ConfigError(f"trajectory key 'noise_plugin' must be [{sigma!r}, {sigma!r}] under a known sigma")
+    elif noise_sd is not None and (noise_sd < 0).any():
+        raise ConfigError("trajectory key 'noise_plugin' must be nonnegative")
     term = _stored(payload, "terminal", _DICT)  # null: the run left nothing to infer from
     batch_size = _stored(term, "terminal.batch_size", _INT)
     if batch_size != config.batch_size:

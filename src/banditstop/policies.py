@@ -6,11 +6,11 @@ each arm's cumulative OLS estimate and X'X over all units so far.
 `update_state` folds one batch's fit into those sums.  Probabilities are
 computed in closed form (Thompson included), so they are a pure function of
 the sums and the contexts.  `probabilities_from_estimates` holds the
-formulas once, for one trajectory or broadcast over stacked ones;
-`select_actions` clips them.  `stacked_probabilities` gives those of many
-members at once, for the lock-step loops of `bounds` and `simulate`.  The
-tests cross-check the Thompson closed form by posterior sampling
-(`tests/policy_oracle.py`).
+formulas once, for one trajectory or broadcast over stacked ones, which
+each get a lone call's bits; `select_actions` clips them.
+`stacked_probabilities` gives those of many members at once, for the
+lock-step loops of `bounds` and `simulate`.  The tests cross-check the
+Thompson closed form by posterior sampling (`tests/policy_oracle.py`).
 """
 
 from __future__ import annotations
@@ -226,15 +226,9 @@ def _rows_dot(contexts: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_forms(contexts: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x_i'm x_i for each row x_i of `contexts` (..., n, d), with m (..., d, d).
-
-    Stacked input goes through the 2-d einsum one member at a time: a stacked
-    einsum sums the d*d terms in another order for some shapes (n = 1 with
-    d = 2), which would change the last bits.
-    """
-    if contexts.ndim == 2:
-        return np.einsum("ij,jk,ik->i", contexts, m, contexts)
-    return np.stack([_quadratic_forms(x, mm) for x, mm in zip(contexts, m)])
+    """x_i'm x_i for each row x_i of `contexts` (..., n, d), with m (..., d, d):
+    one BLAS call per member, so stacked or alone the bits are the same."""
+    return np.add.reduce((contexts @ m) * contexts, axis=-1)
 
 
 def select_actions(

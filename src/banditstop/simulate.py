@@ -10,7 +10,7 @@ many in lock-step: a chunk of members advances one batch at a time, and stopped
 members leave the stack.  Each member draws its contexts, action uniforms
 and reward noise from its own generator in the order of a lone trajectory,
 into its own row of the stacked buffers (`model.stacked_uniforms`); every
-other step, the Cholesky solves included (`linalg.solve_spd`), runs once
+other step, the policy formulas and Cholesky solves included, runs once
 over a (members, arms) stack, in forms that round the same stacked or alone
 (`tests/test_stack_invariance.py`).  So each member's trajectory equals,
 bit for bit, the one `simulate_trajectory` gives its generator.

@@ -463,10 +463,14 @@ def stored_trajectory(tmp_path):
         ("no noise_plugin for resimulation", "'noise_plugin' must be an array of finite numbers, got null"),  # exit 3
         ("negative definite var1", "'terminal.var1' must have no negative eigenvalue"),  # exit 0, zero-width intervals
         ("asymmetric var0", "'terminal.var0' must be symmetric"),  # read through its lower triangle
+        ("zero noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # exit 0, noiseless surrogates
+        ("negative noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # named no key
+        ("negative noise_plugin, residual sigma", "'noise_plugin' must be nonnegative"),  # named no key
     ],
     ids=[
         "dim_mismatch", "missing_var0", "stop_time_string", "missing_file", "stats_count", "early_cap_hit",
         "null_terminal", "null_noise_plugin", "negative_var1", "asymmetric_var0",
+        "zero_noise_plugin_known", "negative_noise_plugin_known", "negative_noise_plugin_residual",
     ],
 )
 def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
@@ -498,6 +502,12 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         payload["terminal"]["var1"] = [[-1, 0], [0, -1]]
     elif case == "asymmetric var0":
         payload["terminal"]["var0"][0][1] += 1.0
+    elif "noise_plugin," in case:
+        resimulation = ConditionalSamplerConfig(mode="resimulation_rejection", n_samples=100, max_attempts=1000)
+        sigma_mode = ResidualSigma() if case.endswith("residual sigma") else KnownSigma(1.0)
+        write_config(cfg_path, trajectory_json=True, replications=1, inference=resimulation, sigma_mode=sigma_mode)
+        assert payload["noise_plugin"] == [1.0, 1.0]
+        payload["noise_plugin"] = [0.0, 0.0] if case.startswith("zero") else [-1.0, 1.0]
     else:
         traj = tmp_path / "missing.json"
     if traj.exists():

@@ -2,7 +2,15 @@
 member the same bits stacked with others as it gets alone.  The lone side of
 each check is the call a lone trajectory makes; the stacked side is the call
 `simulate.simulate_ensemble` and the lock-step pilots make.  A numpy or BLAS
-upgrade that breaks one of them fails here by name."""
+upgrade that breaks one of them fails here by name.  The forms:
+
+- the zero-masked X'X and X'y (`estimators.masked_sums`);
+- last-axis sums: y'y and the residual sum of squares (`masked_rss`);
+- contexts times a vector, shared or one per member and arm;
+- the UCB and Thompson widths x'mx (`policies._quadratic_forms`);
+- small matrix-vector products, dot products and quadratic forms;
+- eigenvalues (`linalg.eigvalsh`) and Cholesky solves (`linalg.solve_spd`).
+"""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +18,7 @@ from hypothesis import strategies as st
 
 from banditstop import linalg
 from banditstop.estimators import _dot, _mv, _quad, masked_rss, masked_sums
+from banditstop.policies import _quadratic_forms
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -75,6 +84,23 @@ def test_contexts_times_a_vector(case):
     for r, a in each(len(x)):
         assert np.array_equal(shared[r], x[r] @ beta[0, 0])
         assert np.array_equal(own[r, a], x[r] @ beta[r, a])
+
+
+@SETTINGS
+@given(batches(), st.integers(0, 2**32 - 1))
+def test_quadratic_forms(case, seed):
+    x, _, _, _ = case
+    members, dim = x.shape[0], x.shape[-1]
+    a = np.random.default_rng(seed).normal(size=(members, 2, dim, dim))
+    inv = a @ np.swapaxes(a, -1, -2)
+    # Member views of each arm, as UCB passes them, and the arms' sum, as Thompson does.
+    for m in (inv[:, 0], inv[:, 1], inv[:, 0] + inv[:, 1]):
+        forms = _quadratic_forms(x, m)
+        terms = x[..., :, None] * m[:, None] * x[..., None, :]
+        tol = 8 * dim**2 * np.finfo(float).eps * np.abs(terms).sum(axis=(-2, -1))
+        assert np.all(np.abs(forms - terms.sum(axis=(-2, -1))) <= tol)
+        for r in range(members):
+            assert np.array_equal(forms[r], _quadratic_forms(x[r], m[r]))
 
 
 @SETTINGS
