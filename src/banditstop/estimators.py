@@ -28,8 +28,9 @@ With a known noise scale f = sigma^2 needs no estimate, so the combined
 estimate is not solved either; under residual sigma f is the mean squared
 residual against it, so it is solved every batch.  The estimates and the
 matrices ``n * inverse_spd(G) * f`` are formed when read, once per
-trajectory at its stop (:meth:`IvwCombination.estimate`,
-:meth:`StackedEstimate.estimate`).  Fits made for a known noise scale skip
+trajectory at its stop, by :meth:`IvwCombination.estimate` alone: a
+lock-step member reads the combination its lone trajectory would hold
+(:meth:`StackedSums.combination`).  Fits made for a known noise scale skip
 y'y and the RSS, which only residual-sigma sums read.
 
 Stacking: a batch's per-arm sums are zero-masked full-length products
@@ -308,7 +309,7 @@ class StackedSums:
         estimates, whose Cholesky solves run once over the stack with the
         identity in place of the Grams of members without the estimate;
         under a known noise scale they are solved only for a member read
-        at its stop (`StackedEstimate.estimate`)."""
+        at its stop (`combination`)."""
         invertible, smallest = gram_check(self.gram)
         ok = ((self.usable > 0) & invertible).all(axis=-1)
         if isinstance(sigma_mode, KnownSigma):
@@ -325,37 +326,25 @@ class StackedSums:
             factor = np.where(0.0 > sq, 0.0, sq) / np.maximum(self.count, 1)
             sd = np.sqrt(factor)
         norms = batch_size * factor / select(ok[:, None], smallest, 1.0)
-        return StackedEstimate(ok, norms, sd, factor, batch_size, self.gram, self.weighted, self.ref, self.usable)
+        return StackedEstimate(ok, norms, sd, factor)
+
+    def combination(self, k: int, combined: "StackedEstimate", batch_size: int) -> "IvwCombination":
+        """The `ivw_combine` that member k's lone trajectory holds at this
+        batch, from the member's rows of these sums and of their `combine`."""
+        norms, sd, factor = (tuple(z[k].tolist()) for z in (combined.norms, combined.sd, combined.factor))
+        single = tuple(ref if u == 1 else None for ref, u in zip(self.ref[k], self.usable[k].tolist()))
+        return IvwCombination(norms, batch_size, sd, tuple(self.gram[k]), factor, tuple(self.weighted[k]), single)
 
 
 class StackedEstimate(NamedTuple):
     """`StackedSums.combine` of R members: whether each has the estimate (R,),
-    the spectral norms of the scaled variances (R, 2), the noise scales and
-    factors (R, 2), and the sums a member's estimate is formed from when read
-    (`estimate`): the combined Grams (R, 2, d, d), the weighted sums G beta
-    (R, 2, d), the first usable estimates (R, 2, d) and the usable counts
-    (R, 2)."""
+    the spectral norms of the scaled variances (R, 2), and the noise scales
+    and factors (R, 2)."""
 
     ok: np.ndarray
     norms: np.ndarray
     sd: np.ndarray
     factor: np.ndarray
-    batch_size: int
-    gram: np.ndarray
-    weighted: np.ndarray
-    ref: np.ndarray
-    usable: np.ndarray
-
-    def estimate(self, k: int) -> "IvwEstimate":
-        """Member k's estimate, with the estimates and variances
-        `IvwCombination.estimate` gives its lone trajectory: the first usable
-        estimate where it is the only one, else the solution of G beta = G
-        beta summed, which the Cholesky kernel gives the same bits stacked
-        as alone."""
-        beta = np.where((self.usable[k] == 1)[:, None], self.ref[k], solve_spd(self.gram[k], self.weighted[k]))
-        var = self.batch_size * inverse_spd(self.gram[k]) * self.factor[k][:, None, None]
-        noise_sd = tuple(self.sd[k].tolist())
-        return IvwEstimate(beta[0], beta[1], var[0], var[1], self.batch_size, noise_sd)
 
 
 # m @ v, u @ v and v @ m @ v over stacks of vectors (..., d) and matrices (..., d, d).

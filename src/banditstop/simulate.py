@@ -6,14 +6,15 @@ rejection sampler.
 `simulate_trajectory` runs one trajectory, which ends on its one stopping
 decision: the rule fires, or its cap `t_max` stops the run (the rejection
 sampler lowers the cap to the target stop time).  `simulate_ensemble` runs
-many in lock-step: a chunk of members advances one batch at a time, and stopped
-members leave the stack.  Each member draws its contexts, action uniforms
-and reward noise from its own generator in the order of a lone trajectory,
-into its own row of the stacked buffers (`model.stacked_uniforms`); every
-other step, the policy formulas and Cholesky solves included, runs once
-over a (members, arms) stack, in forms that round the same stacked or alone
-(`tests/test_stack_invariance.py`).  So each member's trajectory equals,
-bit for bit, the one `simulate_trajectory` gives its generator.
+many in lock-step: a chunk of members, or of one, advances one batch at a
+time, and stopped members leave the stack.  Each member draws its contexts,
+action uniforms and reward noise from its own generator in the order of a
+lone trajectory, into its own row of the stacked buffers
+(`model.stacked_uniforms`); every other step, the policy formulas and
+Cholesky solves included, runs once over a (members, arms) stack, in forms
+that round the same stacked or alone (`tests/test_stack_invariance.py`).
+So each member's trajectory equals, bit for bit, the one
+`simulate_trajectory` gives its generator.
 
 Both loops compute per batch only what the policy and the stopping rule
 read: the batch fits, the running sums and the spectral norms of the
@@ -21,7 +22,9 @@ scaled variances, n f / lambda_min(G) (`estimators.ivw_combine`), carried
 one batch for the opportunity rule.  Under residual sigma the fits and sums
 also keep the residual terms, and the combined estimate is solved every
 batch for the noise factors; under a known noise scale neither is.  The
-combined estimate and the variance matrices are formed once, at the stop.
+combined estimate and the variance matrices are formed once, at the stop,
+by `IvwCombination.estimate` in both loops: a stopping member reads the
+combination its lone trajectory would hold (`StackedSums.combination`).
 The stack shrinks only on a batch where some member stops.
 
 The lone loop's fixed cost per batch is a few dozen numpy calls, so it
@@ -106,17 +109,13 @@ def simulate_ensemble(
     """`simulate_trajectory` for each generator of `rngs`, in order, with the
     members run in lock-step.
 
-    Members run in chunks of `bounds.chunk_members`; a chunk takes its
-    generators and is simulated when its first trajectory is asked for, so a
-    caller that uses each trajectory as it comes holds one chunk at a time.  A chunk of one member
-    runs `simulate_trajectory`, which is faster alone.
+    Members run in chunks of `bounds.chunk_members`, the last of one member
+    too; a chunk is simulated when its first trajectory is asked for, so a
+    caller that uses each trajectory as it comes holds one chunk at a time.
     """
     size, rngs = chunk_members(setup.batch_size, model.dim), iter(rngs)
     while chunk := list(islice(rngs, size)):
-        if len(chunk) == 1:
-            yield simulate_trajectory(setup, model, chunk[0])
-        else:
-            yield from _lock_step(setup, model, chunk)
+        yield from _lock_step(setup, model, chunk)
 
 
 def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Trajectory]:
@@ -155,7 +154,7 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Traje
             if decision.stop:
                 stop[k] = True
                 if ok[k]:
-                    ivws[i] = combined.estimate(k)
+                    ivws[i] = sums.combination(k, combined, n).estimate()
         if any(stop):
             sums = sums.take(~np.array(stop))
             live = [i for i, s in zip(live, stop) if not s]

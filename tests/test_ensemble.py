@@ -145,7 +145,7 @@ def test_ensemble_members_equal_lone_trajectories(set_up, members, per_chunk, se
     with mock.patch.object(bounds, "CHUNK_BYTES", budget), lock_step as calls:
         got = list(simulate.simulate_ensemble(setup, model, [make_rng(s) for s in seeds]))
     sizes = [min(per_chunk, members - start) for start in range(0, members, per_chunk)]
-    assert calls.call_count == sum(size > 1 for size in sizes)
+    assert calls.call_count == len(sizes)  # every chunk runs lock-step, one of one member too
     assert len(got) == members
     for traj, s in zip(got, seeds):
         assert_same_trajectory(traj, simulate.simulate_trajectory(setup, model, make_rng(s)))

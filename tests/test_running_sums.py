@@ -279,8 +279,9 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
 
     with mock.patch.object(estimators, "solve_spd", wraps=solve_spd) as solves:
         ensemble = list(simulate_ensemble(setup, model, [make_rng(s) for s in seeds]))
-    # One stacked fit per batch of the stack, and one stacked solve per member at its stop.
-    assert solves.call_count == max(traj.stop_time for traj in ensemble) + len(seeds)
+    # One stacked fit per batch of the stack, and at each member's stop the
+    # solves of its lone trajectory (`IvwCombination.estimate`).
+    assert solves.call_count == max(traj.stop_time for traj in ensemble) + sum(map(terminal_solves, ensemble))
     for got, want in zip(ensemble, lone):
         assert got.stop_time == want.stop_time
         check_terminal(got)
