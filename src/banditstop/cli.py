@@ -23,7 +23,9 @@ from .errors import ConfigError, UnsupportedCaseError
 from .harness import (
     ExperimentConfig,
     calibrated_tail_const,
+    config_to_dict,
     emit_reports,
+    inference_exact,
     load_config,
     load_trajectory,
     prepare,
@@ -44,6 +46,17 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     return dataclasses.replace(config, **updates) if updates else config
 
 
+def _warn_if_inexact(config: ExperimentConfig, sampler: Optional[ConditionalSamplerConfig]) -> None:
+    if inference_exact(config, sampler) is False:
+        names = config_to_dict(config)
+        print(
+            f"warning: the independence shortcut is not exact under policy {names['policy']['kind']!r} "
+            f"with sigma_mode {names['sigma_mode']['kind']!r} and an online stopping rule; "
+            "set inference.mode to 'resimulation_rejection' for exact post-stopping inference",
+            file=sys.stderr,
+        )
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
@@ -52,6 +65,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for f in formats:
         if f not in ("csv", "json"):
             raise ConfigError(f"--format entry {f!r} is not csv or json")
+    _warn_if_inexact(config, config.inference)
     records, aggregates = run_replications(config)
     emit_reports(records, args.out, formats, config, aggregates=aggregates)
     fatal = [rec for rec in records if rec.error is not None]
@@ -88,6 +102,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     record = load_trajectory(args.trajectory, config)
     cfg = config.inference if config.inference is not None else ConditionalSamplerConfig()
+    _warn_if_inexact(config, cfg)
     seed = args.inference_seed if args.inference_seed is not None else record.inference_seed
     if not 0 <= seed < 1 << 64:
         given = "--inference-seed" if args.inference_seed is not None else "trajectory key 'inference_seed'"
@@ -163,15 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=False):
+    def common(p):
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--reps", type=int, default=None, help="override the replication count")
-        if with_out:
-            p.add_argument("--out", required=True, help="output directory")
-            p.add_argument("--format", default="csv,json", help="comma-separated: csv,json")
 
-    common(sub.add_parser("simulate", help="run replications and emit reports"), with_out=True)
+    p_sim = sub.add_parser("simulate", help="run replications and emit reports")
+    common(p_sim)
+    p_sim.add_argument("--reps", type=int, default=None, help="override the replication count")
+    p_sim.add_argument("--out", required=True, help="output directory")
+    p_sim.add_argument("--format", default="csv,json", help="comma-separated: csv,json")
     common(sub.add_parser("stop-scan", help="pre-determined stop times without simulation"))
     p_inf = sub.add_parser("infer", help="re-run inference on a stored trajectory")
     common(p_inf)

@@ -107,16 +107,22 @@ class StoppingConfig:
     c_prime: Optional[float] = None
     scale_by_batch: bool = False
 
-    _KINDS = (
-        "predetermined_opportunity",
-        "predetermined_threshold",
-        "online_threshold",
-        "online_opportunity",
-    )
+    # Each kind and the keys its rule reads besides t_max.
+    _KINDS = {
+        "predetermined_opportunity": (),
+        "predetermined_threshold": ("k",),
+        "online_threshold": ("k",),
+        "online_opportunity": ("c_prime", "scale_by_batch"),
+    }
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ConfigError(f"unknown stopping kind {self.kind!r}")
+        for name, unset in (("k", None), ("c_prime", None), ("scale_by_batch", False)):
+            if getattr(self, name) is not unset and name not in self._KINDS[self.kind]:
+                raise ConfigError(
+                    f"stopping.{name} is not read by stopping kind {self.kind!r}; leave it {json.dumps(unset)}"
+                )
         if self.kind.endswith("threshold") and (self.k is None or self.k <= 0):
             raise ConfigError("threshold rules need k > 0")
         if self.kind == "online_opportunity" and (self.c_prime is None or self.c_prime <= 0):
@@ -576,6 +582,19 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def inference_exact(config: ExperimentConfig, sampler: Optional[ConditionalSamplerConfig]) -> Optional[bool]:
+    """Whether post-stopping inference with `sampler` is exact for `config`:
+    None without a sampler, True for the resimulation sampler, and for the
+    independence shortcut only where the stop is independent of the
+    estimator's fluctuation (`banditstop.inference`): under a pre-determined
+    rule, or an online rule with a known noise scale and the uniform policy."""
+    if sampler is None:
+        return None
+    if sampler.mode == RESIMULATION_REJECTION or config.stopping.kind.startswith("predetermined"):
+        return True
+    return isinstance(config.sigma_mode, KnownSigma) and isinstance(config.policy, UniformRandom)
+
+
 def emit_reports(
     records: Sequence[ExperimentRecord],
     out_dir: str,
@@ -609,6 +628,7 @@ def emit_reports(
             "generated_at": timestamp if timestamp is not None else time.strftime("%Y-%m-%dT%H:%M:%S"),
             "config": config_to_dict(config),
             "aggregates": aggregates,
+            "inference_exact": inference_exact(config, config.inference),
             "per_rep_errors": {
                 str(rec.rep_index): rec.error
                 for rec in records

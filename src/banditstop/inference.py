@@ -6,7 +6,9 @@ Two samplers are provided.  The independence shortcut draws unconditionally
 from the Gaussian limit; it is exact when the stopping statistic depends on
 the Gram matrices alone (known-sigma variance mode) and the policy does not
 feed estimates back into assignment, because the stop event is then
-independent of the estimator's Gaussian fluctuation.  The resimulation
+independent of the estimator's Gaussian fluctuation, and under a
+pre-determined rule, whose stop time is fixed in advance
+(`harness.inference_exact`; the CLI warns outside these cases).  The resimulation
 sampler makes no such assumption: it replays surrogate trajectories under
 plug-in parameters and the observed run's rule, with the rule's cap lowered to
 the observed stop time, keeps those that stop at that time the way the

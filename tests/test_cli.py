@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,15 +21,17 @@ from banditstop import (
     StoppingConfig,
     Thompson,
     TrueModel,
+    Ucb,
     UniformRandom,
     config_to_dict,
     constant_clip,
     run_experiment,
     uniform_cube_spec,
 )
-from banditstop import bounds
+from banditstop import bounds, cli
 from banditstop.cli import main
-from banditstop.harness import load_config, resolve_constants
+from banditstop.errors import ConfigError
+from banditstop.harness import inference_exact, load_config, resolve_constants
 
 
 def write_config(path, **overrides):
@@ -198,6 +201,8 @@ DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
         (("policy", "eps"), "0.2"),  # 'float' object is not subscriptable
         (("regret_mc_samples",), "0"),  # runtime error: n must be >= 1, exit 3
         (("regret_mc_samples",), "-3"),
+        (("stopping", "c_prime"), "0.05"),  # online_threshold never read it
+        (("stopping", "scale_by_batch"), "true"),  # online_threshold never read it
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
@@ -216,6 +221,27 @@ def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
     assert "config error" in err.lower()
     if path != ("sigma_mode", "sigma"):  # KnownSigma checks a value, not a key
         assert ".".join(path) in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "stopping",
+    [  # each loaded with demo's k 0.05, which these rules never read
+        {"kind": "online_opportunity", "c_prime": 0.05},
+        {"kind": "predetermined_opportunity"},
+    ],
+)
+def test_k_under_an_opportunity_rule_exits_2(tmp_path, capsys, stopping):
+    data = json.loads(DEMO_CONFIG.read_text())
+    data["replications"] = 1
+    data["stopping"].update(stopping)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out_dir = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: stopping.k is not read by stopping kind {stopping['kind']!r}" in err
     assert not out_dir.exists()
 
 
@@ -538,3 +564,114 @@ def test_infer_rejects_a_seed_outside_u64(tmp_path, capsys, where, seed):
         assert main(args) == 2
     run.assert_not_called()
     assert f"config error: {where} must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("stop-scan", []),
+        ("infer", ["--trajectory", "rep_00000.json"]),
+        ("calibrate-k", []),
+        ("check-assumptions", []),
+    ],
+)
+def test_only_simulate_takes_reps(capsys, command, extra):
+    # Each took --reps and ignored it; --reps 0 exited 2 with "replications must be >= 1".
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(DEMO_CONFIG), *extra, "--reps", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reps 5" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_cli_examples_parse():
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert {words[1] for words in commands} == set(cli._COMMANDS)  # every subcommand shown
+    for words in commands:
+        assert words[0] == "banditstop"
+        cli.build_parser().parse_args(words[1:])
+
+
+_BOUNDS = BoundsConfig(margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=0.01, tail_const=625.0)
+_RESIMULATION = ConditionalSamplerConfig(mode="resimulation_rejection", n_samples=100, max_attempts=100)
+_SHORTCUT_WARNING = "warning: the independence shortcut is not exact"
+
+# Overrides of `write_config` (ε-greedy, known sigma, online threshold, the
+# shortcut) and whether post-stopping inference is then exact.
+INFERENCE_EXACT_CASES = {
+    "no_inference": (dict(inference=None), None),
+    "resimulation": (dict(inference=_RESIMULATION), True),
+    "resimulation_residual_thompson": (
+        dict(inference=_RESIMULATION, sigma_mode=ResidualSigma(), policy=Thompson(1.0)),
+        True,
+    ),
+    "predetermined_residual_eps_greedy": (
+        dict(stopping=StoppingConfig(kind="predetermined_opportunity", t_max=8), bounds=_BOUNDS,
+             sigma_mode=ResidualSigma()),
+        True,
+    ),
+    "predetermined_threshold_ucb": (
+        dict(stopping=StoppingConfig(kind="predetermined_threshold", t_max=8, k=0.5), bounds=_BOUNDS,
+             policy=Ucb(Schedule(1.0))),
+        True,
+    ),
+    "online_known_uniform": (dict(policy=UniformRandom()), True),
+    "online_opportunity_known_uniform": (
+        dict(policy=UniformRandom(), stopping=StoppingConfig(kind="online_opportunity", t_max=8, c_prime=0.1)),
+        True,
+    ),
+    "online_known_eps_greedy": ({}, False),
+    "online_residual_uniform": (dict(policy=UniformRandom(), sigma_mode=ResidualSigma()), False),
+    "online_known_thompson": (dict(policy=Thompson(1.0)), False),
+    "online_opportunity_residual_ucb": (
+        dict(policy=Ucb(Schedule(1.0)), sigma_mode=ResidualSigma(),
+             stopping=StoppingConfig(kind="online_opportunity", t_max=8, c_prime=0.1)),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INFERENCE_EXACT_CASES)
+def test_inference_exact(tmp_path, case):
+    overrides, exact = INFERENCE_EXACT_CASES[case]
+    config = write_config(tmp_path / "config.json", **overrides)
+    assert inference_exact(config, config.inference) is exact
+
+
+@pytest.mark.parametrize("case", INFERENCE_EXACT_CASES)
+def test_simulate_and_infer_warn_when_inference_is_not_exact(tmp_path, capsys, case):
+    overrides, exact = INFERENCE_EXACT_CASES[case]
+    cfg_path = tmp_path / "config.json"
+    config = write_config(cfg_path, **overrides)
+    stub = ConfigError("stub: the run is not under test")
+    with mock.patch.object(cli, "run_replications", side_effect=stub):
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(_SHORTCUT_WARNING) == (exact is False)
+    if exact is False:
+        kinds = config_to_dict(config)
+        assert f"policy {kinds['policy']['kind']!r} with sigma_mode {kinds['sigma_mode']['kind']!r}" in err
+        assert "'resimulation_rejection'" in err
+    record = mock.Mock(inference_seed=1)
+    with mock.patch.object(cli, "load_trajectory", return_value=record), mock.patch.object(
+        cli, "run_inference", side_effect=stub
+    ):
+        assert main(["infer", "--config", str(cfg_path), "--trajectory", "rep_00000.json"]) == 2
+    # infer runs the default shortcut when the config has no inference section.
+    inexact = exact is False or case == "no_inference"
+    assert capsys.readouterr().err.count(_SHORTCUT_WARNING) == inexact
+
+
+@pytest.mark.parametrize("policy, exact", [(EpsGreedy(Schedule(0.2)), False), (UniformRandom(), True), (None, None)])
+def test_summary_records_whether_inference_is_exact(tmp_path, capsys, policy, exact):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, **(dict(inference=None) if policy is None else dict(policy=policy)))
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["inference_exact"] is exact
+    assert "inference_exact" not in summary["aggregates"]
+    assert capsys.readouterr().err.count(_SHORTCUT_WARNING) == (exact is False)
