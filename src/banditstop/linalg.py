@@ -1,27 +1,24 @@
 """Small dense symmetric-matrix helpers shared by policies and estimators.
 
-`solve_spd` and `inverse_spd` are one Cholesky kernel, generated per
-dimension as straight-line code in the textbook loop order using only +, -,
-*, / and sqrt.  It runs on floats for one (d, d) matrix and on numpy arrays,
-one per entry, for a stack (..., d, d): it reads the entries as views
-``m[..., i, j]`` and ``rhs[..., i]`` and writes each result entry into one
-preallocated array.  IEEE 754 rounds each operation the same either way,
-so a matrix gets the same bits stacked as alone, in any layout
-(`tests/test_stack_invariance.py`, `tests/test_linalg.py`).  It agrees with
-scipy's ``cho_solve`` to rounding and raises LAPACK's LinAlgError at the
-first pivot that is not > 0, NaN included; a stack fails at the first pivot
-that fails in any of its matrices (`tests/test_linalg.py`).  Only `eigvalsh` calls LAPACK:
-numpy's lower-triangle ``dsyevd`` gufunc, which ``numpy.linalg.eigvalsh``
-ends in, without that wrapper's cost.
+Each helper is one call of a numpy LAPACK gufunc, for one (d, d) matrix or
+for each of a stack (..., d, d) alike: `eigvalsh` of the lower-triangle
+``dsyevd`` one that ``numpy.linalg.eigvalsh`` ends in, `solve_spd` and
+`inverse_spd` of the ``dgesv`` ones behind ``numpy.linalg.solve`` and
+``numpy.linalg.inv``, without those wrappers' cost.  A gufunc runs LAPACK on
+each matrix of a stack in turn, so a matrix gets the same bits stacked as
+alone, in any layout (`tests/test_stack_invariance.py`,
+`tests/test_linalg.py`).  Where LAPACK cannot solve a matrix, the gufunc
+fills that matrix's result with NaN, and a NaN entry in a matrix leaves NaN
+in its result too; the solves then raise LinAlgError, for a lone matrix or
+for any member of a stack.  Callers solve only Grams that pass
+`is_invertible_gram`, which are positive definite; the solves do not check
+that, and solve an indefinite but nonsingular matrix as well.
 """
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 import numpy as np
-from numpy.linalg._umath_linalg import eigvalsh_lo
+from numpy.linalg._umath_linalg import eigvalsh_lo, inv, solve1
 
 from .errors import ContractError
 
@@ -57,74 +54,24 @@ def gram_check(gram: np.ndarray):
     return (smallest > GRAM_SINGULARITY_RTOL * largest) & (smallest > GRAM_SINGULARITY_RTOL), smallest
 
 
-@lru_cache(maxsize=None)
-def _kernel(dim: int, stacked: bool):
-    """For dimension `dim`, on floats or on arrays: `factor(m)`, from A to
-    L's entries in row-major order; `solve(l, b0, ..)`, from those and b's
-    entries to x's (``L z = b``, then ``L' x = z``); and `inverse`, the
-    entries of ``(X + X') / 2`` for X solved against the identity.  On
-    floats, `factor` unpacks a list of A's entries in row-major order and
-    `inverse(l)` returns X's; on arrays, `factor` reads views ``m[..., i, j]``
-    of a stack and `inverse(l, out)` writes into the stack `out`."""
-
-    def assign(target, first, pairs, divisor=None):  # first - u0 * v0 - ..., left to right
-        value = first + "".join(f" - {u} * {v}" for u, v in pairs)
-        return f"    {target} = " + (f"({value}) / {divisor}" if divisor else value)
-
-    l, z = [[f"l{i}_{j}" for j in range(i + 1)] for i in range(dim)], [f"z{i}" for i in range(dim)]
-    lower, zs = ", ".join(sum(l, [])), ", ".join(z)
-    lines = ["def factor(m):"]
-    if stacked:
-        lines += [f"    a{i}_{j} = m[..., {i}, {j}]" for i in range(dim) for j in range(i + 1)]
-    else:
-        lines.append("    " + ", ".join(f"a{i}_{j}" for i in range(dim) for j in range(dim)) + ", = m")
-    for j in range(dim):
-        lines += [
-            assign("p", f"a{j}_{j}", zip(l[j], l[j][:j])),
-            "    if _count(p > 0) < p.size:" if stacked else "    if not p > 0:",
-            f"        raise _error('{j + 1}-th leading minor of the array is not positive definite')",
-            f"    {l[j][j]} = _sqrt(p)",
-        ]
-        lines += [assign(l[i][j], f"a{i}_{j}", zip(l[i], l[j][:j]), l[j][j]) for i in range(j + 1, dim)]
-    lines += [f"    return {lower},", f"def solve(l, {zs}):", f"    {lower}, = l"]
-    lines += [assign(z[i], z[i], zip(l[i], z[:i]), l[i][i]) for i in range(dim)]
-    lines += [assign(z[i], z[i], [(l[k][i], z[k]) for k in range(i + 1, dim)], l[i][i]) for i in reversed(range(dim))]
-    lines += [f"    return {zs},", "def inverse(l, out=None):"]
-    lines += [f"    x{c} = solve(l, {', '.join(str(float(i == c)) for i in range(dim))})" for c in range(dim)]
-    if stacked:  # one value per pair i <= j, since a + b == b + a
-        lines += [f"    out[..., {i}, {j}] = out[..., {j}, {i}] = 0.5 * (x{j}[{i}] + x{i}[{j}])" for i in range(dim) for j in range(i, dim)]
-    else:
-        lines.append("    return " + "".join(f"0.5 * (x{j}[{i}] + x{i}[{j}]), " for i in range(dim) for j in range(dim)))
-    names = {"_error": np.linalg.LinAlgError, "_sqrt": np.sqrt if stacked else math.sqrt, "_count": np.count_nonzero}
-    exec("\n".join(lines), names)
-    return names["factor"], names["solve"], names["inverse"]
+def _checked(out: np.ndarray) -> np.ndarray:
+    # Counting NaNs over every entry costs less than any reduction over fewer.
+    if np.count_nonzero(np.isnan(out)):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return out
 
 
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` for symmetric positive definite input via
-    Cholesky: one (d, d) matrix with rhs (d,), or a stack (..., d, d) with
-    rhs broadcasting against (..., d)."""
-    dim = matrix.shape[-1]
-    factor, solve, _ = _kernel(dim, matrix.ndim > 2)
-    if matrix.ndim == 2:
-        return np.array(solve(factor(matrix.ravel().tolist()), *rhs.tolist()))
-    solved = solve(factor(matrix), *(rhs[..., i] for i in range(dim)))
-    out = np.empty(solved[0].shape + (dim,))  # each entry has the broadcast shape
-    for i, x in enumerate(solved):
-        out[..., i] = x
-    return out
+    """Solve ``matrix @ x = rhs`` for one (d, d) matrix with rhs (d,), or for
+    each of a stack (..., d, d) with rhs broadcasting against (..., d)."""
+    return _checked(solve1(matrix, rhs, signature="dd->d"))
 
 
 def inverse_spd(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, or of each of a
-    stack: the solves against the identity, X, symmetrized as (X + X') / 2."""
-    dim = matrix.shape[-1]
-    factor, _, inverse = _kernel(dim, matrix.ndim > 2)
-    if matrix.ndim == 2:
-        return np.array(inverse(factor(matrix.ravel().tolist()))).reshape(matrix.shape)
-    out = np.empty(matrix.shape)
-    inverse(factor(matrix), out)
-    return out
+    """Inverse of a symmetric matrix, or of each of a stack: X = inv(matrix),
+    symmetrized as (X + X') / 2."""
+    x = _checked(inv(matrix, signature="d->d"))
+    return 0.5 * (x + x.mT)
 
 
 def require_symmetric(matrix: np.ndarray, what: str = "matrix") -> np.ndarray:
