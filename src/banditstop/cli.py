@@ -46,6 +46,24 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     return dataclasses.replace(config, **updates) if updates else config
 
 
+def _reject_an_unread_seed(args: argparse.Namespace, config: ExperimentConfig) -> None:
+    """`stop-scan` and `infer` read the master seed only in the pilot
+    calibration, which runs for a pre-determined rule whose bounds have no
+    tail constant but a calibration block."""
+    bounds = config.bounds
+    if args.seed is not None and not (
+        config.stopping.kind.startswith("predetermined")
+        and bounds is not None
+        and bounds.tail_const is None
+        and bounds.calibration is not None
+    ):
+        raise ConfigError(
+            f"--seed changes nothing here: {args.command} reads the master seed only in the pilot "
+            "calibration, which runs only for a pre-determined rule with bounds.tail_const null "
+            "and a bounds.calibration block"
+        )
+
+
 def _warn_if_inexact(config: ExperimentConfig, sampler: Optional[ConditionalSamplerConfig]) -> None:
     if inference_exact(config, sampler) is False:
         names = config_to_dict(config)
@@ -78,9 +96,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stop_scan(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = load_config(args.config)
     if not config.stopping.kind.startswith("predetermined"):
         raise ConfigError("stop-scan applies to pre-determined stopping rules")
+    _reject_an_unread_seed(args, config)
+    config = _apply_overrides(config, args)
     prepared = prepare(config)
     decision = scan_stop_time(prepared.setup.rule)
     out = {
@@ -99,7 +119,9 @@ def _cmd_stop_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = load_config(args.config)
+    _reject_an_unread_seed(args, config)
+    config = _apply_overrides(config, args)
     record = load_trajectory(args.trajectory, config)
     cfg = config.inference if config.inference is not None else ConditionalSamplerConfig()
     _warn_if_inexact(config, cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shlex
@@ -581,6 +582,54 @@ def test_only_simulate_takes_reps(capsys, command, extra):
         main([command, "--config", str(DEMO_CONFIG), *extra, "--reps", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --reps 5" in capsys.readouterr().err
+
+
+_CALIBRATION = CalibrationConfig(t_ref=3, replications=10)
+_PREDETERMINED = StoppingConfig(kind="predetermined_opportunity", t_max=8)
+
+# The stopping rule, bounds.tail_const and bounds.calibration of a config,
+# and whether `stop-scan` and `infer` then run the pilot calibration, the
+# only part of either that reads the master seed.
+SEED_CASES = {
+    "calibrates": (_PREDETERMINED, None, _CALIBRATION, True),
+    "fixed_tail_const": (_PREDETERMINED, 625.0, _CALIBRATION, False),
+    "no_calibration_block": (_PREDETERMINED, None, None, False),
+    "online_rule": (StoppingConfig(kind="online_threshold", t_max=8, k=0.9), None, _CALIBRATION, False),
+}
+
+
+# stop-scan rejects an online rule before it reads --seed.
+@pytest.mark.parametrize(
+    "command, case", [(c, k) for c in ("stop-scan", "infer") for k in SEED_CASES if (c, k) != ("stop-scan", "online_rule")]
+)
+def test_seed_is_taken_only_where_the_pilot_calibration_reads_it(tmp_path, capsys, command, case):
+    # Each printed the same bytes for --seed 1 and --seed 2 where no calibration ran.
+    stopping, tail_const, calibration, reads = SEED_CASES[case]
+    bounds_config = BoundsConfig(
+        margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=0.01,
+        tail_const=tail_const, calibration=calibration,
+    )
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, policy=UniformRandom(), stopping=stopping, bounds=bounds_config, replications=1)
+    args = [command, "--config", str(cfg_path)]
+    if command == "infer":
+        sim_path = tmp_path / "simulated.json"
+        fixed = dataclasses.replace(bounds_config, tail_const=625.0, calibration=None)
+        write_config(sim_path, policy=UniformRandom(), stopping=stopping, bounds=fixed, replications=1, trajectory_json=True)
+        assert main(["simulate", "--config", str(sim_path), "--out", str(tmp_path / "out")]) == 0
+        args += ["--trajectory", str(tmp_path / "out" / "trajectories" / "rep_00000.json")]
+    capsys.readouterr()
+    calibration_seeds = []
+    for seed in ("1", "2"):
+        with mock.patch.object(bounds, "calibrate_tail_constant", wraps=bounds.calibrate_tail_constant) as cal:
+            rc = main([*args, "--seed", seed])
+        calibration_seeds += [call.args[-1] for call in cal.call_args_list]
+    err = capsys.readouterr().err
+    if reads:
+        assert rc == 0 and len(calibration_seeds) == 2 and calibration_seeds[0] != calibration_seeds[1]
+    else:
+        assert rc == 2 and not calibration_seeds
+        assert f"config error: --seed changes nothing here: {command} reads the master seed only" in err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
