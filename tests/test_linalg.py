@@ -18,6 +18,28 @@ from banditstop import linalg
 from banditstop.estimators import StackedSums
 
 
+# linalg calls these private gufuncs of numpy directly; each must keep its
+# name, its signature and its float64 loop.
+GUFUNCS = {
+    "eigvalsh_lo": ("(m,m)->(m)", "d->d"),
+    "solve1": ("(m,m),(m)->(m)", "dd->d"),
+    "inv": ("(m, m)->(m, m)", "d->d"),
+}
+
+
+@pytest.mark.parametrize("name", GUFUNCS)
+def test_numpys_private_gufuncs_are_there(name):
+    from numpy.linalg import _umath_linalg
+
+    signature, loop = GUFUNCS[name]
+    gufunc = getattr(_umath_linalg, name, None)
+    found = None if gufunc is None else (gufunc.signature, gufunc.types)
+    assert found is not None and found[0] == signature and loop in found[1], (
+        f"numpy {np.__version__}: numpy.linalg._umath_linalg.{name} is {found}, "
+        f"linalg needs signature {signature} with a {loop} loop"
+    )
+
+
 @st.composite
 def grams(draw, dims=st.integers(1, 3)):
     dim = draw(dims)
