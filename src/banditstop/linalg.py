@@ -1,18 +1,16 @@
 """Small dense symmetric-matrix helpers shared by policies and estimators.
 
 Each helper is one call of a numpy LAPACK gufunc, for one (d, d) matrix or
-for each of a stack (..., d, d) alike: `eigvalsh` of the lower-triangle
+each of a stack (..., d, d) alike: `eigvalsh` of the lower-triangle
 ``dsyevd`` one that ``numpy.linalg.eigvalsh`` ends in, `solve_spd` and
 `inverse_spd` of the ``dgesv`` ones behind ``numpy.linalg.solve`` and
-``numpy.linalg.inv``, without those wrappers' cost.  A gufunc runs LAPACK on
-each matrix of a stack in turn, so a matrix gets the same bits stacked as
-alone, in any layout (`tests/test_stack_invariance.py`,
-`tests/test_linalg.py`).  Where LAPACK cannot solve a matrix, the gufunc
-fills that matrix's result with NaN, and a NaN entry in a matrix leaves NaN
-in its result too; the solves then raise LinAlgError, for a lone matrix or
-for any member of a stack.  Callers solve only Grams that pass
-`is_invertible_gram`, which are positive definite; the solves do not check
-that, and solve an indefinite but nonsingular matrix as well.
+``inv``, without those wrappers' cost.  A gufunc runs LAPACK on each matrix
+of a stack in turn, so a matrix gets the same bits stacked as alone, in any
+layout (`tests/test_stack_invariance.py`, `tests/test_linalg.py`).  A matrix
+LAPACK cannot solve, or one with a NaN entry, leaves NaN in its result, and
+the solves raise LinAlgError for it, alone or anywhere in a stack.  Callers
+solve only Grams that pass `is_invertible_gram`; an indefinite but
+nonsingular matrix is solved too.
 """
 
 from __future__ import annotations
@@ -55,8 +53,10 @@ def gram_check(gram: np.ndarray):
 
 
 def _checked(out: np.ndarray) -> np.ndarray:
-    # Counting NaNs over every entry costs less than any reduction over fewer.
-    if np.count_nonzero(np.isnan(out)):
+    # A NaN entry makes the sum NaN.  For the few entries of a lone solve,
+    # summing Python floats costs about half of any numpy check.
+    total = sum(out.ravel().tolist())
+    if total != total:
         raise np.linalg.LinAlgError("Singular matrix")
     return out
 
