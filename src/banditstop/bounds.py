@@ -271,7 +271,7 @@ def pilot_deviations(
     pilots advance in lock-step, in chunks of `chunk_members` pilots.  Within
     a batch, the draws from each pilot's stream run per pilot; the arms' X'X
     and X'y (zero-masked products, `estimators.masked_sums`), the
-    singularity checks, the Cholesky solves, the policy formulas, the
+    singularity checks, the linear solves, the policy formulas, the
     clipping and the l1 errors run once over the stacked pilots.
     """
     members = chunk_members(batch_size, model.dim)

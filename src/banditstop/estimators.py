@@ -306,7 +306,7 @@ class StackedSums:
         """`ivw_combine` of every member (which calls this for a StackedSums).
         The singularity checks, which give the norms' lambda_min, run once
         over the stack.  Under residual sigma the noise factors need the
-        estimates, whose Cholesky solves run once over the stack with the
+        estimates, solved by one LAPACK call over the stack with the
         identity in place of the Grams of members without the estimate;
         under a known noise scale they are solved only for a member read
         at its stop (`combination`)."""
@@ -434,7 +434,7 @@ def fit_batch_ols(
 ) -> BatchOlsFit:
     """Per-arm OLS on one batch.
 
-    Solves the normal equations by Cholesky factorization; an arm whose Gram
+    Solves the normal equations by LU (`linalg.solve_spd`); an arm whose Gram
     matrix is singular gets beta=None (the Gram and count are still reported).
     Each arm's sums are zero-masked full-length products (`masked_sums`), so
     they round the same whether the batch is fitted alone or stacked with
@@ -488,7 +488,7 @@ def fit_arms(
     contexts (..., n, d), rewards (..., n) and the arms' masks (..., 2, n)
     (bool, `arm_masks`), with the residual terms (y'y and the residual sums
     of squares) if `residual`.  The sums, the singularity checks, the
-    Cholesky solves and the residuals run once over the stack; singular
+    solves and the residuals run once over the stack; singular
     Grams are solved as the identity and their estimates zeroed."""
     x, y, w = contexts[..., None, :, :], rewards[..., None, :], masks.astype(float)
     gram, moment, sum_sq = masked_sums(x, y, w, residual)

@@ -148,9 +148,9 @@ def stacked_probabilities(
 def stacked_estimates(xx: np.ndarray, xy: np.ndarray, with_inverses: bool):
     """Which members have both arms' X'X invertible (R,), their cumulative
     OLS estimates (R, 2, d) and, if asked, the inverses of X'X (R, 2, d, d),
-    else None; zeros for the other members.  The singularity check and the
-    Cholesky solves run once over the stack, with the identity in place of
-    the other members' X'X."""
+    else None; zeros for the other members.  The singularity check, the
+    solves and the inverses run once over the stack, with the identity in
+    place of the other members' X'X."""
     usable = is_invertible_gram(xx).all(axis=-1)
     keep = usable[:, None, None, None]
     xx = select(keep, xx, np.eye(xx.shape[-1]))

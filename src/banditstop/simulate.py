@@ -11,7 +11,7 @@ time, and stopped members leave the stack.  Each member draws its contexts,
 action uniforms and reward noise from its own generator in the order of a
 lone trajectory, into its own row of the stacked buffers
 (`model.stacked_uniforms`); every other step, the policy formulas and
-Cholesky solves included, runs once over a (members, arms) stack, in forms
+the LAPACK solves included, runs once over a (members, arms) stack, in forms
 that round the same stacked or alone (`tests/test_stack_invariance.py`).
 So each member's trajectory equals, bit for bit, the one
 `simulate_trajectory` gives its generator.
