@@ -53,7 +53,7 @@ from .model import (
     estimate_policy_regret,
 )
 from .policies import ClipSchedule, EpsGreedy, PolicyKind, Schedule, Thompson, Ucb, UniformRandom
-from .records import ExperimentRecord, SimulationSetup
+from .records import ExperimentRecord, SimulationSetup, Trajectory
 from .rng import (
     INFERENCE_STREAM,
     REGRET_STREAM,
@@ -62,7 +62,7 @@ from .rng import (
     make_rng,
     substream_seed,
 )
-from .simulate import Trajectory, simulate_ensemble, simulate_trajectory
+from .simulate import simulate_ensemble, simulate_trajectory
 from .stopping import (
     OnlineOpportunity,
     OnlineThreshold,
@@ -318,8 +318,6 @@ def _record(
         rep_index=rep_index,
         seed=seed,
         setup=prepared.setup,
-        stats=traj.stats,
-        stop_trace=traj.stop_trace,
         stop_time=traj.stop_time,
         cap_hit=traj.cap_hit,
         ivw=traj.ivw,
@@ -328,6 +326,7 @@ def _record(
         inference=None,
         inference_seed=inference_seed,
         error=error,
+        trajectory=traj if config.trajectory_json else None,
     )
 
     if prepared.cost_mode is not None and traj.ivw is not None:
@@ -520,6 +519,7 @@ def render_csv(records: Sequence[ExperimentRecord], dim: int) -> str:
 
 def trajectory_payload(rec: ExperimentRecord) -> Dict:
     """JSON form of one replication's sufficient statistics and stop trace."""
+    traj = rec.trajectory
 
     def arr(a):
         return None if a is None else np.asarray(a).tolist()
@@ -540,7 +540,7 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
                 "beta0": None if b0 is None else b0.tolist(),
                 "gram0": g0.tolist(),
             }
-            for i, (b1, g1, b0, g0) in enumerate(rec.stats)
+            for i, (b1, g1, b0, g0) in enumerate(traj.stats)
         ],
         "stop_trace": [
             {
@@ -549,7 +549,7 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
                 "cap_hit": d.cap_hit,
                 "diagnostics": {k: float(v) for k, v in d.diagnostics.items()},
             }
-            for d in rec.stop_trace
+            for d in traj.stop_trace
         ],
         "terminal": None
         if rec.ivw is None
@@ -611,6 +611,9 @@ def emit_reports(
     """
     if not records:
         raise ConfigError("no records to report")
+    bare = [rec.rep_index for rec in records if rec.trajectory is None]
+    if config.trajectory_json and bare:
+        raise ContractError(f"replication {min(bare)} kept no trajectory to write")
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise OSError(f"output directory {out_dir!r} is not writable")
@@ -692,13 +695,14 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
     stop_time = _stored(payload, "stop_time", _INT)
     if not 1 <= stop_time <= config.stopping.t_max:
         raise ConfigError(f"trajectory key 'stop_time' must lie in 1..{config.stopping.t_max}")
-    entries = []
-    for i, e in enumerate(_stored(payload, "sufficient_stats", _LIST)):
+    entries = _stored(payload, "sufficient_stats", _LIST)
+    for i, e in enumerate(entries):
         path = f"sufficient_stats[{i}]"
         e = _DICT.read(e, f"trajectory key {path!r}")
-        b1, b0 = (_stored(e, f"{path}.beta{a}", _ARRAY, vec, nullable=True) for a in (1, 0))
-        g1, g0 = (_stored(e, f"{path}.gram{a}", _ARRAY, mat) for a in (1, 0))
-        entries.append((b1, g1, b0, g0))
+        for a in (1, 0):
+            _stored(e, f"{path}.beta{a}", _ARRAY, vec, nullable=True)
+        for a in (1, 0):
+            _stored(e, f"{path}.gram{a}", _ARRAY, mat)
     if len(entries) != stop_time:
         raise ConfigError(f"trajectory key 'sufficient_stats' must have stop_time = {stop_time} entries")
     # A cap hit means the rule did not fire by t_max; resimulation conditions on it.
@@ -734,8 +738,6 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
         rep_index=_stored(payload, "rep", _INT),
         seed=_stored(payload, "seed", _INT),
         setup=_setup(config, consts),
-        stats=entries,
-        stop_trace=[],
         stop_time=stop_time,
         cap_hit=cap_hit,
         ivw=ivw,

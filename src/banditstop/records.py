@@ -34,6 +34,21 @@ class SimulationSetup:
 
 
 @dataclass
+class Trajectory:
+    stats: List[BatchStats]  # per batch (beta1, gram1, beta0, gram0)
+    stop_trace: List[StopDecision]  # ends on the run's one stopping decision
+    ivw: Optional[IvwEstimate]
+
+    @property
+    def stop_time(self) -> int:
+        return self.stop_trace[-1].t
+
+    @property
+    def cap_hit(self) -> bool:
+        return self.stop_trace[-1].cap_hit
+
+
+@dataclass
 class InferenceResult:
     beta0: np.ndarray
     beta1: np.ndarray
@@ -53,8 +68,6 @@ class ExperimentRecord:
     rep_index: int
     seed: int
     setup: SimulationSetup
-    stats: List[BatchStats]
-    stop_trace: List[StopDecision]
     stop_time: int
     cap_hit: bool
     ivw: Optional[IvwEstimate]
@@ -64,6 +77,7 @@ class ExperimentRecord:
     inference_seed: int
     error: Optional[str] = None
     inference_error: Optional[str] = None
+    trajectory: Optional[Trajectory] = None  # kept only for a trajectory file
 
     @cached_property
     def var_norms(self) -> Tuple[float, float]:

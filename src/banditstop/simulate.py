@@ -38,7 +38,6 @@ verdict `ivw_combine` takes once for the policy to read at the next batch
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, List, Optional
 
@@ -50,23 +49,8 @@ from .estimators import IvwEstimate, KnownSigma, RunningSums, StackedSums, arm_m
 from .estimators import fit_batch_ols, ivw_combine
 from .model import TrueModel, realize_rewards, sample_batch_contexts
 from .policies import select_actions, update_state
-from .records import BatchStats, SimulationSetup
+from .records import BatchStats, SimulationSetup, Trajectory
 from .stopping import NormPair, StopDecision, evaluate
-
-
-@dataclass
-class Trajectory:
-    stats: List[BatchStats]  # per batch (beta1, gram1, beta0, gram0), as ExperimentRecord.stats
-    stop_trace: List[StopDecision]  # ends on the run's one stopping decision
-    ivw: Optional[IvwEstimate]
-
-    @property
-    def stop_time(self) -> int:
-        return self.stop_trace[-1].t
-
-    @property
-    def cap_hit(self) -> bool:
-        return self.stop_trace[-1].cap_hit
 
 
 def simulate_trajectory(setup: SimulationSetup, model: TrueModel, rng: np.random.Generator) -> Trajectory:

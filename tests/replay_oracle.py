@@ -14,7 +14,8 @@ from banditstop.linalg import inverse_spd, is_invertible_gram
 
 
 def replay_stop_decisions(record: ExperimentRecord) -> List[StopDecision]:
-    """Recompute every batch's stopping decision from `record.stats`.
+    """Recompute every batch's stopping decision from the per-batch
+    statistics of `record.trajectory`.
 
     Valid for pre-determined rules (no data involved) and for online rules in
     known-sigma mode, whose stopping statistic is a function of the Gram
@@ -31,7 +32,7 @@ def replay_stop_decisions(record: ExperimentRecord) -> List[StopDecision]:
     dim = record.setup.context.dim
     totals = {0: np.zeros((dim, dim)), 1: np.zeros((dim, dim))}
     prev = None
-    for t, (beta1, gram1, beta0, gram0) in enumerate(record.stats, start=1):
+    for t, (beta1, gram1, beta0, gram0) in enumerate(record.trajectory.stats, start=1):
         if beta1 is not None:
             totals[1] = totals[1] + gram1
         if beta0 is not None:

@@ -132,6 +132,7 @@ def coverage_run():
         replications=COV_R,
         master_seed=20260810,
         regret_mc_samples=1000,
+        trajectory_json=True,
     )
     records, _ = bs.run_replications(config)
     z = np.empty((COV_R, 4))
@@ -141,7 +142,7 @@ def coverage_run():
         z[r, :2] = (ivw.beta0 - model.beta0) / np.sqrt(np.diag(ivw.beta_cov(0)))
         z[r, 2:] = (ivw.beta1 - model.beta1) / np.sqrt(np.diag(ivw.beta_cov(1)))
         s = np.zeros(2)
-        for beta1, gram1, _b0, _g0 in rec.stats:
+        for beta1, gram1, _b0, _g0 in rec.trajectory.stats:
             s += gram1 @ (beta1 - model.beta1)
         mart[r] = s / np.sqrt(COV_N * COV_T)
     return spec, model, z, mart

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from banditstop import (
     BoundsConfig,
     ConditionalSamplerConfig,
     ConfigError,
+    ContractError,
     EpsGreedy,
     ExperimentConfig,
     KnownSigma,
@@ -119,7 +121,7 @@ class TestRunExperiment:
         )
 
     def test_bit_identical_reruns(self):
-        config = small_config()
+        config = small_config(trajectory_json=True)
         a = run_experiment(config, 2)
         b = run_experiment(config, 2)
         assert a.seed == b.seed and a.stop_time == b.stop_time
@@ -127,7 +129,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.ivw.var0, b.ivw.var0)
         np.testing.assert_array_equal(a.inference.lo1, b.inference.lo1)
         assert a.regret_hat == b.regret_hat
-        for fa, fb in zip(a.stats, b.stats):
+        for fa, fb in zip(a.trajectory.stats, b.trajectory.stats):
             np.testing.assert_array_equal(fa[1], fb[1])
 
     def test_estimator_unavailable_keeps_sampling(self):
@@ -140,17 +142,18 @@ class TestRunExperiment:
             batch_size=1,
             stopping=StoppingConfig(kind="online_threshold", t_max=30, k=1e9),
             inference=None,
+            trajectory_json=True,
         )
         record = run_experiment(config, 1)
         assert record.stop_time > 1
-        assert "estimator_unavailable" in record.stop_trace[0].diagnostics
+        assert "estimator_unavailable" in record.trajectory.stop_trace[0].diagnostics
 
     def test_replay_stop_decisions(self):
-        config = small_config()
+        config = small_config(trajectory_json=True)
         record = run_experiment(config, 3)
         replayed = replay_stop_decisions(record)
-        assert len(replayed) == len(record.stop_trace)
-        for got, logged in zip(replayed, record.stop_trace):
+        assert len(replayed) == len(record.trajectory.stop_trace)
+        for got, logged in zip(replayed, record.trajectory.stop_trace):
             assert got.stop == logged.stop
             assert got.cap_hit == logged.cap_hit
             for key, val in logged.diagnostics.items():
@@ -196,6 +199,20 @@ class TestRunReplications:
         records, agg = run_replications(config)
         assert agg["error_count"] == 2
         assert all(r.error is not None for r in records)
+
+    # One replication runs the lone loop, several the lock-step engine.
+    @pytest.mark.parametrize("replications", [1, 3])
+    def test_records_keep_a_trajectory_only_for_trajectory_files(self, tmp_path, replications):
+        config = small_config(replications=replications, inference=None)
+        records, agg = run_replications(config)
+        assert all(rec.trajectory is None for rec in records)
+        asked = dataclasses.replace(config, trajectory_json=True)
+        with pytest.raises(ContractError, match="replication 0 kept no trajectory"):
+            emit_reports(records, str(tmp_path / "out"), ["csv", "json"], asked, aggregates=agg)
+        assert not (tmp_path / "out").exists()
+
+        kept, _ = run_replications(asked)
+        assert [rec.trajectory.stop_time for rec in kept] == [rec.stop_time for rec in records]
 
 
 class TestConfigRoundTrip:
