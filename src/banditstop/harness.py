@@ -672,6 +672,12 @@ def _stored(obj: Dict, path: str, kind, shape=None, nullable: bool = False):
     return value
 
 
+def _stored_is(obj: Dict, path: str, kind, want) -> None:
+    """`_stored`, which must equal `want`."""
+    if _stored(obj, path, kind) != want:
+        raise ConfigError(f"trajectory key {path!r} must be {json.dumps(want)}")
+
+
 def _stored_variance(term: Dict, path: str, shape) -> np.ndarray:
     """`_stored` for a variance matrix, which must also be symmetric (as
     `linalg.require_symmetric` checks) and have no negative eigenvalue."""
@@ -699,6 +705,7 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
     for i, e in enumerate(entries):
         path = f"sufficient_stats[{i}]"
         e = _DICT.read(e, f"trajectory key {path!r}")
+        _stored_is(e, f"{path}.batch_index", _INT, i + 1)
         for a in (1, 0):
             _stored(e, f"{path}.beta{a}", _ARRAY, vec, nullable=True)
         for a in (1, 0):
@@ -709,6 +716,17 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
     cap_hit = _stored(payload, "cap_hit", _BOOL)
     if cap_hit and stop_time != config.stopping.t_max:
         raise ConfigError(f"trajectory key 'cap_hit' may be true only at stop_time = {config.stopping.t_max}")
+    # One decision per batch, the last the run's only stop.
+    trace = _stored(payload, "stop_trace", _LIST)
+    if len(trace) != stop_time:
+        raise ConfigError(f"trajectory key 'stop_trace' must have stop_time = {stop_time} entries")
+    for i, d in enumerate(trace):
+        path, last = f"stop_trace[{i}]", i + 1 == stop_time
+        d = _DICT.read(d, f"trajectory key {path!r}")
+        _stored_is(d, f"{path}.t", _INT, i + 1)
+        _stored_is(d, f"{path}.stop", _BOOL, last)
+        _stored_is(d, f"{path}.cap_hit", _BOOL, last and cap_hit)
+        _stored(d, f"{path}.diagnostics", _DICT)
     # Resimulation draws the surrogates' noise at the stored plug-in scales.
     resimulation = config.inference is not None and config.inference.mode == RESIMULATION_REJECTION
     noise_sd = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=not resimulation)

@@ -493,11 +493,23 @@ def stored_trajectory(tmp_path):
         ("zero noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # exit 0, noiseless surrogates
         ("negative noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # named no key
         ("negative noise_plugin, residual sigma", "'noise_plugin' must be nonnegative"),  # named no key
+        # Each of these exited 0: the stored trace and batch indices were not read.
+        ("no stop_trace", "'stop_trace' is missing"),
+        ("one decision at t=1", "'stop_trace' must have stop_time = 8 entries"),
+        ("t out of order", "'stop_trace[2].t' must be 3"),
+        ("stop before the last", "'stop_trace[0].stop' must be false"),
+        ("last does not stop", "'stop_trace[7].stop' must be true"),
+        ("cap_hit before the last", "'stop_trace[3].cap_hit' must be false"),
+        ("last cap_hit not stored cap_hit", "'stop_trace[7].cap_hit' must be true"),
+        ("diagnostics not an object", "'stop_trace[1].diagnostics' must be a JSON object, got []"),
+        ("batch_index out of order", "'sufficient_stats[1].batch_index' must be 2"),
     ],
     ids=[
         "dim_mismatch", "missing_var0", "stop_time_string", "missing_file", "stats_count", "early_cap_hit",
         "null_terminal", "null_noise_plugin", "negative_var1", "asymmetric_var0",
         "zero_noise_plugin_known", "negative_noise_plugin_known", "negative_noise_plugin_residual",
+        "no_stop_trace", "one_stop_at_t1", "trace_t", "early_stop", "late_stop", "early_trace_cap_hit",
+        "trace_cap_hit", "trace_diagnostics", "batch_index",
     ],
 )
 def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
@@ -535,6 +547,25 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         write_config(cfg_path, trajectory_json=True, replications=1, inference=resimulation, sigma_mode=sigma_mode)
         assert payload["noise_plugin"] == [1.0, 1.0]
         payload["noise_plugin"] = [0.0, 0.0] if case.startswith("zero") else [-1.0, 1.0]
+    elif case == "no stop_trace":
+        del payload["stop_trace"]
+    elif case == "one decision at t=1":
+        payload["stop_trace"] = [{"t": 1, "stop": True, "cap_hit": False, "diagnostics": {}}]
+    elif case == "t out of order":
+        payload["stop_trace"][2]["t"] = 4
+    elif case == "stop before the last":
+        payload["stop_trace"][0]["stop"] = True
+    elif case == "last does not stop":
+        payload["stop_trace"][-1]["stop"] = False
+    elif case == "cap_hit before the last":
+        payload["stop_trace"][3]["cap_hit"] = True
+    elif case == "last cap_hit not stored cap_hit":
+        assert payload["cap_hit"] and payload["stop_trace"][-1]["cap_hit"]
+        payload["stop_trace"][-1]["cap_hit"] = False
+    elif case == "diagnostics not an object":
+        payload["stop_trace"][1]["diagnostics"] = []
+    elif case == "batch_index out of order":
+        payload["sufficient_stats"][1]["batch_index"] = 1
     else:
         traj = tmp_path / "missing.json"
     if traj.exists():
