@@ -17,6 +17,10 @@ fails with a message naming both.  A change that moves a digest on purpose
 re-records the file and says which digests moved and why:
 
     PYTHONPATH=src python tests/test_golden.py
+
+prints, for each case, the digest names that moved against the file it
+replaces.  The perfbench `demo` workload has no case of its own: its merge
+is `configs/demo.json`, which the `demo` case runs.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ ENGINE = {"replications": 3, "inference": None}
 CASES = {
     "demo": ("configs/demo.json", {"replications": 3}),
     "predetermined": ("configs/predetermined.json", {"replications": 3}),
-    "perfbench/demo": ("perfbench/configs/demo.json", {"replications": 3}),
     "perfbench/long_residual": ("perfbench/configs/long_residual.json", {}),
     # A larger k stops the target near t=22, for cheap surrogates.
     "perfbench/rejection": ("perfbench/configs/rejection.json", {"stopping": {"k": 0.3}}),
@@ -160,15 +163,27 @@ def test_outputs_equal_the_recorded_digests(key, golden, tmp_path):
     assert got["integers"] == want["integers"]
     here, there = environment(), golden["environment"]
     assert here == there, f"tests/golden.json was recorded under {there}, this is {here}: re-record it here"
-    moved = sorted(k for k in want["digests"].keys() | got["digests"].keys() if want["digests"].get(k) != got["digests"].get(k))
+    moved = moved_digests(want["digests"], got["digests"])
     assert not moved, f"{key}: digests moved: {moved}"
 
 
+def moved_digests(want: dict, got: dict) -> list:
+    """Names whose digest differs, or that only one side has."""
+    return sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+
+
 def record() -> None:
+    """Re-record the file, printing for each case the digests that moved
+    against the file it replaces."""
+    old = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else {}
     cases = {}
     for key in KEYS:
         with tempfile.TemporaryDirectory() as work:
             cases[key] = run_case(key, Path(work))
+        moved = moved_digests(old[key]["digests"], cases[key]["digests"]) if key in old else ["(new case)"]
+        print(f"{key}: {', '.join(moved) or 'unchanged'}", flush=True)
+    for key in sorted(old.keys() - cases.keys()):
+        print(f"{key}: (dropped)")
     GOLDEN.write_text(json.dumps({"environment": environment(), "cases": cases}, indent=1, sort_keys=True) + "\n")
 
 
