@@ -519,7 +519,6 @@ def render_csv(records: Sequence[ExperimentRecord], dim: int) -> str:
 
 def trajectory_payload(rec: ExperimentRecord) -> Dict:
     """JSON form of one replication's sufficient statistics and stop trace."""
-    traj = rec.trajectory
 
     def arr(a):
         return None if a is None else np.asarray(a).tolist()
@@ -540,7 +539,7 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
                 "beta0": None if b0 is None else b0.tolist(),
                 "gram0": g0.tolist(),
             }
-            for i, (b1, g1, b0, g0) in enumerate(traj.stats)
+            for i, (b1, g1, b0, g0) in enumerate(rec.trajectory.stats)
         ],
         "stop_trace": [
             {
@@ -549,7 +548,7 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
                 "cap_hit": d.cap_hit,
                 "diagnostics": {k: float(v) for k, v in d.diagnostics.items()},
             }
-            for d in traj.stop_trace
+            for d in rec.trajectory.stop_trace
         ],
         "terminal": None
         if rec.ivw is None
