@@ -3,13 +3,10 @@ Gram-weighted online estimation, and post-stopping conditional inference.
 """
 
 from .bounds import (
-    AdditiveCost,
     BoundConstants,
     CostAdjustedRegret,
-    ThresholdCost,
     calibrate_tail_constant,
     chebyshev_radius,
-    constants_from_context,
     cost_adjusted_regret,
     cumulative_cost_adjusted_regret,
     regret_bound_from_radius,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,23 +88,6 @@ class BoundConstants:
 
 
 @dataclass(frozen=True)
-class AdditiveCost:
-    pass
-
-
-@dataclass(frozen=True)
-class ThresholdCost:
-    k: float
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ConfigError("threshold must be positive")
-
-
-CostMode = Union[AdditiveCost, ThresholdCost]
-
-
-@dataclass(frozen=True)
 class CostAdjustedRegret:
     """Bound-plus-cost objective; `finite` is False for the infinite-penalty case."""
 
@@ -112,8 +95,6 @@ class CostAdjustedRegret:
     value: float  # math.inf when not finite; serialization uses an explicit marker
     bound_term: float
     cost_term: float
-    mode: str  # "additive" | "threshold"
-    threshold: Optional[float] = None
 
 
 def tail_radius(t: int, clip_prob: float, consts: BoundConstants, batched: bool = True) -> float:
@@ -158,54 +139,50 @@ def regret_bound_from_variance(k: float, consts: BoundConstants) -> float:
     return regret_bound_from_radius(chebyshev_radius(consts.dim, k, consts.delta), consts)
 
 
+def check_threshold(threshold: Optional[float]) -> Optional[float]:
+    """`threshold`, which must be positive when given."""
+    if threshold is not None and threshold <= 0:
+        raise ConfigError("threshold must be positive")
+    return threshold
+
+
 def cost_adjusted_regret(
-    bound: float, t: int, consts: BoundConstants, mode: CostMode
+    bound: float, t: int, consts: BoundConstants, threshold: Optional[float] = None
 ) -> CostAdjustedRegret:
-    """Combine a regret bound with the cumulative sampling cost."""
+    """Combine a regret bound with the cumulative sampling cost through batch t.
+
+    Without a threshold the objective is bound + cost (the Opportunity Cost
+    rules).  With one it is the cost alone, or an infinite penalty when the
+    bound exceeds the threshold (the Threshold Method).
+    """
+    check_threshold(threshold)
     if t < 1:
         raise ContractError("t must be >= 1")
     cost = consts.unit_cost * consts.batch_size * t
-    if isinstance(mode, AdditiveCost):
-        return CostAdjustedRegret(
-            finite=True,
-            value=bound + cost,
-            bound_term=bound,
-            cost_term=cost,
-            mode="additive",
-        )
-    if bound > mode.k:
-        return CostAdjustedRegret(
-            finite=False,
-            value=math.inf,
-            bound_term=bound,
-            cost_term=cost,
-            mode="threshold",
-            threshold=mode.k,
-        )
-    # Below the threshold the bound counts as zero; only the cost remains.
-    return CostAdjustedRegret(
-        finite=True,
-        value=cost,
-        bound_term=bound,
-        cost_term=cost,
-        mode="threshold",
-        threshold=mode.k,
-    )
+    penalized = threshold is not None and bound > threshold
+    if penalized:
+        value = math.inf
+    elif threshold is None:
+        value = bound + cost
+    else:
+        value = cost  # below the threshold the bound counts as zero
+    return CostAdjustedRegret(finite=not penalized, value=value, bound_term=bound, cost_term=cost)
 
 
 def cumulative_cost_adjusted_regret(
-    consts: BoundConstants, t_stop: int, mode: CostMode
+    consts: BoundConstants, t_stop: int, threshold: Optional[float] = None
 ) -> float:
     """In-experiment objective accumulated to the stop time.
 
-    Additive mode sums the per-batch bound values plus total cost; threshold
-    mode (valid at a stop where the bound is below the threshold) is the total
-    cost alone.
+    Without a threshold it sums the per-batch bound values plus the total
+    cost; with one (valid at a stop where the bound is below the threshold)
+    it is the total cost alone.
     """
+    check_threshold(threshold)
     if t_stop < 1:
         raise ContractError("t_stop must be >= 1")
     cost = consts.unit_cost * consts.batch_size * t_stop
-    if isinstance(mode, ThresholdCost):
+    if threshold is not None:
         return cost
     return sum(regret_bound_time(t, consts) for t in range(1, t_stop + 1)) + cost
 
@@ -331,27 +308,3 @@ def _lock_step_deviations(
     errors = np.add.reduce(np.abs(b - np.stack([model.beta0, model.beta1])), axis=-1)
     return np.where(usable, errors.max(axis=-1), math.inf)
 
-
-def constants_from_context(
-    spec: ContextSpec,
-    *,
-    margin_exponent: float,
-    margin_const: float,
-    delta: float,
-    tail_const: float,
-    unit_cost: float,
-    batch_size: int,
-    clip_floor: float,
-) -> BoundConstants:
-    """Build bound constants with the Euclidean context bound derived from the spec."""
-    return BoundConstants(
-        context_bound=spec.euclidean_bound(),
-        margin_exponent=margin_exponent,
-        margin_const=margin_const,
-        dim=spec.dim,
-        delta=delta,
-        tail_const=tail_const,
-        unit_cost=unit_cost,
-        batch_size=batch_size,
-        clip_floor=clip_floor,
-    )

@@ -52,7 +52,7 @@ def _reject_an_unread_seed(args: argparse.Namespace, config: ExperimentConfig) -
     tail constant but a calibration block."""
     bounds = config.bounds
     if args.seed is not None and not (
-        config.stopping.kind.startswith("predetermined")
+        config.stopping.predetermined
         and bounds is not None
         and bounds.tail_const is None
         and bounds.calibration is not None
@@ -97,7 +97,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_stop_scan(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if not config.stopping.kind.startswith("predetermined"):
+    if not config.stopping.predetermined:
         raise ConfigError("stop-scan applies to pre-determined stopping rules")
     _reject_an_unread_seed(args, config)
     config = _apply_overrides(config, args)

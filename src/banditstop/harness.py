@@ -33,10 +33,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import (
-    AdditiveCost,
     BoundConstants,
-    CostMode,
-    ThresholdCost,
+    CostAdjustedRegret,
+    check_threshold,
     cost_adjusted_regret,
     regret_bound_from_variance,
     regret_bound_time,
@@ -133,6 +132,11 @@ class StoppingConfig:
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"stopping.{name} must be finite")
 
+    @property
+    def predetermined(self) -> bool:
+        """Whether the rule is pre-determined: it reads the bound constants, not the data."""
+        return self.kind.startswith("predetermined")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -165,7 +169,7 @@ class ExperimentConfig:
         l1 = sum(abs(v) for v in self.model.beta0.tolist() + self.model.beta1.tolist())
         if not math.isfinite(self.context.sup_bound * l1):  # the bound on |x . beta|
             raise ConfigError("model.beta0 and model.beta1 are too large: x . beta overflows at context.sup_bound")
-        if self.stopping.kind.startswith("predetermined") and self.bounds is None:
+        if self.stopping.predetermined and self.bounds is None:
             raise ConfigError("pre-determined rules need a bounds section")
         if self.hypothesis is not None:
             h0, h1 = self.hypothesis
@@ -178,7 +182,7 @@ class PreparedExperiment:
     config: ExperimentConfig
     setup: SimulationSetup
     consts: Optional[BoundConstants]
-    cost_mode: Optional[CostMode]
+    threshold: Optional[float]  # of the cost-adjusted regret; None: additive
 
 
 def calibrated_tail_const(config: ExperimentConfig, t_ref: int, replications: int) -> float:
@@ -252,28 +256,30 @@ def _setup(config: ExperimentConfig, consts: Optional[BoundConstants]) -> Simula
 def prepare(config: ExperimentConfig) -> PreparedExperiment:
     consts = resolve_constants(config)
     setup = _setup(config, consts)
-    cost_mode: Optional[CostMode]
-    if config.stopping.kind == "predetermined_threshold":
-        cost_mode = ThresholdCost(config.stopping.k)
-    elif config.stopping.kind == "online_threshold" and consts is not None:
-        cost_mode = ThresholdCost(regret_bound_from_variance(config.stopping.k, consts))
-    elif consts is not None:
-        cost_mode = AdditiveCost()
-    else:
-        cost_mode = None
-    return PreparedExperiment(config=config, setup=setup, consts=consts, cost_mode=cost_mode)
+    sc = config.stopping
+    threshold = None
+    if sc.kind == "predetermined_threshold":
+        threshold = sc.k
+    elif sc.kind == "online_threshold" and consts is not None:
+        threshold = regret_bound_from_variance(sc.k, consts)
+    return PreparedExperiment(config=config, setup=setup, consts=consts, threshold=check_threshold(threshold))
 
 
-def _terminal_bound(prepared: PreparedExperiment, record: ExperimentRecord) -> Optional[float]:
+def _objective(prepared: PreparedExperiment, record: ExperimentRecord) -> Optional[CostAdjustedRegret]:
+    """The record's cost-adjusted regret: the regret bound at the stop time
+    under a pre-determined rule, or at the larger terminal variance norm
+    under an online rule, against the sampling cost and `prepared.threshold`.
+    None without bound constants or a terminal estimate."""
     consts = prepared.consts
-    if consts is None:
+    if consts is None or record.ivw is None:
         return None
-    if prepared.config.stopping.kind.startswith("predetermined"):
-        return regret_bound_time(record.stop_time, consts)
-    var_norms = record.var_norms
-    if not all(math.isfinite(v) for v in var_norms):
+    if prepared.config.stopping.predetermined:
+        bound = regret_bound_time(record.stop_time, consts)
+    elif all(math.isfinite(v) for v in record.var_norms):
+        bound = regret_bound_from_variance(max(record.var_norms), consts)
+    else:
         return None
-    return regret_bound_from_variance(max(var_norms), consts)
+    return cost_adjusted_regret(bound, record.stop_time, consts, prepared.threshold)
 
 
 def run_experiment(
@@ -328,13 +334,7 @@ def _record(
         error=error,
         trajectory=traj if config.trajectory_json else None,
     )
-
-    if prepared.cost_mode is not None and traj.ivw is not None:
-        bound = _terminal_bound(prepared, record)
-        if bound is not None:
-            record.creg = cost_adjusted_regret(
-                bound, traj.stop_time, prepared.consts, prepared.cost_mode
-            )
+    record.creg = _objective(prepared, record)
 
     if config.inference is not None and traj.ivw is not None:
         try:
@@ -589,7 +589,7 @@ def inference_exact(config: ExperimentConfig, sampler: Optional[ConditionalSampl
     rule, or an online rule with a known noise scale and the uniform policy."""
     if sampler is None:
         return None
-    if sampler.mode == RESIMULATION_REJECTION or config.stopping.kind.startswith("predetermined"):
+    if sampler.mode == RESIMULATION_REJECTION or config.stopping.predetermined:
         return True
     return isinstance(config.sigma_mode, KnownSigma) and isinstance(config.policy, UniformRandom)
 
@@ -750,7 +750,7 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
     )
     # Only a pre-determined rule reads the bound constants, and they may need
     # the pilot calibration.
-    consts = resolve_constants(config) if config.stopping.kind.startswith("predetermined") else None
+    consts = resolve_constants(config) if config.stopping.predetermined else None
     return ExperimentRecord(
         rep_index=_stored(payload, "rep", _INT),
         seed=_stored(payload, "seed", _INT),

@@ -179,10 +179,11 @@ def test_acceptance_05_bound_validity():
     n, t_ref, delta = 100, 10, 0.1
 
     tail = bs.calibrate_tail_constant(spec, model, policy, clip, n, t_ref, delta, 200, seed=555)
-    consts = bs.constants_from_context(
-        spec,
+    consts = bs.BoundConstants(
+        context_bound=spec.euclidean_bound(),
         margin_exponent=1.0,
         margin_const=2.5,  # analytic envelope of the margin law for this model
+        dim=spec.dim,
         delta=delta,
         tail_const=tail,
         unit_cost=0.01,
@@ -320,14 +321,9 @@ def test_acceptance_08_creg_consistency():
         )
         prepared = bs.prepare(config)
         predicted = bs.closed_form_stop_time(prepared.setup.rule).creg_star
-        mode = (
-            bs.AdditiveCost()
-            if kind.endswith("opportunity")
-            else bs.ThresholdCost(extra["k"])
-        )
         for rec in bs.run_replications(config)[0]:
             simulated = bs.cumulative_cost_adjusted_regret(
-                prepared.consts, rec.stop_time, mode
+                prepared.consts, rec.stop_time, extra.get("k")
             )
             rel = abs(simulated - predicted) / predicted
             worst = max(worst, rel)

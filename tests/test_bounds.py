@@ -7,13 +7,11 @@ import pytest
 import pilot_oracle
 from banditstop import bounds
 from banditstop import (
-    AdditiveCost,
     BoundConstants,
     ConfigError,
     DomainError,
     EpsGreedy,
     Schedule,
-    ThresholdCost,
     TrueModel,
     calibrate_tail_constant,
     chebyshev_radius,
@@ -148,18 +146,18 @@ class TestChebyshev:
 class TestCostAdjustedRegret:
     def test_additive(self):
         c = consts(c=0.1, n=10)
-        out = cost_adjusted_regret(1.0, 5, c, AdditiveCost())
+        out = cost_adjusted_regret(1.0, 5, c)
         assert out.finite and out.value == pytest.approx(6.0)
         assert out.bound_term == 1.0 and out.cost_term == pytest.approx(5.0)
 
     def test_threshold_infinite(self):
         c = consts(c=0.1, n=10)
-        out = cost_adjusted_regret(2.0, 5, c, ThresholdCost(1.0))
+        out = cost_adjusted_regret(2.0, 5, c, 1.0)
         assert not out.finite and math.isinf(out.value)
 
     def test_threshold_below(self):
         c = consts(c=0.1, n=10)
-        out = cost_adjusted_regret(0.5, 5, c, ThresholdCost(1.0))
+        out = cost_adjusted_regret(0.5, 5, c, 1.0)
         assert out.finite and out.value == pytest.approx(5.0)
 
     def test_cumulative_additive_is_bound_series_plus_cost(self):
@@ -167,11 +165,11 @@ class TestCostAdjustedRegret:
         t_stop = 7
         direct = sum(regret_bound_time(t, c) for t in range(1, t_stop + 1))
         direct += 0.05 * 2 * t_stop
-        assert cumulative_cost_adjusted_regret(c, t_stop, AdditiveCost()) == pytest.approx(direct)
+        assert cumulative_cost_adjusted_regret(c, t_stop) == pytest.approx(direct)
 
     def test_cumulative_threshold_is_cost(self):
         c = consts(c=0.2, n=5)
-        assert cumulative_cost_adjusted_regret(c, 8, ThresholdCost(1.0)) == pytest.approx(8.0)
+        assert cumulative_cost_adjusted_regret(c, 8, 1.0) == pytest.approx(8.0)
 
 
 class TestCalibration:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditstop import (
+    BoundConstants,
     ClipSchedule,
     ContextSpec,
     EpsGreedy,
@@ -31,7 +32,6 @@ from banditstop import (
     UniformBox,
     UniformRandom,
     bounds,
-    constants_from_context,
     make_rng,
     simulate,
 )
@@ -78,8 +78,8 @@ def set_ups(draw):
     n = draw(st.sampled_from([1, 2, 3, 5, 8, 20]))
     kind = draw(st.sampled_from(["opportunity", "threshold", "online_threshold", "online_opportunity"]))
     if kind in ("opportunity", "threshold"):
-        consts = constants_from_context(
-            spec, margin_exponent=1.0, margin_const=1.0, delta=0.1,
+        consts = BoundConstants(
+            context_bound=spec.euclidean_bound(), dim=spec.dim, margin_exponent=1.0, margin_const=1.0, delta=0.1,
             tail_const=draw(st.sampled_from([0.01, 1.0, 100.0])), unit_cost=draw(st.sampled_from([1e-3, 0.1])),
             batch_size=n, clip_floor=clip.floor,
         )

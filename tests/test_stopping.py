@@ -31,7 +31,6 @@ from banditstop import (
     stopping,
     uniform_cube_spec,
 )
-from banditstop.bounds import AdditiveCost, ThresholdCost
 
 
 def consts(K=625.0, M=1.0, L=1.0, lam=1.0, c=0.01, n=100, p=0.5, delta=0.1, d=2):
@@ -261,14 +260,14 @@ class TestClosedForm:
             spec = StoppingRuleSpec(PredeterminedOpportunity(cc), t_max=10_000)
             pred = closed_form_stop_time(spec)
             t_stop = scan_stop_time(spec).t
-            sim = cumulative_cost_adjusted_regret(cc, t_stop, AdditiveCost())
+            sim = cumulative_cost_adjusted_regret(cc, t_stop)
             assert abs(sim - pred.creg_star) / pred.creg_star < 0.25
 
             k_thr = cc.rate_const / target
             spec_thr = StoppingRuleSpec(PredeterminedThreshold(cc, k=k_thr), t_max=10_000)
             pred_thr = closed_form_stop_time(spec_thr)
             t_thr = scan_stop_time(spec_thr).t
-            sim_thr = cumulative_cost_adjusted_regret(cc, t_thr, ThresholdCost(k_thr))
+            sim_thr = cumulative_cost_adjusted_regret(cc, t_thr, k_thr)
             assert abs(sim_thr - pred_thr.creg_star) / pred_thr.creg_star < 0.25
 
     def test_one_shot_determinism(self):
