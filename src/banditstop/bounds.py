@@ -307,4 +307,3 @@ def _lock_step_deviations(
     usable, b, _ = stacked_estimates(xx, xy, False)
     errors = np.add.reduce(np.abs(b - np.stack([model.beta0, model.beta1])), axis=-1)
     return np.where(usable, errors.max(axis=-1), math.inf)
-

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .errors import ConfigError, UnsupportedCaseError
 from .harness import (
+    CalibrationConfig,
     ExperimentConfig,
     calibrated_tail_const,
     config_to_dict,
@@ -158,7 +159,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     t_ref = args.t_ref if args.t_ref is not None else (cal.t_ref if cal else None)
     if t_ref is None:
         raise ConfigError("provide --t-ref or a calibration block in the config")
-    reps = args.pilot_reps if args.pilot_reps is not None else (cal.replications if cal else 200)
+    default_reps = cal.replications if cal else CalibrationConfig.replications
+    reps = args.pilot_reps if args.pilot_reps is not None else default_reps
     k = calibrated_tail_const(config, t_ref, reps)
     print(json.dumps({"tail_const": k, "t_ref": t_ref, "pilot_replications": reps}))
     return 0

@@ -68,6 +68,7 @@ from .stopping import (
     PredeterminedOpportunity,
     PredeterminedThreshold,
     StoppingRuleSpec,
+    evaluate,
 )
 
 SCHEMA_VERSION = 1
@@ -715,6 +716,9 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
     cap_hit = _stored(payload, "cap_hit", _BOOL)
     if cap_hit and stop_time != config.stopping.t_max:
         raise ConfigError(f"trajectory key 'cap_hit' may be true only at stop_time = {config.stopping.t_max}")
+    # Only a pre-determined rule reads the bound constants, and they may need
+    # the pilot calibration.
+    setup = _setup(config, resolve_constants(config) if config.stopping.predetermined else None)
     # One decision per batch, the last the run's only stop.
     trace = _stored(payload, "stop_trace", _LIST)
     if len(trace) != stop_time:
@@ -725,7 +729,21 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
         _stored_is(d, f"{path}.t", _INT, i + 1)
         _stored_is(d, f"{path}.stop", _BOOL, last)
         _stored_is(d, f"{path}.cap_hit", _BOOL, last and cap_hit)
-        _stored(d, f"{path}.diagnostics", _DICT)
+        diagnostics = _stored(d, f"{path}.diagnostics", _DICT)
+        # The config's rule must make the stored decision again: a pre-determined
+        # rule reads no data, the threshold rule reads the stored norms.  The
+        # opportunity rule stores no norms at its first usable batch, so it is
+        # not replayed.
+        if isinstance(setup.rule.rule, OnlineOpportunity):
+            continue
+        norms = (diagnostics.get("var_norm_arm0"), diagnostics.get("var_norm_arm1"))
+        again = evaluate(setup.rule, i + 1, norms if all(isinstance(v, float) for v in norms) else None)
+        if (again.stop, again.cap_hit, again.diagnostics) != (last, last and cap_hit, diagnostics):
+            raise ConfigError(
+                f"trajectory key {path!r} does not follow from the config's stopping rule, which decides "
+                f"stop = {json.dumps(again.stop)}, cap_hit = {json.dumps(again.cap_hit)} and "
+                f"diagnostics {json.dumps(again.diagnostics, sort_keys=True)}"
+            )
     # Resimulation draws the surrogates' noise at the stored plug-in scales.
     resimulation = config.inference is not None and config.inference.mode == RESIMULATION_REJECTION
     noise_sd = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=not resimulation)
@@ -748,13 +766,10 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
         batch_size=batch_size,
         noise_sd=None if noise_sd is None else tuple(noise_sd.tolist()),
     )
-    # Only a pre-determined rule reads the bound constants, and they may need
-    # the pilot calibration.
-    consts = resolve_constants(config) if config.stopping.predetermined else None
     return ExperimentRecord(
         rep_index=_stored(payload, "rep", _INT),
         seed=_stored(payload, "seed", _INT),
-        setup=_setup(config, consts),
+        setup=setup,
         stop_time=stop_time,
         cap_hit=cap_hit,
         ivw=ivw,

@@ -171,6 +171,14 @@ class TestCostAdjustedRegret:
         c = consts(c=0.2, n=5)
         assert cumulative_cost_adjusted_regret(c, 8, 1.0) == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_a_threshold_that_is_not_positive_is_rejected(self, threshold):
+        c = consts()
+        with pytest.raises(ConfigError, match="threshold must be positive"):
+            cost_adjusted_regret(0.5, 5, c, threshold)
+        with pytest.raises(ConfigError, match="threshold must be positive"):
+            cumulative_cost_adjusted_regret(c, 5, threshold)
+
 
 class TestCalibration:
     def _setup(self):

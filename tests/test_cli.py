@@ -333,6 +333,11 @@ def test_calibrate_k(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["tail_const"] > 0
 
+    # Without a calibration block or --pilot-reps, a calibration block's default count.
+    rc = main(["calibrate-k", "--config", str(cfg_path), "--t-ref", "4"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["pilot_replications"] == CalibrationConfig.replications == 200
+
     # On a config with a calibration block, the constant a simulation would use.
     config = write_config(
         cfg_path,
@@ -503,13 +508,17 @@ def stored_trajectory(tmp_path):
         ("last cap_hit not stored cap_hit", "'stop_trace[7].cap_hit' must be true"),
         ("diagnostics not an object", "'stop_trace[1].diagnostics' must be a JSON object, got []"),
         ("batch_index out of order", "'sufficient_stats[1].batch_index' must be 2"),
+        # Each of these exited 0: the stored decisions were not replayed under the config's rule.
+        ("another stopping.k", "'stop_trace[0]' does not follow from the config's stopping rule"),
+        ("pre-determined, another unit_cost", "'stop_trace[0]' does not follow from the config's stopping rule"),
+        ("norms below k before the stop", "'stop_trace[6]' does not follow from the config's stopping rule, which decides stop = true"),
     ],
     ids=[
         "dim_mismatch", "missing_var0", "stop_time_string", "missing_file", "stats_count", "early_cap_hit",
         "null_terminal", "null_noise_plugin", "negative_var1", "asymmetric_var0",
         "zero_noise_plugin_known", "negative_noise_plugin_known", "negative_noise_plugin_residual",
         "no_stop_trace", "one_stop_at_t1", "trace_t", "early_stop", "late_stop", "early_trace_cap_hit",
-        "trace_cap_hit", "trace_diagnostics", "batch_index",
+        "trace_cap_hit", "trace_diagnostics", "batch_index", "replay_k", "replay_unit_cost", "replay_norms",
     ],
 )
 def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
@@ -566,6 +575,19 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         payload["stop_trace"][1]["diagnostics"] = []
     elif case == "batch_index out of order":
         payload["sufficient_stats"][1]["batch_index"] = 1
+    elif case == "another stopping.k":
+        write_config(cfg_path, stopping=StoppingConfig(kind="online_threshold", t_max=8, k=0.5))
+    elif case == "pre-determined, another unit_cost":
+        predetermined = StoppingConfig(kind="predetermined_opportunity", t_max=8)
+        fixed = BoundsConfig(margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=0.01, tail_const=625.0)
+        write_config(cfg_path, stopping=predetermined, bounds=fixed, trajectory_json=True, replications=1)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "predetermined")]) == 0
+        traj = tmp_path / "predetermined" / "trajectories" / "rep_00000.json"
+        payload = json.loads(traj.read_text())
+        write_config(cfg_path, stopping=predetermined, bounds=dataclasses.replace(fixed, unit_cost=0.02))
+    elif case == "norms below k before the stop":
+        assert payload["stop_trace"][6]["diagnostics"]["threshold"] == 0.9
+        payload["stop_trace"][6]["diagnostics"].update(var_norm_arm0=0.8, var_norm_arm1=0.8)
     else:
         traj = tmp_path / "missing.json"
     if traj.exists():
@@ -644,16 +666,19 @@ def test_seed_is_taken_only_where_the_pilot_calibration_reads_it(tmp_path, capsy
     write_config(cfg_path, policy=UniformRandom(), stopping=stopping, bounds=bounds_config, replications=1)
     args = [command, "--config", str(cfg_path)]
     if command == "infer":
+        # infer replays the stored stop trace under the calibrated rule, which
+        # depends on the seed, so the trajectory is simulated at each seed.
         sim_path = tmp_path / "simulated.json"
-        fixed = dataclasses.replace(bounds_config, tail_const=625.0, calibration=None)
+        fixed = bounds_config if reads else dataclasses.replace(bounds_config, tail_const=625.0, calibration=None)
         write_config(sim_path, policy=UniformRandom(), stopping=stopping, bounds=fixed, replications=1, trajectory_json=True)
-        assert main(["simulate", "--config", str(sim_path), "--out", str(tmp_path / "out")]) == 0
-        args += ["--trajectory", str(tmp_path / "out" / "trajectories" / "rep_00000.json")]
+        for seed in ("1", "2"):
+            assert main(["simulate", "--config", str(sim_path), "--seed", seed, "--out", str(tmp_path / seed)]) == 0
     capsys.readouterr()
     calibration_seeds = []
     for seed in ("1", "2"):
+        trajectory = ["--trajectory", str(tmp_path / seed / "trajectories" / "rep_00000.json")] if command == "infer" else []
         with mock.patch.object(bounds, "calibrate_tail_constant", wraps=bounds.calibrate_tail_constant) as cal:
-            rc = main([*args, "--seed", seed])
+            rc = main([*args, *trajectory, "--seed", seed])
         calibration_seeds += [call.args[-1] for call in cal.call_args_list]
     err = capsys.readouterr().err
     if reads:

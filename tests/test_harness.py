@@ -23,11 +23,17 @@ from banditstop import (
     config_from_dict,
     config_to_dict,
     constant_clip,
+    cost_adjusted_regret,
     emit_reports,
+    prepare,
+    regret_bound_from_variance,
+    regret_bound_time,
     run_experiment,
     run_replications,
+    spectral_norm,
     uniform_cube_spec,
 )
+from banditstop.harness import resolve_constants
 from banditstop.rng import derive_seed, mix64, substream_seed
 from replay_oracle import replay_stop_decisions
 
@@ -168,6 +174,46 @@ class TestRunExperiment:
         assert record.ivw is not None
         assert record.ivw.noise_sd is not None
         assert abs(record.ivw.noise_sd[0] - 1.0) < 0.5  # crude scale sanity
+
+
+BOUNDS = BoundsConfig(margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=0.01, tail_const=1.0)
+
+
+def _time_bound(rec, consts):
+    return regret_bound_time(rec.stop_time, consts)
+
+
+def _variance_bound(rec, consts):
+    return regret_bound_from_variance(max(spectral_norm(rec.ivw.var0), spectral_norm(rec.ivw.var1)), consts)
+
+
+# The paper's objective per kind: the regret bound at the stop, from the stop
+# time or the terminal variance norms, and the threshold (None: bound plus cost).
+OBJECTIVES = {
+    "predetermined_opportunity": ({}, _time_bound, lambda consts: None),
+    "predetermined_threshold": ({"k": 2.0}, _time_bound, lambda consts: 2.0),
+    "online_threshold": ({"k": 0.6}, _variance_bound, lambda consts: regret_bound_from_variance(0.6, consts)),
+    "online_opportunity": ({"c_prime": 0.02}, _variance_bound, lambda consts: None),
+}
+
+
+@pytest.mark.parametrize("kind", OBJECTIVES)
+def test_creg_is_the_kinds_cost_adjusted_regret(kind):
+    keys, bound, threshold = OBJECTIVES[kind]
+    config = small_config(stopping=StoppingConfig(kind=kind, t_max=11, **keys), bounds=BOUNDS, inference=None)
+    consts = resolve_constants(config)
+    records, _ = run_replications(config)
+    for rec in records:
+        assert rec.creg == cost_adjusted_regret(bound(rec, consts), rec.stop_time, consts, threshold(consts))
+
+
+def test_a_threshold_that_underflows_to_zero_fails_in_prepare():
+    # The variance threshold's regret bound, (2 * sqrt(2e-297) * sqrt(2))**4, underflows to 0.0.
+    bounds = dataclasses.replace(BOUNDS, margin_exponent=3.0)
+    config = small_config(stopping=StoppingConfig(kind="online_threshold", t_max=12, k=1e-298), bounds=bounds)
+    assert regret_bound_from_variance(1e-298, resolve_constants(config)) == 0.0
+    with pytest.raises(ConfigError, match="threshold must be positive"):
+        prepare(config)
 
 
 class TestRunReplications:
