@@ -37,7 +37,6 @@ from .harness import (
     BoundsConfig,
     CalibrationConfig,
     ExperimentConfig,
-    StoppingConfig,
     aggregate,
     config_from_dict,
     config_to_dict,
@@ -84,12 +83,8 @@ from .records import ExperimentRecord, InferenceResult, SimulationSetup
 from .rng import derive_seed, make_rng, mix64, substream_seed
 from .simulate import Trajectory, simulate_ensemble, simulate_trajectory
 from .stopping import (
-    OnlineOpportunity,
-    OnlineThreshold,
-    PredeterminedOpportunity,
-    PredeterminedThreshold,
     StopDecision,
-    StoppingRuleSpec,
+    StoppingRule,
     StopTimePrediction,
     closed_form_stop_time,
     evaluate,

@@ -7,6 +7,8 @@ Every value is type-checked: booleans are only true/false, reals (array
 entries included) must be finite, integers must be integral, and a value
 of the wrong type is a ConfigError that names its dotted key.  Unknown keys
 and an unknown `sigma_mode.kind` (read as residual) are still tolerated.
+The `stopping` section reads as `stopping.StoppingRule`, the rule itself;
+`_setup` gives a run's rule the bound constants and the batch size.
 
 Determinism contract: a (config, master_seed) pair fully determines every
 emitted byte except the single `generated_at` field in summary.json.
@@ -26,7 +28,7 @@ import numbers
 import os
 import tempfile
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,14 +64,7 @@ from .rng import (
     substream_seed,
 )
 from .simulate import simulate_ensemble, simulate_trajectory
-from .stopping import (
-    OnlineOpportunity,
-    OnlineThreshold,
-    PredeterminedOpportunity,
-    PredeterminedThreshold,
-    StoppingRuleSpec,
-    evaluate,
-)
+from .stopping import StoppingRule, evaluate
 
 SCHEMA_VERSION = 1
 CALIBRATION_SEED_TAG = 0x5EED_CA11
@@ -100,53 +95,13 @@ class BoundsConfig:
 
 
 @dataclass(frozen=True)
-class StoppingConfig:
-    kind: str  # predetermined_opportunity | predetermined_threshold | online_threshold | online_opportunity
-    t_max: int
-    k: Optional[float] = None
-    c_prime: Optional[float] = None
-    scale_by_batch: bool = False
-
-    # Each kind and the keys its rule reads besides t_max.
-    _KINDS = {
-        "predetermined_opportunity": (),
-        "predetermined_threshold": ("k",),
-        "online_threshold": ("k",),
-        "online_opportunity": ("c_prime", "scale_by_batch"),
-    }
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ConfigError(f"unknown stopping kind {self.kind!r}")
-        for name, unset in (("k", None), ("c_prime", None), ("scale_by_batch", False)):
-            if getattr(self, name) is not unset and name not in self._KINDS[self.kind]:
-                raise ConfigError(
-                    f"stopping.{name} is not read by stopping kind {self.kind!r}; leave it {json.dumps(unset)}"
-                )
-        if self.kind.endswith("threshold") and (self.k is None or self.k <= 0):
-            raise ConfigError("threshold rules need k > 0")
-        if self.kind == "online_opportunity" and (self.c_prime is None or self.c_prime <= 0):
-            raise ConfigError("online_opportunity needs c_prime > 0")
-        if self.t_max < 1:
-            raise ConfigError("t_max must be >= 1")
-        for name, value in (("k", self.k), ("c_prime", self.c_prime)):
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"stopping.{name} must be finite")
-
-    @property
-    def predetermined(self) -> bool:
-        """Whether the rule is pre-determined: it reads the bound constants, not the data."""
-        return self.kind.startswith("predetermined")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     context: ContextSpec
     model: TrueModel
     policy: PolicyKind
     clip: ClipSchedule
     batch_size: int
-    stopping: StoppingConfig
+    stopping: StoppingRule
     sigma_mode: SigmaMode
     replications: int
     master_seed: int
@@ -227,30 +182,16 @@ def resolve_constants(config: ExperimentConfig) -> Optional[BoundConstants]:
     )
 
 
-def build_rule(config: ExperimentConfig, consts: Optional[BoundConstants]) -> StoppingRuleSpec:
-    sc = config.stopping
-    if sc.kind == "predetermined_opportunity":
-        return StoppingRuleSpec(PredeterminedOpportunity(consts), t_max=sc.t_max)
-    if sc.kind == "predetermined_threshold":
-        return StoppingRuleSpec(PredeterminedThreshold(consts, sc.k), t_max=sc.t_max)
-    if sc.kind == "online_threshold":
-        return StoppingRuleSpec(OnlineThreshold(sc.k), t_max=sc.t_max)
-    return StoppingRuleSpec(
-        OnlineOpportunity(
-            sc.c_prime, scale_by_batch=sc.scale_by_batch, batch_size=config.batch_size
-        ),
-        t_max=sc.t_max,
-    )
-
-
 def _setup(config: ExperimentConfig, consts: Optional[BoundConstants]) -> SimulationSetup:
+    """The run's setup; its rule is the config's `stopping` section with the
+    bound constants and the batch size."""
     return SimulationSetup(
         context=config.context,
         policy=config.policy,
         clip=config.clip,
         batch_size=config.batch_size,
         sigma_mode=config.sigma_mode,
-        rule=build_rule(config, consts),
+        rule=replace(config.stopping, consts=consts, batch_size=config.batch_size),
     )
 
 
@@ -734,7 +675,7 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
         # rule reads no data, the threshold rule reads the stored norms.  The
         # opportunity rule stores no norms at its first usable batch, so it is
         # not replayed.
-        if isinstance(setup.rule.rule, OnlineOpportunity):
+        if setup.rule.kind == "online_opportunity":
             continue
         norms = (diagnostics.get("var_norm_arm0"), diagnostics.get("var_norm_arm1"))
         again = evaluate(setup.rule, i + 1, norms if all(isinstance(v, float) for v in norms) else None)
@@ -958,7 +899,7 @@ _CONFIG = _Section(
     clip=_Wrapped(_SCHEDULE, ClipSchedule, lambda clip: clip.schedule),
     batch_size=_INT,
     stopping=_Section(
-        StoppingConfig, kind=_STR, t_max=_INT, k=_REAL, c_prime=_REAL, scale_by_batch=_BOOL
+        StoppingRule, kind=_STR, t_max=_INT, k=_REAL, c_prime=_REAL, scale_by_batch=_BOOL
     ),
     # Any other kind reads as residual: perfbench/test_perfbench.py
     # (test_round_trip_rejects_keys_the_package_would_drop) expects the

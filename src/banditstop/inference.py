@@ -31,7 +31,7 @@ from .model import TrueModel
 from .records import ExperimentRecord, InferenceResult
 from .rng import derive_seed, make_rng
 from .simulate import simulate_trajectory
-from .stopping import StoppingRuleSpec
+from .stopping import StoppingRule
 
 INDEPENDENCE_SHORTCUT = "independence_shortcut"
 RESIMULATION_REJECTION = "resimulation_rejection"
@@ -67,7 +67,7 @@ class ConditionalSamples:
 
 def sample_conditional(
     record: ExperimentRecord,
-    rule: Optional[StoppingRuleSpec],
+    rule: Optional[StoppingRule],
     cfg: ConditionalSamplerConfig,
     seed: int,
 ) -> ConditionalSamples:

@@ -14,7 +14,7 @@ from .bounds import CostAdjustedRegret
 from .estimators import IvwEstimate, SigmaMode
 from .model import ContextSpec
 from .policies import ClipSchedule, PolicyKind
-from .stopping import StopDecision, StoppingRuleSpec, spectral_norm
+from .stopping import StopDecision, StoppingRule, spectral_norm
 
 # One batch's (beta1, gram1, beta0, gram0); a beta is None where its Gram is singular.
 BatchStats = Tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray], np.ndarray]
@@ -30,7 +30,7 @@ class SimulationSetup:
     clip: ClipSchedule
     batch_size: int
     sigma_mode: SigmaMode
-    rule: StoppingRuleSpec
+    rule: StoppingRule
 
 
 @dataclass

@@ -104,7 +104,7 @@ def simulate_ensemble(
 
 def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Trajectory]:
     rule, n = setup.rule, setup.batch_size
-    online = not rule.is_predetermined
+    online = not rule.predetermined
     stats: List[List[BatchStats]] = [[] for _ in rngs]
     traces: List[List[StopDecision]] = [[] for _ in rngs]
     prev: List[Optional[NormPair]] = [None] * len(rngs)

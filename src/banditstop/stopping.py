@@ -1,6 +1,7 @@
 """The four stopping rules (pre-determined opportunity-cost and threshold,
-online variance-threshold and variance-opportunity-cost) plus the closed-form
-stop-time approximations available when the margin exponent is 1.
+online variance-threshold and variance-opportunity-cost) as one value,
+`StoppingRule`, which is also the config's `stopping` section, plus the
+closed-form stop-time approximations available when the margin exponent is 1.
 
 The online rules read each arm's spectral norm of the scaled variance
 n f G^{-1}, which the simulation loops take as n f / lambda_min(G) from
@@ -10,10 +11,10 @@ reduces a formed matrix (a record's terminal variances).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
-
+import json
 import math
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -21,72 +22,65 @@ from .bounds import BoundConstants, regret_bound_time
 from .errors import ConfigError, ContractError, UnsupportedCaseError
 from .linalg import eigvalsh, require_symmetric
 
-DEFAULT_T_MAX = 10_000
-
 
 @dataclass(frozen=True)
-class PredeterminedOpportunity:
-    """Stop when the bound's one-batch decrease no longer exceeds the batch cost."""
+class StoppingRule:
+    """A stopping rule with the hard cap `t_max`.  By `kind`, stop when:
+    - predetermined_opportunity: the regret bound's one-batch decrease no
+      longer exceeds the batch cost;
+    - predetermined_threshold: the regret bound falls to `k`;
+    - online_threshold: both arms' variance norms are at most `k`;
+    - online_opportunity: both arms' variance-norm decrements are at most
+      `c_prime` (times `batch_size` under `scale_by_batch`).
+    The config sets neither `consts`, which the pre-determined kinds read,
+    nor `batch_size`: `harness._setup` does."""
 
-    consts: BoundConstants
-
-
-@dataclass(frozen=True)
-class PredeterminedThreshold:
-    """Stop when the regret bound falls to the threshold."""
-
-    consts: BoundConstants
-    k: float
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ConfigError("threshold must be positive")
-
-
-@dataclass(frozen=True)
-class OnlineThreshold:
-    """Stop when both arms' variance-matrix spectral norms are at most k."""
-
-    k: float
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ConfigError("threshold must be positive")
-
-
-@dataclass(frozen=True)
-class OnlineOpportunity:
-    """Stop when both arms' variance-norm decrements are at most the transformed
-    cost (scale_by_batch multiplies the comparison level by the batch size)."""
-
-    c_prime: float
+    kind: str
+    t_max: int
+    k: Optional[float] = None
+    c_prime: Optional[float] = None
     scale_by_batch: bool = False
+    consts: Optional[BoundConstants] = None
     batch_size: int = 1
 
-    def __post_init__(self):
-        if self.c_prime <= 0:
-            raise ConfigError("c_prime must be positive")
-        if self.scale_by_batch and self.batch_size < 1:
-            raise ConfigError("scale_by_batch needs the batch size")
-
-
-RuleVariant = Union[
-    PredeterminedOpportunity, PredeterminedThreshold, OnlineThreshold, OnlineOpportunity
-]
-
-
-@dataclass(frozen=True)
-class StoppingRuleSpec:
-    rule: RuleVariant
-    t_max: int = DEFAULT_T_MAX
+    # Each kind and the keys its rule reads besides t_max.
+    _KINDS = {
+        "predetermined_opportunity": (),
+        "predetermined_threshold": ("k",),
+        "online_threshold": ("k",),
+        "online_opportunity": ("c_prime", "scale_by_batch"),
+    }
 
     def __post_init__(self):
+        if self.kind not in self._KINDS:
+            raise ConfigError(f"unknown stopping kind {self.kind!r}")
+        for name, unset in (("k", None), ("c_prime", None), ("scale_by_batch", False)):
+            if getattr(self, name) is not unset and name not in self._KINDS[self.kind]:
+                raise ConfigError(
+                    f"stopping.{name} is not read by stopping kind {self.kind!r}; leave it {json.dumps(unset)}"
+                )
+        if self.kind.endswith("threshold") and (self.k is None or self.k <= 0):
+            raise ConfigError("threshold rules need k > 0")
+        if self.kind == "online_opportunity" and (self.c_prime is None or self.c_prime <= 0):
+            raise ConfigError("online_opportunity needs c_prime > 0")
         if self.t_max < 1:
             raise ConfigError("t_max must be >= 1")
+        for name, value in (("k", self.k), ("c_prime", self.c_prime)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"stopping.{name} must be finite")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
 
     @property
-    def is_predetermined(self) -> bool:
-        return isinstance(self.rule, (PredeterminedOpportunity, PredeterminedThreshold))
+    def predetermined(self) -> bool:
+        """Whether the rule is pre-determined: it reads the bound constants, not the data."""
+        return self.kind.startswith("predetermined")
+
+
+def _bound_constants(rule: StoppingRule) -> BoundConstants:
+    if rule.consts is None:
+        raise ContractError(f"stopping kind {rule.kind!r} reads bound constants, and the rule has none")
+    return rule.consts
 
 
 @dataclass
@@ -106,7 +100,7 @@ def spectral_norm(matrix: np.ndarray) -> float:
 
 
 def evaluate(
-    spec: StoppingRuleSpec,
+    rule: StoppingRule,
     t: int,
     current: Optional[NormPair] = None,
     previous: Optional[NormPair] = None,
@@ -117,33 +111,35 @@ def evaluate(
     variance matrices (``IvwCombination.var_norms``), and the opportunity
     variant those of the previous batch too, which the caller carries from
     one batch to the next; missing inputs yield "continue" with a diagnostic
-    flag rather than an error.  Pre-determined rules read neither.  The hard
-    cap always stops with cap_hit set.
+    flag rather than an error.  Pre-determined rules read neither, and a
+    pre-determined rule without bound constants is a ContractError.  The
+    hard cap always stops with cap_hit set.
     """
     if t < 1:
         raise ContractError("t must be >= 1")
-    rule = spec.rule
+    kind = rule.kind
     diagnostics: Dict[str, float] = {}
     stop = False
 
-    if isinstance(rule, PredeterminedOpportunity):
-        bound_now = regret_bound_time(t, rule.consts)
-        bound_next = regret_bound_time(t + 1, rule.consts)
-        batch_cost = rule.consts.unit_cost * rule.consts.batch_size
+    if kind == "predetermined_opportunity":
+        consts = _bound_constants(rule)
+        bound_now = regret_bound_time(t, consts)
+        bound_next = regret_bound_time(t + 1, consts)
+        batch_cost = consts.unit_cost * consts.batch_size
         diagnostics.update(bound_t=bound_now, bound_t_next=bound_next, batch_cost=batch_cost)
         stop = (bound_now - bound_next) <= batch_cost
-    elif isinstance(rule, PredeterminedThreshold):
-        bound_now = regret_bound_time(t, rule.consts)
+    elif kind == "predetermined_threshold":
+        bound_now = regret_bound_time(t, _bound_constants(rule))
         diagnostics.update(bound_t=bound_now, threshold=rule.k)
         stop = bound_now <= rule.k
-    elif isinstance(rule, OnlineThreshold):
+    elif kind == "online_threshold":
         if current is None:
             diagnostics["estimator_unavailable"] = 1.0
         else:
             norm0, norm1 = current
             diagnostics.update(var_norm_arm0=norm0, var_norm_arm1=norm1, threshold=rule.k)
             stop = norm0 <= rule.k and norm1 <= rule.k
-    elif isinstance(rule, OnlineOpportunity):
+    else:  # online_opportunity: construction rejects any other kind
         if current is None:
             diagnostics["estimator_unavailable"] = 1.0
         elif previous is None:
@@ -162,23 +158,21 @@ def evaluate(
             )
             # Negative decrements (variance rising) count as satisfied.
             stop = dec0 <= level and dec1 <= level
-    else:
-        raise ConfigError(f"unknown stopping rule {type(rule).__name__}")
 
     cap_hit = False
-    if t >= spec.t_max and not stop:
+    if t >= rule.t_max and not stop:
         stop = True
         cap_hit = True
-        diagnostics["cap"] = float(spec.t_max)
+        diagnostics["cap"] = float(rule.t_max)
     return StopDecision(stop=stop, t=t, cap_hit=cap_hit, diagnostics=diagnostics)
 
 
-def scan_stop_time(spec: StoppingRuleSpec) -> StopDecision:
+def scan_stop_time(rule: StoppingRule) -> StopDecision:
     """First batch at which a pre-determined rule fires (no data involved)."""
-    if not spec.is_predetermined:
+    if not rule.predetermined:
         raise ContractError("scan_stop_time applies to pre-determined rules only")
-    for t in range(1, spec.t_max + 1):
-        decision = evaluate(spec, t)
+    for t in range(1, rule.t_max + 1):
+        decision = evaluate(rule, t)
         if decision.stop:
             return decision
     raise AssertionError("unreachable: the cap stops the scan")
@@ -190,7 +184,7 @@ class StopTimePrediction:
     creg_star: float
 
 
-def closed_form_stop_time(spec: StoppingRuleSpec) -> StopTimePrediction:
+def closed_form_stop_time(rule: StoppingRule) -> StopTimePrediction:
     """Approximate stop time and objective for pre-determined rules when the
     margin exponent is 1 and the clip level is constant.
 
@@ -198,22 +192,17 @@ def closed_form_stop_time(spec: StoppingRuleSpec) -> StopTimePrediction:
     objective rate_const * ln(t*) + cost * t*.  Threshold rule: t* =
     rate_const / k with objective equal to the total sampling cost at t*.
     """
-    rule = spec.rule
-    if isinstance(rule, PredeterminedOpportunity):
-        consts = rule.consts
-        if consts.margin_exponent != 1.0:
-            raise UnsupportedCaseError("closed form is derived for margin exponent 1 only")
-        batch_cost = consts.unit_cost * consts.batch_size
-        if batch_cost <= 0:
-            raise UnsupportedCaseError("opportunity closed form needs a positive unit cost")
-        t_star = math.sqrt(consts.rate_const / batch_cost)
-        creg_star = consts.rate_const * math.log(t_star) + batch_cost * t_star
-        return StopTimePrediction(t_star=t_star, creg_star=creg_star)
-    if isinstance(rule, PredeterminedThreshold):
-        consts = rule.consts
-        if consts.margin_exponent != 1.0:
-            raise UnsupportedCaseError("closed form is derived for margin exponent 1 only")
+    if not rule.predetermined:
+        raise ContractError("closed-form stop times exist for pre-determined rules only")
+    consts = _bound_constants(rule)
+    if consts.margin_exponent != 1.0:
+        raise UnsupportedCaseError("closed form is derived for margin exponent 1 only")
+    batch_cost = consts.unit_cost * consts.batch_size
+    if rule.kind == "predetermined_threshold":
         t_star = consts.rate_const / rule.k
-        creg_star = consts.unit_cost * consts.batch_size * t_star
-        return StopTimePrediction(t_star=t_star, creg_star=creg_star)
-    raise ContractError("closed-form stop times exist for pre-determined rules only")
+        return StopTimePrediction(t_star=t_star, creg_star=batch_cost * t_star)
+    if batch_cost <= 0:
+        raise UnsupportedCaseError("opportunity closed form needs a positive unit cost")
+    t_star = math.sqrt(consts.rate_const / batch_cost)
+    creg_star = consts.rate_const * math.log(t_star) + batch_cost * t_star
+    return StopTimePrediction(t_star=t_star, creg_star=creg_star)

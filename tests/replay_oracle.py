@@ -25,7 +25,7 @@ def replay_stop_decisions(record: ExperimentRecord) -> List[StopDecision]:
     form the simulation uses.
     """
     setup = record.setup
-    if not setup.rule.is_predetermined and not isinstance(setup.sigma_mode, KnownSigma):
+    if not setup.rule.predetermined and not isinstance(setup.sigma_mode, KnownSigma):
         raise ContractError("replay from sufficient statistics needs a known noise scale")
 
     decisions = []

@@ -127,7 +127,7 @@ def coverage_run():
         policy=bs.EpsGreedy(bs.Schedule(0.2)),
         clip=bs.constant_clip(0.1),
         batch_size=COV_N,
-        stopping=bs.StoppingConfig(kind="online_threshold", t_max=COV_T, k=1e-12),
+        stopping=bs.StoppingRule(kind="online_threshold", t_max=COV_T, k=1e-12),
         sigma_mode=bs.KnownSigma(1.0),
         replications=COV_R,
         master_seed=20260810,
@@ -198,7 +198,7 @@ def test_acceptance_05_bound_validity():
         policy=policy,
         clip=clip,
         batch_size=n,
-        stopping=bs.StoppingConfig(kind="online_threshold", t_max=t_ref, k=1e-12),
+        stopping=bs.StoppingRule(kind="online_threshold", t_max=t_ref, k=1e-12),
         sigma_mode=bs.KnownSigma(1.0),
         replications=500,
         master_seed=777_000,  # disjoint from the calibration pilots
@@ -256,7 +256,7 @@ def test_acceptance_07_closed_form_stop_times():
             batch_size=n,
             clip_floor=p,
         )
-        spec = bs.StoppingRuleSpec(bs.PredeterminedOpportunity(consts), t_max=10_000)
+        spec = bs.StoppingRule("predetermined_opportunity", t_max=10_000, consts=consts)
         t_scan = bs.scan_stop_time(spec).t
         # independent oracle: first t with t(t+1) >= rate/(c n)
         ratio = consts.rate_const / (c_unit * n)
@@ -280,7 +280,7 @@ def test_acceptance_07_closed_form_stop_times():
         batch_size=100,
         clip_floor=0.5,
     )
-    spec = bs.StoppingRuleSpec(bs.PredeterminedOpportunity(consts), t_max=1000)
+    spec = bs.StoppingRule("predetermined_opportunity", t_max=1000, consts=consts)
     ok &= bs.scan_stop_time(spec).t == 10
     ok &= bs.closed_form_stop_time(spec).t_star == pytest.approx(10.0)
     report(7, "scan stop times within +-1 of closed form; reference case t=10", ok,
@@ -305,7 +305,7 @@ def test_acceptance_08_creg_consistency():
             policy=bs.UniformRandom(),
             clip=bs.constant_clip(p),
             batch_size=n,
-            stopping=bs.StoppingConfig(kind=kind, t_max=10_000, **extra),
+            stopping=bs.StoppingRule(kind=kind, t_max=10_000, **extra),
             sigma_mode=bs.KnownSigma(1.0),
             replications=50,
             master_seed=808 if kind.endswith("opportunity") else 809,
@@ -346,7 +346,7 @@ def test_acceptance_09_sampler_agreement():
         policy=bs.UniformRandom(),
         clip=bs.constant_clip(0.1),
         batch_size=80,
-        stopping=bs.StoppingConfig(kind="online_threshold", t_max=40, k=0.3),
+        stopping=bs.StoppingRule(kind="online_threshold", t_max=40, k=0.3),
         sigma_mode=bs.KnownSigma(1.0),
         replications=1,
         master_seed=909,
@@ -402,7 +402,7 @@ def test_acceptance_10_type_i_error():
         policy=bs.UniformRandom(),
         clip=bs.constant_clip(0.1),
         batch_size=200,
-        stopping=bs.StoppingConfig(kind="online_threshold", t_max=60, k=0.8),
+        stopping=bs.StoppingRule(kind="online_threshold", t_max=60, k=0.8),
         sigma_mode=bs.KnownSigma(1.0),
         replications=1000,
         master_seed=1010,
@@ -434,7 +434,7 @@ def test_acceptance_11_determinism(tmp_path):
         policy=bs.EpsGreedy(bs.Schedule(0.2)),
         clip=bs.constant_clip(0.1),
         batch_size=40,
-        stopping=bs.StoppingConfig(kind="online_threshold", t_max=10, k=0.7),
+        stopping=bs.StoppingRule(kind="online_threshold", t_max=10, k=0.7),
         sigma_mode=bs.KnownSigma(1.0),
         replications=6,
         master_seed=1111,

@@ -19,7 +19,7 @@ from banditstop import (
     KnownSigma,
     ResidualSigma,
     Schedule,
-    StoppingConfig,
+    StoppingRule,
     Thompson,
     TrueModel,
     Ucb,
@@ -42,7 +42,7 @@ def write_config(path, **overrides):
         policy=EpsGreedy(Schedule(0.2)),
         clip=constant_clip(0.1),
         batch_size=30,
-        stopping=StoppingConfig(kind="online_threshold", t_max=8, k=0.9),
+        stopping=StoppingRule(kind="online_threshold", t_max=8, k=0.9),
         sigma_mode=KnownSigma(1.0),
         replications=2,
         master_seed=77,
@@ -268,7 +268,7 @@ def test_runtime_error_exit_code_with_per_rep_detail(tmp_path):
         cfg_path,
         policy=UniformRandom(),
         batch_size=1,
-        stopping=StoppingConfig(kind="online_threshold", t_max=2, k=1e9),
+        stopping=StoppingRule(kind="online_threshold", t_max=2, k=1e9),
         inference=None,
         replications=1,
     )
@@ -286,7 +286,7 @@ def test_stop_scan(tmp_path, capsys):
         policy=UniformRandom(),
         batch_size=100,
         clip=constant_clip(0.5),
-        stopping=StoppingConfig(kind="predetermined_opportunity", t_max=500),
+        stopping=StoppingRule(kind="predetermined_opportunity", t_max=500),
         bounds=BoundsConfig(
             margin_exponent=1.0,
             margin_const=1.0,
@@ -414,7 +414,7 @@ def test_infer_replays_a_residual_sigma_trajectory_through_resimulation(tmp_path
     config = write_config(
         cfg_path,
         sigma_mode=ResidualSigma(),
-        stopping=StoppingConfig(kind="online_threshold", t_max=20, k=2.0),
+        stopping=StoppingRule(kind="online_threshold", t_max=20, k=2.0),
         inference=ConditionalSamplerConfig(mode="resimulation_rejection", n_samples=100, max_attempts=1000),
         trajectory_json=True,
     )
@@ -458,7 +458,7 @@ def test_infer_calibrates_only_for_predetermined_rules(tmp_path, capsys):
     write_config(
         cfg_path,
         policy=UniformRandom(),
-        stopping=StoppingConfig(kind="predetermined_opportunity", t_max=8),
+        stopping=StoppingRule(kind="predetermined_opportunity", t_max=8),
         bounds=BoundsConfig(
             margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=0.01,
             calibration=CalibrationConfig(t_ref=3, replications=10),
@@ -576,9 +576,9 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
     elif case == "batch_index out of order":
         payload["sufficient_stats"][1]["batch_index"] = 1
     elif case == "another stopping.k":
-        write_config(cfg_path, stopping=StoppingConfig(kind="online_threshold", t_max=8, k=0.5))
+        write_config(cfg_path, stopping=StoppingRule(kind="online_threshold", t_max=8, k=0.5))
     elif case == "pre-determined, another unit_cost":
-        predetermined = StoppingConfig(kind="predetermined_opportunity", t_max=8)
+        predetermined = StoppingRule(kind="predetermined_opportunity", t_max=8)
         fixed = BoundsConfig(margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=0.01, tail_const=625.0)
         write_config(cfg_path, stopping=predetermined, bounds=fixed, trajectory_json=True, replications=1)
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "predetermined")]) == 0
@@ -638,7 +638,7 @@ def test_only_simulate_takes_reps(capsys, command, extra):
 
 
 _CALIBRATION = CalibrationConfig(t_ref=3, replications=10)
-_PREDETERMINED = StoppingConfig(kind="predetermined_opportunity", t_max=8)
+_PREDETERMINED = StoppingRule(kind="predetermined_opportunity", t_max=8)
 
 # The stopping rule, bounds.tail_const and bounds.calibration of a config,
 # and whether `stop-scan` and `infer` then run the pilot calibration, the
@@ -647,7 +647,7 @@ SEED_CASES = {
     "calibrates": (_PREDETERMINED, None, _CALIBRATION, True),
     "fixed_tail_const": (_PREDETERMINED, 625.0, _CALIBRATION, False),
     "no_calibration_block": (_PREDETERMINED, None, None, False),
-    "online_rule": (StoppingConfig(kind="online_threshold", t_max=8, k=0.9), None, _CALIBRATION, False),
+    "online_rule": (StoppingRule(kind="online_threshold", t_max=8, k=0.9), None, _CALIBRATION, False),
 }
 
 
@@ -714,18 +714,18 @@ INFERENCE_EXACT_CASES = {
         True,
     ),
     "predetermined_residual_eps_greedy": (
-        dict(stopping=StoppingConfig(kind="predetermined_opportunity", t_max=8), bounds=_BOUNDS,
+        dict(stopping=StoppingRule(kind="predetermined_opportunity", t_max=8), bounds=_BOUNDS,
              sigma_mode=ResidualSigma()),
         True,
     ),
     "predetermined_threshold_ucb": (
-        dict(stopping=StoppingConfig(kind="predetermined_threshold", t_max=8, k=0.5), bounds=_BOUNDS,
+        dict(stopping=StoppingRule(kind="predetermined_threshold", t_max=8, k=0.5), bounds=_BOUNDS,
              policy=Ucb(Schedule(1.0))),
         True,
     ),
     "online_known_uniform": (dict(policy=UniformRandom()), True),
     "online_opportunity_known_uniform": (
-        dict(policy=UniformRandom(), stopping=StoppingConfig(kind="online_opportunity", t_max=8, c_prime=0.1)),
+        dict(policy=UniformRandom(), stopping=StoppingRule(kind="online_opportunity", t_max=8, c_prime=0.1)),
         True,
     ),
     "online_known_eps_greedy": ({}, False),
@@ -733,7 +733,7 @@ INFERENCE_EXACT_CASES = {
     "online_known_thompson": (dict(policy=Thompson(1.0)), False),
     "online_opportunity_residual_ucb": (
         dict(policy=Ucb(Schedule(1.0)), sigma_mode=ResidualSigma(),
-             stopping=StoppingConfig(kind="online_opportunity", t_max=8, c_prime=0.1)),
+             stopping=StoppingRule(kind="online_opportunity", t_max=8, c_prime=0.1)),
         False,
     ),
 }

@@ -17,14 +17,10 @@ from banditstop import (
     ContextSpec,
     EpsGreedy,
     KnownSigma,
-    OnlineOpportunity,
-    OnlineThreshold,
-    PredeterminedOpportunity,
-    PredeterminedThreshold,
     ResidualSigma,
     Schedule,
     SimulationSetup,
-    StoppingRuleSpec,
+    StoppingRule,
     Thompson,
     TrueModel,
     TruncatedGaussian,
@@ -84,20 +80,21 @@ def set_ups(draw):
             batch_size=n, clip_floor=clip.floor,
         )
         rule = (
-            PredeterminedOpportunity(consts)
+            dict(kind="predetermined_opportunity", consts=consts)
             if kind == "opportunity"
-            else PredeterminedThreshold(consts, draw(st.sampled_from([0.1, 1.0, 10.0])))
+            else dict(kind="predetermined_threshold", consts=consts, k=draw(st.sampled_from([0.1, 1.0, 10.0])))
         )
     elif kind == "online_threshold":
-        rule = OnlineThreshold(draw(st.sampled_from([0.3, 1.0, 3.0, 10.0])))
+        rule = dict(kind=kind, k=draw(st.sampled_from([0.3, 1.0, 3.0, 10.0])))
     else:
-        rule = OnlineOpportunity(
-            draw(st.sampled_from([0.01, 0.1, 1.0])), scale_by_batch=draw(st.booleans()), batch_size=n
+        rule = dict(
+            kind=kind, c_prime=draw(st.sampled_from([0.01, 0.1, 1.0])), scale_by_batch=draw(st.booleans()),
+            batch_size=n,
         )
     sigma_mode = draw(st.sampled_from([KnownSigma(1.0), KnownSigma(0.5), ResidualSigma()]))
     setup = SimulationSetup(
         context=spec, policy=policy, clip=clip, batch_size=n, sigma_mode=sigma_mode,
-        rule=StoppingRuleSpec(rule, t_max=draw(st.integers(1, 12))),
+        rule=StoppingRule(t_max=draw(st.integers(1, 12)), **rule),
     )
     return setup, model
 

@@ -17,7 +17,7 @@ from banditstop import (
     KnownSigma,
     ResidualSigma,
     Schedule,
-    StoppingConfig,
+    StoppingRule,
     TrueModel,
     UniformRandom,
     config_from_dict,
@@ -47,7 +47,7 @@ def small_config(**overrides) -> ExperimentConfig:
         policy=EpsGreedy(Schedule(0.2)),
         clip=constant_clip(0.1),
         batch_size=40,
-        stopping=StoppingConfig(kind="online_threshold", t_max=12, k=0.6),
+        stopping=StoppingRule(kind="online_threshold", t_max=12, k=0.6),
         sigma_mode=KnownSigma(1.0),
         replications=4,
         master_seed=2024,
@@ -96,7 +96,7 @@ class TestRunExperiment:
     def test_vacuous_threshold_stops_immediately(self):
         config = small_config(
             policy=UniformRandom(),
-            stopping=StoppingConfig(kind="online_threshold", t_max=50, k=1e9),
+            stopping=StoppingRule(kind="online_threshold", t_max=50, k=1e9),
         )
         record = run_experiment(config, 0)
         assert record.stop_time == 1 and not record.cap_hit
@@ -108,7 +108,7 @@ class TestRunExperiment:
             policy=UniformRandom(),
             batch_size=100,
             clip=constant_clip(0.5),
-            stopping=StoppingConfig(kind="predetermined_opportunity", t_max=1000),
+            stopping=StoppingRule(kind="predetermined_opportunity", t_max=1000),
             bounds=BoundsConfig(
                 margin_exponent=1.0,
                 margin_const=1.0,
@@ -146,7 +146,7 @@ class TestRunExperiment:
             model=TrueModel(beta0=[0.1], beta1=[0.4], sigma0=1.0, sigma1=1.0),
             policy=UniformRandom(),
             batch_size=1,
-            stopping=StoppingConfig(kind="online_threshold", t_max=30, k=1e9),
+            stopping=StoppingRule(kind="online_threshold", t_max=30, k=1e9),
             inference=None,
             trajectory_json=True,
         )
@@ -168,7 +168,7 @@ class TestRunExperiment:
     def test_residual_mode_runs(self):
         config = small_config(
             sigma_mode=ResidualSigma(),
-            stopping=StoppingConfig(kind="online_opportunity", t_max=15, c_prime=0.05),
+            stopping=StoppingRule(kind="online_opportunity", t_max=15, c_prime=0.05),
         )
         record = run_experiment(config, 0)
         assert record.ivw is not None
@@ -200,7 +200,7 @@ OBJECTIVES = {
 @pytest.mark.parametrize("kind", OBJECTIVES)
 def test_creg_is_the_kinds_cost_adjusted_regret(kind):
     keys, bound, threshold = OBJECTIVES[kind]
-    config = small_config(stopping=StoppingConfig(kind=kind, t_max=11, **keys), bounds=BOUNDS, inference=None)
+    config = small_config(stopping=StoppingRule(kind=kind, t_max=11, **keys), bounds=BOUNDS, inference=None)
     consts = resolve_constants(config)
     records, _ = run_replications(config)
     for rec in records:
@@ -210,7 +210,7 @@ def test_creg_is_the_kinds_cost_adjusted_regret(kind):
 def test_a_threshold_that_underflows_to_zero_fails_in_prepare():
     # The variance threshold's regret bound, (2 * sqrt(2e-297) * sqrt(2))**4, underflows to 0.0.
     bounds = dataclasses.replace(BOUNDS, margin_exponent=3.0)
-    config = small_config(stopping=StoppingConfig(kind="online_threshold", t_max=12, k=1e-298), bounds=bounds)
+    config = small_config(stopping=StoppingRule(kind="online_threshold", t_max=12, k=1e-298), bounds=bounds)
     assert regret_bound_from_variance(1e-298, resolve_constants(config)) == 0.0
     with pytest.raises(ConfigError, match="threshold must be positive"):
         prepare(config)
@@ -238,7 +238,7 @@ class TestRunReplications:
         config = small_config(
             policy=UniformRandom(),
             batch_size=1,
-            stopping=StoppingConfig(kind="online_threshold", t_max=2, k=1e9),
+            stopping=StoppingRule(kind="online_threshold", t_max=2, k=1e9),
             inference=None,
             replications=2,
         )
@@ -481,7 +481,7 @@ class TestReports:
         config = small_config(
             policy=UniformRandom(),
             batch_size=30,
-            stopping=StoppingConfig(kind="predetermined_threshold", t_max=3, k=0.5),
+            stopping=StoppingRule(kind="predetermined_threshold", t_max=3, k=0.5),
             bounds=BoundsConfig(
                 margin_exponent=1.0,
                 margin_const=1.0,

@@ -12,7 +12,7 @@ from banditstop import (
     ExperimentConfig,
     InfeasibleConditioning,
     KnownSigma,
-    StoppingConfig,
+    StoppingRule,
     TrueModel,
     UniformRandom,
     bootstrap_interval,
@@ -37,7 +37,7 @@ def run_small_record(
         policy=UniformRandom(),
         clip=constant_clip(0.1),
         batch_size=n,
-        stopping=StoppingConfig(kind="online_threshold", t_max=t_max, k=k),
+        stopping=StoppingRule(kind="online_threshold", t_max=t_max, k=k),
         sigma_mode=KnownSigma(1.0),
         replications=1,
         master_seed=seed,

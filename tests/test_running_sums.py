@@ -17,12 +17,11 @@ from banditstop import (
     EpsGreedy,
     EstimatorUnavailable,
     KnownSigma,
-    OnlineThreshold,
     ResidualSigma,
     RunningSums,
     Schedule,
     SimulationSetup,
-    StoppingRuleSpec,
+    StoppingRule,
     Thompson,
     TrueModel,
     Ucb,
@@ -250,7 +249,7 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
     # for bit.
     setup = SimulationSetup(
         context=uniform_cube_spec(2), policy=UniformRandom(), clip=constant_clip(0.5), batch_size=4,
-        sigma_mode=KnownSigma(1.0), rule=StoppingRuleSpec(OnlineThreshold(0.5), t_max=40),
+        sigma_mode=KnownSigma(1.0), rule=StoppingRule("online_threshold", t_max=40, k=0.5),
     )
     model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3])
 
@@ -332,7 +331,7 @@ def test_the_shared_gram_changes_no_bit_of_a_lone_trajectory(policy, sigma_mode,
     # stop sharing X'X with the combined Gram at different batches.
     setup = SimulationSetup(
         context=uniform_cube_spec(2), policy=policy, clip=constant_clip(0.2), batch_size=batch_size,
-        sigma_mode=sigma_mode, rule=StoppingRuleSpec(OnlineThreshold(0.5), t_max=40),
+        sigma_mode=sigma_mode, rule=StoppingRule("online_threshold", t_max=40, k=0.5),
     )
     model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3])
     singular = reused = 0
@@ -364,7 +363,7 @@ def test_a_lone_batch_makes_four_eigendecompositions_once_both_arms_have_a_usabl
     # makes the two batch fits' checks and the two combined Grams' checks.
     setup = SimulationSetup(
         context=uniform_cube_spec(2), policy=EpsGreedy(Schedule(0.2)), clip=constant_clip(0.1), batch_size=100,
-        sigma_mode=KnownSigma(1.0), rule=StoppingRuleSpec(OnlineThreshold(0.05), t_max=200),
+        sigma_mode=KnownSigma(1.0), rule=StoppingRule("online_threshold", t_max=200, k=0.05),
     )
     model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3])
     for seed in range(3):

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,17 +8,14 @@ import pytest
 
 from banditstop import (
     BoundConstants,
+    ConfigError,
     ContractError,
     EpsGreedy,
     KnownSigma,
-    OnlineOpportunity,
-    OnlineThreshold,
-    PredeterminedOpportunity,
-    PredeterminedThreshold,
     ResidualSigma,
     Schedule,
     SimulationSetup,
-    StoppingRuleSpec,
+    StoppingRule,
     TrueModel,
     UnsupportedCaseError,
     closed_form_stop_time,
@@ -24,7 +23,9 @@ from banditstop import (
     cumulative_cost_adjusted_regret,
     evaluate,
     linalg,
+    load_config,
     make_rng,
+    prepare,
     scan_stop_time,
     simulate,
     spectral_norm,
@@ -77,17 +78,17 @@ class TestSpectralNorm:
 
 class TestEvaluateOnline:
     def test_threshold_stop(self):
-        spec = StoppingRuleSpec(OnlineThreshold(k=1.0), t_max=100)
+        spec = StoppingRule("online_threshold", t_max=100, k=1.0)
         d = evaluate(spec, 3, current=(0.7, 0.5))
         assert d.stop and not d.cap_hit
         assert d.diagnostics["var_norm_arm0"] == pytest.approx(0.7)
 
     def test_threshold_requires_both_arms(self):
-        spec = StoppingRuleSpec(OnlineThreshold(k=1.0), t_max=100)
+        spec = StoppingRule("online_threshold", t_max=100, k=1.0)
         assert not evaluate(spec, 3, current=(1.4, 0.5)).stop
 
     def test_opportunity_decrements(self):
-        spec = StoppingRuleSpec(OnlineOpportunity(c_prime=0.02), t_max=100)
+        spec = StoppingRule("online_opportunity", t_max=100, c_prime=0.02)
         prev = (1.0, 1.0)
         stop_case = evaluate(spec, 2, current=(0.99, 0.985), previous=prev)
         assert stop_case.stop  # decrements 0.01 and 0.015
@@ -95,32 +96,30 @@ class TestEvaluateOnline:
         assert not cont_case.stop  # decrement 0.05 too large
 
     def test_negative_decrement_counts_as_stop(self):
-        spec = StoppingRuleSpec(OnlineOpportunity(c_prime=0.02), t_max=100)
+        spec = StoppingRule("online_opportunity", t_max=100, c_prime=0.02)
         prev = (1.0, 1.0)
         d = evaluate(spec, 2, current=(1.05, 1.01), previous=prev)
         assert d.stop
 
     def test_opportunity_needs_history(self):
-        spec = StoppingRuleSpec(OnlineOpportunity(c_prime=0.02), t_max=100)
+        spec = StoppingRule("online_opportunity", t_max=100, c_prime=0.02)
         d = evaluate(spec, 1, current=(1.0, 1.0), previous=None)
         assert not d.stop and "insufficient_history" in d.diagnostics
 
     def test_missing_estimates_continue_with_flag(self):
-        spec = StoppingRuleSpec(OnlineThreshold(k=1.0), t_max=100)
+        spec = StoppingRule("online_threshold", t_max=100, k=1.0)
         d = evaluate(spec, 1, current=None)
         assert not d.stop and "estimator_unavailable" in d.diagnostics
 
     def test_scaled_opportunity_level(self):
-        spec = StoppingRuleSpec(
-            OnlineOpportunity(c_prime=0.001, scale_by_batch=True, batch_size=100), t_max=50
-        )
+        spec = StoppingRule("online_opportunity", t_max=50, c_prime=0.001, scale_by_batch=True, batch_size=100)
         prev = (1.0, 1.0)
         d = evaluate(spec, 2, current=(0.95, 0.95), previous=prev)
         assert d.stop  # level 0.1 vs decrements 0.05
         assert d.diagnostics["level"] == pytest.approx(0.1)
 
     def test_cap(self):
-        spec = StoppingRuleSpec(OnlineThreshold(k=1e-9), t_max=4)
+        spec = StoppingRule("online_threshold", t_max=4, k=1e-9)
         d = evaluate(spec, 4, current=(1.0, 1.0))
         assert d.stop and d.cap_hit
 
@@ -132,7 +131,7 @@ class TestCarriedNorms:
     def run(self, rule, sigma_mode):
         setup = SimulationSetup(
             context=uniform_cube_spec(2), policy=EpsGreedy(Schedule(0.2)), clip=constant_clip(0.1),
-            batch_size=20, sigma_mode=sigma_mode, rule=StoppingRuleSpec(rule, t_max=25),
+            batch_size=20, sigma_mode=sigma_mode, rule=rule,
         )
         model = TrueModel(beta0=[0.2, -0.1], beta1=[0.45, 0.25])
         eigvalsh = mock.Mock(wraps=linalg.eigvalsh)
@@ -151,14 +150,14 @@ class TestCarriedNorms:
 
     @pytest.mark.parametrize("sigma_mode", [KnownSigma(1.0), ResidualSigma()])
     def test_same_eigenvalue_calls_per_batch(self, sigma_mode):
-        per_threshold, threshold = self.run(OnlineThreshold(k=1e-9), sigma_mode)
-        per_opportunity, opportunity = self.run(OnlineOpportunity(c_prime=1e-9), sigma_mode)
+        per_threshold, threshold = self.run(StoppingRule("online_threshold", t_max=25, k=1e-9), sigma_mode)
+        per_opportunity, opportunity = self.run(StoppingRule("online_opportunity", t_max=25, c_prime=1e-9), sigma_mode)
         common = min(threshold.stop_time, opportunity.stop_time)
         assert common > 10 and min(per_threshold) > 0
         assert per_opportunity[:common] == per_threshold[:common]
 
     def test_decrement_is_carried_norm_minus_current(self):
-        _, traj = self.run(OnlineOpportunity(c_prime=1e-9), KnownSigma(1.0))
+        _, traj = self.run(StoppingRule("online_opportunity", t_max=25, c_prime=1e-9), KnownSigma(1.0))
         checked = 0
         for before, now in zip(traj.stop_trace, traj.stop_trace[1:]):
             if "var_norm_arm0" not in before.diagnostics:  # the first batch logs no norms
@@ -175,14 +174,14 @@ class TestEvaluatePredetermined:
         # rate constant 100 and batch cost 1: first stop where t(t+1) >= 100.
         c = consts()
         assert c.rate_const == pytest.approx(100.0)
-        spec = StoppingRuleSpec(PredeterminedOpportunity(c), t_max=1000)
+        spec = StoppingRule("predetermined_opportunity", t_max=1000, consts=c)
         assert not evaluate(spec, 9).stop   # 9*10 = 90 < 100
         assert evaluate(spec, 10).stop      # 10*11 = 110 >= 100
         assert scan_stop_time(spec).t == 10
 
     def test_data_independence(self):
         c = consts()
-        spec = StoppingRuleSpec(PredeterminedOpportunity(c), t_max=1000)
+        spec = StoppingRule("predetermined_opportunity", t_max=1000, consts=c)
         with_data = evaluate(spec, 10, current=(9.0, 9.0), previous=(9.5, 9.5))
         without = evaluate(spec, 10)
         assert with_data.stop == without.stop
@@ -190,13 +189,13 @@ class TestEvaluatePredetermined:
 
     def test_monotone_once_stopped(self):
         c = consts()
-        spec = StoppingRuleSpec(PredeterminedOpportunity(c), t_max=1000)
+        spec = StoppingRule("predetermined_opportunity", t_max=1000, consts=c)
         first = scan_stop_time(spec).t
         assert all(evaluate(spec, t).stop for t in range(first, first + 50))
 
     def test_threshold_scan(self):
         c = consts()
-        spec = StoppingRuleSpec(PredeterminedThreshold(c, k=8.0), t_max=1000)
+        spec = StoppingRule("predetermined_threshold", t_max=1000, k=8.0, consts=c)
         # bound(t) = 100/t <= 8 first at t = 13
         assert scan_stop_time(spec).t == 13
 
@@ -204,7 +203,7 @@ class TestEvaluatePredetermined:
 class TestClosedForm:
     def test_opportunity_substitution(self):
         # rate constant 100, unit cost 0.01, batch 100 -> t* = sqrt(100/1) = 10
-        pred = closed_form_stop_time(StoppingRuleSpec(PredeterminedOpportunity(consts())))
+        pred = closed_form_stop_time(StoppingRule("predetermined_opportunity", t_max=10_000, consts=consts()))
         assert pred.t_star == pytest.approx(10.0)
         assert pred.creg_star == pytest.approx(100.0 * math.log(10.0) + 10.0)
 
@@ -212,18 +211,18 @@ class TestClosedForm:
         # regret_const 50: K=12.5, M=1, L=1 -> 4*12.5 = 50; p=0.5, n=10, k=2 -> t*=10
         c = consts(K=12.5, M=1.0, L=1.0, c=0.01, n=10, p=0.5)
         assert c.regret_const == pytest.approx(50.0)
-        pred = closed_form_stop_time(StoppingRuleSpec(PredeterminedThreshold(c, k=2.0)))
+        pred = closed_form_stop_time(StoppingRule("predetermined_threshold", t_max=10_000, k=2.0, consts=c))
         assert pred.t_star == pytest.approx(10.0)
         assert pred.creg_star == pytest.approx(0.01 * 10 * 10.0)
 
     def test_non_unit_margin_rejected(self):
         c = consts(lam=0.7)
         with pytest.raises(UnsupportedCaseError):
-            closed_form_stop_time(StoppingRuleSpec(PredeterminedOpportunity(c)))
+            closed_form_stop_time(StoppingRule("predetermined_opportunity", t_max=10_000, consts=c))
 
     def test_online_rule_rejected(self):
         with pytest.raises(ContractError):
-            closed_form_stop_time(StoppingRuleSpec(OnlineThreshold(k=1.0)))
+            closed_form_stop_time(StoppingRule("online_threshold", t_max=10_000, k=1.0))
 
     def test_scan_within_one_of_prediction(self):
         rng = make_rng(1)
@@ -235,7 +234,7 @@ class TestClosedForm:
             rate = 4.0 * K / (n * p * p)  # regret_const with L=M=1, margin exponent 1
             c_unit = rate / (n * target**2)
             cc = consts(K=K, M=1.0, L=1.0, c=c_unit, n=n, p=p)
-            spec = StoppingRuleSpec(PredeterminedOpportunity(cc), t_max=10_000)
+            spec = StoppingRule("predetermined_opportunity", t_max=10_000, consts=cc)
             pred = closed_form_stop_time(spec)
             scanned = scan_stop_time(spec).t
             # independent inline oracle: first t with t(t+1) >= rate / (c n)
@@ -257,21 +256,82 @@ class TestClosedForm:
             rate = 4.0 * K / (n * p * p)
             c_unit = rate / (n * target**2)
             cc = consts(K=K, M=1.0, L=1.0, c=c_unit, n=n, p=p)
-            spec = StoppingRuleSpec(PredeterminedOpportunity(cc), t_max=10_000)
+            spec = StoppingRule("predetermined_opportunity", t_max=10_000, consts=cc)
             pred = closed_form_stop_time(spec)
             t_stop = scan_stop_time(spec).t
             sim = cumulative_cost_adjusted_regret(cc, t_stop)
             assert abs(sim - pred.creg_star) / pred.creg_star < 0.25
 
             k_thr = cc.rate_const / target
-            spec_thr = StoppingRuleSpec(PredeterminedThreshold(cc, k=k_thr), t_max=10_000)
+            spec_thr = StoppingRule("predetermined_threshold", t_max=10_000, k=k_thr, consts=cc)
             pred_thr = closed_form_stop_time(spec_thr)
             t_thr = scan_stop_time(spec_thr).t
             sim_thr = cumulative_cost_adjusted_regret(cc, t_thr, k_thr)
             assert abs(sim_thr - pred_thr.creg_star) / pred_thr.creg_star < 0.25
 
     def test_one_shot_determinism(self):
-        spec = StoppingRuleSpec(PredeterminedOpportunity(consts()), t_max=100)
+        spec = StoppingRule("predetermined_opportunity", t_max=100, consts=consts())
         a = evaluate(spec, 7)
         b = evaluate(spec, 7)
         assert a.stop == b.stop and a.diagnostics == b.diagnostics
+
+
+
+# A valid rule of each kind; each case below changes it in one field.
+_VALID = {
+    "predetermined_opportunity": {},
+    "predetermined_threshold": {"k": 1.0},
+    "online_threshold": {"k": 1.0},
+    "online_opportunity": {"c_prime": 0.1},
+}
+_THRESHOLD = ("predetermined_threshold", "online_threshold")
+_OPPORTUNITY = ("predetermined_opportunity", "online_opportunity")
+_INVALID = [
+    ("online_threshold", {"kind": "online_treshold"}, "unknown stopping kind 'online_treshold'"),
+    ("online_threshold", {"t_max": 0}, "t_max must be >= 1"),
+    *((kind, {"k": k}, "threshold rules need k > 0") for kind in _THRESHOLD for k in (None, 0.0, -1.0)),
+    *((kind, {"k": math.inf}, "stopping.k must be finite") for kind in _THRESHOLD),
+    ("online_opportunity", {"c_prime": 0.0}, "online_opportunity needs c_prime > 0"),
+    ("online_opportunity", {"c_prime": math.nan}, "stopping.c_prime must be finite"),
+    *((kind, {"k": 1.0}, "stopping.k is not read by stopping kind") for kind in _OPPORTUNITY),
+    *((kind, {"c_prime": 0.1}, "stopping.c_prime is not read by stopping kind") for kind in _THRESHOLD),
+    *(
+        (kind, {"scale_by_batch": True}, "stopping.scale_by_batch is not read by stopping kind")
+        for kind in _VALID
+        if kind != "online_opportunity"
+    ),
+    ("online_opportunity", {"batch_size": 0}, "batch_size must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, change, message", [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _INVALID]
+)
+def test_invalid_rule_rejected(kind, change, message):
+    """Built directly, not read from a config: every check of the rule."""
+    StoppingRule(kind, t_max=10, **_VALID[kind])
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        StoppingRule(**{"kind": kind, "t_max": 10, **_VALID[kind], **change})
+
+
+@pytest.mark.parametrize("kind", _VALID)
+def test_valid_rule_of_each_kind(kind):
+    rule = StoppingRule(kind, t_max=10, **_VALID[kind])
+    assert rule.predetermined == kind.startswith("predetermined")
+
+
+@pytest.mark.parametrize("kind", ["predetermined_opportunity", "predetermined_threshold"])
+def test_predetermined_rule_without_constants(kind):
+    """A pre-determined rule as a config's `stopping` section holds it, before
+    a run sets its bound constants, names its kind instead of failing on None."""
+    rule = StoppingRule(kind, t_max=10, **_VALID[kind])
+    for call in (lambda: evaluate(rule, 1), lambda: scan_stop_time(rule), lambda: closed_form_stop_time(rule)):
+        with pytest.raises(ContractError, match=f"stopping kind '{kind}' reads bound constants"):
+            call()
+
+
+def test_unprepared_config_rule_cannot_scan():
+    config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "predetermined.json"))
+    with pytest.raises(ContractError, match="predetermined_opportunity"):
+        scan_stop_time(config.stopping)
+    assert scan_stop_time(prepare(config).setup.rule).t >= 1
