@@ -93,7 +93,6 @@ class ArmFit:
 
 @dataclass
 class BatchOlsFit:
-    batch_index: int
     arm0: ArmFit
     arm1: ArmFit
 
@@ -428,7 +427,6 @@ def fit_batch_ols(
     contexts: np.ndarray,
     actions: np.ndarray,
     rewards: np.ndarray,
-    batch_index: int = 0,
     *,
     residual: bool = True,
 ) -> BatchOlsFit:
@@ -463,7 +461,7 @@ def fit_batch_ols(
                 rss = float(masked_rss(contexts, rewards, w, beta))
         sum_sq = None if sum_sq is None else float(sum_sq)
         arms.append(ArmFit(beta, gram, count, rss, moment, sum_sq))
-    return BatchOlsFit(batch_index=batch_index, arm0=arms[0], arm1=arms[1])
+    return BatchOlsFit(arm0=arms[0], arm1=arms[1])
 
 
 class StackedFit(NamedTuple):

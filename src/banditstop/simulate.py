@@ -68,7 +68,7 @@ def simulate_trajectory(setup: SimulationSetup, model: TrueModel, rng: np.random
         x = sample_batch_contexts(setup.context, setup.batch_size, rng)
         actions = select_actions(setup.policy, sums, x, setup.clip, rng)
         y = realize_rewards(model, x, actions, rng)
-        fit = fit_batch_ols(x, actions, y, batch_index=t, residual=residual)
+        fit = fit_batch_ols(x, actions, y, residual=residual)
         stats.append((fit.arm1.beta, fit.arm1.gram, fit.arm0.beta, fit.arm0.gram))
         update_state(sums, fit)
 

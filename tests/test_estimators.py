@@ -30,7 +30,7 @@ from banditstop.linalg import gram_check, inverse_spd
 from ivw_oracle import sums_of
 
 
-def make_fit(batch_index, gram1, beta1, gram0=None, beta0=None, count=5):
+def make_fit(gram1, beta1, gram0=None, beta0=None, count=5):
     """Scalar-friendly constructor for synthetic batch fits."""
 
     def arm(gram, beta):
@@ -48,14 +48,12 @@ def make_fit(batch_index, gram1, beta1, gram0=None, beta0=None, count=5):
 
     gram0 = gram1 if gram0 is None else gram0
     beta0 = beta1 if beta0 is None else beta0
-    return BatchOlsFit(batch_index=batch_index, arm0=arm(gram0, beta0), arm1=arm(gram1, beta1))
+    return BatchOlsFit(arm0=arm(gram0, beta0), arm1=arm(gram1, beta1))
 
 
 class TestFitBatchOls:
     def test_scalar_mean(self):
-        fit = fit_batch_ols(
-            np.array([[1.0], [1.0]]), np.array([1, 1]), np.array([2.0, 4.0]), batch_index=1
-        )
+        fit = fit_batch_ols(np.array([[1.0], [1.0]]), np.array([1, 1]), np.array([2.0, 4.0]))
         assert fit.arm1.beta[0] == pytest.approx(3.0, abs=1e-12)
         assert fit.arm1.gram[0, 0] == 2.0
         assert fit.arm1.rss == pytest.approx(2.0, abs=1e-12)
@@ -114,7 +112,7 @@ def test_bool_masks_act_as_the_same_actions_of_another_dtype(dtype, layout, nois
     assert y.tobytes() == realize_rewards(model, x, same, rng_same).tobytes()
     assert rng_mask.bit_generator.state == rng_same.bit_generator.state
     for residual in (True, False):
-        got, want = fit_batch_ols(x, mask, y, 3, residual=residual), fit_batch_ols(x, same, y, 3, residual=residual)
+        got, want = fit_batch_ols(x, mask, y, residual=residual), fit_batch_ols(x, same, y, residual=residual)
         for a in (0, 1):
             g, w = got.arm(a), want.arm(a)
             assert type(g.count) is type(w.count) is int and g.count == w.count == np.count_nonzero(mask == a)
@@ -138,9 +136,7 @@ def test_non_binary_actions_raise(bad):
 
 class TestIvwCombine:
     def test_single_batch_fixed_point(self):
-        fit = fit_batch_ols(
-            np.array([[1.0], [2.0]]), np.array([1, 1]), np.array([1.0, 3.0]), batch_index=1
-        )
+        fit = fit_batch_ols(np.array([[1.0], [2.0]]), np.array([1, 1]), np.array([1.0, 3.0]))
         fit.arm0 = ArmFit(
             beta=np.array([0.5]), gram=np.array([[4.0]]), count=2, rss=0.0,
             moment=np.array([2.0]), sum_sq=1.0,
@@ -154,14 +150,14 @@ class TestIvwCombine:
         gram = np.array([[2.0, 0.3], [0.3, 1.0]])
         b1, b2 = rng.normal(size=2), rng.normal(size=2)
         fits = [
-            make_fit(1, gram, b1, gram, rng.normal(size=2)),
-            make_fit(2, gram, b2, gram, rng.normal(size=2)),
+            make_fit(gram, b1, gram, rng.normal(size=2)),
+            make_fit(gram, b2, gram, rng.normal(size=2)),
         ]
         est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=3)
         np.testing.assert_allclose(est.beta1, (b1 + b2) / 2.0, rtol=1e-12, atol=1e-12)
 
     def test_scalar_weighted_average(self):
-        fits = [make_fit(1, 1.0, 2.0), make_fit(2, 3.0, 4.0)]
+        fits = [make_fit(1.0, 2.0), make_fit(3.0, 4.0)]
         est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=1)
         assert est.beta1[0] == 3.5  # (1*2 + 3*4) / 4
 
@@ -171,15 +167,15 @@ class TestIvwCombine:
         fits = []
         for j in range(4):
             m = rng.uniform(-1, 1, size=(6, 3))
-            fits.append(make_fit(j + 1, m.T @ m + 0.5 * np.eye(3), b))
+            fits.append(make_fit(m.T @ m + 0.5 * np.eye(3), b))
         est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=6)
         np.testing.assert_allclose(est.beta1, b, rtol=1e-12, atol=1e-13)
 
     def test_singular_batches_excluded(self):
         fits = [
-            make_fit(1, 1.0, 2.0),
-            make_fit(2, np.array([[0.0]]), None),  # contributes nothing
-            make_fit(3, 3.0, 4.0),
+            make_fit(1.0, 2.0),
+            make_fit(np.array([[0.0]]), None),  # contributes nothing
+            make_fit(3.0, 4.0),
         ]
         est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=1)
         assert est.beta1[0] == 3.5
@@ -187,7 +183,7 @@ class TestIvwCombine:
         assert est.var1[0, 0] == pytest.approx(1.0 / 4.0, rel=1e-12)
 
     def test_all_singular_unavailable(self):
-        fits = [make_fit(1, np.array([[0.0]]), None)]
+        fits = [make_fit(np.array([[0.0]]), None)]
         with pytest.raises(EstimatorUnavailable):
             ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=1)
 
@@ -233,13 +229,13 @@ def test_variance_norm_is_batch_factor_over_smallest_eigenvalue(dim, rows, seed,
 
 class TestVarianceEstimators:
     def test_known_sigma_scalar(self):
-        fits = [make_fit(1, 5.0, 1.0)]
+        fits = [make_fit(5.0, 1.0)]
         v1 = ivw_combine(sums_of(fits), KnownSigma(np.sqrt(2.0)), batch_size=10).var1
         assert v1[0, 0] == pytest.approx(4.0, rel=1e-12)  # 10 * (1/5) * 2
 
     def test_known_sigma_identity_grams(self):
         t, n, d = 4, 6, 3
-        fits = [make_fit(j + 1, np.eye(d), np.zeros(d)) for j in range(t)]
+        fits = [make_fit(np.eye(d), np.zeros(d)) for j in range(t)]
         v1 = ivw_combine(sums_of(fits), KnownSigma(1.5), batch_size=n).var1
         np.testing.assert_allclose(v1, (n / t) * 1.5**2 * np.eye(d), rtol=1e-12)
 
@@ -262,7 +258,7 @@ class TestVarianceEstimators:
             x = sample_batch_contexts(spec, n, rng)
             a = (rng.random(n) < 0.5).astype(int)
             y = realize_rewards(model, x, a, rng)
-            fits.append(fit_batch_ols(x, a, y, batch_index=j + 1))
+            fits.append(fit_batch_ols(x, a, y))
         return sums_of(fits)
 
     def test_residual_matches_known_sigma(self):
@@ -301,7 +297,7 @@ class TestSufficientStats:
             x = rng.uniform(-1, 1, size=(30, 3))
             a = (rng.random(30) < 0.5).astype(int)
             y = rng.normal(size=30)
-            fits.append(fit_batch_ols(x, a, y, batch_index=j + 1))
+            fits.append(fit_batch_ols(x, a, y))
             moments.append((x[a == 1].T @ y[a == 1], x[a == 0].T @ y[a == 0]))
         for f, (m1, m0) in zip(fits, moments):
             np.testing.assert_allclose(f.arm1.gram @ f.arm1.beta, m1, rtol=1e-9, atol=1e-12)
@@ -333,7 +329,7 @@ class TestLimitSecondMoment:
             x = sample_batch_contexts(spec, n, rng)
             actions = select_actions(kind, sums, x, sched, rng)
             y = realize_rewards(model, x, actions, rng)
-            update_state(sums, fit_batch_ols(x, actions, y, batch_index=j + 1))
+            update_state(sums, fit_batch_ols(x, actions, y))
         v1 = ivw_combine(sums, KnownSigma(1.0), batch_size=n).var1
         limit = limit_arm_second_moment(spec, model, 0.1, 1, 1_000_000, make_rng(13))
         target = np.linalg.inv(limit)  # noise variance 1

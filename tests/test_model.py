@@ -196,7 +196,7 @@ def test_stacked_draws_equal_lone_draws(members, noise, context, seed):
         rng = make_rng(seed + 100 + k)
         xk = sample_batch_contexts(spec, n, rng)
         first = RunningSums.empty(spec.dim)
-        update_state(first, fit_batch_ols(xk, rng.integers(0, 2, size=n), rng.normal(size=n), batch_index=1))
+        update_state(first, fit_batch_ols(xk, rng.integers(0, 2, size=n), rng.normal(size=n)))
         sums.append(first)
     xx = np.stack([[s.arm0.xx, s.arm1.xx] for s in sums])
     xy = np.stack([[s.arm0.xy, s.arm1.xy] for s in sums])

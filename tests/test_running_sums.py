@@ -100,7 +100,7 @@ def test_running_sums_match_oracle(case, sigma_mode):
     sums = RunningSums.empty(dim)
     fits = []
     for t, batch in enumerate(batches, start=1):
-        fit = fit_batch_ols(batch.contexts, batch.actions, batch.rewards, batch_index=t)
+        fit = fit_batch_ols(batch.contexts, batch.actions, batch.rewards)
         fits.append(fit)
         update_state(sums, fit)
         assert len(sums) == t
@@ -125,7 +125,7 @@ def test_policy_inputs_match_oracle_bitwise(case):
     dim, batches, _ = case
     sums = RunningSums.empty(dim)
     for t, batch in enumerate(batches, start=1):
-        update_state(sums, fit_batch_ols(batch.contexts, batch.actions, batch.rewards, batch_index=t))
+        update_state(sums, fit_batch_ols(batch.contexts, batch.actions, batch.rewards))
         for arm, want in zip((sums.arm0, sums.arm1), ivw_oracle.policy_sums(batches[:t], dim)):
             assert np.array_equal(arm.xx, want.xx)
             assert np.array_equal(arm.xy, want.xy)
@@ -164,7 +164,7 @@ def test_combined_variances_equal_the_oracle_bitwise(case, sigma_mode):
     dim, batches, _ = case
     sums, fits = RunningSums.empty(dim), []
     for t, batch in enumerate(batches, start=1):
-        fits.append(fit_batch_ols(batch.contexts, batch.actions, batch.rewards, batch_index=t))
+        fits.append(fit_batch_ols(batch.contexts, batch.actions, batch.rewards))
         update_state(sums, fits[-1])
         est = outcome(ivw_combine, sums, sigma_mode, 7)
         if isinstance(est, EstimatorUnavailable):
@@ -198,8 +198,8 @@ def test_known_sigma_sums_keep_no_residual_state(case):
     dim, batches, _ = case
     full, lean = RunningSums.empty(dim), RunningSums.empty(dim, residual=False)
     for t, batch in enumerate(batches, start=1):
-        update_state(full, fit_batch_ols(batch.contexts, batch.actions, batch.rewards, batch_index=t))
-        fit = fit_batch_ols(batch.contexts, batch.actions, batch.rewards, batch_index=t, residual=False)
+        update_state(full, fit_batch_ols(batch.contexts, batch.actions, batch.rewards))
+        fit = fit_batch_ols(batch.contexts, batch.actions, batch.rewards, residual=False)
         assert fit.arm0.rss is None and fit.arm1.rss is None
         update_state(lean, fit)
         for a in (0, 1):
@@ -224,9 +224,9 @@ def test_fits_without_residual_terms_carry_no_squares():
     rng = np.random.default_rng(3)
     x, y = rng.uniform(-1.0, 1.0, size=(12, 2)), rng.normal(size=12)
     actions = np.tile([0, 1], 6)
-    lean = fit_batch_ols(x, actions, y, batch_index=1, residual=False)
+    lean = fit_batch_ols(x, actions, y, residual=False)
     assert [lean.arm0.sum_sq, lean.arm1.sum_sq, lean.arm0.rss, lean.arm1.rss] == [None] * 4
-    full = fit_batch_ols(x, actions, y, batch_index=1)
+    full = fit_batch_ols(x, actions, y)
     assert all(isinstance(v, float) for v in (full.arm0.sum_sq, full.arm1.sum_sq))
     update_state(RunningSums.empty(2, residual=False), lean)
     with pytest.raises(ContractError, match="without residual terms"):
@@ -257,7 +257,7 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
         def arm(beta, gram):
             return ArmFit(beta, gram, 0, None, np.zeros(2), None)
 
-        return [BatchOlsFit(t, arm(b0, g0), arm(b1, g1)) for t, (b1, g1, b0, g0) in enumerate(traj.stats, 1)]
+        return [BatchOlsFit(arm(b0, g0), arm(b1, g1)) for b1, g1, b0, g0 in traj.stats]
 
     def terminal_solves(traj):
         usable = [sum(f.arm(a).beta is not None for f in fits_of(traj)) for a in (0, 1)]
@@ -302,7 +302,7 @@ def fresh_check_trajectory(setup, model, rng):
         x = sample_batch_contexts(setup.context, setup.batch_size, rng)
         actions = select_actions(setup.policy, sums, x, setup.clip, rng)
         y = realize_rewards(model, x, actions, rng)
-        fit = fit_batch_ols(x, actions, y, batch_index=t, residual=residual)
+        fit = fit_batch_ols(x, actions, y, residual=residual)
         stats.append((fit.arm1.beta, fit.arm1.gram, fit.arm0.beta, fit.arm0.gram))
         update_state(sums, fit)
         previous = norms

@@ -1,6 +1,5 @@
 import math
 import re
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,9 +22,7 @@ from banditstop import (
     cumulative_cost_adjusted_regret,
     evaluate,
     linalg,
-    load_config,
     make_rng,
-    prepare,
     scan_stop_time,
     simulate,
     spectral_norm,
@@ -314,24 +311,13 @@ def test_invalid_rule_rejected(kind, change, message):
         StoppingRule(**{"kind": kind, "t_max": 10, **_VALID[kind], **change})
 
 
-@pytest.mark.parametrize("kind", _VALID)
-def test_valid_rule_of_each_kind(kind):
-    rule = StoppingRule(kind, t_max=10, **_VALID[kind])
-    assert rule.predetermined == kind.startswith("predetermined")
-
-
 @pytest.mark.parametrize("kind", ["predetermined_opportunity", "predetermined_threshold"])
 def test_predetermined_rule_without_constants(kind):
-    """A pre-determined rule as a config's `stopping` section holds it, before
-    a run sets its bound constants, names its kind instead of failing on None."""
+    """A pre-determined rule as a config's `stopping` section holds it
+    (`config.stopping`), before `prepare` sets its bound constants, names its
+    kind instead of failing on None."""
     rule = StoppingRule(kind, t_max=10, **_VALID[kind])
     for call in (lambda: evaluate(rule, 1), lambda: scan_stop_time(rule), lambda: closed_form_stop_time(rule)):
         with pytest.raises(ContractError, match=f"stopping kind '{kind}' reads bound constants"):
             call()
 
-
-def test_unprepared_config_rule_cannot_scan():
-    config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "predetermined.json"))
-    with pytest.raises(ContractError, match="predetermined_opportunity"):
-        scan_stop_time(config.stopping)
-    assert scan_stop_time(prepare(config).setup.rule).t >= 1
