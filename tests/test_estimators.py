@@ -165,7 +165,7 @@ class TestIvwCombine:
         rng = make_rng(3)
         b = rng.normal(size=3)
         fits = []
-        for j in range(4):
+        for _ in range(4):
             m = rng.uniform(-1, 1, size=(6, 3))
             fits.append(make_fit(m.T @ m + 0.5 * np.eye(3), b))
         est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=6)
@@ -235,7 +235,7 @@ class TestVarianceEstimators:
 
     def test_known_sigma_identity_grams(self):
         t, n, d = 4, 6, 3
-        fits = [make_fit(np.eye(d), np.zeros(d)) for j in range(t)]
+        fits = [make_fit(np.eye(d), np.zeros(d)) for _ in range(t)]
         v1 = ivw_combine(sums_of(fits), KnownSigma(1.5), batch_size=n).var1
         np.testing.assert_allclose(v1, (n / t) * 1.5**2 * np.eye(d), rtol=1e-12)
 
@@ -254,7 +254,7 @@ class TestVarianceEstimators:
         rng = make_rng(seed)
         spec = uniform_cube_spec(model.dim)
         fits = []
-        for j in range(t):
+        for _ in range(t):
             x = sample_batch_contexts(spec, n, rng)
             a = (rng.random(n) < 0.5).astype(int)
             y = realize_rewards(model, x, a, rng)
@@ -293,7 +293,7 @@ class TestSufficientStats:
         rng = make_rng(9)
         fits = []
         moments = []
-        for j in range(5):
+        for _ in range(5):
             x = rng.uniform(-1, 1, size=(30, 3))
             a = (rng.random(30) < 0.5).astype(int)
             y = rng.normal(size=30)
@@ -325,7 +325,7 @@ class TestLimitSecondMoment:
         rng = make_rng(12)
         t, n = 200, 500
         sums = RunningSums.empty(2)
-        for j in range(t):
+        for _ in range(t):
             x = sample_batch_contexts(spec, n, rng)
             actions = select_actions(kind, sums, x, sched, rng)
             y = realize_rewards(model, x, actions, rng)

@@ -163,7 +163,7 @@ def test_combined_variances_equal_the_oracle_bitwise(case, sigma_mode):
     # n f / lambda_min(G), agree with the matrices' spectral norms to rounding.
     dim, batches, _ = case
     sums, fits = RunningSums.empty(dim), []
-    for t, batch in enumerate(batches, start=1):
+    for batch in batches:
         fits.append(fit_batch_ols(batch.contexts, batch.actions, batch.rewards))
         update_state(sums, fits[-1])
         est = outcome(ivw_combine, sums, sigma_mode, 7)
@@ -197,7 +197,7 @@ def test_known_sigma_sums_keep_no_residual_state(case):
     # bit for bit, so the known-sigma estimate is unchanged.
     dim, batches, _ = case
     full, lean = RunningSums.empty(dim), RunningSums.empty(dim, residual=False)
-    for t, batch in enumerate(batches, start=1):
+    for batch in batches:
         update_state(full, fit_batch_ols(batch.contexts, batch.actions, batch.rewards))
         fit = fit_batch_ols(batch.contexts, batch.actions, batch.rewards, residual=False)
         assert fit.arm0.rss is None and fit.arm1.rss is None
