@@ -1,9 +1,10 @@
 """The determinism contract as a check: every emitted byte of a set of small
 seeded runs against the sha256 digests recorded in `tests/golden.json`.
 
-Each case is a config (a shipped one, a perfbench workload's merge, or the
+Each case is a config (a shipped one, a perfbench workload's merge, the
 demo config under UCB or Thompson with known or residual sigma, which no
-workload runs on the lock-step engine) cut to a few replications and a small
+workload runs on the lock-step engine, or a shipped config under a stopping
+kind no other case runs) cut to a few replications and a small
 Monte Carlo and sampler budget, at seeds 42 and 7.  A `simulate` case digests
 `summary.json` without `generated_at`, `replications.csv` and each
 trajectory file; the sampler case digests the resimulation sampler's draws.
@@ -51,6 +52,8 @@ UCB = {"kind": "ucb", "bonus": {"initial": 1.0, "decay": 0.5, "floor": 0.0}, "ep
 THOMPSON = {"kind": "thompson", "sigma_prior": 1.0, "eps": None}
 RESIDUAL = {"kind": "residual", "sigma": None}
 ENGINE = {"replications": 3, "inference": None}
+OPPORTUNITY = {"kind": "online_opportunity", "c_prime": 5e-5, "scale_by_batch": True, "k": None}
+THRESHOLD = {"kind": "predetermined_threshold", "k": 4.0}
 CASES = {
     "demo": ("configs/demo.json", {"replications": 3}),
     "predetermined": ("configs/predetermined.json", {"replications": 3}),
@@ -62,6 +65,8 @@ CASES = {
     "ucb/residual": ("configs/demo.json", {**ENGINE, "policy": UCB, "sigma_mode": RESIDUAL}),
     "thompson/known": ("configs/demo.json", {**ENGINE, "policy": THOMPSON}),
     "thompson/residual": ("configs/demo.json", {**ENGINE, "policy": THOMPSON, "sigma_mode": RESIDUAL}),
+    "opportunity": ("configs/demo.json", {"replications": 3, "stopping": OPPORTUNITY}),
+    "threshold": ("configs/predetermined.json", {"replications": 3, "stopping": THRESHOLD}),
 }
 SAMPLER_CASE = "perfbench/rejection"
 
