@@ -64,7 +64,7 @@ from .rng import (
     substream_seed,
 )
 from .simulate import simulate_ensemble, simulate_trajectory
-from .stopping import StoppingRule, evaluate
+from .stopping import StopDecision, StoppingRule, evaluate
 
 SCHEMA_VERSION = 1
 CALIBRATION_SEED_TAG = 0x5EED_CA11
@@ -459,6 +459,12 @@ def render_csv(records: Sequence[ExperimentRecord], dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decision_json(d: StopDecision) -> Dict:
+    """The JSON form of a stop decision: one entry of a trajectory's `stop_trace`."""
+    diagnostics = {k: float(v) for k, v in d.diagnostics.items()}
+    return {"t": d.t, "stop": d.stop, "cap_hit": d.cap_hit, "diagnostics": diagnostics}
+
+
 def trajectory_payload(rec: ExperimentRecord) -> Dict:
     """JSON form of one replication's sufficient statistics and stop trace."""
 
@@ -483,15 +489,7 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
             }
             for i, (b1, g1, b0, g0) in enumerate(rec.trajectory.stats)
         ],
-        "stop_trace": [
-            {
-                "t": d.t,
-                "stop": d.stop,
-                "cap_hit": d.cap_hit,
-                "diagnostics": {k: float(v) for k, v in d.diagnostics.items()},
-            }
-            for d in rec.trajectory.stop_trace
-        ],
+        "stop_trace": [_decision_json(d) for d in rec.trajectory.stop_trace],
         "terminal": None
         if rec.ivw is None
         else {
@@ -613,12 +611,6 @@ def _stored(obj: Dict, path: str, kind, shape=None, nullable: bool = False):
     return value
 
 
-def _stored_is(obj: Dict, path: str, kind, want) -> None:
-    """`_stored`, which must equal `want`."""
-    if _stored(obj, path, kind) != want:
-        raise ConfigError(f"trajectory key {path!r} must be {json.dumps(want)}")
-
-
 def _stored_variance(term: Dict, path: str, shape) -> np.ndarray:
     """`_stored` for a variance matrix, which must also be symmetric (as
     `linalg.require_symmetric` checks) and have no negative eigenvalue."""
@@ -646,7 +638,8 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
     for i, e in enumerate(entries):
         path = f"sufficient_stats[{i}]"
         e = _DICT.read(e, f"trajectory key {path!r}")
-        _stored_is(e, f"{path}.batch_index", _INT, i + 1)
+        if _stored(e, f"{path}.batch_index", _INT) != i + 1:
+            raise ConfigError(f"trajectory key '{path}.batch_index' must be {i + 1}")
         for a in (1, 0):
             _stored(e, f"{path}.beta{a}", _ARRAY, vec, nullable=True)
         for a in (1, 0):
@@ -655,36 +648,31 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
         raise ConfigError(f"trajectory key 'sufficient_stats' must have stop_time = {stop_time} entries")
     # A cap hit means the rule did not fire by t_max; resimulation conditions on it.
     cap_hit = _stored(payload, "cap_hit", _BOOL)
-    if cap_hit and stop_time != config.stopping.t_max:
-        raise ConfigError(f"trajectory key 'cap_hit' may be true only at stop_time = {config.stopping.t_max}")
     # Only a pre-determined rule reads the bound constants, and they may need
     # the pilot calibration.
     setup = _setup(config, resolve_constants(config) if config.stopping.predetermined else None)
-    # One decision per batch, the last the run's only stop.
+    # One decision per batch, each the one the config's rule makes from the
+    # norms it stores and those of the entry before, as the loops carry them;
+    # the last is the run's only stop.
     trace = _stored(payload, "stop_trace", _LIST)
     if len(trace) != stop_time:
         raise ConfigError(f"trajectory key 'stop_trace' must have stop_time = {stop_time} entries")
+    previous = None
     for i, d in enumerate(trace):
         path, last = f"stop_trace[{i}]", i + 1 == stop_time
-        d = _DICT.read(d, f"trajectory key {path!r}")
-        _stored_is(d, f"{path}.t", _INT, i + 1)
-        _stored_is(d, f"{path}.stop", _BOOL, last)
-        _stored_is(d, f"{path}.cap_hit", _BOOL, last and cap_hit)
-        diagnostics = _stored(d, f"{path}.diagnostics", _DICT)
-        # The config's rule must make the stored decision again: a pre-determined
-        # rule reads no data, the threshold rule reads the stored norms.  The
-        # opportunity rule stores no norms at its first usable batch, so it is
-        # not replayed.
-        if setup.rule.kind == "online_opportunity":
-            continue
+        diagnostics = _stored(_DICT.read(d, f"trajectory key {path!r}"), f"{path}.diagnostics", _DICT)
         norms = (diagnostics.get("var_norm_arm0"), diagnostics.get("var_norm_arm1"))
-        again = evaluate(setup.rule, i + 1, norms if all(isinstance(v, float) for v in norms) else None)
-        if (again.stop, again.cap_hit, again.diagnostics) != (last, last and cap_hit, diagnostics):
+        current = norms if all(isinstance(v, float) for v in norms) else None
+        again = json.dumps(_decision_json(evaluate(setup.rule, i + 1, current, previous)), sort_keys=True)
+        if json.dumps(d, sort_keys=True) != again:
+            raise ConfigError(f"trajectory key {path!r} does not follow from the config's stopping rule: {again}")
+        want = {"stop": last, "cap_hit": last and cap_hit}
+        if {k: d[k] for k in want} != want:
             raise ConfigError(
-                f"trajectory key {path!r} does not follow from the config's stopping rule, which decides "
-                f"stop = {json.dumps(again.stop)}, cap_hit = {json.dumps(again.cap_hit)} and "
-                f"diagnostics {json.dumps(again.diagnostics, sort_keys=True)}"
+                f"trajectory key {path!r} must have {json.dumps(want)}, since 'stop_time' is {stop_time} "
+                f"and 'cap_hit' is {json.dumps(cap_hit)}"
             )
+        previous = current
     # Resimulation draws the surrogates' noise at the stored plug-in scales.
     resimulation = config.inference is not None and config.inference.mode == RESIMULATION_REJECTION
     noise_sd = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=not resimulation)

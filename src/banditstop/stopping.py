@@ -111,9 +111,11 @@ def evaluate(
     variance matrices (``IvwCombination.var_norms``), and the opportunity
     variant those of the previous batch too, which the caller carries from
     one batch to the next; missing inputs yield "continue" with a diagnostic
-    flag rather than an error.  Pre-determined rules read neither, and a
-    pre-determined rule without bound constants is a ContractError.  The
-    hard cap always stops with cap_hit set.
+    flag rather than an error.  Either online rule logs the current norms
+    whenever it has them, so a stop trace holds every norm the rule read.
+    Pre-determined rules read neither, and a pre-determined rule without
+    bound constants is a ContractError.  The hard cap always stops with
+    cap_hit set.
     """
     if t < 1:
         raise ContractError("t must be >= 1")
@@ -132,30 +134,20 @@ def evaluate(
         bound_now = regret_bound_time(t, _bound_constants(rule))
         diagnostics.update(bound_t=bound_now, threshold=rule.k)
         stop = bound_now <= rule.k
-    elif kind == "online_threshold":
-        if current is None:
-            diagnostics["estimator_unavailable"] = 1.0
-        else:
-            norm0, norm1 = current
-            diagnostics.update(var_norm_arm0=norm0, var_norm_arm1=norm1, threshold=rule.k)
+    elif current is None:  # an online rule without an estimate
+        diagnostics["estimator_unavailable"] = 1.0
+    else:
+        norm0, norm1 = current
+        diagnostics.update(var_norm_arm0=norm0, var_norm_arm1=norm1)
+        if kind == "online_threshold":
+            diagnostics["threshold"] = rule.k
             stop = norm0 <= rule.k and norm1 <= rule.k
-    else:  # online_opportunity: construction rejects any other kind
-        if current is None:
-            diagnostics["estimator_unavailable"] = 1.0
-        elif previous is None:
+        elif previous is None:  # online_opportunity: construction rejects any other kind
             diagnostics["insufficient_history"] = 1.0
         else:
             level = rule.c_prime * (rule.batch_size if rule.scale_by_batch else 1.0)
-            norm0, norm1 = current
-            dec0 = previous[0] - norm0
-            dec1 = previous[1] - norm1
-            diagnostics.update(
-                var_norm_arm0=norm0,
-                var_norm_arm1=norm1,
-                decrement_arm0=dec0,
-                decrement_arm1=dec1,
-                level=level,
-            )
+            dec0, dec1 = previous[0] - norm0, previous[1] - norm1
+            diagnostics.update(decrement_arm0=dec0, decrement_arm1=dec1, level=level)
             # Negative decrements (variance rising) count as satisfied.
             stop = dec0 <= level and dec1 <= level
 

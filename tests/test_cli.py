@@ -473,10 +473,39 @@ def test_infer_calibrates_only_for_predetermined_rules(tmp_path, capsys):
     assert cal.call_count == 1
 
 
-def stored_trajectory(tmp_path):
+OPPORTUNITY = StoppingRule(kind="online_opportunity", t_max=8, c_prime=0.001, scale_by_batch=True)
+# Under `write_config`'s design and the bound constants of the test below, each
+# rule fires before its cap (the pre-determined ones at t = 11 and 12).
+EVERY_KIND = {
+    "predetermined_opportunity": StoppingRule(kind="predetermined_opportunity", t_max=20),
+    "predetermined_threshold": StoppingRule(kind="predetermined_threshold", t_max=20, k=1500.0),
+    "online_threshold": StoppingRule(kind="online_threshold", t_max=20, k=0.5),
+    "online_opportunity": dataclasses.replace(OPPORTUNITY, t_max=20),
+}
+
+
+@pytest.mark.parametrize("sigma_mode", [KnownSigma(1.0), ResidualSigma()], ids=["known", "residual"])
+@pytest.mark.parametrize("kind", EVERY_KIND)
+def test_infer_takes_every_trajectory_simulate_writes(tmp_path, capsys, kind, sigma_mode):
+    cfg_path, out_dir = tmp_path / "config.json", tmp_path / "out"
+    bounds_config = BoundsConfig(margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=5.0, tail_const=625.0)
+    write_config(
+        cfg_path, stopping=EVERY_KIND[kind], sigma_mode=sigma_mode, bounds=bounds_config,
+        trajectory_json=True, replications=3,
+    )
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    trajectories = sorted((out_dir / "trajectories").glob("*.json"))
+    assert len(trajectories) == 3
+    assert any(not json.loads(path.read_text())["cap_hit"] for path in trajectories)
+    for path in trajectories:
+        capsys.readouterr()
+        assert main(["infer", "--config", str(cfg_path), "--trajectory", str(path)]) == 0, capsys.readouterr().err
+
+
+def stored_trajectory(tmp_path, **overrides):
     """Config path and trajectory path of one simulated 2-d replication."""
     cfg_path = tmp_path / "config.json"
-    write_config(cfg_path, trajectory_json=True, replications=1)
+    write_config(cfg_path, trajectory_json=True, replications=1, **overrides)
     out_dir = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
     return cfg_path, out_dir / "trajectories" / "rep_00000.json"
@@ -490,7 +519,7 @@ def stored_trajectory(tmp_path):
         ('stop_time "abc"', "'stop_time' must be an integer"),  # exit 3
         ("missing file", "cannot read trajectory file"),  # exit 3
         ("one entry short", "'sufficient_stats' must have stop_time"),  # exit 0
-        ("cap hit before t_max", "'cap_hit' may be true only at stop_time = 8"),  # exit 0
+        ("cap hit before t_max", "'stop_trace' must have stop_time = 7 entries"),  # exit 0
         ("no terminal", "'terminal' must be a JSON object, got null"),  # exit 3
         ("no noise_plugin for resimulation", "'noise_plugin' must be an array of finite numbers, got null"),  # exit 3
         ("negative definite var1", "'terminal.var1' must have no negative eigenvalue"),  # exit 0, zero-width intervals
@@ -501,17 +530,27 @@ def stored_trajectory(tmp_path):
         # Each of these exited 0: the stored trace and batch indices were not read.
         ("no stop_trace", "'stop_trace' is missing"),
         ("one decision at t=1", "'stop_trace' must have stop_time = 8 entries"),
-        ("t out of order", "'stop_trace[2].t' must be 3"),
-        ("stop before the last", "'stop_trace[0].stop' must be false"),
-        ("last does not stop", "'stop_trace[7].stop' must be true"),
-        ("cap_hit before the last", "'stop_trace[3].cap_hit' must be false"),
-        ("last cap_hit not stored cap_hit", "'stop_trace[7].cap_hit' must be true"),
+        ("t out of order", "'stop_trace[2]' does not follow from the config's stopping rule"),
+        ("stop before the last", "'stop_trace[0]' does not follow from the config's stopping rule"),
+        ("last does not stop", "'stop_trace[7]' does not follow from the config's stopping rule"),
+        ("cap_hit before the last", "'stop_trace[3]' does not follow from the config's stopping rule"),
+        ("last cap_hit not stored cap_hit", "'stop_trace[7]' does not follow from the config's stopping rule"),
         ("diagnostics not an object", "'stop_trace[1].diagnostics' must be a JSON object, got []"),
         ("batch_index out of order", "'sufficient_stats[1].batch_index' must be 2"),
         # Each of these exited 0: the stored decisions were not replayed under the config's rule.
         ("another stopping.k", "'stop_trace[0]' does not follow from the config's stopping rule"),
         ("pre-determined, another unit_cost", "'stop_trace[0]' does not follow from the config's stopping rule"),
-        ("norms below k before the stop", "'stop_trace[6]' does not follow from the config's stopping rule, which decides stop = true"),
+        ("norms below k before the stop", ''''stop_trace[6]' does not follow from the config's stopping rule: '''
+         '''{"cap_hit": false, "diagnostics": {"threshold": 0.9, "var_norm_arm0": 0.8, "var_norm_arm1": 0.8}, "stop": true'''),
+        # Each of these exited 0: the opportunity rule was not replayed, and no key was checked but
+        # stop, cap_hit and diagnostics.
+        ("opportunity, another decrement", "'stop_trace[3]' does not follow from the config's stopping rule"),
+        ("opportunity, another c_prime", "'stop_trace[1]' does not follow from the config's stopping rule"),
+        ("another key in a stop_trace entry", "'stop_trace[2]' does not follow from the config's stopping rule"),
+        ("opportunity, no norms at the first usable batch", "'stop_trace[0]' does not follow from the config's"),
+        # These exited 2 naming 'cap_hit' or 'stop_trace[7].cap_hit'.
+        ("cap hit before t_max, trace cut too", ''''stop_trace[6]' must have {"stop": true, "cap_hit": true}'''),
+        ("no cap hit at t_max", ''''stop_trace[7]' must have {"stop": true, "cap_hit": false}'''),
     ],
     ids=[
         "dim_mismatch", "missing_var0", "stop_time_string", "missing_file", "stats_count", "early_cap_hit",
@@ -519,11 +558,16 @@ def stored_trajectory(tmp_path):
         "zero_noise_plugin_known", "negative_noise_plugin_known", "negative_noise_plugin_residual",
         "no_stop_trace", "one_stop_at_t1", "trace_t", "early_stop", "late_stop", "early_trace_cap_hit",
         "trace_cap_hit", "trace_diagnostics", "batch_index", "replay_k", "replay_unit_cost", "replay_norms",
+        "opportunity_decrement", "opportunity_c_prime", "trace_extra_key", "opportunity_old_format",
+        "early_cap_hit_trace_cut", "stored_cap_hit_false",
     ],
 )
 def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
-    cfg_path, traj = stored_trajectory(tmp_path)
+    opportunity = case.startswith("opportunity")
+    cfg_path, traj = stored_trajectory(tmp_path, **({"stopping": OPPORTUNITY} if opportunity else {}))
     payload = json.loads(traj.read_text())
+    if opportunity:  # norms from t = 1, and no stop before the cap
+        assert payload["stop_trace"][0]["diagnostics"]["insufficient_history"] == 1.0 and payload["cap_hit"]
     if case == "3-d config":
         write_config(
             cfg_path,
@@ -588,6 +632,21 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
     elif case == "norms below k before the stop":
         assert payload["stop_trace"][6]["diagnostics"]["threshold"] == 0.9
         payload["stop_trace"][6]["diagnostics"].update(var_norm_arm0=0.8, var_norm_arm1=0.8)
+    elif case == "opportunity, another decrement":
+        payload["stop_trace"][3]["diagnostics"]["decrement_arm0"] += 1e-6
+    elif case == "opportunity, another c_prime":
+        write_config(cfg_path, stopping=dataclasses.replace(OPPORTUNITY, c_prime=2 * OPPORTUNITY.c_prime))
+    elif case == "another key in a stop_trace entry":
+        payload["stop_trace"][2]["note"] = "kept"
+    elif case == "opportunity, no norms at the first usable batch":
+        del payload["stop_trace"][0]["diagnostics"]["var_norm_arm0"]
+        del payload["stop_trace"][0]["diagnostics"]["var_norm_arm1"]
+    elif case == "cap hit before t_max, trace cut too":
+        payload["stop_time"] = 7
+        del payload["sufficient_stats"][-1]
+        del payload["stop_trace"][-1]
+    elif case == "no cap hit at t_max":
+        payload["cap_hit"] = False
     else:
         traj = tmp_path / "missing.json"
     if traj.exists():
