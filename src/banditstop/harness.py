@@ -7,8 +7,9 @@ Every value is type-checked: booleans are only true/false, reals (array
 entries included) must be finite, integers must be integral, and a value
 of the wrong type is a ConfigError that names its dotted key.  Unknown keys
 and an unknown `sigma_mode.kind` (read as residual) are still tolerated.
-The `stopping` section reads as `stopping.StoppingRule`, the rule itself;
-`_setup` gives a run's rule the bound constants and the batch size.
+The `stopping` section reads as `stopping.StoppingRule`, the rule itself,
+which `ExperimentConfig` gives its batch size; `_setup` adds only the bound
+constants.
 
 Determinism contract: a (config, master_seed) pair fully determines every
 emitted byte except the single `generated_at` field in summary.json.
@@ -114,6 +115,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        object.__setattr__(self, "stopping", replace(self.stopping, batch_size=self.batch_size))
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.regret_mc_samples < 1:
@@ -184,14 +186,14 @@ def resolve_constants(config: ExperimentConfig) -> Optional[BoundConstants]:
 
 def _setup(config: ExperimentConfig, consts: Optional[BoundConstants]) -> SimulationSetup:
     """The run's setup; its rule is the config's `stopping` section with the
-    bound constants and the batch size."""
+    bound constants."""
     return SimulationSetup(
         context=config.context,
         policy=config.policy,
         clip=config.clip,
         batch_size=config.batch_size,
         sigma_mode=config.sigma_mode,
-        rule=replace(config.stopping, consts=consts, batch_size=config.batch_size),
+        rule=replace(config.stopping, consts=consts),
     )
 
 

@@ -32,8 +32,8 @@ class StoppingRule:
     - online_threshold: both arms' variance norms are at most `k`;
     - online_opportunity: both arms' variance-norm decrements are at most
       `c_prime` (times `batch_size` under `scale_by_batch`).
-    The config sets neither `consts`, which the pre-determined kinds read,
-    nor `batch_size`: `harness._setup` does."""
+    An `ExperimentConfig` gives its rule its `batch_size`, and
+    `harness._setup` sets `consts`, which the pre-determined kinds read."""
 
     kind: str
     t_max: int
@@ -41,7 +41,7 @@ class StoppingRule:
     c_prime: Optional[float] = None
     scale_by_batch: bool = False
     consts: Optional[BoundConstants] = None
-    batch_size: int = 1
+    batch_size: Optional[int] = None
 
     # Each kind and the keys its rule reads besides t_max.
     _KINDS = {
@@ -68,7 +68,7 @@ class StoppingRule:
         for name, value in (("k", self.k), ("c_prime", self.c_prime)):
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"stopping.{name} must be finite")
-        if self.batch_size < 1:
+        if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 
     @property
@@ -113,12 +113,14 @@ def evaluate(
     one batch to the next; missing inputs yield "continue" with a diagnostic
     flag rather than an error.  Either online rule logs the current norms
     whenever it has them, so a stop trace holds every norm the rule read.
-    Pre-determined rules read neither, and a pre-determined rule without
-    bound constants is a ContractError.  The hard cap always stops with
-    cap_hit set.
+    Pre-determined rules read neither.  A pre-determined rule without bound
+    constants, or a rule with `scale_by_batch` and no batch size, is a
+    ContractError.  The hard cap always stops with cap_hit set.
     """
     if t < 1:
         raise ContractError("t must be >= 1")
+    if rule.scale_by_batch and rule.batch_size is None:
+        raise ContractError(f"stopping kind {rule.kind!r} scales c_prime by the batch size, and the rule has none")
     kind = rule.kind
     diagnostics: Dict[str, float] = {}
     stop = False

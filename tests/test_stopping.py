@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import math
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +21,7 @@ from banditstop import (
     TrueModel,
     UnsupportedCaseError,
     closed_form_stop_time,
+    config_from_dict,
     constant_clip,
     cumulative_cost_adjusted_regret,
     evaluate,
@@ -157,7 +161,7 @@ class TestCarriedNorms:
         _, traj = self.run(StoppingRule("online_opportunity", t_max=25, c_prime=1e-9), KnownSigma(1.0))
         checked = 0
         for before, now in zip(traj.stop_trace, traj.stop_trace[1:]):
-            if "var_norm_arm0" not in before.diagnostics:  # the first batch logs no norms
+            if "var_norm_arm0" not in before.diagnostics:  # no estimate, so no norms, at that batch
                 continue
             for arm in (0, 1):
                 prev, cur = before.diagnostics[f"var_norm_arm{arm}"], now.diagnostics[f"var_norm_arm{arm}"]
@@ -321,3 +325,22 @@ def test_predetermined_rule_without_constants(kind):
         with pytest.raises(ContractError, match=f"stopping kind '{kind}' reads bound constants"):
             call()
 
+
+
+def test_a_config_gives_its_rule_its_batch_size():
+    """The rule read from a config carried batch_size 1, so a scaled
+    opportunity level read c_prime, where the run used c_prime * batch_size."""
+    data = json.loads((Path(__file__).resolve().parents[1] / "configs" / "demo.json").read_text())
+    data["stopping"] = {"kind": "online_opportunity", "t_max": 200, "c_prime": 0.001, "scale_by_batch": True}
+    config = config_from_dict(data)
+    assert evaluate(config.stopping, 2, (0.9, 0.9), (1.0, 1.0)).diagnostics["level"] == 0.001 * 100
+    assert dataclasses.replace(config, batch_size=50).stopping.batch_size == 50
+
+
+def test_scaled_opportunity_rule_without_batch_size():
+    """Built directly, not read from a config, a rule has no batch size to
+    scale by, and evaluating it names its kind."""
+    rule = StoppingRule("online_opportunity", t_max=10, c_prime=0.001, scale_by_batch=True)
+    assert rule.batch_size is None
+    with pytest.raises(ContractError, match="stopping kind 'online_opportunity' scales c_prime by the batch size"):
+        evaluate(rule, 2, (0.9, 0.9), (1.0, 1.0))
