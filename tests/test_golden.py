@@ -14,7 +14,8 @@ must hold on any platform.
 
 Floating-point bits depend on the numpy build and the platform, so the file
 records the environment it was made in, and on another one the digest check
-fails with a message naming both.  A change that moves a digest on purpose
+fails with a message naming both.  The tier-1 workflow installs that numpy,
+and a check holds its pin to the recorded version.  A change that moves a digest on purpose
 re-records the file and says which digests moved and why:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -33,6 +34,7 @@ import hashlib
 import io
 import json
 import platform
+import re
 import tempfile
 from pathlib import Path
 
@@ -43,6 +45,7 @@ from banditstop import cli, harness, inference
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 SEEDS = (42, 7)
 
 # Applied to every case: small enough for the whole check to take seconds.
@@ -170,6 +173,13 @@ def test_outputs_equal_the_recorded_digests(key, golden, tmp_path):
     assert here == there, f"tests/golden.json was recorded under {there}, this is {here}: re-record it here"
     moved = moved_digests(want["digests"], got["digests"])
     assert not moved, f"{key}: digests moved: {moved}"
+
+
+def test_the_ci_numpy_pin_is_the_recorded_one(golden):
+    """The runner installs the numpy that the digests were recorded under, so
+    a re-record under another numpy fails here, not only on the runner."""
+    pins, recorded = re.findall(r"numpy==(\S+)", WORKFLOW.read_text()), golden["environment"]["numpy"]
+    assert pins == [recorded], f"{WORKFLOW.name} pins numpy {pins}; tests/golden.json was recorded under {recorded}"
 
 
 def moved_digests(want: dict, got: dict) -> list:
