@@ -23,7 +23,6 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .estimators import (
-    BatchOlsFit,
     IvwEstimate,
     KnownSigma,
     ResidualSigma,

@@ -294,7 +294,7 @@ def _lock_step_deviations(
 ) -> np.ndarray:
     dim = model.dim
     # Per pilot and arm, X'X and X'y over all units so far, summed batch by
-    # batch from `masked_sums` as `fit_batch_ols` and `ArmSums.add` sum them.
+    # batch from `masked_sums` as `fit_batch_ols` and `RunningSums.add` sum them.
     xx = np.zeros((len(rngs), 2, dim, dim))
     xy = np.zeros((len(rngs), 2, dim))
     for t in range(1, t_ref + 1):

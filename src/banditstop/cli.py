@@ -176,6 +176,7 @@ def _cmd_check_assumptions(args: argparse.Namespace) -> int:
         mc_samples=args.mc_samples,
         rng=make_rng(config.master_seed),
     )
+    bounds = config.bounds  # the margin constants the regret bounds assume, beside the estimates
     print(
         json.dumps(
             {
@@ -183,6 +184,8 @@ def _cmd_check_assumptions(args: argparse.Namespace) -> int:
                 "lambda_min_hat": report.lambda_min_hat,
                 "margin_scale_hat": report.margin_scale_hat,
                 "margin_exponent_hat": report.margin_exponent_hat,
+                "margin_const": None if bounds is None else bounds.margin_const,
+                "margin_exponent": None if bounds is None else bounds.margin_exponent,
                 "mc_samples": report.mc_samples,
                 "bounded_ok": report.bounded_ok,
                 "eigenvalue_ok": report.eigenvalue_ok,

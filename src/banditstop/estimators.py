@@ -10,9 +10,11 @@ is needed (confidence intervals, posterior draws).
 Running sums: a trajectory folds each batch's fit into one
 :class:`RunningSums` in O(d^2) (``policies.update_state``), so
 :func:`ivw_combine` and :func:`residual_noise_factors` cost the same at every
-batch index.  The same sums feed the policy: each arm's X'X and raw X'y over
-all units give the cumulative OLS estimate (:meth:`ArmSums.ols_estimate`),
-and a trajectory keeps no other store of them.  Under residual sigma the sums
+batch index.  They hold both arms as one (2, ...) stack, so each step of a
+batch (the fit, the fold, the combined Grams' check and solve) is one call
+over the arm axis.  The same sums feed the policy: each arm's X'X and raw
+X'y over all units give its cumulative OLS estimate, and a trajectory keeps
+no other store of them.  Under residual sigma the sums
 also keep the squared residual over all units, in the closed form
 ``sum (y - x'b)^2 = sum y^2 - 2 b'X'y + b'X'X b``; they keep e = y - x'ref
 in place of y, centred at the first usable batch estimate ref, so that the
@@ -35,10 +37,12 @@ y'y and the RSS, which only residual-sigma sums read.
 
 Stacking: a batch's per-arm sums are zero-masked full-length products
 (:func:`masked_sums`, :func:`masked_rss`), which numpy rounds the same for
-one batch alone or for a stack of members' batches.  The lock-step engine of
-``simulate.simulate_ensemble`` fits a stack with :func:`fit_arms` and folds
-it into :class:`StackedSums`, whose fold and combined estimate mirror
-:meth:`ArmSums.add` and :func:`ivw_combine` member by member, bit for bit.
+one batch alone or for a stack of members' batches.  A lone batch is fitted
+by :func:`fit_arms` over its arm axis (:func:`fit_batch_ols`); the lock-step
+engine of ``simulate.simulate_ensemble`` fits a stack of members with it too
+and folds it into :class:`StackedSums` by the fold of :class:`RunningSums`,
+whose combined estimate mirrors :func:`ivw_combine` member by member, bit
+for bit.
 Where a stacked select (``np.where``) would pick the same branch for every
 member, as it mostly does once every arm has a usable batch, only that
 branch is computed (:func:`select`).
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -76,12 +81,11 @@ SigmaMode = Union[KnownSigma, ResidualSigma]
 _NO_RESIDUAL_TERMS = "a fit made without residual terms cannot be folded into residual-sigma sums"
 
 
-@dataclass
-class ArmFit:
-    """One arm's OLS output in one batch; `beta` and `rss` are None when the
-    Gram is singular.  `moment` (X'y) and `sum_sq` (y'y) carry such an arm's
-    units into the running residual sums.  A fit made without residual terms
-    has None for both `rss` and `sum_sq`."""
+class ArmFit(NamedTuple):
+    """One arm's OLS output in one lone batch (`StackedFit.arm`); `beta` and
+    `rss` are None when the Gram is singular.  `moment` (X'y) and `sum_sq`
+    (y'y) carry such an arm's units into the running residual sums.  A fit
+    made without residual terms has None for both `rss` and `sum_sq`."""
 
     beta: Optional[np.ndarray]
     gram: np.ndarray
@@ -91,148 +95,123 @@ class ArmFit:
     sum_sq: Optional[float]
 
 
-@dataclass
-class BatchOlsFit:
-    arm0: ArmFit
-    arm1: ArmFit
+def _fold(sums, fit: StackedFit) -> None:
+    """Fold a batch's fit into running or stacked sums: `usable` picks, per
+    arm, whether its Gram and estimate count.  Where every arm takes the
+    same branch, only that one is computed.  X'X that starts as the combined
+    Grams' array (`RunningSums.empty`) stays that array while every arm has
+    been usable at every batch."""
+    u, beta, gram = fit.usable, fit.beta, fit.gram
+    first = None
+    if np.count_nonzero(sums.usable) < u.size:  # some arm's first usable batch may come now
+        first = u & (sums.usable == 0)
+        first = first if np.count_nonzero(first) else None
+    every = np.count_nonzero(u) == u.size
+    ref = sums.ref if first is None else np.where(first[..., None], beta, sums.ref)
+    if sums.ee is not None:
+        _fold_residual(sums, fit, ref, first, every)
+    sums.ref = ref
+    shared = sums.xx is sums.gram
+    summed = sums.gram + gram
+    sums.gram = summed if every else np.where(u[..., None, None], summed, sums.gram)
+    summed = sums.weighted + _mv(gram, beta)
+    sums.weighted = summed if every else np.where(u[..., None], summed, sums.weighted)
+    sums.usable = sums.usable + u
+    sums.xx = sums.gram if shared and every else sums.xx + gram
+    sums.xy = sums.xy + fit.moment
+    sums.count = sums.count + fit.count
+    sums.t += 1
 
-    def arm(self, a: int) -> ArmFit:
-        return self.arm1 if a == 1 else self.arm0
 
-
-@dataclass
-class ArmSums:
-    """One arm's running sums.  `gram`, `weighted` (Gram @ beta) and `usable`
-    count only batches whose own Gram is invertible; `xx`, `xy` (X'y) and
-    `count` cover all units.  `ref` is zero until the first usable batch, then
-    its estimate: the combined one while it is alone.  `xe` (X'e) and `ee`
-    (e'e), with e = y - x'ref, are the residual terms over all units; sums
-    made without them (``residual=False``) hold None in both.
-
-    Until the arm's first singular batch, `gram` and `xx` receive the same
-    additions in the same order, so they are one array: one sum per batch,
-    and :meth:`ols_estimate` reads the singularity verdict that
-    :func:`ivw_combine` took of it (:meth:`check_gram`) instead of a second
-    eigendecomposition.
-    """
-
-    gram: np.ndarray
-    weighted: np.ndarray
-    usable: int
-    xx: np.ndarray
-    xy: np.ndarray
-    count: int
-    ref: np.ndarray
-    xe: Optional[np.ndarray]
-    ee: Optional[float]
-    # Not a field: the last combined Gram `check_gram` checked, and its verdict.
-    _checked = (None, False)
-
-    @classmethod
-    def empty(cls, dim: int, residual: bool = True) -> "ArmSums":
-        gram = np.zeros((dim, dim))
-        return cls(
-            gram=gram,
-            weighted=np.zeros(dim),
-            usable=0,
-            xx=gram,
-            xy=np.zeros(dim),
-            count=0,
-            ref=np.zeros(dim),
-            xe=np.zeros(dim) if residual else None,
-            ee=0.0 if residual else None,
+def _fold_residual(sums, fit: StackedFit, ref: np.ndarray, first: Optional[np.ndarray], every: bool) -> None:
+    """The residual terms of `_fold`, against the new `ref`: OLS
+    orthogonality makes a usable batch's residuals against ref its own
+    residuals plus X (beta_b - ref), with X' resid = 0."""
+    if fit.sum_sq is None:
+        raise ContractError(_NO_RESIDUAL_TERMS)
+    u, beta, gram = fit.usable, fit.beta, fit.gram
+    ee, xe = sums.ee, sums.xe
+    if first is not None:  # some arm's first usable batch: recentre its earlier sums
+        shift = beta - sums.ref
+        ee = np.where(first, ee + (_quad(shift, sums.xx) - 2.0 * _dot(shift, xe)), ee)
+        xe = np.where(first[..., None], xe - _mv(sums.xx, shift), xe)
+    diff = beta - ref
+    gd = _mv(gram, diff)
+    xe, ee = xe + gd, ee + (fit.rss + _dot(diff, gd))
+    if not every:  # singular arms fold their raw terms against the unchanged ref
+        xe = np.where(u[..., None], xe, sums.xe + fit.moment - _mv(gram, sums.ref))
+        ee = np.where(
+            u, ee, sums.ee + (fit.sum_sq - 2.0 * _dot(sums.ref, fit.moment) + _quad(sums.ref, gram))
         )
-
-    def add(self, fit: ArmFit) -> None:
-        if self.ee is not None:
-            self._add_residual(fit)
-        shared = self.xx is self.gram
-        if fit.beta is not None:
-            if self.usable == 0:
-                self.ref = fit.beta
-            self.gram = self.gram + fit.gram
-            self.weighted = self.weighted + fit.gram @ fit.beta
-            self.usable += 1
-        self.xx = self.gram if shared and fit.beta is not None else self.xx + fit.gram
-        self.xy = self.xy + fit.moment
-        self.count += fit.count
-
-    def _add_residual(self, fit: ArmFit) -> None:
-        if fit.sum_sq is None:
-            raise ContractError(_NO_RESIDUAL_TERMS)
-        ref = self.ref
-        if fit.beta is None:
-            self.xe = self.xe + fit.moment - fit.gram @ ref
-            self.ee += fit.sum_sq - 2.0 * (ref @ fit.moment) + ref @ fit.gram @ ref
-            return
-        if self.usable == 0:
-            # Recentre the sums of earlier singular batches at this estimate.
-            shift = fit.beta - ref
-            self.ee += shift @ self.xx @ shift - 2.0 * (shift @ self.xe)
-            self.xe = self.xe - self.xx @ shift
-            ref = fit.beta
-        # OLS orthogonality: the batch's residuals against ref are its own
-        # residuals plus X (beta_b - ref), with X' resid = 0.
-        gd = fit.gram @ (fit.beta - ref)
-        self.xe = self.xe + gd
-        self.ee += fit.rss + (fit.beta - ref) @ gd
-
-    def check_gram(self):
-        """`linalg.gram_check` of the combined Gram, kept for `ols_estimate`
-        while X'X is that array."""
-        invertible, smallest = gram_check(self.gram)
-        self._checked = (self.gram, invertible)
-        return invertible, smallest
-
-    def ols_estimate(self) -> Optional[np.ndarray]:
-        """Cumulative OLS estimate over all units, or None while X'X is singular."""
-        checked, invertible = self._checked
-        if checked is not self.xx:
-            invertible = is_invertible_gram(self.xx)
-        if not invertible:
-            return None
-        return solve_spd(self.xx, self.xy)
-
-    def squared_residual(self, beta: np.ndarray) -> float:
-        """Sum of (y - x'beta)^2 over all units of this arm."""
-        delta = beta - self.ref
-        # Rounding can leave a residual of (near) zero slightly negative.
-        return max(float(self.ee - 2.0 * (delta @ self.xe) + delta @ self.xx @ delta), 0.0)
+    sums.xe, sums.ee = xe, ee
 
 
 @dataclass
 class RunningSums:
-    """Both arms' running sums over a trajectory; `len()` is the number of
-    batches added."""
+    """A trajectory's running sums, both arms stacked on a leading axis of 2:
+    `gram` and `xx` (2, d, d); `weighted`, `xy`, `ref` and `xe` (2, d);
+    `usable`, `count` and `ee` (2,).  `gram`, `weighted` (Gram @ beta) and
+    `usable` count only batches whose own Gram is invertible; `xx`, `xy`
+    (X'y) and `count` cover all units.  An arm's `ref` is zero until its
+    first usable batch, then that batch's estimate: the combined one while it
+    is alone.  `xe` (X'e) and `ee` (e'e), with e = y - x'ref, are the
+    residual terms over all units; sums made without them (``residual=False``)
+    hold None in both.  `len()` is the number of batches added.
 
-    arm0: ArmSums
-    arm1: ArmSums
+    Until an arm's first singular batch, `gram` and `xx` receive the same
+    additions in the same order, so while neither arm has had one they are
+    one array: one sum per batch, and the policy reads the singularity
+    verdict that :func:`ivw_combine` took of it (:meth:`check_gram`) instead
+    of a second eigendecomposition.
+    """
+
+    gram: np.ndarray
+    weighted: np.ndarray
+    usable: np.ndarray
+    xx: np.ndarray
+    xy: np.ndarray
+    count: np.ndarray
+    ref: np.ndarray
+    xe: Optional[np.ndarray]
+    ee: Optional[np.ndarray]
     t: int = 0
+    # Not a field: the last combined Gram `check_gram` checked, and its
+    # verdict, which the policy reads while X'X is that array.
+    checked = (None, None)
 
     @classmethod
     def empty(cls, dim: int, residual: bool = True) -> "RunningSums":
         """Sums with the residual terms, or without them (`residual` False)
         for a known noise scale, which never reads them."""
-        return cls(arm0=ArmSums.empty(dim, residual), arm1=ArmSums.empty(dim, residual))
+        gram = np.zeros((2, dim, dim))
+        xe, ee = (np.zeros((2, dim)), np.zeros(2)) if residual else (None, None)
+        ints, vec = np.zeros(2, dtype=int), np.zeros((2, dim))
+        return cls(gram, vec, ints, gram, vec.copy(), ints.copy(), vec.copy(), xe, ee)
 
     @property
     def dim(self) -> int:
-        return self.arm0.xy.size
-
-    def arm(self, a: int) -> ArmSums:
-        return self.arm1 if a == 1 else self.arm0
+        return self.xy.shape[-1]
 
     def __len__(self) -> int:
         return self.t
 
+    add = _fold  # fold one batch's fit in; t advances by 1
+
+    def check_gram(self):
+        """`linalg.gram_check` of both combined Grams, kept for the policy
+        while X'X is that array."""
+        invertible, smallest = gram_check(self.gram)
+        self.checked = (self.gram, invertible)
+        return invertible, smallest
+
 
 @dataclass
 class StackedSums:
-    """The `ArmSums` of many members at once: each field gains leading
-    (member, arm) axes.  `add` folds one batch per member the way
-    `ArmSums.add` does; each of its products is a stacked matmul that rounds
-    as the 1-d/2-d one there does (`tests/test_stack_invariance.py`), so
-    every member's sums equal, bit for bit, those of its lone trajectory."""
+    """The `RunningSums` of many members at once: each field gains a leading
+    member axis.  `add` folds one batch per member as `RunningSums.add` does
+    (`_fold`); each of its products is a stacked matmul that rounds as it
+    does for one member (`tests/test_stack_invariance.py`), so every
+    member's sums equal, bit for bit, those of its lone trajectory."""
 
     gram: np.ndarray
     weighted: np.ndarray
@@ -247,58 +226,18 @@ class StackedSums:
 
     @classmethod
     def empty(cls, members: int, dim: int, residual: bool = True) -> "StackedSums":
-        def stack(z):
-            return None if z is None else np.zeros((members, 2) + np.shape(z), np.result_type(z))
-
-        lone = ArmSums.empty(dim, residual)
-        return cls(*(stack(getattr(lone, f.name)) for f in fields(ArmSums)))
+        lone = RunningSums.empty(dim, residual)
+        arrays = (getattr(lone, f.name) for f in fields(RunningSums)[:-1])
+        return cls(*(None if z is None else np.zeros((members,) + z.shape, z.dtype) for z in arrays))
 
     def __len__(self) -> int:
         return self.t
 
-    def add(self, fit: StackedFit) -> None:
-        # Both branches of `ArmSums.add` for every arm; `usable` picks one.
-        # Where every arm takes the same branch, only that one is computed.
-        u, beta, gram = fit.usable, fit.beta, fit.gram
-        first = u & (self.usable == 0)
-        first = first if np.count_nonzero(first) else None
-        every = np.count_nonzero(u) == u.size
-        ref = self.ref if first is None else np.where(first[..., None], beta, self.ref)
-        if self.ee is not None:
-            self._add_residual(fit, ref, first, every)
-        self.ref = ref
-        summed = self.gram + gram
-        self.gram = summed if every else np.where(u[..., None, None], summed, self.gram)
-        summed = self.weighted + _mv(gram, beta)
-        self.weighted = summed if every else np.where(u[..., None], summed, self.weighted)
-        self.usable = self.usable + u
-        self.xx = self.xx + gram
-        self.xy = self.xy + fit.moment
-        self.count = self.count + fit.count
-        self.t += 1
-
-    def _add_residual(self, fit: StackedFit, ref: np.ndarray, first: Optional[np.ndarray], every: bool) -> None:
-        if fit.sum_sq is None:
-            raise ContractError(_NO_RESIDUAL_TERMS)
-        u, beta, gram = fit.usable, fit.beta, fit.gram
-        ee, xe = self.ee, self.xe
-        if first is not None:  # some arm's first usable batch: recentre its earlier sums
-            shift = beta - self.ref
-            ee = np.where(first, ee + (_quad(shift, self.xx) - 2.0 * _dot(shift, xe)), ee)
-            xe = np.where(first[..., None], xe - _mv(self.xx, shift), xe)
-        diff = beta - ref
-        gd = _mv(gram, diff)
-        xe, ee = xe + gd, ee + (fit.rss + _dot(diff, gd))
-        if not every:  # singular arms fold their raw terms against the unchanged ref
-            xe = np.where(u[..., None], xe, self.xe + fit.moment - _mv(gram, self.ref))
-            ee = np.where(
-                u, ee, self.ee + (fit.sum_sq - 2.0 * _dot(self.ref, fit.moment) + _quad(self.ref, gram))
-            )
-        self.xe, self.ee = xe, ee
+    add = _fold  # one batch per member, as `RunningSums.add` folds one
 
     def take(self, keep: np.ndarray) -> "StackedSums":
         """The members where `keep` is True."""
-        kept = (getattr(self, f.name) for f in fields(ArmSums))
+        kept = (getattr(self, f.name) for f in fields(self)[:-1])
         return StackedSums(*(None if z is None else z[keep] for z in kept), t=self.t)
 
     def combine(self, sigma_mode: SigmaMode, batch_size: int) -> "StackedEstimate":
@@ -316,10 +255,10 @@ class StackedSums:
             sd = np.full(ok.shape + (2,), sigma_mode.sigma)
         else:
             ok &= (self.count > self.xy.shape[-1]).all(axis=-1)
-            gram = select(ok[:, None, None, None], self.gram, np.eye(self.xy.shape[-1]))
+            gram = select(ok[:, None, None, None], self.gram, _identity(self.xy.shape[-1]))
             beta = select(ok[:, None, None] & (self.usable > 1)[..., None], solve_spd(gram, self.weighted), self.ref)
-            # `ArmSums.squared_residual` over the count, max(., 0) as Python's;
-            # members without the estimate get a finite stand-in.
+            # `_noise_factors` over the stack; members without the estimate
+            # get a finite stand-in.
             delta = beta - self.ref
             sq = self.ee - 2.0 * _dot(delta, self.xe) + _quad(delta, self.xx)
             factor = np.where(0.0 > sq, 0.0, sq) / np.maximum(self.count, 1)
@@ -332,7 +271,7 @@ class StackedSums:
         batch, from the member's rows of these sums and of their `combine`."""
         norms, sd, factor = (tuple(z[k].tolist()) for z in (combined.norms, combined.sd, combined.factor))
         single = tuple(ref if u == 1 else None for ref, u in zip(self.ref[k], self.usable[k].tolist()))
-        return IvwCombination(norms, batch_size, sd, tuple(self.gram[k]), factor, tuple(self.weighted[k]), single)
+        return IvwCombination(norms, batch_size, sd, self.gram[k], factor, self.weighted[k], single)
 
 
 class StackedEstimate(NamedTuple):
@@ -397,9 +336,9 @@ class IvwCombination(NamedTuple):
     var_norms: tuple[float, float]
     batch_size: int
     noise_sd: tuple[float, float]
-    grams: tuple[np.ndarray, np.ndarray]
+    grams: np.ndarray  # (2, d, d)
     factors: tuple[float, float]
-    weighted: tuple[np.ndarray, np.ndarray]
+    weighted: np.ndarray  # (2, d)
     single: tuple[Optional[np.ndarray], Optional[np.ndarray]]
 
     @property
@@ -429,16 +368,13 @@ def fit_batch_ols(
     rewards: np.ndarray,
     *,
     residual: bool = True,
-) -> BatchOlsFit:
-    """Per-arm OLS on one batch.
-
-    Solves the normal equations by LU (`linalg.solve_spd`); an arm whose Gram
-    matrix is singular gets beta=None (the Gram and count are still reported).
-    Each arm's sums are zero-masked full-length products (`masked_sums`), so
-    they round the same whether the batch is fitted alone or stacked with
-    others.  With `residual` False the residual terms, y'y and the residual
-    sums of squares, which only residual-sigma running sums read, are not
-    computed: both are None.
+) -> StackedFit:
+    """Per-arm OLS on one batch: `fit_arms` of a lone batch, whose arms'
+    sums, singularity checks, solves and residuals each run once over the
+    arm axis.  `StackedFit.arm` reads back one arm's fit: beta=None where its
+    Gram matrix is singular (the Gram and count are still reported).  With
+    `residual` False the residual terms, y'y and the residual sums of
+    squares, which only residual-sigma running sums read, are not computed.
     """
     contexts = np.asarray(contexts, dtype=float)
     actions = np.asarray(actions)
@@ -448,20 +384,10 @@ def fit_batch_ols(
         raise ContractError("contexts must be a 2-d matrix")
     if actions.shape != (n,) or rewards.shape != (n,):
         raise ContractError("actions/rewards must align with contexts")
-    masks, counts = split_arms(actions)
-
-    arms = []
-    for mask, count in zip(masks, counts):
-        w = mask.astype(float)
-        gram, moment, sum_sq = masked_sums(contexts, rewards, w, residual)
-        beta, rss = None, None
-        if is_invertible_gram(gram):
-            beta = solve_spd(gram, moment)
-            if residual:
-                rss = float(masked_rss(contexts, rewards, w, beta))
-        sum_sq = None if sum_sq is None else float(sum_sq)
-        arms.append(ArmFit(beta, gram, count, rss, moment, sum_sq))
-    return BatchOlsFit(arm0=arms[0], arm1=arms[1])
+    (arm0, arm1), counts = split_arms(actions)
+    w = np.empty((2, n))
+    w[0], w[1] = arm0, arm1
+    return _fit(contexts[None], rewards[None], w, np.array(counts), residual)
 
 
 class StackedFit(NamedTuple):
@@ -478,6 +404,28 @@ class StackedFit(NamedTuple):
     beta: np.ndarray
     rss: Optional[np.ndarray]
 
+    def arm(self, a: int) -> ArmFit:
+        """Arm a's fit, of a lone batch's fit."""
+        usable = bool(self.usable[a])
+        rss = float(self.rss[a]) if usable and self.rss is not None else None
+        sum_sq = None if self.sum_sq is None else float(self.sum_sq[a])
+        return ArmFit(self.beta[a] if usable else None, self.gram[a], int(self.count[a]), rss, self.moment[a], sum_sq)
+
+    arm0 = property(lambda self: self.arm(0))
+    arm1 = property(lambda self: self.arm(1))
+
+    @classmethod
+    def of_arms(cls, arm0: ArmFit, arm1: ArmFit) -> "StackedFit":
+        """The lone batch fit whose arms' fits are `arm0` and `arm1`; it has
+        residual terms if both arms have y'y."""
+        arms = (arm0, arm1)
+        residual = arm0.sum_sq is not None and arm1.sum_sq is not None
+        beta = np.stack([np.zeros(a.gram.shape[-1]) if a.beta is None else a.beta for a in arms])
+        sum_sq = np.array([a.sum_sq for a in arms]) if residual else None
+        rss = np.array([0.0 if a.rss is None else a.rss for a in arms]) if residual else None
+        usable, count = np.array([a.beta is not None for a in arms]), np.array([a.count for a in arms])
+        return cls(np.stack([a.gram for a in arms]), np.stack([a.moment for a in arms]), count, sum_sq, usable, beta, rss)
+
 
 def fit_arms(
     contexts: np.ndarray, rewards: np.ndarray, masks: np.ndarray, residual: bool = True
@@ -488,13 +436,19 @@ def fit_arms(
     of squares) if `residual`.  The sums, the singularity checks, the
     solves and the residuals run once over the stack; singular
     Grams are solved as the identity and their estimates zeroed."""
-    x, y, w = contexts[..., None, :, :], rewards[..., None, :], masks.astype(float)
+    x, y = contexts[..., None, :, :], rewards[..., None, :]
+    return _fit(x, y, masks.astype(float), np.add.reduce(masks, axis=-1), residual)
+
+
+def _fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, count: np.ndarray, residual: bool) -> StackedFit:
+    """`fit_arms` of contexts x (..., 1, n, d) and rewards y (..., 1, n),
+    given the arms' 0/1 weights w (..., 2, n) and unit counts (..., 2)."""
     gram, moment, sum_sq = masked_sums(x, y, w, residual)
     usable = is_invertible_gram(gram)
-    solved = solve_spd(select(usable[..., None, None], gram, np.eye(gram.shape[-1])), moment)
+    solved = solve_spd(select(usable[..., None, None], gram, _identity(gram.shape[-1])), moment)
     beta = select(usable[..., None], solved, 0.0)
     rss = masked_rss(x, y, w, beta) if residual else None
-    return StackedFit(gram, moment, np.add.reduce(masks, axis=-1), sum_sq, usable, beta, rss)
+    return StackedFit(gram, moment, count, sum_sq, usable, beta, rss)
 
 
 def arm_masks(arm1: np.ndarray) -> np.ndarray:
@@ -503,6 +457,14 @@ def arm_masks(arm1: np.ndarray) -> np.ndarray:
     np.logical_not(arm1, out=masks[..., 0, :])
     masks[..., 1, :] = arm1
     return masks
+
+
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """``np.eye(dim)``, made once and read-only: `select`'s stand-in."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
 
 def select(mask: np.ndarray, a: np.ndarray, b) -> np.ndarray:
@@ -537,39 +499,36 @@ def masked_rss(contexts: np.ndarray, rewards: np.ndarray, w: np.ndarray, beta: n
     return np.add.reduce(resid * resid, axis=-1)
 
 
-def _smallest_eigenvalue(sums: RunningSums, arm: int) -> float:
-    """The smallest eigenvalue of the arm's combined Gram, once it has the estimate."""
-    s = sums.arm(arm)
-    if s.usable == 0:
-        raise EstimatorUnavailable(f"no batch with a usable arm-{arm} fit")
-    invertible, smallest = s.check_gram()
-    if not invertible:
-        raise EstimatorUnavailable(f"combined arm-{arm} Gram matrix is singular")
-    return smallest
-
-
 def _combined_estimate(gram: np.ndarray, weighted: np.ndarray, single: Optional[np.ndarray]) -> np.ndarray:
     """The Gram-weighted estimate: the only usable batch's own estimate, or
     the solution of gram @ beta = weighted."""
     return single.copy() if single is not None else solve_spd(gram, weighted)
 
 
+def _noise_factors(sums: RunningSums, beta: np.ndarray, dim: int) -> tuple[float, float]:
+    """Each arm's mean squared residual over all its units against its row
+    of `beta` (2, d), once each arm has more units than the dimension: from
+    the residual sums, sum (y - x'beta)^2 = e'e - 2 delta'X'e + delta'X'X delta
+    with delta = beta - ref, floored at zero, which rounding can undershoot.
+    The last steps run on Python floats, the same IEEE operations as numpy's."""
+    counts = sums.count.tolist()
+    for a, count in enumerate(counts):
+        if count < dim + 1:
+            raise EstimatorUnavailable(f"arm {a} has {count} observations; need at least dim + 1 for residuals")
+    delta = beta - sums.ref
+    terms = zip(sums.ee.tolist(), _dot(delta, sums.xe).tolist(), _quad(delta, sums.xx).tolist(), counts)
+    f0, f1 = (max(ee - 2.0 * dot + quad, 0.0) / count for ee, dot, quad, count in terms)
+    return f0, f1
+
+
 def residual_noise_factors(
     sums: RunningSums, beta0: np.ndarray, beta1: np.ndarray
 ) -> tuple[float, float]:
     """Per-arm mean squared residuals over all units, against the supplied estimates."""
-    if sums.arm0.ee is None:
+    if sums.ee is None:
         raise ContractError("these running sums keep no residual terms (made for a known noise scale)")
-    dim = np.asarray(beta0).size
-    factors = []
-    for a, beta in ((0, beta0), (1, beta1)):
-        s = sums.arm(a)
-        if s.count < dim + 1:
-            raise EstimatorUnavailable(
-                f"arm {a} has {s.count} observations; need at least dim + 1 for residuals"
-            )
-        factors.append(s.squared_residual(np.asarray(beta, float)) / s.count)
-    return factors[0], factors[1]
+    beta = np.stack([np.asarray(beta0, float), np.asarray(beta1, float)])
+    return _noise_factors(sums, beta, beta.shape[-1])
 
 
 def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> IvwCombination:
@@ -577,29 +536,43 @@ def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> Iv
     variance is ``batch_size * (sum of contributing Grams)^{-1} * factor``:
     sigma^2 with a known noise scale, else the arm's mean squared residual
     against its combined estimate.  Only the residual factors need the
-    estimates now; otherwise they are solved when read.  Stacked sums give
-    `StackedSums.combine` of all members at once."""
+    estimates now; otherwise they are solved when read.  Both arms' Grams
+    are checked by one eigendecomposition call, and their estimates solved
+    by one LAPACK call.  Stacked sums give `StackedSums.combine` of all
+    members at once."""
     if isinstance(sums, StackedSums):
         return sums.combine(sigma_mode, batch_size)
     if not sums:
         raise EstimatorUnavailable("no batch fits supplied")
-    low0, low1 = _smallest_eigenvalue(sums, 0), _smallest_eigenvalue(sums, 1)
-    grams = (sums.arm0.gram, sums.arm1.gram)
-    weighted = (sums.arm0.weighted, sums.arm1.weighted)
-    single = tuple(s.ref if s.usable == 1 else None for s in (sums.arm0, sums.arm1))
+    usable = sums.usable.tolist()
+    if usable[0] == 0:
+        raise EstimatorUnavailable("no batch with a usable arm-0 fit")
+    invertible, smallest = sums.check_gram()
+    for arm, (u, ok) in enumerate(zip(usable, invertible.tolist())):
+        if u == 0:
+            raise EstimatorUnavailable(f"no batch with a usable arm-{arm} fit")
+        if not ok:
+            raise EstimatorUnavailable(f"combined arm-{arm} Gram matrix is singular")
+    single = (sums.ref[0] if usable[0] == 1 else None, sums.ref[1] if usable[1] == 1 else None)
     if isinstance(sigma_mode, KnownSigma):
         factors = (sigma_mode.sigma**2, sigma_mode.sigma**2)
         noise_sd = (sigma_mode.sigma, sigma_mode.sigma)
     else:
-        factors = residual_noise_factors(sums, *map(_combined_estimate, grams, weighted, single))
+        beta = sums.ref
+        if usable[0] > 1 or usable[1] > 1:
+            beta = solve_spd(sums.gram, sums.weighted)
+            if 1 in usable:  # an arm's only usable batch is its estimate
+                beta = np.where((sums.usable == 1)[:, None], sums.ref, beta)
+        factors = _noise_factors(sums, beta, sums.dim)
         noise_sd = (math.sqrt(factors[0]), math.sqrt(factors[1]))
+    low0, low1 = smallest.tolist()
     return IvwCombination(
-        var_norms=(float(batch_size * factors[0] / low0), float(batch_size * factors[1] / low1)),
+        var_norms=(batch_size * factors[0] / low0, batch_size * factors[1] / low1),
         batch_size=batch_size,
         noise_sd=noise_sd,
-        grams=grams,
+        grams=sums.gram,
         factors=factors,
-        weighted=weighted,
+        weighted=sums.weighted,
         single=single,
     )
 

@@ -43,8 +43,9 @@ from .bounds import (
     regret_bound_from_variance,
     regret_bound_time,
 )
-from .errors import ConfigError, ContractError, InfeasibleConditioning
-from .estimators import IvwEstimate, KnownSigma, ResidualSigma, SigmaMode
+from .errors import ConfigError, ContractError, EstimatorUnavailable, InfeasibleConditioning
+from .estimators import ArmFit, IvwEstimate, KnownSigma, ResidualSigma, RunningSums, SigmaMode, StackedFit
+from .estimators import ivw_combine
 from .inference import RESIMULATION_REJECTION, ConditionalSamplerConfig, run_inference
 from .linalg import eigvalsh, require_symmetric
 from .model import (
@@ -637,15 +638,15 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
     if not 1 <= stop_time <= config.stopping.t_max:
         raise ConfigError(f"trajectory key 'stop_time' must lie in 1..{config.stopping.t_max}")
     entries = _stored(payload, "sufficient_stats", _LIST)
+    stats = []  # per batch (beta1, gram1, beta0, gram0), as `Trajectory.stats`
     for i, e in enumerate(entries):
         path = f"sufficient_stats[{i}]"
         e = _DICT.read(e, f"trajectory key {path!r}")
         if _stored(e, f"{path}.batch_index", _INT) != i + 1:
             raise ConfigError(f"trajectory key '{path}.batch_index' must be {i + 1}")
-        for a in (1, 0):
-            _stored(e, f"{path}.beta{a}", _ARRAY, vec, nullable=True)
-        for a in (1, 0):
-            _stored(e, f"{path}.gram{a}", _ARRAY, mat)
+        b1, b0 = (_stored(e, f"{path}.beta{a}", _ARRAY, vec, nullable=True) for a in (1, 0))
+        g1, g0 = (_stored(e, f"{path}.gram{a}", _ARRAY, mat) for a in (1, 0))
+        stats.append((b1, g1, b0, g0))
     if len(entries) != stop_time:
         raise ConfigError(f"trajectory key 'sufficient_stats' must have stop_time = {stop_time} entries")
     # A cap hit means the rule did not fire by t_max; resimulation conditions on it.
@@ -659,7 +660,7 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
     trace = _stored(payload, "stop_trace", _LIST)
     if len(trace) != stop_time:
         raise ConfigError(f"trajectory key 'stop_trace' must have stop_time = {stop_time} entries")
-    previous = None
+    previous, logged = None, []
     for i, d in enumerate(trace):
         path, last = f"stop_trace[{i}]", i + 1 == stop_time
         diagnostics = _stored(_DICT.read(d, f"trajectory key {path!r}"), f"{path}.diagnostics", _DICT)
@@ -675,6 +676,7 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
                 f"and 'cap_hit' is {json.dumps(cap_hit)}"
             )
         previous = current
+        logged.append(current)
     # Resimulation draws the surrogates' noise at the stored plug-in scales.
     resimulation = config.inference is not None and config.inference.mode == RESIMULATION_REJECTION
     noise_sd = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=not resimulation)
@@ -697,6 +699,8 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
         batch_size=batch_size,
         noise_sd=None if noise_sd is None else tuple(noise_sd.tolist()),
     )
+    if isinstance(config.sigma_mode, KnownSigma):
+        _refold(stats, None if config.stopping.predetermined else logged, ivw, config)
     return ExperimentRecord(
         rep_index=_stored(payload, "rep", _INT),
         seed=_stored(payload, "seed", _INT),
@@ -709,6 +713,25 @@ def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> Experimen
         inference=None,
         inference_seed=_stored(payload, "inference_seed", _INT),
     )
+
+
+def _refold(stats, logged: Optional[list], ivw: IvwEstimate, config: ExperimentConfig) -> None:
+    """Under a known noise scale a trajectory's stored (beta, G) pairs alone
+    give the norms an online rule reads and the terminal estimate: fold them
+    as the run did and require, bit for bit, the norms the stop trace logs
+    (`logged`, None for a pre-determined rule) and the stored terminal."""
+    sums, zero, combined = RunningSums.empty(config.model.dim, residual=False), np.zeros(config.model.dim), None
+    for i, (b1, g1, b0, g0) in enumerate(stats):
+        sums.add(StackedFit.of_arms(ArmFit(b0, g0, 0, None, zero, None), ArmFit(b1, g1, 0, None, zero, None)))
+        try:
+            combined = ivw_combine(sums, config.sigma_mode, config.batch_size)
+        except EstimatorUnavailable:
+            combined = None
+        if logged is not None and logged[i] != (None if combined is None else combined.var_norms):
+            raise ConfigError(f"trajectory key 'sufficient_stats[{i}]' does not give the norms 'stop_trace[{i}]' logs")
+    names = ("beta0", "beta1", "var0", "var1")
+    if combined is None or any(getattr(combined, k).tobytes() != getattr(ivw, k).tobytes() for k in names):
+        raise ConfigError("trajectory key 'terminal' is not the combined estimate its 'sufficient_stats' give")
 
 
 def load_trajectory(path: str, config: ExperimentConfig) -> ExperimentRecord:

@@ -37,8 +37,7 @@ def eigvalsh(matrix: np.ndarray) -> np.ndarray:
 def is_invertible_gram(gram: np.ndarray):
     """The singularity rule, smallest > RTOL * max(largest, 1), for one (d, d)
     Gram matrix (a numpy bool) or for each of a stack (..., d, d) (a bool
-    array); a NaN eigenvalue fails it.  Rounding is monotone, so RTOL * max(l, 1)
-    equals max(RTOL * l, RTOL) exactly and the rule splits into two comparisons."""
+    array); a NaN eigenvalue fails it."""
     return gram_check(gram)[0]
 
 
@@ -49,7 +48,7 @@ def gram_check(gram: np.ndarray):
     eigendecomposition."""
     eigs = eigvalsh(gram)  # [()] makes a lone matrix's values numpy scalars, faster than 0-d arrays
     smallest, largest = eigs[..., 0][()], eigs[..., -1][()]
-    return (smallest > GRAM_SINGULARITY_RTOL * largest) & (smallest > GRAM_SINGULARITY_RTOL), smallest
+    return smallest > GRAM_SINGULARITY_RTOL * np.maximum(largest, 1.0), smallest
 
 
 def _checked(out: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 Thompson sampling, all frozen within a batch and clipped away from 0 and 1.
 
 The policies read a trajectory's running sums (`estimators.RunningSums`):
-each arm's cumulative OLS estimate and X'X over all units so far.
+both arms' cumulative OLS estimates and X'X over all units so far, each
+solved or inverted by one LAPACK call over the arm axis.
 `update_state` folds one batch's fit into those sums.  Probabilities are
 computed in closed form (Thompson included), so they are a pure function of
 the sums and the contexts.  `probabilities_from_estimates` holds the
@@ -22,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .estimators import BatchOlsFit, RunningSums, select
+from .estimators import RunningSums, StackedFit, select
 
 from .linalg import inverse_spd, is_invertible_gram, solve_spd
 
@@ -120,15 +121,15 @@ def action_probabilities(
     if isinstance(kind, UniformRandom):
         return np.full(n, 0.5)
 
-    b0 = sums.arm0.ols_estimate()
-    b1 = sums.arm1.ols_estimate()
-    if b0 is None or b1 is None:
+    # While X'X is the combined Gram, `ivw_combine` has checked it already.
+    checked, invertible = sums.checked
+    if checked is not sums.xx:
+        invertible = is_invertible_gram(sums.xx)
+    if np.count_nonzero(invertible) < 2:
         return np.full(n, 0.5)
-    inv0 = inv1 = None
-    if needs_inverses(kind):
-        inv0 = inverse_spd(sums.arm0.xx)
-        inv1 = inverse_spd(sums.arm1.xx)
-    return probabilities_from_estimates(kind, sums.t + 1, contexts, b0, b1, inv0, inv1)
+    b = solve_spd(sums.xx, sums.xy)
+    inv = inverse_spd(sums.xx) if needs_inverses(kind) else (None, None)
+    return probabilities_from_estimates(kind, sums.t + 1, contexts, b[0], b[1], inv[0], inv[1])
 
 
 def stacked_probabilities(
@@ -198,15 +199,12 @@ def probabilities_from_estimates(
         spread = kind.sigma_prior * np.sqrt(
             np.maximum(_quadratic_forms(contexts, inv0 + inv1), 0.0)
         )
-        probs = _ndtr()(np.divide(gap, spread, out=np.zeros(gap.shape), where=spread > 0))
-        degenerate = spread == 0
-        if degenerate.any():
-            probs = np.where(
-                degenerate,
-                np.where(gap > 0, 1.0, np.where(gap < 0, 0.0, 0.5)),
-                probs,
-            )
-        return probs
+        positive = spread > 0
+        if np.count_nonzero(positive) == positive.size:
+            return _ndtr()(gap / spread)
+        # Some spread is zero (or NaN): there the sign of the gap decides.
+        probs = _ndtr()(np.divide(gap, spread, out=np.zeros(gap.shape), where=positive))
+        return np.where(spread == 0, np.where(gap > 0, 1.0, np.where(gap < 0, 0.0, 0.5)), probs)
 
     raise ConfigError(f"unknown policy kind {type(kind).__name__}")
 
@@ -246,10 +244,8 @@ def select_actions(
     return rng.random(pre.shape[0]) < post
 
 
-def update_state(sums: RunningSums, fit: BatchOlsFit) -> None:
+def update_state(sums: RunningSums, fit: StackedFit) -> None:
     """Fold one completed batch's fit into the running sums (t advances by 1)."""
-    if fit.arm0.gram.shape != (sums.dim, sums.dim):
+    if fit.gram.shape != sums.gram.shape:
         raise ContractError("the fit does not match the dimension of the sums")
-    sums.arm0.add(fit.arm0)
-    sums.arm1.add(fit.arm1)
-    sums.t += 1
+    sums.add(fit)

@@ -28,12 +28,15 @@ combination its lone trajectory would hold (`StackedSums.combination`).
 The stack shrinks only on a batch where some member stops.
 
 The lone loop's fixed cost per batch is a few dozen numpy calls, so it
-makes none it can skip with the same bits: actions pass from
-`select_actions` as an arm-1 bool mask, which `realize_rewards` and
-`fit_batch_ols` take as binary by its dtype, and until an arm's first
-singular batch its X'X and combined Gram are one array, whose singularity
-verdict `ivw_combine` takes once for the policy to read at the next batch
-(`estimators.ArmSums`): four eigendecompositions per batch, not six.
+makes none it can skip with the same bits.  Its sums hold both arms as one
+(2, ...) stack (`estimators.RunningSums`), so the batch fit, the fold, the
+combined Grams' check and solve and the policy's solve each make one call
+over the arm axis.  Actions pass from `select_actions` as an arm-1 bool
+mask, which `realize_rewards` and `fit_batch_ols` take as binary by its
+dtype, and until either arm's first singular batch X'X and the combined
+Grams are one array, whose singularity verdict `ivw_combine` takes once for
+the policy to read at the next batch: two eigendecompositions per batch,
+and at most four solves or inverses.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ def simulate_trajectory(setup: SimulationSetup, model: TrueModel, rng: np.random
         actions = select_actions(setup.policy, sums, x, setup.clip, rng)
         y = realize_rewards(model, x, actions, rng)
         fit = fit_batch_ols(x, actions, y, residual=residual)
-        stats.append((fit.arm1.beta, fit.arm1.gram, fit.arm0.beta, fit.arm0.gram))
+        u0, u1 = fit.usable.tolist()
+        stats.append((fit.beta[1] if u1 else None, fit.gram[1], fit.beta[0] if u0 else None, fit.gram[0]))
         update_state(sums, fit)
 
         previous = norms

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from banditstop import EstimatorUnavailable, IvwEstimate, KnownSigma, RunningSums, update_state
-from banditstop.estimators import ArmFit, BatchOlsFit
+from banditstop.estimators import ArmFit, StackedFit
 from banditstop.linalg import inverse_spd, is_invertible_gram, solve_spd
 
 
@@ -25,7 +25,7 @@ class BatchData:
     rewards: np.ndarray
 
 
-def sums_of(fits: Sequence[BatchOlsFit]) -> RunningSums:
+def sums_of(fits: Sequence[StackedFit]) -> RunningSums:
     """Running sums of `fits`, added in order."""
     sums = RunningSums.empty(fits[0].arm0.gram.shape[0])
     for fit in fits:
@@ -61,12 +61,12 @@ def ols_estimate(arm: PolicySums) -> Optional[np.ndarray]:
     return solve_spd(arm.xx, arm.xy) if is_invertible_gram(arm.xx) else None
 
 
-def contributing(fits: Sequence[BatchOlsFit], arm: int) -> List[ArmFit]:
+def contributing(fits: Sequence[StackedFit], arm: int) -> List[ArmFit]:
     # Batches with a singular arm-Gram contribute neither Gram nor estimate.
     return [f.arm(arm) for f in fits if f.arm(arm).beta is not None]
 
 
-def combined_gram(fits: Sequence[BatchOlsFit], arm: int) -> np.ndarray:
+def combined_gram(fits: Sequence[StackedFit], arm: int) -> np.ndarray:
     parts = contributing(fits, arm)
     if not parts:
         raise EstimatorUnavailable(f"no batch with a usable arm-{arm} fit")
@@ -78,7 +78,7 @@ def combined_gram(fits: Sequence[BatchOlsFit], arm: int) -> np.ndarray:
     return total
 
 
-def combine_arm(fits: Sequence[BatchOlsFit], arm: int) -> np.ndarray:
+def combine_arm(fits: Sequence[StackedFit], arm: int) -> np.ndarray:
     parts = contributing(fits, arm)
     if not parts:
         raise EstimatorUnavailable(f"no batch with a usable arm-{arm} fit")
@@ -116,7 +116,7 @@ def residual_noise_factors(
 
 
 def ivw_combine(
-    fits: Sequence[BatchOlsFit],
+    fits: Sequence[StackedFit],
     sigma_mode,
     batch_size: int,
     batch_data: Optional[Sequence[BatchData]] = None,

@@ -18,6 +18,7 @@ from banditstop import (
     select_actions,
     update_state,
 )
+from banditstop.linalg import is_invertible_gram, solve_spd
 from banditstop.rng import derive_seed, make_rng
 
 
@@ -35,10 +36,10 @@ def sequential_deviations(spec, model, policy, clip_schedule, batch_size, t_ref,
             update_state(sums, fit_batch_ols(x, actions, y))
         worst = 0.0
         for arm, beta in ((0, model.beta0), (1, model.beta1)):
-            est = sums.arm(arm).ols_estimate()
-            if est is None:
+            if not is_invertible_gram(sums.xx[arm]):
                 worst = math.inf
                 break
+            est = solve_spd(sums.xx[arm], sums.xy[arm])
             worst = max(worst, float(np.sum(np.abs(est - beta))))
         deviations[r] = worst
     return deviations

@@ -75,7 +75,7 @@ def test_acceptance_01_ols_oracle():
 
 
 def test_acceptance_02_ivw_identities():
-    from banditstop.estimators import ArmFit, BatchOlsFit
+    from banditstop.estimators import ArmFit, StackedFit
     from ivw_oracle import sums_of
 
     def mk(gram, beta):
@@ -85,7 +85,7 @@ def test_acceptance_02_ivw_identities():
         def arm():
             return ArmFit(b.copy(), g.copy(), 4, 0.0, moment=g @ b, sum_sq=float(b @ g @ b))
 
-        return BatchOlsFit(arm0=arm(), arm1=arm())
+        return StackedFit.of_arms(arm(), arm())
 
     ok = True
     # single batch: bitwise fixed point

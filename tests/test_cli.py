@@ -379,6 +379,21 @@ def test_check_assumptions(tmp_path, capsys):
     assert abs(out["lambda_min_hat"] - 1 / 3) < 0.05
 
 
+_MARGINS = BoundsConfig(margin_exponent=0.5, margin_const=2.5, delta=0.1, unit_cost=0.01, tail_const=1.0)
+
+
+@pytest.mark.parametrize("bounds", [None, _MARGINS], ids=["none", "set"])
+def test_check_assumptions_shows_the_configs_margin_constants(tmp_path, capsys, bounds):
+    # The estimates were printed without the constants the bounds assume.
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, bounds=bounds)
+    assert main(["check-assumptions", "--config", str(cfg_path), "--mc-samples", "20000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    want = (None, None) if bounds is None else (2.5, 0.5)
+    assert (out["margin_const"], out["margin_exponent"]) == want
+    assert out["margin_scale_hat"] > 0 and out["margin_exponent_hat"] > 0
+
+
 def test_check_assumptions_rejects_too_few_mc_samples(tmp_path, capsys):
     # Exited 3 with a runtime error.
     cfg_path = tmp_path / "config.json"
@@ -654,6 +669,33 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
     capsys.readouterr()
     rc = main(["infer", "--config", str(cfg_path), "--trajectory", str(traj)])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and expected in err
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        ("gram0", "'sufficient_stats[3]' does not give the norms 'stop_trace[3]' logs"),
+        ("beta1", "'terminal' is not the combined estimate its 'sufficient_stats' give"),
+    ],
+)
+def test_infer_refolds_known_sigma_statistics(tmp_path, capsys, edit, expected):
+    # Each edit exited 0: the stored statistics were checked for their shapes
+    # only.  Under a known sigma they give the logged norms and the terminal.
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(DEMO_CONFIG), "--reps", "1", "--out", str(out_dir)]) == 0
+    traj = out_dir / "trajectories" / "rep_00000.json"
+    infer = ["infer", "--config", str(DEMO_CONFIG), "--trajectory", str(traj)]
+    assert main(infer) == 0
+    payload = json.loads(traj.read_text())
+    if edit == "gram0":
+        payload["sufficient_stats"][3]["gram0"] = [[1.0, 0.0], [0.0, 1.0]]
+    else:
+        payload["sufficient_stats"][5]["beta1"] = [9.0, 9.0]
+    traj.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(infer) == 2
     err = capsys.readouterr().err
     assert "config error" in err and expected in err
 

@@ -198,8 +198,8 @@ def test_stacked_draws_equal_lone_draws(members, noise, context, seed):
         first = RunningSums.empty(spec.dim)
         update_state(first, fit_batch_ols(xk, rng.integers(0, 2, size=n), rng.normal(size=n)))
         sums.append(first)
-    xx = np.stack([[s.arm0.xx, s.arm1.xx] for s in sums])
-    xy = np.stack([[s.arm0.xy, s.arm1.xy] for s in sums])
+    xx = np.stack([s.xx for s in sums])
+    xy = np.stack([s.xy for s in sums])
     stacked, lone = fresh(), fresh()
     x, arm1, y = lock_step_batch(spec, model, policy, clip, n, 2, stacked, xx, xy)
     for k, rng in enumerate(lone):

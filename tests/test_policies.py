@@ -32,10 +32,9 @@ def action_probability(kind, sums: RunningSums, x) -> float:
 def scalar_state(beta0: float, beta1: float, gram: float = 1.0) -> RunningSums:
     """d=1 sums whose cumulative OLS estimates are exactly (beta0, beta1)."""
     s = RunningSums.empty(1)
-    for arm, beta in ((s.arm0, beta0), (s.arm1, beta1)):
-        arm.xx = np.array([[gram]])
-        arm.xy = np.array([gram * beta])
-        arm.count = 5
+    s.xx = np.array([[[gram]], [[gram]]])
+    s.xy = np.array([[gram * beta0], [gram * beta1]])
+    s.count = np.array([5, 5])
     s.t = 1
     return s
 
@@ -195,16 +194,16 @@ class TestUpdateState:
         state = RunningSums.empty(2)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         update_state(state, fit_batch_ols(x, np.array([1, 1]), np.array([1.0, 2.0])))
-        np.testing.assert_array_equal(state.arm0.xx, np.zeros((2, 2)))
-        np.testing.assert_array_equal(state.arm0.xy, np.zeros(2))
-        assert state.arm0.count == 0 and state.arm1.count == 2 and state.t == 1
+        np.testing.assert_array_equal(state.xx[0], np.zeros((2, 2)))
+        np.testing.assert_array_equal(state.xy[0], np.zeros(2))
+        assert state.count[0] == 0 and state.count[1] == 2 and state.t == 1
 
     def test_rank_one_update(self):
         state = RunningSums.empty(2)
         x = np.array([[1.0, 2.0]])
         update_state(state, fit_batch_ols(x, np.array([1]), np.array([3.0])))
-        np.testing.assert_allclose(state.arm1.xx, np.array([[1.0, 2.0], [2.0, 4.0]]))
-        np.testing.assert_allclose(state.arm1.xy, np.array([3.0, 6.0]))
+        np.testing.assert_allclose(state.xx[1], np.array([[1.0, 2.0], [2.0, 4.0]]))
+        np.testing.assert_allclose(state.xy[1], np.array([3.0, 6.0]))
 
     def test_two_updates_equal_one_combined(self):
         rng = make_rng(4)
@@ -217,13 +216,9 @@ class TestUpdateState:
         update_state(seq, fit_batch_ols(x[:17], a[:17], y[:17]))
         update_state(seq, fit_batch_ols(x[17:], a[17:], y[17:]))
         for arm in (0, 1):
-            np.testing.assert_allclose(
-                seq.arm(arm).xx, combined.arm(arm).xx, rtol=1e-12, atol=1e-14
-            )
-            np.testing.assert_allclose(
-                seq.arm(arm).xy, combined.arm(arm).xy, rtol=1e-12, atol=1e-14
-            )
-            assert seq.arm(arm).count == combined.arm(arm).count
+            np.testing.assert_allclose(seq.xx[arm], combined.xx[arm], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(seq.xy[arm], combined.xy[arm], rtol=1e-12, atol=1e-14)
+            assert seq.count[arm] == combined.count[arm]
         assert seq.t == 2 and combined.t == 1
 
     def test_dimension_mismatch(self):

@@ -44,8 +44,8 @@ from banditstop import (
     uniform_cube_spec,
     update_state,
 )
-from banditstop.estimators import ArmFit, BatchOlsFit, StackedSums, arm_masks, fit_arms
-from banditstop.linalg import inverse_spd, solve_spd
+from banditstop.estimators import ArmFit, StackedFit, StackedSums, arm_masks, fit_arms
+from banditstop.linalg import inverse_spd, is_invertible_gram, solve_spd
 
 RTOL = 1e-10
 
@@ -121,18 +121,23 @@ def test_running_sums_match_oracle(case, sigma_mode):
 @given(batch_sequences())
 def test_policy_inputs_match_oracle_bitwise(case):
     # The policy reads X'X, X'y and the counts from the running sums; they
-    # equal the raw per-unit sums, from zero in batch order, bit for bit.
+    # equal the raw per-unit sums, from zero in batch order, bit for bit, and
+    # so do its singularity checks and the estimates it solves over the arm
+    # axis (each arm alone where the other's X'X is singular).
     dim, batches, _ = case
     sums = RunningSums.empty(dim)
     for t, batch in enumerate(batches, start=1):
         update_state(sums, fit_batch_ols(batch.contexts, batch.actions, batch.rewards))
-        for arm, want in zip((sums.arm0, sums.arm1), ivw_oracle.policy_sums(batches[:t], dim)):
-            assert np.array_equal(arm.xx, want.xx)
-            assert np.array_equal(arm.xy, want.xy)
-            assert arm.count == want.count
-            got_est, want_est = arm.ols_estimate(), ivw_oracle.ols_estimate(want)
-            assert (got_est is None) == (want_est is None)
+        invertible = is_invertible_gram(sums.xx)
+        both = solve_spd(sums.xx, sums.xy) if invertible.all() else None
+        for arm, want in enumerate(ivw_oracle.policy_sums(batches[:t], dim)):
+            assert np.array_equal(sums.xx[arm], want.xx)
+            assert np.array_equal(sums.xy[arm], want.xy)
+            assert sums.count[arm] == want.count
+            want_est = ivw_oracle.ols_estimate(want)
+            assert bool(invertible[arm]) == (want_est is not None)
             if want_est is not None:
+                got_est = solve_spd(sums.xx[arm], sums.xy[arm]) if both is None else both[arm]
                 assert np.array_equal(got_est, want_est)
 
 
@@ -202,11 +207,10 @@ def test_known_sigma_sums_keep_no_residual_state(case):
         fit = fit_batch_ols(batch.contexts, batch.actions, batch.rewards, residual=False)
         assert fit.arm0.rss is None and fit.arm1.rss is None
         update_state(lean, fit)
-        for a in (0, 1):
-            kept, bare = dataclasses.asdict(full.arm(a)), dataclasses.asdict(lean.arm(a))
-            assert bare.pop("xe") is None and bare.pop("ee") is None
-            for name, value in bare.items():
-                assert np.array_equal(value, kept[name]), name
+        kept, bare = dataclasses.asdict(full), dataclasses.asdict(lean)
+        assert bare.pop("xe") is None and bare.pop("ee") is None
+        for name, value in bare.items():
+            assert np.array_equal(value, kept[name]), name
         got, want = (outcome(ivw_combine, s, KnownSigma(1.3), 7) for s in (lean, full))
         if isinstance(want, EstimatorUnavailable):
             assert str(got) == str(want)
@@ -244,8 +248,9 @@ def test_fits_without_residual_terms_carry_no_squares():
 def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
     # Under a known noise scale neither loop solves the combined estimate
     # per batch: with a uniform policy, which reads no estimate, the only
-    # solves in `banditstop.estimators` are the batch fits' and, at the
-    # stop, the terminal estimate's.  That estimate is the oracle's, bit
+    # solves in `banditstop.estimators` are the batch fits' (one per batch
+    # over the arm axis, or over the stack) and, at the stop, the terminal
+    # estimate's.  That estimate is the oracle's, bit
     # for bit.
     setup = SimulationSetup(
         context=uniform_cube_spec(2), policy=UniformRandom(), clip=constant_clip(0.5), batch_size=4,
@@ -257,7 +262,7 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
         def arm(beta, gram):
             return ArmFit(beta, gram, 0, None, np.zeros(2), None)
 
-        return [BatchOlsFit(arm(b0, g0), arm(b1, g1)) for b1, g1, b0, g0 in traj.stats]
+        return [StackedFit.of_arms(arm(b0, g0), arm(b1, g1)) for b1, g1, b0, g0 in traj.stats]
 
     def terminal_solves(traj):
         usable = [sum(f.arm(a).beta is not None for f in fits_of(traj)) for a in (0, 1)]
@@ -272,8 +277,7 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
     with mock.patch.object(estimators, "solve_spd", wraps=solve_spd) as solves:
         lone = [simulate_trajectory(setup, model, make_rng(s)) for s in seeds]
     assert all(traj.ivw is not None for traj in lone)
-    fit_solves = sum(b is not None for traj in lone for b1, _, b0, _ in traj.stats for b in (b0, b1))
-    assert solves.call_count == fit_solves + sum(terminal_solves(traj) for traj in lone)
+    assert solves.call_count == sum(traj.stop_time + terminal_solves(traj) for traj in lone)
     assert sum(traj.stop_time for traj in lone) > 6 * 3  # several batches each
 
     with mock.patch.object(estimators, "solve_spd", wraps=solve_spd) as solves:
@@ -288,17 +292,16 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
 
 
 def fresh_check_trajectory(setup, model, rng):
-    """The lone loop of `simulate_trajectory`, with each arm's X'X replaced
-    by a copy after every batch: no arm shares it with its combined Gram,
-    so every X'X is summed on its own and the policy checks it afresh
-    (`ArmSums.ols_estimate`).  Returns the stop time, the per-batch stats,
+    """The lone loop of `simulate_trajectory`, with X'X replaced by a copy
+    after every batch: it is never the combined Grams' array, so it is
+    summed on its own and the policy checks it afresh
+    (`policies.action_probabilities`).  Returns the stop time, the per-batch stats,
     the stop trace and the terminal combination (or None)."""
     residual = not isinstance(setup.sigma_mode, KnownSigma)
     sums = RunningSums.empty(model.dim, residual)
     stats, trace, norms, ivw = [], [], None, None
     for t in range(1, setup.rule.t_max + 1):
-        for arm in (sums.arm0, sums.arm1):
-            arm.xx = arm.xx.copy()
+        sums.xx = sums.xx.copy()
         x = sample_batch_contexts(setup.context, setup.batch_size, rng)
         actions = select_actions(setup.policy, sums, x, setup.clip, rng)
         y = realize_rewards(model, x, actions, rng)
@@ -325,10 +328,12 @@ def bits(a):
     "policy", [EpsGreedy(Schedule(0.2)), Ucb(Schedule(1.0, decay=0.5, floor=0.1)), Thompson(1.0)]
 )
 @pytest.mark.parametrize("sigma_mode", [KnownSigma(1.0), ResidualSigma()])
-@pytest.mark.parametrize("batch_size", [3, 6])
+@pytest.mark.parametrize("batch_size", [4, 6])
 def test_the_shared_gram_changes_no_bit_of_a_lone_trajectory(policy, sigma_mode, batch_size):
-    # Batches of 3 or 6 units at d = 2 leave arms singular often, so arms
-    # stop sharing X'X with the combined Gram at different batches.
+    # Batches of 4 or 6 units at d = 2 leave arms singular often, so X'X
+    # stops being the combined Grams' array at different batches, and in
+    # some runs is that array for a while first.  (At 3 units one arm is
+    # singular in every batch, so it never is.)
     setup = SimulationSetup(
         context=uniform_cube_spec(2), policy=policy, clip=constant_clip(0.2), batch_size=batch_size,
         sigma_mode=sigma_mode, rule=StoppingRule("online_threshold", t_max=40, k=0.5),
@@ -356,27 +361,47 @@ def test_the_shared_gram_changes_no_bit_of_a_lone_trajectory(policy, sigma_mode,
     assert singular > 10 and reused > 0, (singular, reused)
 
 
-def test_a_lone_batch_makes_four_eigendecompositions_once_both_arms_have_a_usable_batch():
-    # The demo set-up: both arms are usable from the first batch.  There the
-    # policy checks both X'X afresh (nothing is combined yet); from then on it
-    # reads the verdicts `ivw_combine` took of the same arrays, so a batch
-    # makes the two batch fits' checks and the two combined Grams' checks.
+@pytest.mark.parametrize(
+    "policy, sigma_mode, solves, inverses",
+    [(EpsGreedy(Schedule(0.2)), KnownSigma(1.0), 2, 0), (Thompson(1.0), ResidualSigma(), 3, 1)],
+)
+def test_a_lone_batch_makes_two_eigendecompositions_and_at_most_four_solves(policy, sigma_mode, solves, inverses):
+    # The demo set-up, and Thompson under residual sigma: both arms are
+    # usable from the first batch.  Each LAPACK gufunc call covers both arms.
+    # At the first batch the policy checks X'X afresh and solves nothing
+    # (nothing is summed yet), and a lone usable batch per arm needs no
+    # combined solve.  From then on a batch makes the batch fit's check and
+    # solve, the combined Grams' check (whose verdict the policy reads, X'X
+    # being that array) and the policy's solve; Thompson adds the policy's
+    # inverse and, under residual sigma, the combined estimates' solve.
     setup = SimulationSetup(
-        context=uniform_cube_spec(2), policy=EpsGreedy(Schedule(0.2)), clip=constant_clip(0.1), batch_size=100,
-        sigma_mode=KnownSigma(1.0), rule=StoppingRule("online_threshold", t_max=200, k=0.05),
+        context=uniform_cube_spec(2), policy=policy, clip=constant_clip(0.1), batch_size=100,
+        sigma_mode=sigma_mode, rule=StoppingRule("online_threshold", t_max=200, k=0.05),
     )
     model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3])
+    gufuncs = ("eigvalsh_lo", "solve1", "inv")
     for seed in range(3):
+        calls = dict.fromkeys(gufuncs, 0)
         seen = []
 
-        def counted(*args, **kwargs):
-            seen.append(eigs.call_count)
+        def counting(name):
+            original = getattr(linalg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return mock.patch.object(linalg, name, counted)
+
+        def evaluated(*args, **kwargs):
+            seen.append([calls[name] for name in gufuncs])
             return evaluate(*args, **kwargs)
 
-        with mock.patch.object(linalg, "eigvalsh", wraps=linalg.eigvalsh) as eigs, mock.patch.object(
-            simulate, "evaluate", counted
+        with counting("eigvalsh_lo"), counting("solve1"), counting("inv"), mock.patch.object(
+            simulate, "evaluate", evaluated
         ):
             traj = simulate_trajectory(setup, model, make_rng(seed))
-        per_batch = np.diff([0] + seen).tolist()
+        per_batch = np.diff([[0, 0, 0]] + seen, axis=0).tolist()
         assert all(b is not None for s in traj.stats for b in (s[0], s[2]))
-        assert traj.stop_time > 20 and per_batch == [6] + [4] * (traj.stop_time - 1)
+        assert traj.stop_time > 20
+        assert per_batch == [[3, 1, 0]] + [[2, solves, inverses]] * (traj.stop_time - 1)
