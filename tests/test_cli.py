@@ -679,6 +679,7 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         ("gram0", "'sufficient_stats[3]' does not give the norms 'stop_trace[3]' logs"),
         ("beta1", "'terminal' is not the combined estimate its 'sufficient_stats' give"),
     ],
+    ids=["gram0", "beta1"],
 )
 def test_infer_refolds_known_sigma_statistics(tmp_path, capsys, edit, expected):
     # Each edit exited 0: the stored statistics were checked for their shapes

@@ -364,6 +364,7 @@ def test_the_shared_gram_changes_no_bit_of_a_lone_trajectory(policy, sigma_mode,
 @pytest.mark.parametrize(
     "policy, sigma_mode, solves, inverses",
     [(EpsGreedy(Schedule(0.2)), KnownSigma(1.0), 2, 0), (Thompson(1.0), ResidualSigma(), 3, 1)],
+    ids=["eps_greedy-known", "thompson-residual"],
 )
 def test_a_lone_batch_makes_two_eigendecompositions_and_at_most_four_solves(policy, sigma_mode, solves, inverses):
     # The demo set-up, and Thompson under residual sigma: both arms are
