@@ -42,10 +42,10 @@ from .harness import (
     emit_reports,
     load_config,
     prepare,
-    record_from_trajectory,
     run_experiment,
     run_replications,
 )
+from .formats import record_from_trajectory
 from .inference import (
     ConditionalSamplerConfig,
     ConditionalSamples,

@@ -126,10 +126,11 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     record = load_trajectory(args.trajectory, config)
     cfg = config.inference if config.inference is not None else ConditionalSamplerConfig()
     _warn_if_inexact(config, cfg)
-    seed = args.inference_seed if args.inference_seed is not None else record.inference_seed
-    if not 0 <= seed < 1 << 64:
-        given = "--inference-seed" if args.inference_seed is not None else "trajectory key 'inference_seed'"
-        raise ConfigError(f"{given} must be in [0, 2**64), got {seed}")
+    seed = record.inference_seed  # read as a u64
+    if args.inference_seed is not None:
+        if not 0 <= args.inference_seed < 1 << 64:
+            raise ConfigError(f"--inference-seed must be in [0, 2**64), got {args.inference_seed}")
+        seed = args.inference_seed
     result = run_inference(record, cfg, config.hypothesis, seed)
     print(
         json.dumps(

@@ -1,8 +1,10 @@
 """Experiment harness: JSON config ingestion, the seeded replication runner,
-aggregation, and CSV/JSON report emission.
+aggregation, and CSV/JSON report emission.  The trajectory files are written
+and read through their format's declaration in `formats`.
 
-Config format: one table (`_CONFIG`) declares every key, its JSON type and,
-through the dataclass field defaults, whether it may be left out or null.
+Config format: one table (`_CONFIG`) declares every key, its JSON type (the
+leaf types of `formats`) and, through the dataclass field defaults, whether
+it may be left out or null.
 Every value is type-checked: booleans are only true/false, reals (array
 entries included) must be finite, integers must be integral, and a value
 of the wrong type is a ConfigError that names its dotted key.  Unknown keys
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import tempfile
 import time
@@ -43,11 +44,10 @@ from .bounds import (
     regret_bound_from_variance,
     regret_bound_time,
 )
-from .errors import ConfigError, ContractError, EstimatorUnavailable, InfeasibleConditioning
-from .estimators import ArmFit, IvwEstimate, KnownSigma, ResidualSigma, RunningSums, SigmaMode, StackedFit
-from .estimators import ivw_combine
+from .errors import ConfigError, ContractError, InfeasibleConditioning
+from .estimators import KnownSigma, ResidualSigma, SigmaMode
+from .formats import ARRAY, BOOL, DICT, INT, REAL, STR, record_from_trajectory, trajectory_payload
 from .inference import RESIMULATION_REJECTION, ConditionalSamplerConfig, run_inference
-from .linalg import eigvalsh, require_symmetric
 from .model import (
     ContextSpec,
     TrueModel,
@@ -66,7 +66,7 @@ from .rng import (
     substream_seed,
 )
 from .simulate import simulate_ensemble, simulate_trajectory
-from .stopping import StopDecision, StoppingRule, evaluate
+from .stopping import StoppingRule
 
 SCHEMA_VERSION = 1
 CALIBRATION_SEED_TAG = 0x5EED_CA11
@@ -462,49 +462,6 @@ def render_csv(records: Sequence[ExperimentRecord], dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _decision_json(d: StopDecision) -> Dict:
-    """The JSON form of a stop decision: one entry of a trajectory's `stop_trace`."""
-    diagnostics = {k: float(v) for k, v in d.diagnostics.items()}
-    return {"t": d.t, "stop": d.stop, "cap_hit": d.cap_hit, "diagnostics": diagnostics}
-
-
-def trajectory_payload(rec: ExperimentRecord) -> Dict:
-    """JSON form of one replication's sufficient statistics and stop trace."""
-
-    def arr(a):
-        return None if a is None else np.asarray(a).tolist()
-
-    return {
-        "rep": rec.rep_index,
-        "seed": rec.seed,
-        "inference_seed": rec.inference_seed,
-        "stop_time": rec.stop_time,
-        "cap_hit": rec.cap_hit,
-        "noise_plugin": None if rec.ivw is None else arr(rec.ivw.noise_sd),
-        # Batch statistics are always arrays, so they skip `arr`'s np.asarray.
-        "sufficient_stats": [
-            {
-                "batch_index": i + 1,
-                "beta1": None if b1 is None else b1.tolist(),
-                "gram1": g1.tolist(),
-                "beta0": None if b0 is None else b0.tolist(),
-                "gram0": g0.tolist(),
-            }
-            for i, (b1, g1, b0, g0) in enumerate(rec.trajectory.stats)
-        ],
-        "stop_trace": [_decision_json(d) for d in rec.trajectory.stop_trace],
-        "terminal": None
-        if rec.ivw is None
-        else {
-            "beta0": arr(rec.ivw.beta0),
-            "beta1": arr(rec.ivw.beta1),
-            "var0": arr(rec.ivw.var0),
-            "var1": arr(rec.ivw.var1),
-            "batch_size": rec.ivw.batch_size,
-        },
-    }
-
-
 def _write_atomic(path: str, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it over
     `path`, so a failed write leaves neither a partial file nor the temporary.
@@ -588,155 +545,21 @@ def emit_reports(
         traj_dir = os.path.join(out_dir, "trajectories")
         os.makedirs(traj_dir, exist_ok=True)
         for rec in sorted(records, key=lambda r: r.rep_index):
-            # One line, no indent: with `indent` json runs its pure-Python encoder.
-            text = json.dumps(trajectory_payload(rec), sort_keys=True) + "\n"
+            # One line, no indent: with `indent` json runs its pure-Python
+            # encoder.  A fresh payload has no cycle for json to look for.
+            text = json.dumps(trajectory_payload(rec), sort_keys=True, check_circular=False) + "\n"
             _write_atomic(os.path.join(traj_dir, f"rep_{rec.rep_index:05d}.json"), text)
         written["trajectories"] = traj_dir
     return written
 
 
-# ---------------------------------------------------------------------------
-# Reading a stored trajectory back
-# ---------------------------------------------------------------------------
-
-
-def _stored(obj: Dict, path: str, kind, shape=None, nullable: bool = False):
-    """`obj`'s value for the last key of the trajectory's `path`, read as the
-    config leaf type `kind`; any other value is a ConfigError naming `path`."""
-    label, key = f"trajectory key {path!r}", path.rpartition(".")[2]
-    if key not in obj:
-        raise ConfigError(f"{label} is missing")
-    if obj[key] is None and nullable:
-        return None
-    value = kind.read(obj[key], label)
-    if shape is not None and value.shape != shape:
-        raise ConfigError(f"{label} must have shape {shape}, got {value.shape}")
-    return value
-
-
-def _stored_variance(term: Dict, path: str, shape) -> np.ndarray:
-    """`_stored` for a variance matrix, which must also be symmetric (as
-    `linalg.require_symmetric` checks) and have no negative eigenvalue."""
-    var = _stored(term, path, _ARRAY, shape)
-    try:
-        require_symmetric(var)
-    except ContractError:
-        raise ConfigError(f"trajectory key {path!r} must be symmetric") from None
-    if eigvalsh(var)[0] < 0:
-        raise ConfigError(f"trajectory key {path!r} must have no negative eigenvalue")
-    return var
-
-
-def record_from_trajectory(payload: Dict, config: ExperimentConfig) -> ExperimentRecord:
-    """Rebuild the slice of an ExperimentRecord that inference needs from a
-    stored trajectory JSON payload plus its config.  A payload that is
-    malformed, does not fit the config or cannot be inferred from is a
-    ConfigError naming the key."""
-    payload = _DICT.read(payload, "trajectory")
-    vec, mat = (config.model.dim,), (config.model.dim, config.model.dim)
-    stop_time = _stored(payload, "stop_time", _INT)
-    if not 1 <= stop_time <= config.stopping.t_max:
-        raise ConfigError(f"trajectory key 'stop_time' must lie in 1..{config.stopping.t_max}")
-    entries = _stored(payload, "sufficient_stats", _LIST)
-    stats = []  # per batch (beta1, gram1, beta0, gram0), as `Trajectory.stats`
-    for i, e in enumerate(entries):
-        path = f"sufficient_stats[{i}]"
-        e = _DICT.read(e, f"trajectory key {path!r}")
-        if _stored(e, f"{path}.batch_index", _INT) != i + 1:
-            raise ConfigError(f"trajectory key '{path}.batch_index' must be {i + 1}")
-        b1, b0 = (_stored(e, f"{path}.beta{a}", _ARRAY, vec, nullable=True) for a in (1, 0))
-        g1, g0 = (_stored(e, f"{path}.gram{a}", _ARRAY, mat) for a in (1, 0))
-        stats.append((b1, g1, b0, g0))
-    if len(entries) != stop_time:
-        raise ConfigError(f"trajectory key 'sufficient_stats' must have stop_time = {stop_time} entries")
-    # A cap hit means the rule did not fire by t_max; resimulation conditions on it.
-    cap_hit = _stored(payload, "cap_hit", _BOOL)
-    # Only a pre-determined rule reads the bound constants, and they may need
-    # the pilot calibration.
-    setup = _setup(config, resolve_constants(config) if config.stopping.predetermined else None)
-    # One decision per batch, each the one the config's rule makes from the
-    # norms it stores and those of the entry before, as the loops carry them;
-    # the last is the run's only stop.
-    trace = _stored(payload, "stop_trace", _LIST)
-    if len(trace) != stop_time:
-        raise ConfigError(f"trajectory key 'stop_trace' must have stop_time = {stop_time} entries")
-    previous, logged = None, []
-    for i, d in enumerate(trace):
-        path, last = f"stop_trace[{i}]", i + 1 == stop_time
-        diagnostics = _stored(_DICT.read(d, f"trajectory key {path!r}"), f"{path}.diagnostics", _DICT)
-        norms = (diagnostics.get("var_norm_arm0"), diagnostics.get("var_norm_arm1"))
-        current = norms if all(isinstance(v, float) for v in norms) else None
-        again = json.dumps(_decision_json(evaluate(setup.rule, i + 1, current, previous)), sort_keys=True)
-        if json.dumps(d, sort_keys=True) != again:
-            raise ConfigError(f"trajectory key {path!r} does not follow from the config's stopping rule: {again}")
-        want = {"stop": last, "cap_hit": last and cap_hit}
-        if {k: d[k] for k in want} != want:
-            raise ConfigError(
-                f"trajectory key {path!r} must have {json.dumps(want)}, since 'stop_time' is {stop_time} "
-                f"and 'cap_hit' is {json.dumps(cap_hit)}"
-            )
-        previous = current
-        logged.append(current)
-    # Resimulation draws the surrogates' noise at the stored plug-in scales.
-    resimulation = config.inference is not None and config.inference.mode == RESIMULATION_REJECTION
-    noise_sd = _stored(payload, "noise_plugin", _ARRAY, (2,), nullable=not resimulation)
-    # A known-sigma run stores the known scale for both arms.
-    if noise_sd is not None and isinstance(config.sigma_mode, KnownSigma):
-        sigma = config.sigma_mode.sigma
-        if noise_sd.tolist() != [sigma, sigma]:
-            raise ConfigError(f"trajectory key 'noise_plugin' must be [{sigma!r}, {sigma!r}] under a known sigma")
-    elif noise_sd is not None and (noise_sd < 0).any():
-        raise ConfigError("trajectory key 'noise_plugin' must be nonnegative")
-    term = _stored(payload, "terminal", _DICT)  # null: the run left nothing to infer from
-    batch_size = _stored(term, "terminal.batch_size", _INT)
-    if batch_size != config.batch_size:
-        raise ConfigError(f"trajectory key 'terminal.batch_size' must be {config.batch_size}")
-    ivw = IvwEstimate(
-        beta0=_stored(term, "terminal.beta0", _ARRAY, vec),
-        beta1=_stored(term, "terminal.beta1", _ARRAY, vec),
-        var0=_stored_variance(term, "terminal.var0", mat),
-        var1=_stored_variance(term, "terminal.var1", mat),
-        batch_size=batch_size,
-        noise_sd=None if noise_sd is None else tuple(noise_sd.tolist()),
-    )
-    if isinstance(config.sigma_mode, KnownSigma):
-        _refold(stats, None if config.stopping.predetermined else logged, ivw, config)
-    return ExperimentRecord(
-        rep_index=_stored(payload, "rep", _INT),
-        seed=_stored(payload, "seed", _INT),
-        setup=setup,
-        stop_time=stop_time,
-        cap_hit=cap_hit,
-        ivw=ivw,
-        regret_hat=None,
-        creg=None,
-        inference=None,
-        inference_seed=_stored(payload, "inference_seed", _INT),
-    )
-
-
-def _refold(stats, logged: Optional[list], ivw: IvwEstimate, config: ExperimentConfig) -> None:
-    """Under a known noise scale a trajectory's stored (beta, G) pairs alone
-    give the norms an online rule reads and the terminal estimate: fold them
-    as the run did and require, bit for bit, the norms the stop trace logs
-    (`logged`, None for a pre-determined rule) and the stored terminal."""
-    sums, zero, combined = RunningSums.empty(config.model.dim, residual=False), np.zeros(config.model.dim), None
-    for i, (b1, g1, b0, g0) in enumerate(stats):
-        sums.add(StackedFit.of_arms(ArmFit(b0, g0, 0, None, zero, None), ArmFit(b1, g1, 0, None, zero, None)))
-        try:
-            combined = ivw_combine(sums, config.sigma_mode, config.batch_size)
-        except EstimatorUnavailable:
-            combined = None
-        if logged is not None and logged[i] != (None if combined is None else combined.var_norms):
-            raise ConfigError(f"trajectory key 'sufficient_stats[{i}]' does not give the norms 'stop_trace[{i}]' logs")
-    names = ("beta0", "beta1", "var0", "var1")
-    if combined is None or any(getattr(combined, k).tobytes() != getattr(ivw, k).tobytes() for k in names):
-        raise ConfigError("trajectory key 'terminal' is not the combined estimate its 'sufficient_stats' give")
-
-
 def load_trajectory(path: str, config: ExperimentConfig) -> ExperimentRecord:
-    """`record_from_trajectory` on a trajectory JSON file."""
-    return record_from_trajectory(_read_json(path, "trajectory"), config)
+    """`formats.record_from_trajectory` on a trajectory file, under the
+    set-up `config` runs.  Only a pre-determined rule reads the bound
+    constants, and they may need the pilot calibration."""
+    setup = _setup(config, resolve_constants(config) if config.stopping.predetermined else None)
+    resimulation = config.inference is not None and config.inference.mode == RESIMULATION_REJECTION
+    return record_from_trajectory(_read_json(path, "trajectory"), setup, resimulation)
 
 
 # ---------------------------------------------------------------------------
@@ -751,69 +574,6 @@ def load_trajectory(path: str, config: ExperimentConfig) -> ExperimentRecord:
 # by the dataclasses themselves.
 
 
-def _describe(value) -> str:
-    return json.dumps(value, default=repr)
-
-
-def _real(value) -> Optional[float]:
-    """A finite real number (not a bool), or None."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            real = float(value)
-        except OverflowError:
-            return None
-        if math.isfinite(real):
-            return real
-    return None
-
-
-def _integer(value) -> Optional[int]:
-    """An int, or a finite float with an integral value; else None."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    real = _real(value)
-    return int(real) if real is not None and real.is_integer() else None
-
-
-def _finite_entries(value) -> bool:
-    return isinstance(value, list) and all(
-        _finite_entries(v) if isinstance(v, list) else _real(v) is not None for v in value
-    )
-
-
-def _array(value) -> Optional[np.ndarray]:
-    """A JSON array, possibly nested, of finite numbers; else None."""
-    if _finite_entries(value):
-        try:
-            return np.asarray(value, dtype=float)
-        except ValueError:  # ragged nesting
-            pass
-    return None
-
-
-class _Leaf:
-    """One JSON value type: `parse` gives the Python value, or None when the
-    JSON value is not of this type."""
-
-    def __init__(self, what: str, parse, write=lambda value: value):
-        self.what, self.parse, self.write = what, parse, write
-
-    def read(self, value, key: str):
-        parsed = self.parse(value)
-        if parsed is None:
-            raise ConfigError(f"{key} must be {self.what}, got {_describe(value)}")
-        return parsed
-
-
-_INT = _Leaf("an integer", _integer)
-_REAL = _Leaf("a finite number", _real)
-_BOOL = _Leaf("true or false", lambda v: v if isinstance(v, bool) else None)
-_STR = _Leaf("a string", lambda v: v if isinstance(v, str) else None)
-_ARRAY = _Leaf("an array of finite numbers", _array, lambda a: np.asarray(a, dtype=float).tolist())
-_LIST = _Leaf("an array", lambda v: v if isinstance(v, list) else None)
-_DICT = _Leaf("a JSON object", lambda v: v if isinstance(v, dict) else None)
-
-
 class _Section:
     """A JSON object read as `cls(**values)`; keys it does not list are ignored."""
 
@@ -822,7 +582,7 @@ class _Section:
         self.defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
     def read(self, value, key: str):
-        data = _DICT.read(value, key)
+        data = DICT.read(value, key)
         values = {}
         for name, kind in self.keys.items():
             path = f"{key}.{name}" if key else name
@@ -850,10 +610,10 @@ class _Tagged:
         self.kinds, self.fallback = kinds, fallback
 
     def read(self, value, key: str):
-        data = _DICT.read(value, key)
+        data = DICT.read(value, key)
         if "kind" not in data:
             raise ConfigError(f"config is missing required key '{key}.kind'")
-        kind = _STR.read(data["kind"], f"{key}.kind")
+        kind = STR.read(data["kind"], f"{key}.kind")
         section = self.kinds.get(kind, self.kinds.get(self.fallback))
         if section is None:
             raise ConfigError(f"{key}.kind must be one of {', '.join(self.kinds)}, got {kind!r}")
@@ -883,71 +643,71 @@ class _Hypothesis:
     beta1: np.ndarray
 
 
-_SCHEDULE = _Section(Schedule, initial=_REAL, decay=_REAL, floor=_REAL)
+_SCHEDULE = _Section(Schedule, initial=REAL, decay=REAL, floor=REAL)
 
 _CONFIG = _Section(
     ExperimentConfig,
     context=_Section(
         ContextSpec,
-        dim=_INT,
-        sup_bound=_REAL,
+        dim=INT,
+        sup_bound=REAL,
         dist=_Tagged(
             {
-                "uniform_box": _Section(UniformBox, lower=_ARRAY, upper=_ARRAY),
+                "uniform_box": _Section(UniformBox, lower=ARRAY, upper=ARRAY),
                 "truncated_gaussian": _Section(
-                    TruncatedGaussian, mean=_ARRAY, cov=_ARRAY, bound=_REAL
+                    TruncatedGaussian, mean=ARRAY, cov=ARRAY, bound=REAL
                 ),
             }
         ),
     ),
-    model=_Section(TrueModel, beta0=_ARRAY, beta1=_ARRAY, sigma0=_REAL, sigma1=_REAL, noise=_STR),
+    model=_Section(TrueModel, beta0=ARRAY, beta1=ARRAY, sigma0=REAL, sigma1=REAL, noise=STR),
     policy=_Tagged(
         {
             "uniform": _Section(UniformRandom),
             "eps_greedy": _Section(EpsGreedy, eps=_SCHEDULE),
             "ucb": _Section(Ucb, bonus=_SCHEDULE),
-            "thompson": _Section(Thompson, sigma_prior=_REAL),
+            "thompson": _Section(Thompson, sigma_prior=REAL),
         }
     ),
     clip=_Wrapped(_SCHEDULE, ClipSchedule, lambda clip: clip.schedule),
-    batch_size=_INT,
+    batch_size=INT,
     stopping=_Section(
-        StoppingRule, kind=_STR, t_max=_INT, k=_REAL, c_prime=_REAL, scale_by_batch=_BOOL
+        StoppingRule, kind=STR, t_max=INT, k=REAL, c_prime=REAL, scale_by_batch=BOOL
     ),
     # Any other kind reads as residual: perfbench/test_perfbench.py
     # (test_round_trip_rejects_keys_the_package_would_drop) expects the
     # benchmark's round trip, not this reader, to reject a misspelt kind.
     sigma_mode=_Tagged(
-        {"known": _Section(KnownSigma, sigma=_REAL), "residual": _Section(ResidualSigma)},
+        {"known": _Section(KnownSigma, sigma=REAL), "residual": _Section(ResidualSigma)},
         fallback="residual",
     ),
     bounds=_Section(
         BoundsConfig,
-        margin_exponent=_REAL,
-        margin_const=_REAL,
-        delta=_REAL,
-        unit_cost=_REAL,
-        tail_const=_REAL,
-        context_bound=_REAL,
-        calibration=_Section(CalibrationConfig, t_ref=_INT, replications=_INT),
+        margin_exponent=REAL,
+        margin_const=REAL,
+        delta=REAL,
+        unit_cost=REAL,
+        tail_const=REAL,
+        context_bound=REAL,
+        calibration=_Section(CalibrationConfig, t_ref=INT, replications=INT),
     ),
     inference=_Section(
         ConditionalSamplerConfig,
-        mode=_STR,
-        n_samples=_INT,
-        max_attempts=_INT,
-        level=_REAL,
-        bonferroni=_BOOL,
+        mode=STR,
+        n_samples=INT,
+        max_attempts=INT,
+        level=REAL,
+        bonferroni=BOOL,
     ),
     hypothesis=_Wrapped(
-        _Section(_Hypothesis, beta0=_ARRAY, beta1=_ARRAY),
+        _Section(_Hypothesis, beta0=ARRAY, beta1=ARRAY),
         lambda h: (h.beta0, h.beta1),
         lambda pair: _Hypothesis(*pair),
     ),
-    replications=_INT,
-    master_seed=_INT,
-    regret_mc_samples=_INT,
-    trajectory_json=_BOOL,
+    replications=INT,
+    master_seed=INT,
+    regret_mc_samples=INT,
+    trajectory_json=BOOL,
 )
 
 
@@ -959,7 +719,7 @@ def config_to_dict(config: ExperimentConfig) -> Dict:
 def config_from_dict(data: Dict) -> ExperimentConfig:
     """Read a JSON config; any malformed value is a ConfigError."""
     try:
-        version = _DICT.read(data, "config").get("schema_version", SCHEMA_VERSION)
+        version = DICT.read(data, "config").get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
         return _CONFIG.read(data, "")

@@ -542,7 +542,7 @@ def stored_trajectory(tmp_path, **overrides):
         ("zero noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # exit 0, noiseless surrogates
         ("negative noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # named no key
         ("negative noise_plugin, residual sigma", "'noise_plugin' must be nonnegative"),  # named no key
-        # Each of these exited 0: the stored trace and batch indices were not read.
+        # Each of these exited 0: the stored trace was not read.
         ("no stop_trace", "'stop_trace' is missing"),
         ("one decision at t=1", "'stop_trace' must have stop_time = 8 entries"),
         ("t out of order", "'stop_trace[2]' does not follow from the config's stopping rule"),
@@ -551,7 +551,18 @@ def stored_trajectory(tmp_path, **overrides):
         ("cap_hit before the last", "'stop_trace[3]' does not follow from the config's stopping rule"),
         ("last cap_hit not stored cap_hit", "'stop_trace[7]' does not follow from the config's stopping rule"),
         ("diagnostics not an object", "'stop_trace[1].diagnostics' must be a JSON object, got []"),
-        ("batch_index out of order", "'sufficient_stats[1].batch_index' must be 2"),
+        # Each of these exited 0: the format was not versioned, and no key was checked
+        # outside 'stop_trace'.
+        ("no format", "trajectory key 'format' is missing; this banditstop reads trajectory format 2"),
+        ("format 1", "trajectory key 'format' is 1; this banditstop reads trajectory format 2"),
+        ('format "2"', '''trajectory key 'format' is "2"; this banditstop reads trajectory format 2'''),
+        ("another top-level key", "trajectory key 'note' is not in trajectory format 2"),
+        ("another key in terminal", "trajectory key 'terminal.note' is not in trajectory format 2"),
+        ("another key in a sufficient_stats entry", "trajectory key 'sufficient_stats[0].note' is not in"),
+        # Each of these exited 0: the stored seeds and index were not range-checked.
+        ("seed -1", "trajectory key 'seed' must be in [0, 2**64), got -1"),
+        ("seed 2**70", "trajectory key 'seed' must be in [0, 2**64), got 1180591620717411303424"),
+        ("rep -5", "trajectory key 'rep' must be an integer >= 0, got -5"),
         # Each of these exited 0: the stored decisions were not replayed under the config's rule.
         ("another stopping.k", "'stop_trace[0]' does not follow from the config's stopping rule"),
         ("pre-determined, another unit_cost", "'stop_trace[0]' does not follow from the config's stopping rule"),
@@ -561,7 +572,7 @@ def stored_trajectory(tmp_path, **overrides):
         # stop, cap_hit and diagnostics.
         ("opportunity, another decrement", "'stop_trace[3]' does not follow from the config's stopping rule"),
         ("opportunity, another c_prime", "'stop_trace[1]' does not follow from the config's stopping rule"),
-        ("another key in a stop_trace entry", "'stop_trace[2]' does not follow from the config's stopping rule"),
+        ("another key in a stop_trace entry", "trajectory key 'stop_trace[2].note' is not in trajectory format 2"),
         ("opportunity, no norms at the first usable batch", "'stop_trace[0]' does not follow from the config's"),
         # These exited 2 naming 'cap_hit' or 'stop_trace[7].cap_hit'.
         ("cap hit before t_max, trace cut too", ''''stop_trace[6]' must have {"stop": true, "cap_hit": true}'''),
@@ -572,7 +583,9 @@ def stored_trajectory(tmp_path, **overrides):
         "null_terminal", "null_noise_plugin", "negative_var1", "asymmetric_var0",
         "zero_noise_plugin_known", "negative_noise_plugin_known", "negative_noise_plugin_residual",
         "no_stop_trace", "one_stop_at_t1", "trace_t", "early_stop", "late_stop", "early_trace_cap_hit",
-        "trace_cap_hit", "trace_diagnostics", "batch_index", "replay_k", "replay_unit_cost", "replay_norms",
+        "trace_cap_hit", "trace_diagnostics", "no_format", "format_1", "format_string", "top_level_extra_key",
+        "terminal_extra_key", "stats_extra_key", "seed_negative", "seed_above_u64", "rep_negative",
+        "replay_k", "replay_unit_cost", "replay_norms",
         "opportunity_decrement", "opportunity_c_prime", "trace_extra_key", "opportunity_old_format",
         "early_cap_hit_trace_cut", "stored_cap_hit_false",
     ],
@@ -632,8 +645,22 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         payload["stop_trace"][-1]["cap_hit"] = False
     elif case == "diagnostics not an object":
         payload["stop_trace"][1]["diagnostics"] = []
-    elif case == "batch_index out of order":
-        payload["sufficient_stats"][1]["batch_index"] = 1
+    elif case == "no format":
+        del payload["format"]
+    elif case.startswith("format"):
+        payload["format"] = json.loads(case.split(" ", 1)[1])
+    elif case == "another top-level key":
+        payload["note"] = "kept"
+    elif case == "another key in terminal":
+        payload["terminal"]["note"] = "kept"
+    elif case == "another key in a sufficient_stats entry":
+        payload["sufficient_stats"][0]["note"] = "kept"
+    elif case == "seed -1":
+        payload["seed"] = -1
+    elif case == "seed 2**70":
+        payload["seed"] = 2**70
+    elif case == "rep -5":
+        payload["rep"] = -5
     elif case == "another stopping.k":
         write_config(cfg_path, stopping=StoppingRule(kind="online_threshold", t_max=8, k=0.5))
     elif case == "pre-determined, another unit_cost":

@@ -6,8 +6,9 @@ demo config under UCB or Thompson with known or residual sigma, which no
 workload runs on the lock-step engine, or a shipped config under a stopping
 kind no other case runs) cut to a few replications and a small
 Monte Carlo and sampler budget, at seeds 42 and 7.  A `simulate` case digests
-`summary.json` without `generated_at`, `replications.csv` and each
-trajectory file; the sampler case digests the resimulation sampler's draws.
+`summary.json` without `generated_at`, `replications.csv`, each trajectory
+file and, where there are trajectory files, what `infer` prints for the
+first; the sampler case digests the resimulation sampler's draws.
 Apart from the digests, each case records its exact integer fields (stop
 times and cap hits, or the sampler's target, attempts and kept draws), which
 must hold on any platform.
@@ -118,6 +119,12 @@ def run_simulate(name: str, seed: int, work: Path) -> dict:
     }
     for path in sorted((out / "trajectories").glob("*.json")):
         digests[f"trajectories/{path.name}"] = sha256(path.read_bytes())
+    first = out / "trajectories" / "rep_00000.json"
+    if first.exists():
+        with contextlib.redirect_stdout(io.StringIO()) as printed, contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = cli.main(["infer", "--config", str(config_path), "--trajectory", str(first)])
+        assert rc == 0, err.getvalue()
+        digests["infer/rep_00000.json"] = sha256(printed.getvalue().encode())
     rows = list(csv.DictReader(io.StringIO(csv_bytes.decode())))
     integers = {
         "stop_times": [int(r["stop_time"]) for r in rows],
