@@ -3,8 +3,9 @@ seeded runs against the sha256 digests recorded in `tests/golden.json`.
 
 Each case is a config (a shipped one, a perfbench workload's merge, the
 demo config under UCB or Thompson with known or residual sigma, which no
-workload runs on the lock-step engine, or a shipped config under a stopping
-kind no other case runs) cut to a few replications and a small
+workload runs on the lock-step engine, the demo config at batch size 3, where
+an arm's batch Gram is often singular, under either sigma, or a shipped config
+under a stopping kind no other case runs) cut to a few replications and a small
 Monte Carlo and sampler budget, at seeds 42 and 7.  A `simulate` case digests
 `summary.json` without `generated_at`, `replications.csv`, each trajectory
 file and, where there are trajectory files, what `infer` prints for the
@@ -58,6 +59,9 @@ RESIDUAL = {"kind": "residual", "sigma": None}
 ENGINE = {"replications": 3, "inference": None}
 OPPORTUNITY = {"kind": "online_opportunity", "c_prime": 5e-5, "scale_by_batch": True, "k": None}
 THRESHOLD = {"kind": "predetermined_threshold", "k": 4.0}
+# At 3 units a batch and d = 2 an arm is singular in most batches; k = 0.5
+# stops every replication with an estimate well before the cap.
+SINGULAR = {**ENGINE, "batch_size": 3, "stopping": {"k": 0.5, "t_max": 60}}
 CASES = {
     "demo": ("configs/demo.json", {"replications": 3}),
     "predetermined": ("configs/predetermined.json", {"replications": 3}),
@@ -71,6 +75,8 @@ CASES = {
     "thompson/residual": ("configs/demo.json", {**ENGINE, "policy": THOMPSON, "sigma_mode": RESIDUAL}),
     "opportunity": ("configs/demo.json", {"replications": 3, "stopping": OPPORTUNITY}),
     "threshold": ("configs/predetermined.json", {"replications": 3, "stopping": THRESHOLD}),
+    "singular/known": ("configs/demo.json", SINGULAR),
+    "singular/residual": ("configs/demo.json", {**SINGULAR, "sigma_mode": RESIDUAL}),
 }
 SAMPLER_CASE = "perfbench/rejection"
 
