@@ -308,9 +308,8 @@ class IvwEstimate:
     var1: np.ndarray
     batch_size: int
     # Per-arm noise sd the variances were scaled with: the known sigma, or the
-    # root mean squared residual.  None only when read from a trajectory file
-    # that stored none.
-    noise_sd: Optional[tuple[float, float]]
+    # root mean squared residual (a trajectory file's reader derives it too).
+    noise_sd: tuple[float, float]
 
     def beta(self, arm: int) -> np.ndarray:
         return self.beta1 if arm == 1 else self.beta0
@@ -413,18 +412,6 @@ class StackedFit(NamedTuple):
 
     arm0 = property(lambda self: self.arm(0))
     arm1 = property(lambda self: self.arm(1))
-
-    @classmethod
-    def of_arms(cls, arm0: ArmFit, arm1: ArmFit) -> "StackedFit":
-        """The lone batch fit whose arms' fits are `arm0` and `arm1`; it has
-        residual terms if both arms have y'y."""
-        arms = (arm0, arm1)
-        residual = arm0.sum_sq is not None and arm1.sum_sq is not None
-        beta = np.stack([np.zeros(a.gram.shape[-1]) if a.beta is None else a.beta for a in arms])
-        sum_sq = np.array([a.sum_sq for a in arms]) if residual else None
-        rss = np.array([0.0 if a.rss is None else a.rss for a in arms]) if residual else None
-        usable, count = np.array([a.beta is not None for a in arms]), np.array([a.count for a in arms])
-        return cls(np.stack([a.gram for a in arms]), np.stack([a.moment for a in arms]), count, sum_sq, usable, beta, rss)
 
 
 def fit_arms(

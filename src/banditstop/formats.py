@@ -1,12 +1,14 @@
 """The JSON leaf types that the config and trajectory files share, and the
 trajectory file (`trajectories/rep_<idx>.json`).
 
-The trajectory format is declared once, in `TRAJECTORY`: each key with its
-leaf type, its shape in terms of the config's dimension `d`, and whether it
-may be null.  `trajectory_payload` writes a record by walking it, and
-`record_from_trajectory` reads a file by walking it, then checks what types
-cannot say.  A file without `"format": FORMAT`, or with a key the
-declaration does not list, is a ConfigError naming the key.
+The trajectory format is declared once, in `TRAJECTORY`, for either sigma
+mode: each key with its leaf type, its shape in terms of the config's
+dimension `d`, and whether it may be null.  `trajectory_payload` writes a
+record by walking it, and `record_from_trajectory` reads a file by walking
+it, naming the key of any ConfigError.  The per-batch statistics are the
+file's one source of truth: each `sufficient_stats` entry holds what the
+fold of the running sums reads of the batch's fit (`_READS`), and the
+stored stop trace, stop, noise scales and terminal must equal what it gives.
 """
 
 from __future__ import annotations
@@ -15,18 +17,17 @@ import json
 import math
 import numbers
 from itertools import repeat
-from operator import attrgetter, itemgetter
-from typing import Dict, Optional
+from operator import attrgetter
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, EstimatorUnavailable
-from .estimators import ArmFit, IvwEstimate, KnownSigma, RunningSums, StackedFit, ivw_combine
-from .linalg import eigvalsh, require_symmetric
+from .errors import ConfigError, EstimatorUnavailable
+from .estimators import KnownSigma, RunningSums, StackedFit, ivw_combine
 from .records import ExperimentRecord, SimulationSetup
 from .stopping import evaluate
 
-FORMAT = 2
+FORMAT = 3
 
 
 def _describe(value) -> str:
@@ -88,11 +89,6 @@ class _Leaf:
     def write(self, value):
         return value if self.to_json is None else self.to_json(value)
 
-    def column(self, values) -> list:
-        """`write` over `values`, None kept: one call per key of a trajectory's batches."""
-        to_json = self.to_json
-        return list(values) if to_json is None else [None if v is None else to_json(v) for v in values]
-
 
 INT = _Leaf("an integer", _integer)
 REAL = _Leaf("a finite number", _real)
@@ -103,9 +99,8 @@ LIST = _Leaf("an array", lambda v: v if isinstance(v, list) else None)
 DICT = _Leaf("a JSON object", lambda v: v if isinstance(v, dict) else None)
 _U64 = _Leaf("in [0, 2**64)", lambda v: _integer(v, 0, 1 << 64))
 _COUNT = _Leaf("an integer >= 0", lambda v: _integer(v, 0))
-# Batch statistics are float arrays, so they skip ARRAY's np.asarray.
-_FLOATS = _Leaf(ARRAY.what, _array, np.ndarray.tolist)
-_DIAGNOSTICS = _Leaf(DICT.what, DICT.parse, lambda d: {k: float(v) for k, v in d.items()})
+# The writer hands batch statistics over as lists (`_stats`).
+_LISTED = _Leaf(ARRAY.what, _array)
 
 
 class _Key:
@@ -114,7 +109,7 @@ class _Key:
     array of such objects, one per batch); for a leaf, an array's shape
     ("d": the config's dimension); whether it may be null; and how the
     writer gets its value from the object it writes (by default, the
-    attribute of the key's name)."""
+    attribute of the key's name), in its JSON form for a key of a list."""
 
     def __init__(self, kind, shape=None, nullable: bool = False, get=None):
         self.kind, self.shape, self.nullable, self.get = kind, shape, nullable, get
@@ -135,7 +130,7 @@ class _Key:
 
     def write(self, value):
         """The JSON form of `value`; a list of entries is written a column
-        (one key over every entry) at a time."""
+        (one key's getter over every entry) at a time."""
         kind = self.kind
         if value is None:
             return None
@@ -143,24 +138,20 @@ class _Key:
             return kind.write(value)
         if isinstance(kind, dict):
             return {name: key.write(key.get(value)) for name, key in kind.items()}
-        columns = [key.kind.column(map(key.get, value)) for key in kind[0].values()]
+        columns = [list(map(key.get, value)) for key in kind[0].values()]
         return list(map(dict, map(zip, repeat(tuple(kind[0])), zip(*columns))))
 
 
 def _read_object(keys: Dict[str, _Key], value, path: str, dim: int) -> Dict:
-    data, values = DICT.read(value, f"trajectory key {path!r}"), {}
+    data, values, prefix = DICT.read(value, f"trajectory key {path!r}"), {}, f"{path}." if path else ""
     extra = sorted(data.keys() - keys.keys())
     if extra:
-        raise ConfigError(f"trajectory key {_join(path, extra[0])!r} is not in trajectory format {FORMAT}")
+        raise ConfigError(f"trajectory key {prefix + extra[0]!r} is not in trajectory format {FORMAT}")
     for name, key in keys.items():
         if name not in data:
-            raise ConfigError(f"trajectory key {_join(path, name)!r} is missing")
-        values[name] = key.read(data[name], _join(path, name), dim)
+            raise ConfigError(f"trajectory key {prefix + name!r} is missing")
+        values[name] = key.read(data[name], prefix + name, dim)
     return values
-
-
-def _join(path: str, name: str) -> str:
-    return f"{path}.{name}" if path else name
 
 
 def _declare(get=None, nullable: bool = False, many: bool = False, **keys: _Key) -> _Key:
@@ -173,116 +164,141 @@ def _declare(get=None, nullable: bool = False, many: bool = False, **keys: _Key)
 _VEC, _MAT = ("d",), ("d", "d")
 _STOP_TRACE = _declare(  # of `StopDecision`s
     attrgetter("trajectory.stop_trace"), many=True,
-    t=_Key(INT), stop=_Key(BOOL), cap_hit=_Key(BOOL), diagnostics=_Key(_DIAGNOSTICS),
+    t=_Key(INT), stop=_Key(BOOL), cap_hit=_Key(BOOL),
+    diagnostics=_Key(DICT, get=lambda d: {k: float(v) for k, v in d.diagnostics.items()}),
 )
-TRAJECTORY = _declare(
-    format=_Key(INT, get=lambda rec: FORMAT),
-    rep=_Key(_COUNT, get=attrgetter("rep_index")),
-    seed=_Key(_U64),
-    inference_seed=_Key(_U64),
-    stop_time=_Key(INT),
-    cap_hit=_Key(BOOL),
-    noise_plugin=_Key(ARRAY, (2,), nullable=True, get=lambda rec: rec.ivw and rec.ivw.noise_sd),
-    sufficient_stats=_declare(  # of `Trajectory.stats`' (beta1, gram1, beta0, gram0)
-        attrgetter("trajectory.stats"), many=True,
-        beta1=_Key(_FLOATS, _VEC, nullable=True, get=itemgetter(0)),
-        gram1=_Key(_FLOATS, _MAT, get=itemgetter(1)),
-        beta0=_Key(_FLOATS, _VEC, nullable=True, get=itemgetter(2)),
-        gram0=_Key(_FLOATS, _MAT, get=itemgetter(3)),
-    ),
-    stop_trace=_STOP_TRACE,
-    terminal=_declare(  # of the `IvwEstimate`; null: the run left none
-        attrgetter("ivw"), nullable=True,
-        beta0=_Key(ARRAY, _VEC), beta1=_Key(ARRAY, _VEC), var0=_Key(ARRAY, _MAT), var1=_Key(ARRAY, _MAT),
-        batch_size=_Key(INT),
-    ),
+_TERMINAL = _declare(  # of the `IvwEstimate`; null: the run left none
+    attrgetter("ivw"), nullable=True,
+    beta0=_Key(ARRAY, _VEC), beta1=_Key(ARRAY, _VEC), var0=_Key(ARRAY, _MAT), var1=_Key(ARRAY, _MAT),
+    batch_size=_Key(INT),
 )
+# What the fold reads of an arm's batch fit, by sigma mode (residual or not):
+# each `StackedFit` field, stored as `<field><arm>`, with where it holds a
+# value (True: only where the arm's batch Gram is invertible, so `beta` is
+# not null; False: only where it is singular; None: always), leaf and shape.
+# A known sigma's fold reads no singular arm's Gram and no count, X'y or y'y.
+_READS = {
+    False: {"beta": (True, _LISTED, _VEC), "gram": (True, _LISTED, _MAT)},
+    True: {
+        "beta": (True, _LISTED, _VEC), "gram": (None, _LISTED, _MAT), "count": (None, _COUNT, None),
+        "rss": (True, REAL, None), "moment": (False, _LISTED, _VEC), "sum_sq": (False, REAL, None),
+    },
+}
+
+
+def _stats(residual: bool) -> _Key:
+    """`sufficient_stats` under either sigma mode.  The writer slices each
+    batch's fit in the trajectory's row, one stack and one `tolist` per
+    field, `usable` first; each key's getter picks its arm, or None."""
+    names = ("usable", *_READS[residual])
+
+    def rows(rec) -> List[tuple]:
+        stats = rec.trajectory.stats
+        return list(zip(*(np.stack([getattr(fit, name)[row] for fit, row in stats]).tolist() for name in names)))
+
+    return _declare(rows, many=True, **{
+        f"{name}{arm}": _Key(
+            leaf, shape, nullable=when is not None,
+            get=lambda row, f=field, a=arm, w=when: row[f][a] if w is None or row[0][a] is w else None,
+        )
+        for field, (name, (when, leaf, shape)) in enumerate(_READS[residual].items(), start=1)
+        for arm in (0, 1)
+    })
+
+
+TRAJECTORY = {  # by sigma mode: residual or not
+    residual: _declare(
+        format=_Key(INT, get=lambda rec: FORMAT),
+        rep=_Key(_COUNT, get=attrgetter("rep_index")),
+        seed=_Key(_U64),
+        inference_seed=_Key(_U64),
+        stop_time=_Key(INT),
+        cap_hit=_Key(BOOL),
+        noise_plugin=_Key(ARRAY, (2,), nullable=True, get=lambda rec: rec.ivw and rec.ivw.noise_sd),
+        sufficient_stats=_stats(residual),
+        stop_trace=_STOP_TRACE,
+        terminal=_TERMINAL,
+    )
+    for residual in (False, True)
+}
 
 
 def trajectory_payload(rec: ExperimentRecord) -> Dict:
     """The JSON form of a record's trajectory file."""
-    return TRAJECTORY.write(rec)
+    return TRAJECTORY[not isinstance(rec.setup.sigma_mode, KnownSigma)].write(rec)
 
 
-def record_from_trajectory(payload, setup: SimulationSetup, resimulation: bool) -> ExperimentRecord:
+def record_from_trajectory(payload, setup: SimulationSetup) -> ExperimentRecord:
     """The slice of an ExperimentRecord that inference needs, from a
-    trajectory file's JSON `payload` under the run's `setup`; `resimulation`
-    says whether the sampler draws its surrogates' noise at the stored
-    plug-in scales.  A payload that is malformed, does not fit the set-up
-    or cannot be inferred from is a ConfigError naming the key."""
+    trajectory file's JSON `payload` under the run's `setup`: its statistics
+    folded as the run folded them, which give each decision, the stop and
+    the terminal estimate.  A payload that is malformed, does not fit the
+    set-up, disagrees bit for bit with what its statistics give or leaves no
+    estimate is a ConfigError naming the key."""
     payload = DICT.read(payload, "trajectory")
     if _integer(payload.get("format")) != FORMAT:
         given = _describe(payload["format"]) if "format" in payload else "missing"
         raise ConfigError(f"trajectory key 'format' is {given}; this banditstop reads trajectory format {FORMAT}")
-    rule, file = setup.rule, TRAJECTORY.read(payload, "", setup.context.dim)
-    stop_time, cap_hit = file["stop_time"], file["cap_hit"]  # a cap hit: the rule did not fire by t_max
+    rule, residual, dim = setup.rule, not isinstance(setup.sigma_mode, KnownSigma), setup.context.dim
+    file = TRAJECTORY[residual].read(payload, "", dim)
+    stop_time = file["stop_time"]
     if not 1 <= stop_time <= rule.t_max:
         raise ConfigError(f"trajectory key 'stop_time' must lie in 1..{rule.t_max}")
     for key in ("sufficient_stats", "stop_trace"):
         if len(file[key]) != stop_time:
             raise ConfigError(f"trajectory key {key!r} must have stop_time = {stop_time} entries")
-    # One decision per batch, each the one the config's rule makes from the
-    # norms it stores and those of the entry before, as the loops carry them;
-    # the last is the run's only stop.
-    previous, logged = None, []
-    for i, d in enumerate(file["stop_trace"]):
-        path, last = f"stop_trace[{i}]", i + 1 == stop_time
-        norms = (d["diagnostics"].get("var_norm_arm0"), d["diagnostics"].get("var_norm_arm1"))
-        current = norms if all(isinstance(v, float) for v in norms) else None
-        again = json.dumps(_STOP_TRACE.write([evaluate(rule, i + 1, current, previous)])[0], sort_keys=True)
-        if json.dumps(d, sort_keys=True) != again:
-            raise ConfigError(f"trajectory key {path!r} does not follow from the config's stopping rule: {again}")
-        want = {"stop": last, "cap_hit": last and cap_hit}
-        if {k: d[k] for k in want} != want:
-            raise ConfigError(
-                f"trajectory key {path!r} must have {json.dumps(want)}, since 'stop_time' is {stop_time} "
-                f"and 'cap_hit' is {json.dumps(cap_hit)}"
-            )
-        previous = current
-        logged.append(current)
-    noise_sd, term, known = file["noise_plugin"], file["terminal"], isinstance(setup.sigma_mode, KnownSigma)
-    if noise_sd is None and resimulation:  # it draws the surrogates' noise at these scales
-        raise ConfigError("trajectory key 'noise_plugin' must be an array of finite numbers, got null")
-    if noise_sd is not None and known and noise_sd.tolist() != [setup.sigma_mode.sigma] * 2:
-        sigma = setup.sigma_mode.sigma
-        raise ConfigError(f"trajectory key 'noise_plugin' must be [{sigma!r}, {sigma!r}] under a known sigma")
-    if noise_sd is not None and (noise_sd < 0).any():
-        raise ConfigError("trajectory key 'noise_plugin' must be nonnegative")
-    if term is None:
-        raise ConfigError("trajectory key 'terminal' must be a JSON object, got null: the run left no estimate")
-    if term["batch_size"] != setup.batch_size:
-        raise ConfigError(f"trajectory key 'terminal.batch_size' must be {setup.batch_size}")
-    for key in ("var0", "var1"):
+    # The run's loop on the stored fits: fold, combine, decide.
+    sums, norms = RunningSums.empty(dim, residual), None
+    for i, entry in enumerate(file["sufficient_stats"]):
+        sums.add(_batch_fit(entry, f"sufficient_stats[{i}]", _READS[residual], dim))
+        previous = norms
         try:
-            require_symmetric(term[key])
-        except ContractError:
-            raise ConfigError(f"trajectory key 'terminal.{key}' must be symmetric") from None
-        if eigvalsh(term[key])[0] < 0:
-            raise ConfigError(f"trajectory key 'terminal.{key}' must have no negative eigenvalue")
-    ivw = IvwEstimate(**term, noise_sd=None if noise_sd is None else tuple(noise_sd.tolist()))
-    if known:
-        _refold(file["sufficient_stats"], None if rule.predetermined else logged, ivw, setup)
+            combined = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
+            norms = combined.var_norms
+        except EstimatorUnavailable:
+            combined = norms = None
+        decision = evaluate(rule, i + 1, norms, previous)
+        again = json.dumps(_STOP_TRACE.write([decision])[0], sort_keys=True)
+        if json.dumps(file["stop_trace"][i], sort_keys=True) != again:
+            raise ConfigError(
+                f"trajectory key 'stop_trace[{i}]' does not follow from the config's stopping rule "
+                f"on the 'sufficient_stats' up to it: {again}"
+            )
+        if decision.stop:
+            break
+    if not decision.stop or decision.t != stop_time:
+        where = f"at batch {decision.t}" if decision.stop else "later"
+        raise ConfigError(f"trajectory key 'stop_time' is {stop_time}, but the config's stopping rule stops {where}")
+    if file["cap_hit"] != decision.cap_hit:
+        raise ConfigError(f"trajectory key 'cap_hit' must be {json.dumps(decision.cap_hit)}, as in 'stop_trace[{i}]'")
+    if combined is None:
+        raise ConfigError("trajectory key 'terminal': the run left no estimate at its stop to infer from")
+    ivw = combined.estimate()
+    stored = {**payload, **{f"terminal.{k}": v for k, v in (payload["terminal"] or {}).items()}}
+    derived = {"noise_plugin": list(ivw.noise_sd), **{f"terminal.{k}": v for k, v in _TERMINAL.write(ivw).items()}}
+    for key, value in derived.items():  # as JSON text: bit for bit
+        if json.dumps(stored.get(key)) != json.dumps(value):
+            got = _describe(stored.get(key))
+            raise ConfigError(f"trajectory key {key!r} must be {json.dumps(value)}, as 'sufficient_stats' give, got {got}")
     return ExperimentRecord(
-        rep_index=file["rep"], seed=file["seed"], setup=setup, stop_time=stop_time, cap_hit=cap_hit, ivw=ivw,
-        regret_hat=None, creg=None, inference=None, inference_seed=file["inference_seed"],
+        rep_index=file["rep"], seed=file["seed"], setup=setup, stop_time=stop_time, cap_hit=decision.cap_hit,
+        ivw=ivw, regret_hat=None, creg=None, inference=None, inference_seed=file["inference_seed"],
     )
 
 
-def _refold(stats, logged: Optional[list], ivw: IvwEstimate, setup: SimulationSetup) -> None:
-    """Under a known noise scale a trajectory's stored (beta, G) pairs alone
-    give the norms an online rule reads and the terminal estimate: fold them
-    as the run did and require, bit for bit, the norms the stop trace logs
-    (`logged`, None for a pre-determined rule) and the stored terminal."""
-    dim = setup.context.dim
-    sums, zero, combined = RunningSums.empty(dim, residual=False), np.zeros(dim), None
-    for i, e in enumerate(stats):
-        sums.add(StackedFit.of_arms(*(ArmFit(e[f"beta{a}"], e[f"gram{a}"], 0, None, zero, None) for a in (0, 1))))
-        try:
-            combined = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
-        except EstimatorUnavailable:
-            combined = None
-        if logged is not None and logged[i] != (None if combined is None else combined.var_norms):
-            raise ConfigError(f"trajectory key 'sufficient_stats[{i}]' does not give the norms 'stop_trace[{i}]' logs")
-    names = ("beta0", "beta1", "var0", "var1")
-    if combined is None or any(getattr(combined, k).tobytes() != getattr(ivw, k).tobytes() for k in names):
-        raise ConfigError("trajectory key 'terminal' is not the combined estimate its 'sufficient_stats' give")
+def _batch_fit(entry: Dict, path: str, reads: Dict, dim: int) -> StackedFit:
+    """The batch fit an entry gives the fold: an arm is usable where its `beta`
+    is not null, and what `reads` (`_READS`) does not list of it is zero."""
+    usable = [entry[f"beta{arm}"] is not None for arm in (0, 1)]
+    fit = {"moment": np.zeros((2, dim)), "count": np.zeros(2, int), "sum_sq": None, "rss": None}
+    for name, (when, _, shape) in reads.items():
+        for arm in (0, 1):
+            wanted = when is None or usable[arm] is when
+            if (entry[f"{name}{arm}"] is not None) != wanted:
+                raise ConfigError(
+                    f"trajectory key '{path}.{name}{arm}' must {'not ' if wanted else ''}be null, "
+                    f"since 'beta{arm}' is {'not ' if usable[arm] else ''}null"
+                )
+        zero = np.zeros([dim] * len(shape or ()))
+        fit[name] = np.array([zero if entry[f"{name}{arm}"] is None else entry[f"{name}{arm}"] for arm in (0, 1)])
+    return StackedFit(usable=np.array(usable), **fit)

@@ -558,8 +558,7 @@ def load_trajectory(path: str, config: ExperimentConfig) -> ExperimentRecord:
     set-up `config` runs.  Only a pre-determined rule reads the bound
     constants, and they may need the pilot calibration."""
     setup = _setup(config, resolve_constants(config) if config.stopping.predetermined else None)
-    resimulation = config.inference is not None and config.inference.mode == RESIMULATION_REJECTION
-    return record_from_trajectory(_read_json(path, "trajectory"), setup, resimulation)
+    return record_from_trajectory(_read_json(path, "trajectory"), setup)
 
 
 # ---------------------------------------------------------------------------

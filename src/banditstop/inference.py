@@ -88,8 +88,6 @@ def sample_conditional(
         draws1 = draw_gaussian(rng, record.ivw.beta1, record.ivw.beta_cov(1), cfg.n_samples)
         return ConditionalSamples(arm0=draws0, arm1=draws1, acceptance_rate=1.0, attempts=cfg.n_samples)
 
-    if record.ivw.noise_sd is None:
-        raise ContractError("record has no plug-in noise scales for resimulation")
     plug_model = TrueModel(
         beta0=record.ivw.beta0,
         beta1=record.ivw.beta1,

@@ -1,23 +1,20 @@
 """Value types tying a full seeded trajectory together: the simulation setup,
-per-batch statistics, the stop trace, terminal estimates, and inference output.
+per-batch fits, the stop trace, terminal estimates, and inference output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .bounds import CostAdjustedRegret
-from .estimators import IvwEstimate, SigmaMode
+from .estimators import IvwEstimate, SigmaMode, StackedFit
 from .model import ContextSpec
 from .policies import ClipSchedule, PolicyKind
 from .stopping import StopDecision, StoppingRule, spectral_norm
-
-# One batch's (beta1, gram1, beta0, gram0); a beta is None where its Gram is singular.
-BatchStats = Tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,9 @@ class SimulationSetup:
 
 @dataclass
 class Trajectory:
-    stats: List[BatchStats]  # per batch (beta1, gram1, beta0, gram0)
+    # Per batch, its fit held by reference and the trajectory's row of it: a
+    # lone fit and (), or a lock-step stack's fit and the member's index.
+    stats: List[Tuple[StackedFit, Union[int, Tuple[()]]]]
     stop_trace: List[StopDecision]  # ends on the run's one stopping decision
     ivw: Optional[IvwEstimate]
 

@@ -25,7 +25,9 @@ batch for the noise factors; under a known noise scale neither is.  The
 combined estimate and the variance matrices are formed once, at the stop,
 by `IvwCombination.estimate` in both loops: a stopping member reads the
 combination its lone trajectory would hold (`StackedSums.combination`).
-The stack shrinks only on a batch where some member stops.
+The stack shrinks only on a batch where some member stops.  A trajectory
+keeps each batch's fit by reference (`Trajectory.stats`: the lone fit, or
+the stack's fit and the member's row); only the file writer slices it.
 
 The lone loop's fixed cost per batch is a few dozen numpy calls, so it
 makes none it can skip with the same bits.  Its sums hold both arms as one
@@ -42,17 +44,17 @@ and at most four solves or inverses.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .bounds import chunk_members, lock_step_batch
 from .errors import EstimatorUnavailable
-from .estimators import IvwEstimate, KnownSigma, RunningSums, StackedSums, arm_masks, fit_arms
+from .estimators import IvwEstimate, KnownSigma, RunningSums, StackedFit, StackedSums, arm_masks, fit_arms
 from .estimators import fit_batch_ols, ivw_combine
 from .model import TrueModel, realize_rewards, sample_batch_contexts
 from .policies import select_actions, update_state
-from .records import BatchStats, SimulationSetup, Trajectory
+from .records import SimulationSetup, Trajectory
 from .stopping import NormPair, StopDecision, evaluate
 
 
@@ -60,7 +62,7 @@ def simulate_trajectory(setup: SimulationSetup, model: TrueModel, rng: np.random
     """Run the batch protocol until the stopping rule fires, or its cap
     `t_max` stops the run with cap_hit set."""
     rule = setup.rule
-    stats: List[BatchStats] = []
+    stats: List[Tuple[StackedFit, Tuple[()]]] = []
     residual = not isinstance(setup.sigma_mode, KnownSigma)
     sums = RunningSums.empty(model.dim, residual)
     stop_trace: List[StopDecision] = []
@@ -72,8 +74,7 @@ def simulate_trajectory(setup: SimulationSetup, model: TrueModel, rng: np.random
         actions = select_actions(setup.policy, sums, x, setup.clip, rng)
         y = realize_rewards(model, x, actions, rng)
         fit = fit_batch_ols(x, actions, y, residual=residual)
-        u0, u1 = fit.usable.tolist()
-        stats.append((fit.beta[1] if u1 else None, fit.gram[1], fit.beta[0] if u0 else None, fit.gram[0]))
+        stats.append((fit, ()))
         update_state(sums, fit)
 
         previous = norms
@@ -109,7 +110,7 @@ def simulate_ensemble(
 def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Trajectory]:
     rule, n = setup.rule, setup.batch_size
     online = not rule.predetermined
-    stats: List[List[BatchStats]] = [[] for _ in rngs]
+    stats: List[List[Tuple[StackedFit, int]]] = [[] for _ in rngs]
     traces: List[List[StopDecision]] = [[] for _ in rngs]
     prev: List[Optional[NormPair]] = [None] * len(rngs)
     ivws: List[Optional[IvwEstimate]] = [None] * len(rngs)  # each member's estimate at its stop
@@ -129,12 +130,11 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Traje
         # and every batch, as a lone trajectory does: perfbench's tracer
         # wraps this name, and its growth metric needs the early batches too.
         combined = ivw_combine(sums, setup.sigma_mode, n)
-        ok, norms, usable = combined.ok.tolist(), combined.norms.tolist(), fit.usable.tolist()
+        ok, norms = combined.ok.tolist(), combined.norms.tolist()
         fixed = None if online else evaluate(rule, t)  # a pre-determined rule reads no data
         stop = [False] * len(live)
         for k, i in enumerate(live):
-            (u0, u1), beta, gram = usable[k], fit.beta[k], fit.gram[k]
-            stats[i].append((beta[1] if u1 else None, gram[1], beta[0] if u0 else None, gram[0]))
+            stats[i].append((fit, k))
             cur = tuple(norms[k]) if online and ok[k] else None
             decision = evaluate(rule, t, cur, prev[i]) if online else fixed
             traces[i].append(decision)

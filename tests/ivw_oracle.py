@@ -25,6 +25,18 @@ class BatchData:
     rewards: np.ndarray
 
 
+def of_arms(arm0: ArmFit, arm1: ArmFit) -> StackedFit:
+    """The lone batch fit whose arms' fits are `arm0` and `arm1`; it has
+    residual terms if both arms have y'y."""
+    arms = (arm0, arm1)
+    residual = arm0.sum_sq is not None and arm1.sum_sq is not None
+    beta = np.stack([np.zeros(a.gram.shape[-1]) if a.beta is None else a.beta for a in arms])
+    sum_sq = np.array([a.sum_sq for a in arms]) if residual else None
+    rss = np.array([0.0 if a.rss is None else a.rss for a in arms]) if residual else None
+    usable, count = np.array([a.beta is not None for a in arms]), np.array([a.count for a in arms])
+    return StackedFit(np.stack([a.gram for a in arms]), np.stack([a.moment for a in arms]), count, sum_sq, usable, beta, rss)
+
+
 def sums_of(fits: Sequence[StackedFit]) -> RunningSums:
     """Running sums of `fits`, added in order."""
     sums = RunningSums.empty(fits[0].arm0.gram.shape[0])

@@ -1,16 +1,28 @@
 """Stopping decisions recomputed from a record's stored per-batch statistics
 alone, the way a reader of the trajectory JSON would; tests compare them
-with the stop trace the simulation logged.
+with the stop trace the simulation logged.  `batch_stats` gives the tests
+each batch's estimates and Grams from the fits a trajectory holds.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from banditstop import ContractError, ExperimentRecord, KnownSigma, StopDecision, evaluate, spectral_norm
+from banditstop import ContractError, ExperimentRecord, KnownSigma, StopDecision, Trajectory, evaluate, spectral_norm
 from banditstop.linalg import inverse_spd, is_invertible_gram
+
+
+def batch_stats(trajectory: Trajectory) -> List[Tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray], np.ndarray]]:
+    """Each batch's (beta1, gram1, beta0, gram0), sliced from the fit and row
+    that `trajectory.stats` holds; a beta is None where its arm's batch Gram
+    is singular."""
+    stats = []
+    for fit, row in trajectory.stats:
+        usable, beta, gram = fit.usable[row], fit.beta[row], fit.gram[row]
+        stats.append((beta[1] if usable[1] else None, gram[1], beta[0] if usable[0] else None, gram[0]))
+    return stats
 
 
 def replay_stop_decisions(record: ExperimentRecord) -> List[StopDecision]:
@@ -32,7 +44,7 @@ def replay_stop_decisions(record: ExperimentRecord) -> List[StopDecision]:
     dim = record.setup.context.dim
     totals = {0: np.zeros((dim, dim)), 1: np.zeros((dim, dim))}
     prev = None
-    for t, (beta1, gram1, beta0, gram0) in enumerate(record.trajectory.stats, start=1):
+    for t, (beta1, gram1, beta0, gram0) in enumerate(batch_stats(record.trajectory), start=1):
         if beta1 is not None:
             totals[1] = totals[1] + gram1
         if beta0 is not None:

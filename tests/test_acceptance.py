@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import banditstop as bs
+from replay_oracle import batch_stats
 
 
 def report(num, desc, ok, detail=""):
@@ -75,8 +76,8 @@ def test_acceptance_01_ols_oracle():
 
 
 def test_acceptance_02_ivw_identities():
-    from banditstop.estimators import ArmFit, StackedFit
-    from ivw_oracle import sums_of
+    from banditstop.estimators import ArmFit
+    from ivw_oracle import of_arms, sums_of
 
     def mk(gram, beta):
         g = np.atleast_2d(np.asarray(gram, dtype=float))
@@ -85,7 +86,7 @@ def test_acceptance_02_ivw_identities():
         def arm():
             return ArmFit(b.copy(), g.copy(), 4, 0.0, moment=g @ b, sum_sq=float(b @ g @ b))
 
-        return StackedFit.of_arms(arm(), arm())
+        return of_arms(arm(), arm())
 
     ok = True
     # single batch: bitwise fixed point
@@ -142,7 +143,7 @@ def coverage_run():
         z[r, :2] = (ivw.beta0 - model.beta0) / np.sqrt(np.diag(ivw.beta_cov(0)))
         z[r, 2:] = (ivw.beta1 - model.beta1) / np.sqrt(np.diag(ivw.beta_cov(1)))
         s = np.zeros(2)
-        for beta1, gram1, _b0, _g0 in rec.trajectory.stats:
+        for beta1, gram1, _b0, _g0 in batch_stats(rec.trajectory):
             s += gram1 @ (beta1 - model.beta1)
         mart[r] = s / np.sqrt(COV_N * COV_T)
     return spec, model, z, mart

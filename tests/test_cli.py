@@ -535,13 +535,15 @@ def stored_trajectory(tmp_path, **overrides):
         ("missing file", "cannot read trajectory file"),  # exit 3
         ("one entry short", "'sufficient_stats' must have stop_time"),  # exit 0
         ("cap hit before t_max", "'stop_trace' must have stop_time = 7 entries"),  # exit 0
-        ("no terminal", "'terminal' must be a JSON object, got null"),  # exit 3
-        ("no noise_plugin for resimulation", "'noise_plugin' must be an array of finite numbers, got null"),  # exit 3
-        ("negative definite var1", "'terminal.var1' must have no negative eigenvalue"),  # exit 0, zero-width intervals
-        ("asymmetric var0", "'terminal.var0' must be symmetric"),  # read through its lower triangle
+        ("no terminal", "'terminal.beta0' must be ["),  # exit 3
+        ("no noise_plugin for resimulation", "'noise_plugin' must be [1.0, 1.0], as 'sufficient_stats' give, got null"),  # exit 3
+        ("negative definite var1", "'terminal.var1' must be [["),  # exit 0, zero-width intervals
+        ("asymmetric var0", "'terminal.var0' must be [["),  # read through its lower triangle
         ("zero noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # exit 0, noiseless surrogates
         ("negative noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # named no key
-        ("negative noise_plugin, residual sigma", "'noise_plugin' must be nonnegative"),  # named no key
+        # A known-sigma file under a residual-sigma config: its statistics lack what that fold reads.
+        ("negative noise_plugin, residual sigma", "'sufficient_stats[0].count0' is missing"),  # named no key
+        ("negative noise_plugin, residual file", "'noise_plugin' must be ["),
         # Each of these exited 0: the stored trace was not read.
         ("no stop_trace", "'stop_trace' is missing"),
         ("one decision at t=1", "'stop_trace' must have stop_time = 8 entries"),
@@ -553,11 +555,12 @@ def stored_trajectory(tmp_path, **overrides):
         ("diagnostics not an object", "'stop_trace[1].diagnostics' must be a JSON object, got []"),
         # Each of these exited 0: the format was not versioned, and no key was checked
         # outside 'stop_trace'.
-        ("no format", "trajectory key 'format' is missing; this banditstop reads trajectory format 2"),
-        ("format 1", "trajectory key 'format' is 1; this banditstop reads trajectory format 2"),
-        ('format "2"', '''trajectory key 'format' is "2"; this banditstop reads trajectory format 2'''),
-        ("another top-level key", "trajectory key 'note' is not in trajectory format 2"),
-        ("another key in terminal", "trajectory key 'terminal.note' is not in trajectory format 2"),
+        ("no format", "trajectory key 'format' is missing; this banditstop reads trajectory format 3"),
+        ("format 1", "trajectory key 'format' is 1; this banditstop reads trajectory format 3"),
+        ('format "2"', '''trajectory key 'format' is "2"; this banditstop reads trajectory format 3'''),
+        ("format 2", "trajectory key 'format' is 2; this banditstop reads trajectory format 3"),
+        ("another top-level key", "trajectory key 'note' is not in trajectory format 3"),
+        ("another key in terminal", "trajectory key 'terminal.note' is not in trajectory format 3"),
         ("another key in a sufficient_stats entry", "trajectory key 'sufficient_stats[0].note' is not in"),
         # Each of these exited 0: the stored seeds and index were not range-checked.
         ("seed -1", "trajectory key 'seed' must be in [0, 2**64), got -1"),
@@ -566,34 +569,52 @@ def stored_trajectory(tmp_path, **overrides):
         # Each of these exited 0: the stored decisions were not replayed under the config's rule.
         ("another stopping.k", "'stop_trace[0]' does not follow from the config's stopping rule"),
         ("pre-determined, another unit_cost", "'stop_trace[0]' does not follow from the config's stopping rule"),
-        ("norms below k before the stop", ''''stop_trace[6]' does not follow from the config's stopping rule: '''
-         '''{"cap_hit": false, "diagnostics": {"threshold": 0.9, "var_norm_arm0": 0.8, "var_norm_arm1": 0.8}, "stop": true'''),
+        # The norms come from the statistics, not from the trace.
+        ("norms below k before the stop", ''''stop_trace[6]' does not follow from the config's stopping rule on '''
+         '''the 'sufficient_stats' up to it: {"cap_hit": false, "diagnostics": {"threshold": 0.9, "var_norm_arm0": '''),
         # Each of these exited 0: the opportunity rule was not replayed, and no key was checked but
         # stop, cap_hit and diagnostics.
         ("opportunity, another decrement", "'stop_trace[3]' does not follow from the config's stopping rule"),
         ("opportunity, another c_prime", "'stop_trace[1]' does not follow from the config's stopping rule"),
-        ("another key in a stop_trace entry", "trajectory key 'stop_trace[2].note' is not in trajectory format 2"),
+        ("another key in a stop_trace entry", "trajectory key 'stop_trace[2].note' is not in trajectory format 3"),
         ("opportunity, no norms at the first usable batch", "'stop_trace[0]' does not follow from the config's"),
         # These exited 2 naming 'cap_hit' or 'stop_trace[7].cap_hit'.
-        ("cap hit before t_max, trace cut too", ''''stop_trace[6]' must have {"stop": true, "cap_hit": true}'''),
-        ("no cap hit at t_max", ''''stop_trace[7]' must have {"stop": true, "cap_hit": false}'''),
+        ("cap hit before t_max, trace cut too", "trajectory key 'stop_time' is 7, but the config's stopping rule stops later"),
+        ("no cap hit at t_max", "trajectory key 'cap_hit' must be true, as in 'stop_trace[7]'"),
+        # A key of the other sigma mode is unknown, and each per-arm key holds a
+        # value exactly where the fold reads it: beside a non-null 'beta' or a null one.
+        ("count0, known file", "trajectory key 'sufficient_stats[0].count0' is not in trajectory format 3"),
+        ("no count0, residual file", "trajectory key 'sufficient_stats[0].count0' is missing"),
+        ("rss where beta is null, residual file", "'sufficient_stats[{i}].rss{arm}' must be null, since 'beta{arm}' is null"),
+        ("gram where beta is null, known file", "'sufficient_stats[{i}].gram{arm}' must be null, since 'beta{arm}' is null"),
+        ("no gram0 beside beta0, known file", "'sufficient_stats[0].gram0' must not be null, since 'beta0' is not null"),
+        ("moment0 beside beta0, residual file", "'sufficient_stats[0].moment0' must be null, since 'beta0' is not null"),
     ],
     ids=[
         "dim_mismatch", "missing_var0", "stop_time_string", "missing_file", "stats_count", "early_cap_hit",
         "null_terminal", "null_noise_plugin", "negative_var1", "asymmetric_var0",
         "zero_noise_plugin_known", "negative_noise_plugin_known", "negative_noise_plugin_residual",
+        "negative_noise_plugin_residual_file",
         "no_stop_trace", "one_stop_at_t1", "trace_t", "early_stop", "late_stop", "early_trace_cap_hit",
-        "trace_cap_hit", "trace_diagnostics", "no_format", "format_1", "format_string", "top_level_extra_key",
+        "trace_cap_hit", "trace_diagnostics", "no_format", "format_1", "format_string", "format_2", "top_level_extra_key",
         "terminal_extra_key", "stats_extra_key", "seed_negative", "seed_above_u64", "rep_negative",
         "replay_k", "replay_unit_cost", "replay_norms",
         "opportunity_decrement", "opportunity_c_prime", "trace_extra_key", "opportunity_old_format",
         "early_cap_hit_trace_cut", "stored_cap_hit_false",
+        "known_count", "residual_no_count", "residual_singular_rss", "known_singular_gram", "known_usable_no_gram",
+        "residual_usable_moment",
     ],
 )
 def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
     opportunity = case.startswith("opportunity")
-    cfg_path, traj = stored_trajectory(tmp_path, **({"stopping": OPPORTUNITY} if opportunity else {}))
+    overrides = {"stopping": OPPORTUNITY} if opportunity else {}
+    if case.endswith("residual file"):
+        overrides["sigma_mode"] = ResidualSigma()
+    if "beta is null" in case:
+        overrides["batch_size"] = 3  # at 3 units and d = 2 an arm is often singular
+    cfg_path, traj = stored_trajectory(tmp_path, **overrides)
     payload = json.loads(traj.read_text())
+    stats = payload["sufficient_stats"]
     if opportunity:  # norms from t = 1, and no stop before the cap
         assert payload["stop_trace"][0]["diagnostics"]["insufficient_history"] == 1.0 and payload["cap_hit"]
     if case == "3-d config":
@@ -622,6 +643,8 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         payload["terminal"]["var1"] = [[-1, 0], [0, -1]]
     elif case == "asymmetric var0":
         payload["terminal"]["var0"][0][1] += 1.0
+    elif case == "negative noise_plugin, residual file":
+        payload["noise_plugin"] = [-1.0, 1.0]
     elif "noise_plugin," in case:
         resimulation = ConditionalSamplerConfig(mode="resimulation_rejection", n_samples=100, max_attempts=1000)
         sigma_mode = ResidualSigma() if case.endswith("residual sigma") else KnownSigma(1.0)
@@ -689,6 +712,23 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         del payload["stop_trace"][-1]
     elif case == "no cap hit at t_max":
         payload["cap_hit"] = False
+    elif case == "count0, known file":
+        stats[0]["count0"] = 15
+    elif case == "no count0, residual file":
+        del stats[0]["count0"]
+    elif "beta is null" in case:
+        i, arm = next((i, arm) for i, e in enumerate(stats) for arm in (0, 1) if e[f"beta{arm}"] is None)
+        if case.startswith("rss"):
+            stats[i][f"rss{arm}"] = 1.0
+        else:
+            stats[i][f"gram{arm}"] = [[2.0, 0.5], [0.5, 1.0]]  # an unrelated SPD matrix
+        expected = expected.format(i=i, arm=arm)
+    elif case == "no gram0 beside beta0, known file":
+        assert stats[0]["beta0"] is not None
+        stats[0]["gram0"] = None
+    elif case == "moment0 beside beta0, residual file":
+        assert stats[0]["beta0"] is not None
+        stats[0]["moment0"] = [0.0, 0.0]
     else:
         traj = tmp_path / "missing.json"
     if traj.exists():
@@ -701,30 +741,55 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
 
 
 @pytest.mark.parametrize(
-    "edit, expected",
+    "sigma, edit",
     [
-        ("gram0", "'sufficient_stats[3]' does not give the norms 'stop_trace[3]' logs"),
-        ("beta1", "'terminal' is not the combined estimate its 'sufficient_stats' give"),
+        ("known", "gram0@3"), ("known", "beta1@5"),
+        ("residual", "gram0@3"), ("residual", "beta1@5"), ("residual", "count1@3"), ("residual", "rss0@3"),
+        ("residual", "moment@singular"), ("residual", "sum_sq@singular"),
     ],
-    ids=["gram0", "beta1"],
 )
-def test_infer_refolds_known_sigma_statistics(tmp_path, capsys, edit, expected):
-    # Each edit exited 0: the stored statistics were checked for their shapes
-    # only.  Under a known sigma they give the logged norms and the terminal.
-    out_dir = tmp_path / "out"
-    assert main(["simulate", "--config", str(DEMO_CONFIG), "--reps", "1", "--out", str(out_dir)]) == 0
+def test_infer_refolds_the_stored_statistics(tmp_path, capsys, sigma, edit):
+    # Each edit of a residual-sigma file exited 0 before format 3, which
+    # stores what the residual fold reads; the known-sigma ones were caught
+    # by a known-sigma refold.  The stored statistics give every decision and
+    # the terminal estimate, so an edit at batch i shows in the first logged
+    # norms from i on, or (a known-sigma estimate, which no norm reads) in
+    # the terminal.
+    demo = json.loads(DEMO_CONFIG.read_text())
+    if sigma == "residual":
+        demo["sigma_mode"] = {"kind": "residual"}
+    if edit.endswith("singular"):  # at 3 units and d = 2 an arm is often singular
+        demo.update(batch_size=3, stopping={**demo["stopping"], "k": 0.5, "t_max": 60})
+    cfg_path, out_dir = tmp_path / "config.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(demo))
+    assert main(["simulate", "--config", str(cfg_path), "--reps", "1", "--out", str(out_dir)]) == 0
     traj = out_dir / "trajectories" / "rep_00000.json"
-    infer = ["infer", "--config", str(DEMO_CONFIG), "--trajectory", str(traj)]
+    infer = ["infer", "--config", str(cfg_path), "--trajectory", str(traj)]
     assert main(infer) == 0
     payload = json.loads(traj.read_text())
-    if edit == "gram0":
-        payload["sufficient_stats"][3]["gram0"] = [[1.0, 0.0], [0.0, 1.0]]
+    stats, key = payload["sufficient_stats"], edit.split("@")[0]
+    if edit.endswith("singular"):
+        i, arm = next((i, arm) for i, e in enumerate(stats) for arm in (0, 1) if i > 0 and e[f"beta{arm}"] is None)
+        key += str(arm)
     else:
-        payload["sufficient_stats"][5]["beta1"] = [9.0, 9.0]
+        i = int(edit.split("@")[1])
+    entry = stats[i]
+    assert entry[key] is not None
+    if key.startswith("gram"):
+        entry[key] = [[1.0, 0.0], [0.0, 1.0]]
+    elif key.startswith(("beta", "moment")):
+        entry[key] = [9.0, 9.0]
+    else:
+        entry[key] += 1
     traj.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(infer) == 2
     err = capsys.readouterr().err
+    if (sigma, key) == ("known", "beta1"):
+        expected = "trajectory key 'terminal.beta1' must be ["
+    else:
+        logged = next(j for j, d in enumerate(payload["stop_trace"]) if j >= i and "var_norm_arm0" in d["diagnostics"])
+        expected = f"trajectory key 'stop_trace[{logged}]' does not follow from the config's stopping rule"
     assert "config error" in err and expected in err
 
 

@@ -31,6 +31,7 @@ from banditstop import (
     make_rng,
     simulate,
 )
+from replay_oracle import batch_stats
 
 
 @st.composite
@@ -111,7 +112,7 @@ def assert_same_trajectory(got, want):
         T = traj.stop_time
         assert [d.stop for d in traj.stop_trace] == [False] * (T - 1) + [True]
         assert T == len(traj.stats) == traj.stop_trace[-1].t
-    for f, g in zip(got.stats, want.stats):
+    for f, g in zip(batch_stats(got), batch_stats(want)):
         assert len(f) == len(g) == 4
         for p, q in zip(f, g):
             assert_same_arrays(p, q)

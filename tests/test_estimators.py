@@ -25,9 +25,9 @@ from banditstop import (
     uniform_cube_spec,
     update_state,
 )
-from banditstop.estimators import ArmFit, StackedFit
+from banditstop.estimators import ArmFit
 from banditstop.linalg import gram_check, inverse_spd
-from ivw_oracle import sums_of
+from ivw_oracle import of_arms, sums_of
 
 
 def make_fit(gram1, beta1, gram0=None, beta0=None, count=5):
@@ -48,7 +48,7 @@ def make_fit(gram1, beta1, gram0=None, beta0=None, count=5):
 
     gram0 = gram1 if gram0 is None else gram0
     beta0 = beta1 if beta0 is None else beta0
-    return StackedFit.of_arms(arm(gram0, beta0), arm(gram1, beta1))
+    return of_arms(arm(gram0, beta0), arm(gram1, beta1))
 
 
 class TestFitBatchOls:
@@ -141,7 +141,7 @@ class TestIvwCombine:
             beta=np.array([0.5]), gram=np.array([[4.0]]), count=2, rss=0.0,
             moment=np.array([2.0]), sum_sq=1.0,
         )
-        fit = StackedFit.of_arms(arm0, fit.arm1)
+        fit = of_arms(arm0, fit.arm1)
         est = ivw_combine(sums_of([fit]), KnownSigma(1.0), batch_size=2)
         np.testing.assert_array_equal(est.beta1, fit.arm1.beta)
         np.testing.assert_array_equal(est.beta0, fit.arm0.beta)

@@ -35,7 +35,7 @@ from banditstop import (
 )
 from banditstop.harness import resolve_constants
 from banditstop.rng import derive_seed, mix64, substream_seed
-from replay_oracle import replay_stop_decisions
+from replay_oracle import batch_stats, replay_stop_decisions
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -135,7 +135,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.ivw.var0, b.ivw.var0)
         np.testing.assert_array_equal(a.inference.lo1, b.inference.lo1)
         assert a.regret_hat == b.regret_hat
-        for fa, fb in zip(a.trajectory.stats, b.trajectory.stats):
+        for fa, fb in zip(batch_stats(a.trajectory), batch_stats(b.trajectory)):
             np.testing.assert_array_equal(fa[1], fb[1])
 
     def test_estimator_unavailable_keeps_sampling(self):

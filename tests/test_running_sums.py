@@ -44,8 +44,9 @@ from banditstop import (
     uniform_cube_spec,
     update_state,
 )
-from banditstop.estimators import ArmFit, StackedFit, StackedSums, arm_masks, fit_arms
+from banditstop.estimators import ArmFit, StackedSums, arm_masks, fit_arms
 from banditstop.linalg import inverse_spd, is_invertible_gram, solve_spd
+from replay_oracle import batch_stats
 
 RTOL = 1e-10
 
@@ -262,7 +263,7 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
         def arm(beta, gram):
             return ArmFit(beta, gram, 0, None, np.zeros(2), None)
 
-        return [StackedFit.of_arms(arm(b0, g0), arm(b1, g1)) for b1, g1, b0, g0 in traj.stats]
+        return [ivw_oracle.of_arms(arm(b0, g0), arm(b1, g1)) for b1, g1, b0, g0 in batch_stats(traj)]
 
     def terminal_solves(traj):
         usable = [sum(f.arm(a).beta is not None for f in fits_of(traj)) for a in (0, 1)]
@@ -347,7 +348,7 @@ def test_the_shared_gram_changes_no_bit_of_a_lone_trajectory(policy, sigma_mode,
             t, stats, trace, ivw = fresh_check_trajectory(setup, model, make_rng(seed))
         reused += fresh.call_count - shared.call_count
         assert got.stop_time == t
-        assert [tuple(map(bits, s)) for s in got.stats] == [tuple(map(bits, s)) for s in stats]
+        assert [tuple(map(bits, s)) for s in batch_stats(got)] == [tuple(map(bits, s)) for s in stats]
         assert [(d.t, d.stop, d.cap_hit, {k: bits(v) for k, v in d.diagnostics.items()}) for d in got.stop_trace] == [
             (d.t, d.stop, d.cap_hit, {k: bits(v) for k, v in d.diagnostics.items()}) for d in trace
         ]
@@ -403,6 +404,6 @@ def test_a_lone_batch_makes_two_eigendecompositions_and_at_most_four_solves(poli
         ):
             traj = simulate_trajectory(setup, model, make_rng(seed))
         per_batch = np.diff([[0, 0, 0]] + seen, axis=0).tolist()
-        assert all(b is not None for s in traj.stats for b in (s[0], s[2]))
+        assert all(b is not None for s in batch_stats(traj) for b in (s[0], s[2]))
         assert traj.stop_time > 20
         assert per_batch == [[3, 1, 0]] + [[2, solves, inverses]] * (traj.stop_time - 1)
