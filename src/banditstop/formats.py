@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -188,21 +188,22 @@ _READS = {
 
 def _stats(residual: bool) -> _Key:
     """`sufficient_stats` under either sigma mode.  The writer slices each
-    batch's fit in the trajectory's row, one stack and one `tolist` per
-    field, `usable` first; each key's getter picks its arm, or None."""
-    names = ("usable", *_READS[residual])
+    batch's fit in the trajectory's row, one `tolist` per field and batch
+    (cheaper than over a stack), into one tuple of the keys' values."""
+    reads = _READS[residual]
+    keys = [(name, arm, *read) for name, read in reads.items() for arm in (0, 1)]  # and when, leaf, shape
 
     def rows(rec) -> List[tuple]:
         stats = rec.trajectory.stats
-        return list(zip(*(np.stack([getattr(fit, name)[row] for fit, row in stats]).tolist() for name in names)))
+        fields = {name: [getattr(fit, name)[row].tolist() for fit, row in stats] for name in ("usable", *reads)}
+        return list(zip(*(
+            [v[arm] if when is None or u[arm] is when else None for v, u in zip(fields[name], fields["usable"])]
+            for name, arm, when, _, _ in keys
+        )))
 
     return _declare(rows, many=True, **{
-        f"{name}{arm}": _Key(
-            leaf, shape, nullable=when is not None,
-            get=lambda row, f=field, a=arm, w=when: row[f][a] if w is None or row[0][a] is w else None,
-        )
-        for field, (name, (when, leaf, shape)) in enumerate(_READS[residual].items(), start=1)
-        for arm in (0, 1)
+        f"{name}{arm}": _Key(leaf, shape, nullable=when is not None, get=itemgetter(k))
+        for k, (name, arm, when, leaf, shape) in enumerate(keys)
     })
 
 
@@ -287,10 +288,9 @@ def record_from_trajectory(payload, setup: SimulationSetup) -> ExperimentRecord:
 
 
 def _batch_fit(entry: Dict, path: str, reads: Dict, dim: int) -> StackedFit:
-    """The batch fit an entry gives the fold: an arm is usable where its `beta`
-    is not null, and what `reads` (`_READS`) does not list of it is zero."""
+    """The batch fit an entry gives the fold, zero where it reads nothing; a null `beta`: a singular arm."""
     usable = [entry[f"beta{arm}"] is not None for arm in (0, 1)]
-    fit = {"moment": np.zeros((2, dim)), "count": np.zeros(2, int), "sum_sq": None, "rss": None}
+    fit = {"moment": np.zeros((2, dim)), "count": np.zeros(2, int), "sum_sq": None, "rss": None}  # known sigma
     for name, (when, _, shape) in reads.items():
         for arm in (0, 1):
             wanted = when is None or usable[arm] is when

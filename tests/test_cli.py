@@ -793,6 +793,24 @@ def test_infer_refolds_the_stored_statistics(tmp_path, capsys, sigma, edit):
     assert "config error" in err and expected in err
 
 
+def test_infer_rejects_a_run_that_left_no_estimate(tmp_path, capsys):
+    # One unit a batch and a cap at t = 2 leave an arm without a usable batch
+    # fit, so the run stops at its cap with no estimate, and the file stores none.
+    cfg_path, out_dir = tmp_path / "config.json", tmp_path / "out"
+    write_config(
+        cfg_path, batch_size=1, stopping=StoppingRule(kind="online_threshold", t_max=2, k=0.9),
+        trajectory_json=True, replications=1,
+    )
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 3  # a record error
+    traj = out_dir / "trajectories" / "rep_00000.json"
+    payload = json.loads(traj.read_text())
+    assert payload["cap_hit"] and payload["terminal"] is None and payload["noise_plugin"] is None
+    capsys.readouterr()
+    assert main(["infer", "--config", str(cfg_path), "--trajectory", str(traj)]) == 2
+    expected = "config error: trajectory key 'terminal': the run left no estimate at its stop to infer from"
+    assert expected in capsys.readouterr().err
+
+
 # Each was masked to 64 bits, as --seed was.
 @pytest.mark.parametrize("seed", [-1, 2**64])
 @pytest.mark.parametrize(
