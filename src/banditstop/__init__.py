@@ -32,20 +32,16 @@ from .estimators import (
     limit_arm_second_moment,
     residual_noise_factors,
 )
-from .harness import (
+from .formats import (
     BoundsConfig,
     CalibrationConfig,
     ExperimentConfig,
-    aggregate,
     config_from_dict,
     config_to_dict,
-    emit_reports,
     load_config,
-    prepare,
-    run_experiment,
-    run_replications,
+    record_from_trajectory,
 )
-from .formats import record_from_trajectory
+from .harness import aggregate, emit_reports, prepare, run_experiment, run_replications
 from .inference import (
     ConditionalSamplerConfig,
     ConditionalSamples,

@@ -9,6 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration or trajectory error, 3 runtime error
 (per-replication detail is still written to the summary when possible).
+A resimulation sampler that keeps fewer than 100 draws within
+`inference.max_attempts` is a runtime error, for `simulate` and `infer`
+alike; its message names the draws kept and the attempt budget.
 """
 
 from __future__ import annotations
@@ -20,14 +23,11 @@ import sys
 from typing import Optional
 
 from .errors import ConfigError, UnsupportedCaseError
+from .formats import CalibrationConfig, ExperimentConfig, config_to_dict, load_config
 from .harness import (
-    CalibrationConfig,
-    ExperimentConfig,
     calibrated_tail_const,
-    config_to_dict,
     emit_reports,
     inference_exact,
-    load_config,
     load_trajectory,
     prepare,
     run_replications,

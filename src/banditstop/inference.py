@@ -35,6 +35,7 @@ from .stopping import StoppingRule
 
 INDEPENDENCE_SHORTCUT = "independence_shortcut"
 RESIMULATION_REJECTION = "resimulation_rejection"
+MIN_SAMPLES = 100  # the fewest draws an interval is read from
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,8 @@ class ConditionalSamplerConfig:
     def __post_init__(self):
         if self.mode not in (INDEPENDENCE_SHORTCUT, RESIMULATION_REJECTION):
             raise ConfigError(f"unknown sampler mode {self.mode!r}")
-        if self.n_samples < 100:
-            raise ConfigError("n_samples must be >= 100")
+        if self.n_samples < MIN_SAMPLES:
+            raise ConfigError(f"n_samples must be >= {MIN_SAMPLES}")
         if self.max_attempts < self.n_samples:
             raise ConfigError("max_attempts must be >= n_samples")
         if not 0.0 < self.level < 1.0:
@@ -136,8 +137,8 @@ def bootstrap_interval(samples: np.ndarray, level: float) -> Tuple[np.ndarray, n
     if samples.ndim == 1:
         samples = samples[:, None]
     n = samples.shape[0]
-    if n < 100:
-        raise ContractError("bootstrap_interval needs at least 100 samples")
+    if n < MIN_SAMPLES:
+        raise ContractError(f"bootstrap_interval needs at least {MIN_SAMPLES} samples")
     if not 0.0 < level < 1.0:
         raise ContractError("level must lie in (0, 1)")
     alpha = 1.0 - level
@@ -187,6 +188,12 @@ def run_inference(
 ) -> InferenceResult:
     """Sampler + intervals + optional hypothesis test, bundled for the harness."""
     samples = sample_conditional(record, None, cfg, seed)
+    kept = samples.arm0.shape[0]
+    if kept < MIN_SAMPLES:  # the resimulation sampler ran out of attempts
+        raise ContractError(
+            f"bootstrap_interval needs at least {MIN_SAMPLES} samples; the {cfg.mode} sampler kept {kept} "
+            f"draws in its budget of {cfg.max_attempts} attempts (inference.max_attempts)"
+        )
     lo0, hi0 = bootstrap_interval(samples.arm0, cfg.level)
     lo1, hi1 = bootstrap_interval(samples.arm1, cfg.level)
     reject = None
@@ -204,6 +211,6 @@ def run_inference(
         level=cfg.level,
         reject=reject,
         acceptance_rate=samples.acceptance_rate,
-        samples_retained=samples.arm0.shape[0],
+        samples_retained=kept,
         attempts=samples.attempts,
     )

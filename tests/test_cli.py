@@ -204,6 +204,8 @@ DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
         (("regret_mc_samples",), "-3"),
         (("stopping", "c_prime"), "0.05"),  # online_threshold never read it
         (("stopping", "scale_by_batch"), "true"),  # online_threshold never read it
+        (("policy", "kind"), '"greedy"'),  # an unknown kind of a tagged section
+        (("context", "dist", "kind"), '"ball"'),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
@@ -542,7 +544,11 @@ def stored_trajectory(tmp_path, **overrides):
         ("zero noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # exit 0, noiseless surrogates
         ("negative noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # named no key
         # A known-sigma file under a residual-sigma config: its statistics lack what that fold reads.
-        ("negative noise_plugin, residual sigma", "'sufficient_stats[0].count0' is missing"),  # named no key
+        # This named only 'sufficient_stats[0].count0' as missing.
+        ("negative noise_plugin, residual sigma", "trajectory was written under sigma_mode known; the config reads it under residual"),
+        # Either way round, a file of the other sigma mode is named as such.
+        ("residual-sigma config, known file", "trajectory was written under sigma_mode known; the config reads it under residual"),
+        ("known-sigma config, residual file", "trajectory was written under sigma_mode residual; the config reads it under known"),
         ("negative noise_plugin, residual file", "'noise_plugin' must be ["),
         # Each of these exited 0: the stored trace was not read.
         ("no stop_trace", "'stop_trace' is missing"),
@@ -594,7 +600,7 @@ def stored_trajectory(tmp_path, **overrides):
         "dim_mismatch", "missing_var0", "stop_time_string", "missing_file", "stats_count", "early_cap_hit",
         "null_terminal", "null_noise_plugin", "negative_var1", "asymmetric_var0",
         "zero_noise_plugin_known", "negative_noise_plugin_known", "negative_noise_plugin_residual",
-        "negative_noise_plugin_residual_file",
+        "negative_noise_plugin_residual_file", "sigma_mode_residual_reads_known_file", "sigma_mode_known_reads_residual_file",
         "no_stop_trace", "one_stop_at_t1", "trace_t", "early_stop", "late_stop", "early_trace_cap_hit",
         "trace_cap_hit", "trace_diagnostics", "no_format", "format_1", "format_string", "format_2", "top_level_extra_key",
         "terminal_extra_key", "stats_extra_key", "seed_negative", "seed_above_u64", "rep_negative",
@@ -643,6 +649,10 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         payload["terminal"]["var1"] = [[-1, 0], [0, -1]]
     elif case == "asymmetric var0":
         payload["terminal"]["var0"][0][1] += 1.0
+    elif case == "residual-sigma config, known file":
+        write_config(cfg_path, sigma_mode=ResidualSigma())
+    elif case == "known-sigma config, residual file":
+        write_config(cfg_path, sigma_mode=KnownSigma(1.0))
     elif case == "negative noise_plugin, residual file":
         payload["noise_plugin"] = [-1.0, 1.0]
     elif "noise_plugin," in case:
@@ -808,6 +818,20 @@ def test_infer_rejects_a_run_that_left_no_estimate(tmp_path, capsys):
     capsys.readouterr()
     assert main(["infer", "--config", str(cfg_path), "--trajectory", str(traj)]) == 2
     expected = "config error: trajectory key 'terminal': the run left no estimate at its stop to infer from"
+    assert expected in capsys.readouterr().err
+
+
+def test_infer_names_the_draws_kept_when_too_few_are_kept(tmp_path, capsys):
+    # This exited 3 saying only "bootstrap_interval needs at least 100 samples".
+    cfg_path, traj = stored_trajectory(tmp_path)
+    resimulation = ConditionalSamplerConfig(mode="resimulation_rejection", n_samples=100, max_attempts=100)
+    write_config(cfg_path, inference=resimulation)
+    capsys.readouterr()
+    assert main(["infer", "--config", str(cfg_path), "--trajectory", str(traj)]) == 3
+    expected = (
+        "runtime error: bootstrap_interval needs at least 100 samples; the resimulation_rejection sampler "
+        "kept 42 draws in its budget of 100 attempts (inference.max_attempts)"
+    )
     assert expected in capsys.readouterr().err
 
 

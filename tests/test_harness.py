@@ -288,7 +288,7 @@ class TestConfigRoundTrip:
     def test_missing_key_is_config_error(self):
         d = config_to_dict(small_config())
         del d["batch_size"]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^config key 'batch_size' is missing$"):
             config_from_dict(d)
 
     def test_truncated_gaussian_round_trip(self):
@@ -322,7 +322,7 @@ class TestConfigRoundTrip:
             for key in path[:-1]:
                 node = node[key]
             node[path[-1]] = 1 if isinstance(node[path[-1]], str) else "wrong"
-            with pytest.raises(ConfigError, match=re.escape(".".join(path))):
+            with pytest.raises(ConfigError, match=re.escape(f"config key '{'.'.join(path)}' ")):
                 config_from_dict(bad)
 
     def test_readme_schema_block_round_trips(self):
