@@ -12,16 +12,17 @@ form, `<file> key '<dotted.path>' ...`.
 The config format is one table, `_CONFIG`: each section is its dataclass
 with its keys in order (`_section`, which takes from the dataclass defaults
 whether a key may be left out or null, and ignores keys it does not list).
-An unknown `sigma_mode.kind` reads as residual.
+A section's range error is prefixed with its key.  An unknown
+`sigma_mode.kind` reads as residual.
 
-The trajectory format is declared once, in `TRAJECTORY`, for either sigma
-mode: each key with its leaf type, its shape in terms of the config's
-dimension `d`, and whether it may be null.  `trajectory_payload` writes a
-record by walking it, and `record_from_trajectory` reads a file by walking
-it.  The per-batch statistics are the file's one source of truth: each
-`sufficient_stats` entry holds what the fold of the running sums reads of
-the batch's fit (`_READS`), and the stored stop trace, stop, noise scales
-and terminal must equal what it gives.
+The trajectory format, `TRAJECTORY`, declares for either sigma mode each
+key with its leaf type, its shape in terms of the config's dimension `d`,
+and whether it may be null.  `set_up` stamps the run's set-up in the
+config's form, and a file read under another set-up is an error naming the
+first key that differs.  The per-batch statistics are then the file's one
+source of truth: each `sufficient_stats` entry holds what the fold of the
+running sums reads of the batch's fit (`_READS`), and the stored stop, cap
+hit, noise scales and terminal must equal what it gives.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import inspect
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from operator import attrgetter, itemgetter
+from types import SimpleNamespace
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -45,7 +47,7 @@ from .policies import ClipSchedule, EpsGreedy, PolicyKind, Schedule, Thompson, U
 from .records import ExperimentRecord, SimulationSetup
 from .stopping import StoppingRule, evaluate
 
-FORMAT = 3
+FORMAT = 4
 
 
 def _describe(value) -> str:
@@ -164,16 +166,8 @@ class _Key:
         return value
 
     def write(self, value):
-        """The JSON form of `value`; a list of entries is written a column
-        (one key's getter over every entry) at a time."""
-        kind = self.kind
-        if value is None:
-            return None
-        if not isinstance(kind, list):
-            return kind.write(value)
-        keys = kind[0].keys
-        columns = [list(map(key.get, value)) for key in keys.values()]
-        return list(map(dict, map(zip, repeat(tuple(keys)), zip(*columns))))
+        """The JSON form of `value`; the getter of a list gives its JSON form."""
+        return value if value is None or isinstance(self.kind, list) else self.kind.write(value)
 
 
 class _Object:
@@ -196,7 +190,12 @@ class _Object:
                 values[name] = key.read(data[name], at.key(name))
             elif not key.optional:
                 raise ConfigError(f"{at.key(name)} is missing")
-        return self.build(**values)
+        try:
+            return self.build(**values)
+        except ConfigError as exc:  # a range error: name the object, unless at the root or already named
+            if not at.path or str(exc).startswith(at.path):
+                raise
+            raise ConfigError(f"{at}: {exc}") from None
 
     def write(self, obj) -> Dict:
         return {name: key.write(key.get(obj)) for name, key in self.keys.items()}
@@ -225,10 +224,6 @@ class _Tagged:
 
 
 _VEC, _MAT = ("d",), ("d", "d")
-_STOP_TRACE = _Key([_Object(  # of `StopDecision`s
-    t=_Key(INT), stop=_Key(BOOL), cap_hit=_Key(BOOL),
-    diagnostics=_Key(DICT, get=lambda d: {k: float(v) for k, v in d.diagnostics.items()}),
-)], get=attrgetter("trajectory.stop_trace"))
 _TERMINAL = _Key(_Object(  # of the `IvwEstimate`; null: the run left none
     beta0=_Key(ARRAY, _VEC), beta1=_Key(ARRAY, _VEC), var0=_Key(ARRAY, _MAT), var1=_Key(ARRAY, _MAT),
     batch_size=_Key(INT),
@@ -250,27 +245,50 @@ _READS = {
 def _stats(residual: bool) -> _Key:
     """`sufficient_stats` under either sigma mode.  The writer slices each
     batch's fit in the trajectory's row, one `tolist` per field and batch
-    (cheaper than over a stack), into one tuple of the keys' values."""
+    (cheaper than over a stack), and writes the entries a key at a time."""
     reads = _READS[residual]
-    keys = [(name, arm, *read) for name, read in reads.items() for arm in (0, 1)]  # and when, leaf, shape
+    keys = [(f"{name}{arm}", name, arm, *read) for name, read in reads.items() for arm in (0, 1)]  # when, leaf, shape
+    names = tuple(key[0] for key in keys)
 
-    def rows(rec) -> List[tuple]:
+    def rows(rec) -> List[Dict]:
         stats = rec.trajectory.stats
         fields = {name: [getattr(fit, name)[row].tolist() for fit, row in stats] for name in ("usable", *reads)}
-        return list(zip(*(
+        columns = (
             [v[arm] if when is None or u[arm] is when else None for v, u in zip(fields[name], fields["usable"])]
-            for name, arm, when, _, _ in keys
-        )))
+            for _, name, arm, when, _, _ in keys
+        )
+        return list(map(dict, map(zip, repeat(names), zip(*columns))))
 
     return _Key([_Object(**{
-        f"{name}{arm}": _Key(leaf, shape, nullable=when is not None, get=itemgetter(k))
-        for k, (name, arm, when, leaf, shape) in enumerate(keys)
+        key: _Key(leaf, shape, nullable=when is not None) for key, _, _, when, leaf, shape in keys
     })], get=rows)
+
+
+def _set_up(setup: SimulationSetup) -> Dict:
+    """The `set_up` of a run: each section of the config that the run reads,
+    written by the `_CONFIG` key that declares it, and the bound constants
+    that a pre-determined rule reads (null under an online rule)."""
+    rule, config = setup.rule, SimpleNamespace(**vars(setup), stopping=setup.rule)  # as the keys' getters name it
+    keys = {name: _CONFIG.keys[name] for name in ("context", "policy", "clip", "batch_size", "sigma_mode", "stopping")}
+    written = {name: key.write(key.get(config)) for name, key in keys.items()}
+    return {**written, "bounds": asdict(rule.consts) if rule.predetermined else None}
+
+
+def _check_set_up(stored, derived, path: str = "set_up") -> None:
+    """A ConfigError naming the first key, in the config's order, where the
+    file's `set_up` differs from the config's as JSON text."""
+    if isinstance(stored, dict) and isinstance(derived, dict):
+        for name in {**derived, **stored}:
+            _check_set_up(stored.get(name, ...), derived.get(name, ...), f"{path}.{name}")
+    elif _describe(stored) != _describe(derived):  # a key one of them lacks is `...`
+        stored, derived = ("missing" if v is ... else _describe(v) for v in (stored, derived))
+        raise ConfigError(f"trajectory key {path!r} is {stored}; the config reads it under {derived}")
 
 
 TRAJECTORY = {  # by sigma mode: residual or not
     residual: _Object(
         format=_Key(INT, get=lambda rec: FORMAT),
+        set_up=_Key(DICT, get=lambda rec: _set_up(rec.setup)),
         rep=_Key(_COUNT, get=attrgetter("rep_index")),
         seed=_Key(_U64),
         inference_seed=_Key(_U64),
@@ -278,7 +296,6 @@ TRAJECTORY = {  # by sigma mode: residual or not
         cap_hit=_Key(BOOL),
         noise_plugin=_Key(ARRAY, (2,), nullable=True, get=lambda rec: rec.ivw and rec.ivw.noise_sd),
         sufficient_stats=_stats(residual),
-        stop_trace=_STOP_TRACE,
         terminal=_TERMINAL,
     )
     for residual in (False, True)
@@ -293,33 +310,23 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
 def record_from_trajectory(payload, setup: SimulationSetup) -> ExperimentRecord:
     """The slice of an ExperimentRecord that inference needs, from a
     trajectory file's JSON `payload` under the run's `setup`: its statistics
-    folded as the run folded them, which give each decision, the stop and
-    the terminal estimate.  A payload that is malformed, does not fit the
+    folded as the run folded them, which give the stop and the terminal
+    estimate.  A payload that is malformed, was written under another
     set-up, disagrees bit for bit with what its statistics give or leaves no
     estimate is a ConfigError naming the key."""
     payload = DICT.read(payload, "trajectory")
     if _integer(payload.get("format")) != FORMAT:
         given = _describe(payload["format"]) if "format" in payload else "missing"
         raise ConfigError(f"trajectory key 'format' is {given}; this banditstop reads trajectory format {FORMAT}")
+    if "set_up" in payload:  # else the walk says it is missing
+        _check_set_up(payload["set_up"], _set_up(setup))
     rule, residual, dim = setup.rule, not isinstance(setup.sigma_mode, KnownSigma), setup.context.dim
-    at = _At("trajectory", f"trajectory format {FORMAT}", dim)
-    try:
-        file = TRAJECTORY[residual].read(payload, at)
-    except ConfigError as exc:  # say so where the file is one of the other sigma mode
-        try:
-            TRAJECTORY[not residual].read(payload, at)
-        except ConfigError:
-            raise exc from None
-        modes = ("known", "residual")
-        raise ConfigError(
-            f"trajectory was written under sigma_mode {modes[not residual]}; the config reads it under {modes[residual]}"
-        ) from None
+    file = TRAJECTORY[residual].read(payload, _At("trajectory", f"trajectory format {FORMAT}", dim))
     stop_time = file["stop_time"]
     if not 1 <= stop_time <= rule.t_max:
         raise ConfigError(f"trajectory key 'stop_time' must lie in 1..{rule.t_max}")
-    for key in ("sufficient_stats", "stop_trace"):
-        if len(file[key]) != stop_time:
-            raise ConfigError(f"trajectory key {key!r} must have stop_time = {stop_time} entries")
+    if len(file["sufficient_stats"]) != stop_time:
+        raise ConfigError(f"trajectory key 'sufficient_stats' must have stop_time = {stop_time} entries")
     # The run's loop on the stored fits: fold, combine, decide.
     sums, norms = RunningSums.empty(dim, residual), None
     for i, entry in enumerate(file["sufficient_stats"]):
@@ -331,24 +338,17 @@ def record_from_trajectory(payload, setup: SimulationSetup) -> ExperimentRecord:
         except EstimatorUnavailable:
             combined = norms = None
         decision = evaluate(rule, i + 1, norms, previous)
-        again = json.dumps(_STOP_TRACE.write([decision])[0], sort_keys=True)
-        if json.dumps(file["stop_trace"][i], sort_keys=True) != again:
-            raise ConfigError(
-                f"trajectory key 'stop_trace[{i}]' does not follow from the config's stopping rule "
-                f"on the 'sufficient_stats' up to it: {again}"
-            )
         if decision.stop:
             break
     if not decision.stop or decision.t != stop_time:
         where = f"at batch {decision.t}" if decision.stop else "later"
         raise ConfigError(f"trajectory key 'stop_time' is {stop_time}, but the config's stopping rule stops {where}")
-    if file["cap_hit"] != decision.cap_hit:
-        raise ConfigError(f"trajectory key 'cap_hit' must be {json.dumps(decision.cap_hit)}, as in 'stop_trace[{i}]'")
     if combined is None:
         raise ConfigError("trajectory key 'terminal': the run left no estimate at its stop to infer from")
     ivw = combined.estimate()
     stored = {**payload, **{f"terminal.{k}": v for k, v in (payload["terminal"] or {}).items()}}
-    derived = {"noise_plugin": list(ivw.noise_sd), **{f"terminal.{k}": v for k, v in _TERMINAL.write(ivw).items()}}
+    derived = {"cap_hit": decision.cap_hit, "noise_plugin": list(ivw.noise_sd)}
+    derived.update({f"terminal.{k}": v for k, v in _TERMINAL.write(ivw).items()})
     for key, value in derived.items():  # as JSON text: bit for bit
         if json.dumps(stored.get(key)) != json.dumps(value):
             got = _describe(stored.get(key))
@@ -517,13 +517,12 @@ def config_to_dict(config: ExperimentConfig) -> Dict:
 
 def config_from_dict(data: Dict) -> ExperimentConfig:
     """Read a JSON config; any malformed value is a ConfigError naming its key."""
+    at = _At("config", f"config schema_version {SCHEMA_VERSION}")
     try:
-        version = DICT.read(data, "config").get("schema_version", SCHEMA_VERSION)
+        version = INT.read(DICT.read(data, "config").get("schema_version", SCHEMA_VERSION), at.key("schema_version"))
         if version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"config key 'schema_version' is {_describe(version)}; this banditstop reads schema_version {SCHEMA_VERSION}"
-            )
-        return _CONFIG.read(data, _At("config", f"config schema_version {SCHEMA_VERSION}"))
+            raise ConfigError(f"config key 'schema_version' is {version}; this banditstop reads schema_version {SCHEMA_VERSION}")
+        return _CONFIG.read(data, at)
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:

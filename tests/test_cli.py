@@ -176,6 +176,10 @@ def test_config_error_exit_code(tmp_path):
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 
+# Values that the config's types admit and its dataclasses reject.
+SECTION_CHECKED = {("sigma_mode", "sigma"), ("clip", "decay"), ("policy", "eps", "floor"), ("inference", "mode")}
+
+
 @pytest.mark.parametrize(
     "path, raw",
     [
@@ -206,6 +210,11 @@ DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
         (("stopping", "scale_by_batch"), "true"),  # online_threshold never read it
         (("policy", "kind"), '"greedy"'),  # an unknown kind of a tagged section
         (("context", "dist", "kind"), '"ball"'),
+        (("schema_version",), "true"),  # read as version 1
+        # Each named no key.
+        (("clip", "decay"), "-1"),
+        (("policy", "eps", "floor"), "0.5"),
+        (("inference", "mode"), '"x"'),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
@@ -222,7 +231,9 @@ def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err.lower()
-    if path != ("sigma_mode", "sigma"):  # KnownSigma checks a value, not a key
+    if path in SECTION_CHECKED:  # the section's dataclass checks the value, and the message names the section
+        assert f"config key '{'.'.join(path[:-1])}': " in err
+    else:
         assert ".".join(path) in err
     assert not out_dir.exists()
 
@@ -528,68 +539,88 @@ def stored_trajectory(tmp_path, **overrides):
     return cfg_path, out_dir / "trajectories" / "rep_00000.json"
 
 
+@pytest.mark.parametrize("kind", ["online_threshold", "predetermined_opportunity"])
+def test_a_trajectory_file_stamps_its_set_up(tmp_path, kind):
+    # The sections a run reads as its config writes them, and the bound
+    # constants where its rule reads them; the stop trace is not stored.
+    bounds_config = BoundsConfig(margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=5.0, tail_const=625.0)
+    cfg_path, traj = stored_trajectory(tmp_path, stopping=EVERY_KIND[kind], bounds=bounds_config)
+    config, payload = load_config(str(cfg_path)), json.loads(traj.read_text())
+    sections = {name: config_to_dict(config)[name] for name in ("context", "policy", "clip", "batch_size", "sigma_mode", "stopping")}
+    constants = dataclasses.asdict(resolve_constants(config)) if kind.startswith("predetermined") else None
+    assert payload["set_up"] == {**sections, "bounds": constants}
+    assert payload["format"] == 4 and "stop_trace" not in payload
+
+
+def set_up_written_under(cfg_path, out_dir):
+    """The 'set_up' of a trajectory file that a run under the config at `cfg_path` writes."""
+    other = out_dir.with_suffix(".json")
+    other.write_text(json.dumps({**json.loads(cfg_path.read_text()), "trajectory_json": True, "replications": 1}))
+    assert main(["simulate", "--config", str(other), "--out", str(out_dir)]) == 0
+    return json.loads((out_dir / "trajectories" / "rep_00000.json").read_text())["set_up"]
+
+
+# Set-ups under whose rule the stored statistics stop where the run stopped.
+SAME_STOP = (
+    "another stopping.k", "another t_max", "pre-determined, another unit_cost", "opportunity, another c_prime",
+    "another policy", "another clip.initial",
+)
+
+
 @pytest.mark.parametrize(
     "case, expected",
     [
-        ("3-d config", "must have shape (3,), got (2,)"),  # exit 0, 2-d intervals
+        ("3-d config", "trajectory key 'set_up.context.dim' is 2; the config reads it under 3"),  # exit 0, 2-d intervals
         ("no terminal.var0", "'terminal.var0' is missing"),  # runtime error: 'var0'
         ('stop_time "abc"', "'stop_time' must be an integer"),  # exit 3
         ("missing file", "cannot read trajectory file"),  # exit 3
         ("one entry short", "'sufficient_stats' must have stop_time"),  # exit 0
-        ("cap hit before t_max", "'stop_trace' must have stop_time = 7 entries"),  # exit 0
+        ("cap hit before t_max", "trajectory key 'stop_time' is 7, but the config's stopping rule stops later"),  # exit 0
         ("no terminal", "'terminal.beta0' must be ["),  # exit 3
         ("no noise_plugin for resimulation", "'noise_plugin' must be [1.0, 1.0], as 'sufficient_stats' give, got null"),  # exit 3
         ("negative definite var1", "'terminal.var1' must be [["),  # exit 0, zero-width intervals
         ("asymmetric var0", "'terminal.var0' must be [["),  # read through its lower triangle
         ("zero noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # exit 0, noiseless surrogates
         ("negative noise_plugin, known sigma", "'noise_plugin' must be [1.0, 1.0]"),  # named no key
-        # A known-sigma file under a residual-sigma config: its statistics lack what that fold reads.
-        # This named only 'sufficient_stats[0].count0' as missing.
-        ("negative noise_plugin, residual sigma", "trajectory was written under sigma_mode known; the config reads it under residual"),
+        # A known-sigma file under a residual-sigma config.  This named only
+        # 'sufficient_stats[0].count0' as missing.
+        ("negative noise_plugin, residual sigma", '''trajectory key 'set_up.sigma_mode.kind' is "known"; the config reads it under "residual"'''),
         # Either way round, a file of the other sigma mode is named as such.
-        ("residual-sigma config, known file", "trajectory was written under sigma_mode known; the config reads it under residual"),
-        ("known-sigma config, residual file", "trajectory was written under sigma_mode residual; the config reads it under known"),
+        ("residual-sigma config, known file", '''trajectory key 'set_up.sigma_mode.kind' is "known"; the config reads it under "residual"'''),
+        ("known-sigma config, residual file", '''trajectory key 'set_up.sigma_mode.kind' is "residual"; the config reads it under "known"'''),
         ("negative noise_plugin, residual file", "'noise_plugin' must be ["),
-        # Each of these exited 0: the stored trace was not read.
-        ("no stop_trace", "'stop_trace' is missing"),
-        ("one decision at t=1", "'stop_trace' must have stop_time = 8 entries"),
-        ("t out of order", "'stop_trace[2]' does not follow from the config's stopping rule"),
-        ("stop before the last", "'stop_trace[0]' does not follow from the config's stopping rule"),
-        ("last does not stop", "'stop_trace[7]' does not follow from the config's stopping rule"),
-        ("cap_hit before the last", "'stop_trace[3]' does not follow from the config's stopping rule"),
-        ("last cap_hit not stored cap_hit", "'stop_trace[7]' does not follow from the config's stopping rule"),
-        ("diagnostics not an object", "'stop_trace[1].diagnostics' must be a JSON object, got []"),
         # Each of these exited 0: the format was not versioned, and no key was checked
-        # outside 'stop_trace'.
-        ("no format", "trajectory key 'format' is missing; this banditstop reads trajectory format 3"),
-        ("format 1", "trajectory key 'format' is 1; this banditstop reads trajectory format 3"),
-        ('format "2"', '''trajectory key 'format' is "2"; this banditstop reads trajectory format 3'''),
-        ("format 2", "trajectory key 'format' is 2; this banditstop reads trajectory format 3"),
-        ("another top-level key", "trajectory key 'note' is not in trajectory format 3"),
-        ("another key in terminal", "trajectory key 'terminal.note' is not in trajectory format 3"),
+        # outside the stored stop trace.
+        ("no format", "trajectory key 'format' is missing; this banditstop reads trajectory format 4"),
+        ("format 1", "trajectory key 'format' is 1; this banditstop reads trajectory format 4"),
+        ('format "2"', '''trajectory key 'format' is "2"; this banditstop reads trajectory format 4'''),
+        ("format 2", "trajectory key 'format' is 2; this banditstop reads trajectory format 4"),
+        ("format 3", "trajectory key 'format' is 3; this banditstop reads trajectory format 4"),
+        ("another top-level key", "trajectory key 'note' is not in trajectory format 4"),
+        ("another key in terminal", "trajectory key 'terminal.note' is not in trajectory format 4"),
         ("another key in a sufficient_stats entry", "trajectory key 'sufficient_stats[0].note' is not in"),
         # Each of these exited 0: the stored seeds and index were not range-checked.
         ("seed -1", "trajectory key 'seed' must be in [0, 2**64), got -1"),
         ("seed 2**70", "trajectory key 'seed' must be in [0, 2**64), got 1180591620717411303424"),
         ("rep -5", "trajectory key 'rep' must be an integer >= 0, got -5"),
-        # Each of these exited 0: the stored decisions were not replayed under the config's rule.
-        ("another stopping.k", "'stop_trace[0]' does not follow from the config's stopping rule"),
-        ("pre-determined, another unit_cost", "'stop_trace[0]' does not follow from the config's stopping rule"),
-        # The norms come from the statistics, not from the trace.
-        ("norms below k before the stop", ''''stop_trace[6]' does not follow from the config's stopping rule on '''
-         '''the 'sufficient_stats' up to it: {"cap_hit": false, "diagnostics": {"threshold": 0.9, "var_norm_arm0": '''),
-        # Each of these exited 0: the opportunity rule was not replayed, and no key was checked but
-        # stop, cap_hit and diagnostics.
-        ("opportunity, another decrement", "'stop_trace[3]' does not follow from the config's stopping rule"),
-        ("opportunity, another c_prime", "'stop_trace[1]' does not follow from the config's stopping rule"),
-        ("another key in a stop_trace entry", "trajectory key 'stop_trace[2].note' is not in trajectory format 3"),
-        ("opportunity, no norms at the first usable batch", "'stop_trace[0]' does not follow from the config's"),
-        # These exited 2 naming 'cap_hit' or 'stop_trace[7].cap_hit'.
-        ("cap hit before t_max, trace cut too", "trajectory key 'stop_time' is 7, but the config's stopping rule stops later"),
-        ("no cap hit at t_max", "trajectory key 'cap_hit' must be true, as in 'stop_trace[7]'"),
+        # A file read under another set-up names the first key of 'set_up' that
+        # differs, also where the stored statistics stop at the same batch under
+        # both (SAME_STOP).  The other policy and clip exited 0: the fold reads neither.
+        ("another stopping.k", "trajectory key 'set_up.stopping.k' is 0.9; the config reads it under 0.5"),
+        ("another t_max", "trajectory key 'set_up.stopping.t_max' is 20; the config reads it under 30"),
+        ("pre-determined, another unit_cost", "trajectory key 'set_up.bounds.unit_cost' is 0.01; the config reads it under 0.02"),
+        ("opportunity, another c_prime", "trajectory key 'set_up.stopping.c_prime' is 0.001; the config reads it under 0.002"),
+        ("another policy", '''trajectory key 'set_up.policy.kind' is "eps_greedy"; the config reads it under "thompson"'''),
+        ("another clip.initial", "trajectory key 'set_up.clip.initial' is 0.1; the config reads it under 0.3"),
+        ("another sigma", "trajectory key 'set_up.sigma_mode.sigma' is 1.0; the config reads it under 2.0"),
+        ("no set_up", "trajectory key 'set_up' is missing"),
+        ("another key in set_up", '''trajectory key 'set_up.note' is "kept"; the config reads it under missing'''),
+        ("another batch_size in set_up", "trajectory key 'set_up.batch_size' is 31; the config reads it under 30"),
+        # This exited 2 naming 'cap_hit' or 'stop_trace[7].cap_hit'.
+        ("no cap hit at t_max", "trajectory key 'cap_hit' must be true, as 'sufficient_stats' give, got false"),
         # A key of the other sigma mode is unknown, and each per-arm key holds a
         # value exactly where the fold reads it: beside a non-null 'beta' or a null one.
-        ("count0, known file", "trajectory key 'sufficient_stats[0].count0' is not in trajectory format 3"),
+        ("count0, known file", "trajectory key 'sufficient_stats[0].count0' is not in trajectory format 4"),
         ("no count0, residual file", "trajectory key 'sufficient_stats[0].count0' is missing"),
         ("rss where beta is null, residual file", "'sufficient_stats[{i}].rss{arm}' must be null, since 'beta{arm}' is null"),
         ("gram where beta is null, known file", "'sufficient_stats[{i}].gram{arm}' must be null, since 'beta{arm}' is null"),
@@ -601,12 +632,11 @@ def stored_trajectory(tmp_path, **overrides):
         "null_terminal", "null_noise_plugin", "negative_var1", "asymmetric_var0",
         "zero_noise_plugin_known", "negative_noise_plugin_known", "negative_noise_plugin_residual",
         "negative_noise_plugin_residual_file", "sigma_mode_residual_reads_known_file", "sigma_mode_known_reads_residual_file",
-        "no_stop_trace", "one_stop_at_t1", "trace_t", "early_stop", "late_stop", "early_trace_cap_hit",
-        "trace_cap_hit", "trace_diagnostics", "no_format", "format_1", "format_string", "format_2", "top_level_extra_key",
+        "no_format", "format_1", "format_string", "format_2", "format_3", "top_level_extra_key",
         "terminal_extra_key", "stats_extra_key", "seed_negative", "seed_above_u64", "rep_negative",
-        "replay_k", "replay_unit_cost", "replay_norms",
-        "opportunity_decrement", "opportunity_c_prime", "trace_extra_key", "opportunity_old_format",
-        "early_cap_hit_trace_cut", "stored_cap_hit_false",
+        "replay_k", "set_up_t_max", "replay_unit_cost", "opportunity_c_prime", "set_up_policy", "set_up_clip",
+        "set_up_sigma", "no_set_up", "set_up_extra_key", "set_up_batch_size_edited",
+        "stored_cap_hit_false",
         "known_count", "residual_no_count", "residual_singular_rss", "known_singular_gram", "known_usable_no_gram",
         "residual_usable_moment",
     ],
@@ -618,11 +648,13 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         overrides["sigma_mode"] = ResidualSigma()
     if "beta is null" in case:
         overrides["batch_size"] = 3  # at 3 units and d = 2 an arm is often singular
+    if case == "another t_max":
+        overrides["stopping"] = StoppingRule(kind="online_threshold", t_max=20, k=0.9)
     cfg_path, traj = stored_trajectory(tmp_path, **overrides)
     payload = json.loads(traj.read_text())
     stats = payload["sufficient_stats"]
-    if opportunity:  # norms from t = 1, and no stop before the cap
-        assert payload["stop_trace"][0]["diagnostics"]["insufficient_history"] == 1.0 and payload["cap_hit"]
+    if opportunity:  # no stop before the cap
+        assert payload["cap_hit"]
     if case == "3-d config":
         write_config(
             cfg_path,
@@ -661,23 +693,6 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         write_config(cfg_path, trajectory_json=True, replications=1, inference=resimulation, sigma_mode=sigma_mode)
         assert payload["noise_plugin"] == [1.0, 1.0]
         payload["noise_plugin"] = [0.0, 0.0] if case.startswith("zero") else [-1.0, 1.0]
-    elif case == "no stop_trace":
-        del payload["stop_trace"]
-    elif case == "one decision at t=1":
-        payload["stop_trace"] = [{"t": 1, "stop": True, "cap_hit": False, "diagnostics": {}}]
-    elif case == "t out of order":
-        payload["stop_trace"][2]["t"] = 4
-    elif case == "stop before the last":
-        payload["stop_trace"][0]["stop"] = True
-    elif case == "last does not stop":
-        payload["stop_trace"][-1]["stop"] = False
-    elif case == "cap_hit before the last":
-        payload["stop_trace"][3]["cap_hit"] = True
-    elif case == "last cap_hit not stored cap_hit":
-        assert payload["cap_hit"] and payload["stop_trace"][-1]["cap_hit"]
-        payload["stop_trace"][-1]["cap_hit"] = False
-    elif case == "diagnostics not an object":
-        payload["stop_trace"][1]["diagnostics"] = []
     elif case == "no format":
         del payload["format"]
     elif case.startswith("format"):
@@ -696,6 +711,9 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         payload["rep"] = -5
     elif case == "another stopping.k":
         write_config(cfg_path, stopping=StoppingRule(kind="online_threshold", t_max=8, k=0.5))
+    elif case == "another t_max":
+        assert not payload["cap_hit"]  # a stop before the cap, which a later cap does not move
+        write_config(cfg_path, stopping=StoppingRule(kind="online_threshold", t_max=30, k=0.9))
     elif case == "pre-determined, another unit_cost":
         predetermined = StoppingRule(kind="predetermined_opportunity", t_max=8)
         fixed = BoundsConfig(margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=0.01, tail_const=625.0)
@@ -704,22 +722,20 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
         traj = tmp_path / "predetermined" / "trajectories" / "rep_00000.json"
         payload = json.loads(traj.read_text())
         write_config(cfg_path, stopping=predetermined, bounds=dataclasses.replace(fixed, unit_cost=0.02))
-    elif case == "norms below k before the stop":
-        assert payload["stop_trace"][6]["diagnostics"]["threshold"] == 0.9
-        payload["stop_trace"][6]["diagnostics"].update(var_norm_arm0=0.8, var_norm_arm1=0.8)
-    elif case == "opportunity, another decrement":
-        payload["stop_trace"][3]["diagnostics"]["decrement_arm0"] += 1e-6
     elif case == "opportunity, another c_prime":
         write_config(cfg_path, stopping=dataclasses.replace(OPPORTUNITY, c_prime=2 * OPPORTUNITY.c_prime))
-    elif case == "another key in a stop_trace entry":
-        payload["stop_trace"][2]["note"] = "kept"
-    elif case == "opportunity, no norms at the first usable batch":
-        del payload["stop_trace"][0]["diagnostics"]["var_norm_arm0"]
-        del payload["stop_trace"][0]["diagnostics"]["var_norm_arm1"]
-    elif case == "cap hit before t_max, trace cut too":
-        payload["stop_time"] = 7
-        del payload["sufficient_stats"][-1]
-        del payload["stop_trace"][-1]
+    elif case == "another policy":
+        write_config(cfg_path, policy=Thompson(1.0))
+    elif case == "another clip.initial":
+        write_config(cfg_path, clip=constant_clip(0.3))
+    elif case == "another sigma":
+        write_config(cfg_path, sigma_mode=KnownSigma(2.0))
+    elif case == "no set_up":
+        del payload["set_up"]
+    elif case == "another key in set_up":
+        payload["set_up"]["note"] = "kept"
+    elif case == "another batch_size in set_up":
+        payload["set_up"]["batch_size"] = 31
     elif case == "no cap hit at t_max":
         payload["cap_hit"] = False
     elif case == "count0, known file":
@@ -744,27 +760,39 @@ def test_infer_rejects_a_bad_trajectory(tmp_path, capsys, case, expected):
     if traj.exists():
         traj.write_text(json.dumps(payload))
     capsys.readouterr()
-    rc = main(["infer", "--config", str(cfg_path), "--trajectory", str(traj)])
-    assert rc == 2
+    infer = ["infer", "--config", str(cfg_path), "--trajectory", str(traj)]
+    assert main(infer) == 2
     err = capsys.readouterr().err
     assert "config error" in err and expected in err
+    if case in SAME_STOP:  # under the config's own 'set_up' the file reads
+        payload["set_up"] = set_up_written_under(cfg_path, tmp_path / "relabelled")
+        traj.write_text(json.dumps(payload))
+        assert main(infer) == 0
 
 
 @pytest.mark.parametrize(
-    "sigma, edit",
+    "sigma, edit, expected",
     [
-        ("known", "gram0@3"), ("known", "beta1@5"),
-        ("residual", "gram0@3"), ("residual", "beta1@5"), ("residual", "count1@3"), ("residual", "rss0@3"),
-        ("residual", "moment@singular"), ("residual", "sum_sq@singular"),
+        ("known", "gram0@3", "'stop_time' is 125, but the config's stopping rule stops later"),
+        ("known", "beta1@5", "'terminal.beta1' must be ["),
+        ("residual", "gram0@3", "'noise_plugin' must be ["),
+        ("residual", "beta1@5", "'stop_time' is 118, but the config's stopping rule stops later"),
+        ("residual", "count1@3", "'noise_plugin' must be ["),
+        ("residual", "rss0@3", "'noise_plugin' must be ["),
+        ("residual", "moment@singular", "'stop_time' is 20, but the config's stopping rule stops at batch 16"),
+        ("residual", "sum_sq@singular", "'stop_time' is 20, but the config's stopping rule stops later"),
+    ],
+    ids=[
+        "known-gram0@3", "known-beta1@5", "residual-gram0@3", "residual-beta1@5", "residual-count1@3", "residual-rss0@3",
+        "residual-moment@singular", "residual-sum_sq@singular",
     ],
 )
-def test_infer_refolds_the_stored_statistics(tmp_path, capsys, sigma, edit):
+def test_infer_refolds_the_stored_statistics(tmp_path, capsys, sigma, edit, expected):
     # Each edit of a residual-sigma file exited 0 before format 3, which
     # stores what the residual fold reads; the known-sigma ones were caught
-    # by a known-sigma refold.  The stored statistics give every decision and
-    # the terminal estimate, so an edit at batch i shows in the first logged
-    # norms from i on, or (a known-sigma estimate, which no norm reads) in
-    # the terminal.
+    # by a known-sigma refold.  The stored statistics give the stop, the
+    # noise scales and the terminal estimate, so an edit at any batch moves
+    # one of them.
     demo = json.loads(DEMO_CONFIG.read_text())
     if sigma == "residual":
         demo["sigma_mode"] = {"kind": "residual"}
@@ -795,12 +823,7 @@ def test_infer_refolds_the_stored_statistics(tmp_path, capsys, sigma, edit):
     capsys.readouterr()
     assert main(infer) == 2
     err = capsys.readouterr().err
-    if (sigma, key) == ("known", "beta1"):
-        expected = "trajectory key 'terminal.beta1' must be ["
-    else:
-        logged = next(j for j, d in enumerate(payload["stop_trace"]) if j >= i and "var_norm_arm0" in d["diagnostics"])
-        expected = f"trajectory key 'stop_trace[{logged}]' does not follow from the config's stopping rule"
-    assert "config error" in err and expected in err
+    assert f"config error: trajectory key {expected}" in err
 
 
 def test_infer_rejects_a_run_that_left_no_estimate(tmp_path, capsys):
