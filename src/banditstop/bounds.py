@@ -220,7 +220,7 @@ def calibrate_tail_constant(
         spec, model, policy, clip_schedule, batch_size, t_ref, replications, seed
     )
     order = np.sort(deviations)
-    rank = math.ceil((1.0 - delta) * replications)  # 1-based nearest rank
+    rank = nearest_rank(1.0 - delta, replications)
     quantile = float(order[rank - 1])
     if not math.isfinite(quantile):
         raise ConfigError(
@@ -228,6 +228,12 @@ def calibrate_tail_constant(
             "increase t_ref or batch_size"
         )
     return quantile**2 * batch_size * t_ref * p**2
+
+
+def nearest_rank(fraction: float, count: int) -> int:
+    """The 1-based nearest rank ceil(fraction * count), the product rounded to 9 decimals
+    first: a float just past an integer, as (1 - 0.18) * 150, is not pushed up a rank."""
+    return math.ceil(round(fraction * count, 9))
 
 
 def pilot_deviations(
@@ -294,7 +300,7 @@ def _lock_step_deviations(
 ) -> np.ndarray:
     dim = model.dim
     # Per pilot and arm, X'X and X'y over all units so far, summed batch by
-    # batch from `masked_sums` as `fit_batch_ols` and `RunningSums.add` sum them.
+    # batch from `masked_sums` as `fit_arms` and stacked `RunningSums.add` sum them.
     xx = np.zeros((len(rngs), 2, dim, dim))
     xy = np.zeros((len(rngs), 2, dim))
     for t in range(1, t_ref + 1):

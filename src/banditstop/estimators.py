@@ -31,18 +31,18 @@ estimate is not solved either; under residual sigma f is the mean squared
 residual against it, so it is solved every batch.  The estimates and the
 matrices ``n * inverse_spd(G) * f`` are formed when read, once per
 trajectory at its stop, by :meth:`IvwCombination.estimate` alone: a
-lock-step member reads the combination its lone trajectory would hold
-(:meth:`StackedSums.combination`).  Fits made for a known noise scale skip
-y'y and the RSS, which only residual-sigma sums read.
+lock-step member's from its own sums (:meth:`RunningSums.member`), by the
+lone formula.  Fits made for a known noise scale skip y'y and the RSS,
+which only residual-sigma sums read.
 
 Stacking: a batch's per-arm sums are zero-masked full-length products
 (:func:`masked_sums`, :func:`masked_rss`), which numpy rounds the same for
 one batch alone or for a stack of members' batches.  A lone batch is fitted
 by :func:`fit_arms` over its arm axis (:func:`fit_batch_ols`); the lock-step
 engine of ``simulate.simulate_ensemble`` fits a stack of members with it too
-and folds it into :class:`StackedSums` by the fold of :class:`RunningSums`,
-whose combined estimate mirrors :func:`ivw_combine` member by member, bit
-for bit.
+and folds it into stacked :class:`RunningSums`, whose norms
+:func:`ivw_combine` gives for every member at once, equal member by member,
+bit for bit, to a lone trajectory's.
 Where a stacked select (``np.where``) would pick the same branch for every
 member, as it mostly does once every arm has a usable batch, only that
 branch is computed (:func:`select`).
@@ -95,36 +95,8 @@ class ArmFit(NamedTuple):
     sum_sq: Optional[float]
 
 
-def _fold(sums, fit: StackedFit) -> None:
-    """Fold a batch's fit into running or stacked sums: `usable` picks, per
-    arm, whether its Gram and estimate count.  Where every arm takes the
-    same branch, only that one is computed.  X'X that starts as the combined
-    Grams' array (`RunningSums.empty`) stays that array while every arm has
-    been usable at every batch."""
-    u, beta, gram = fit.usable, fit.beta, fit.gram
-    first = None
-    if np.count_nonzero(sums.usable) < u.size:  # some arm's first usable batch may come now
-        first = u & (sums.usable == 0)
-        first = first if np.count_nonzero(first) else None
-    every = np.count_nonzero(u) == u.size
-    ref = sums.ref if first is None else np.where(first[..., None], beta, sums.ref)
-    if sums.ee is not None:
-        _fold_residual(sums, fit, ref, first, every)
-    sums.ref = ref
-    shared = sums.xx is sums.gram
-    summed = sums.gram + gram
-    sums.gram = summed if every else np.where(u[..., None, None], summed, sums.gram)
-    summed = sums.weighted + _mv(gram, beta)
-    sums.weighted = summed if every else np.where(u[..., None], summed, sums.weighted)
-    sums.usable = sums.usable + u
-    sums.xx = sums.gram if shared and every else sums.xx + gram
-    sums.xy = sums.xy + fit.moment
-    sums.count = sums.count + fit.count
-    sums.t += 1
-
-
 def _fold_residual(sums, fit: StackedFit, ref: np.ndarray, first: Optional[np.ndarray], every: bool) -> None:
-    """The residual terms of `_fold`, against the new `ref`: OLS
+    """The residual terms of `RunningSums.add`, against the new `ref`: OLS
     orthogonality makes a usable batch's residuals against ref its own
     residuals plus X (beta_b - ref), with X' resid = 0."""
     if fit.sum_sq is None:
@@ -158,9 +130,14 @@ class RunningSums:
     residual terms over all units; sums made without them (``residual=False``)
     hold None in both.  `len()` is the number of batches added.
 
+    Stacked sums (``empty(..., members=R)``) give each field a leading axis
+    of R members.  `add` folds one batch per member as it folds one, each
+    product a stacked matmul that rounds as for one member, so each member's
+    sums (`member`) equal its lone trajectory's bit for bit.
+
     Until an arm's first singular batch, `gram` and `xx` receive the same
-    additions in the same order, so while neither arm has had one they are
-    one array: one sum per batch, and the policy reads the singularity
+    additions in the same order, so while no arm has had one they are one
+    array: one sum per batch, and the lone policy reads the singularity
     verdict that :func:`ivw_combine` took of it (:meth:`check_gram`) instead
     of a second eigendecomposition.
     """
@@ -180,12 +157,14 @@ class RunningSums:
     checked = (None, None)
 
     @classmethod
-    def empty(cls, dim: int, residual: bool = True) -> "RunningSums":
+    def empty(cls, dim: int, residual: bool = True, members: Optional[int] = None) -> "RunningSums":
         """Sums with the residual terms, or without them (`residual` False)
-        for a known noise scale, which never reads them."""
-        gram = np.zeros((2, dim, dim))
-        xe, ee = (np.zeros((2, dim)), np.zeros(2)) if residual else (None, None)
-        ints, vec = np.zeros(2, dtype=int), np.zeros((2, dim))
+        for a known noise scale, which never reads them; of one trajectory,
+        or of `members` stacked on a leading axis."""
+        lead = (2,) if members is None else (members, 2)
+        gram = np.zeros(lead + (dim, dim))
+        xe, ee = (np.zeros(lead + (dim,)), np.zeros(lead)) if residual else (None, None)
+        ints, vec = np.zeros(lead, dtype=int), np.zeros(lead + (dim,))
         return cls(gram, vec, ints, gram, vec.copy(), ints.copy(), vec.copy(), xe, ee)
 
     @property
@@ -195,7 +174,31 @@ class RunningSums:
     def __len__(self) -> int:
         return self.t
 
-    add = _fold  # fold one batch's fit in; t advances by 1
+    def add(self, fit: StackedFit) -> None:
+        """Fold in a batch's fit, or one per member of stacked sums; t
+        advances by 1.  `usable` picks, per arm, whether its Gram and
+        estimate count.  Where every arm takes the same branch, only that
+        one is computed."""
+        u, beta, gram = fit.usable, fit.beta, fit.gram
+        first = None
+        if np.count_nonzero(self.usable) < u.size:  # some arm's first usable batch may come now
+            first = u & (self.usable == 0)
+            first = first if np.count_nonzero(first) else None
+        every = np.count_nonzero(u) == u.size
+        ref = self.ref if first is None else np.where(first[..., None], beta, self.ref)
+        if self.ee is not None:
+            _fold_residual(self, fit, ref, first, every)
+        self.ref = ref
+        shared = self.xx is self.gram
+        summed = self.gram + gram
+        self.gram = summed if every else np.where(u[..., None, None], summed, self.gram)
+        summed = self.weighted + _mv(gram, beta)
+        self.weighted = summed if every else np.where(u[..., None], summed, self.weighted)
+        self.usable = self.usable + u
+        self.xx = self.gram if shared and every else self.xx + gram
+        self.xy = self.xy + fit.moment
+        self.count = self.count + fit.count
+        self.t += 1
 
     def check_gram(self):
         """`linalg.gram_check` of both combined Grams, kept for the policy
@@ -204,85 +207,49 @@ class RunningSums:
         self.checked = (self.gram, invertible)
         return invertible, smallest
 
-
-@dataclass
-class StackedSums:
-    """The `RunningSums` of many members at once: each field gains a leading
-    member axis.  `add` folds one batch per member as `RunningSums.add` does
-    (`_fold`); each of its products is a stacked matmul that rounds as it
-    does for one member (`tests/test_stack_invariance.py`), so every
-    member's sums equal, bit for bit, those of its lone trajectory."""
-
-    gram: np.ndarray
-    weighted: np.ndarray
-    usable: np.ndarray
-    xx: np.ndarray
-    xy: np.ndarray
-    count: np.ndarray
-    ref: np.ndarray
-    xe: Optional[np.ndarray]
-    ee: Optional[np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def empty(cls, members: int, dim: int, residual: bool = True) -> "StackedSums":
-        lone = RunningSums.empty(dim, residual)
-        arrays = (getattr(lone, f.name) for f in fields(RunningSums)[:-1])
-        return cls(*(None if z is None else np.zeros((members,) + z.shape, z.dtype) for z in arrays))
-
-    def __len__(self) -> int:
-        return self.t
-
-    add = _fold  # one batch per member, as `RunningSums.add` folds one
-
-    def take(self, keep: np.ndarray) -> "StackedSums":
-        """The members where `keep` is True."""
+    def take(self, keep) -> "RunningSums":
+        """Of stacked sums, the members where the mask `keep` holds, or with an
+        index that member's sums; X'X stays the combined Grams' array where it is."""
         kept = (getattr(self, f.name) for f in fields(self)[:-1])
-        return StackedSums(*(None if z is None else z[keep] for z in kept), t=self.t)
+        taken = RunningSums(*(None if z is None else z[keep] for z in kept), t=self.t)
+        if self.xx is self.gram:
+            taken.xx = taken.gram
+        return taken
 
-    def combine(self, sigma_mode: SigmaMode, batch_size: int) -> "StackedEstimate":
-        """`ivw_combine` of every member (which calls this for a StackedSums).
-        The singularity checks, which give the norms' lambda_min, run once
-        over the stack.  Under residual sigma the noise factors need the
-        estimates, solved by one LAPACK call over the stack with the
-        identity in place of the Grams of members without the estimate;
-        under a known noise scale they are solved only for a member read
-        at its stop (`combination`)."""
-        invertible, smallest = gram_check(self.gram)
-        ok = ((self.usable > 0) & invertible).all(axis=-1)
-        if isinstance(sigma_mode, KnownSigma):
-            factor = np.full(ok.shape + (2,), sigma_mode.sigma**2)
-            sd = np.full(ok.shape + (2,), sigma_mode.sigma)
-        else:
-            ok &= (self.count > self.xy.shape[-1]).all(axis=-1)
-            gram = select(ok[:, None, None, None], self.gram, _identity(self.xy.shape[-1]))
-            beta = select(ok[:, None, None] & (self.usable > 1)[..., None], solve_spd(gram, self.weighted), self.ref)
-            # `_noise_factors` over the stack; members without the estimate
-            # get a finite stand-in.
-            delta = beta - self.ref
-            sq = self.ee - 2.0 * _dot(delta, self.xe) + _quad(delta, self.xx)
-            factor = np.where(0.0 > sq, 0.0, sq) / np.maximum(self.count, 1)
-            sd = np.sqrt(factor)
-        norms = batch_size * factor / select(ok[:, None], smallest, 1.0)
-        return StackedEstimate(ok, norms, sd, factor)
-
-    def combination(self, k: int, combined: "StackedEstimate", batch_size: int) -> "IvwCombination":
-        """The `ivw_combine` that member k's lone trajectory holds at this
-        batch, from the member's rows of these sums and of their `combine`."""
-        norms, sd, factor = (tuple(z[k].tolist()) for z in (combined.norms, combined.sd, combined.factor))
-        single = tuple(ref if u == 1 else None for ref, u in zip(self.ref[k], self.usable[k].tolist()))
-        return IvwCombination(norms, batch_size, sd, self.gram[k], factor, self.weighted[k], single)
+    def member(self, k: int) -> "RunningSums":
+        """Member k's sums, of stacked sums: those of its lone trajectory."""
+        return self.take(k)
 
 
 class StackedEstimate(NamedTuple):
-    """`StackedSums.combine` of R members: whether each has the estimate (R,),
-    the spectral norms of the scaled variances (R, 2), and the noise scales
-    and factors (R, 2)."""
+    """`ivw_combine` of R members' stacked sums: whether each has the
+    estimate (R,), and the spectral norms of the scaled variances (R, 2)."""
 
     ok: np.ndarray
     norms: np.ndarray
-    sd: np.ndarray
-    factor: np.ndarray
+
+
+def _combine_stack(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> StackedEstimate:
+    """`ivw_combine` of every member of stacked sums.  The singularity
+    checks, which give the norms' lambda_min, run once over the stack.
+    Under residual sigma the noise factors need the estimates, solved by one
+    LAPACK call over the stack with the identity in place of the Grams of
+    members without the estimate; under a known noise scale they are not
+    solved."""
+    invertible, smallest = gram_check(sums.gram)
+    ok = ((sums.usable > 0) & invertible).all(axis=-1)
+    if isinstance(sigma_mode, KnownSigma):
+        factor = np.full(ok.shape + (2,), sigma_mode.sigma**2)
+    else:
+        ok &= (sums.count > sums.dim).all(axis=-1)
+        gram = select(ok[:, None, None, None], sums.gram, _identity(sums.dim))
+        beta = select(ok[:, None, None] & (sums.usable > 1)[..., None], solve_spd(gram, sums.weighted), sums.ref)
+        # `_noise_factors` over the stack; members without the estimate
+        # get a finite stand-in.
+        delta = beta - sums.ref
+        sq = sums.ee - 2.0 * _dot(delta, sums.xe) + _quad(delta, sums.xx)
+        factor = np.where(0.0 > sq, 0.0, sq) / np.maximum(sums.count, 1)
+    return StackedEstimate(ok, batch_size * factor / select(ok[:, None], smallest, 1.0))
 
 
 # m @ v, u @ v and v @ m @ v over stacks of vectors (..., d) and matrices (..., d, d).
@@ -329,8 +296,8 @@ class IvwCombination(NamedTuple):
     Gram G, the weighted sum G beta (`weighted`), the estimate of the only
     usable batch where there is just one (`single`, else None) and the noise
     factor f.  The estimates solve G beta = weighted, and the variance matrices are
-    n f G^{-1}.  A named tuple, as `StackedEstimate`: one is made every batch,
-    and a tuple is built in about a quarter of a frozen dataclass's time."""
+    n f G^{-1}.  A named tuple: one is made every batch, and a tuple is
+    built in about a quarter of a frozen dataclass's time."""
 
     var_norms: tuple[float, float]
     batch_size: int
@@ -518,17 +485,17 @@ def residual_noise_factors(
     return _noise_factors(sums, beta, beta.shape[-1])
 
 
-def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> IvwCombination:
+def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> IvwCombination | StackedEstimate:
     """The Gram-weighted estimate of the batches summed so far.  Its scaled
     variance is ``batch_size * (sum of contributing Grams)^{-1} * factor``:
     sigma^2 with a known noise scale, else the arm's mean squared residual
     against its combined estimate.  Only the residual factors need the
     estimates now; otherwise they are solved when read.  Both arms' Grams
     are checked by one eigendecomposition call, and their estimates solved
-    by one LAPACK call.  Stacked sums give `StackedSums.combine` of all
-    members at once."""
-    if isinstance(sums, StackedSums):
-        return sums.combine(sigma_mode, batch_size)
+    by one LAPACK call.  Stacked sums, told by their shape, give the
+    `StackedEstimate` of all members at once (`_combine_stack`)."""
+    if sums.gram.ndim > 3:
+        return _combine_stack(sums, sigma_mode, batch_size)
     if not sums:
         raise EstimatorUnavailable("no batch fits supplied")
     usable = sums.usable.tolist()

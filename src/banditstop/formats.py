@@ -39,13 +39,14 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, EstimatorUnavailable
-from .estimators import KnownSigma, ResidualSigma, RunningSums, SigmaMode, StackedFit, ivw_combine
+from .errors import ConfigError
+from .estimators import KnownSigma, ResidualSigma, RunningSums, SigmaMode, StackedFit
 from .inference import ConditionalSamplerConfig
 from .model import ContextSpec, TrueModel, TruncatedGaussian, UniformBox
 from .policies import ClipSchedule, EpsGreedy, PolicyKind, Schedule, Thompson, Ucb, UniformRandom
 from .records import ExperimentRecord, SimulationSetup
-from .stopping import StoppingRule, evaluate
+from .simulate import fold_to_stop
+from .stopping import StoppingRule
 
 FORMAT = 4
 
@@ -310,10 +311,10 @@ def trajectory_payload(rec: ExperimentRecord) -> Dict:
 def record_from_trajectory(payload, setup: SimulationSetup) -> ExperimentRecord:
     """The slice of an ExperimentRecord that inference needs, from a
     trajectory file's JSON `payload` under the run's `setup`: its statistics
-    folded as the run folded them, which give the stop and the terminal
-    estimate.  A payload that is malformed, was written under another
-    set-up, disagrees bit for bit with what its statistics give or leaves no
-    estimate is a ConfigError naming the key."""
+    run through the run's own stopping step (`simulate.fold_to_stop`), which
+    gives the stop and the terminal estimate.  A payload that is malformed,
+    was written under another set-up, disagrees bit for bit with what its
+    statistics give or leaves no estimate is a ConfigError naming the key."""
     payload = DICT.read(payload, "trajectory")
     if _integer(payload.get("format")) != FORMAT:
         given = _describe(payload["format"]) if "format" in payload else "missing"
@@ -327,25 +328,15 @@ def record_from_trajectory(payload, setup: SimulationSetup) -> ExperimentRecord:
         raise ConfigError(f"trajectory key 'stop_time' must lie in 1..{rule.t_max}")
     if len(file["sufficient_stats"]) != stop_time:
         raise ConfigError(f"trajectory key 'sufficient_stats' must have stop_time = {stop_time} entries")
-    # The run's loop on the stored fits: fold, combine, decide.
-    sums, norms = RunningSums.empty(dim, residual), None
-    for i, entry in enumerate(file["sufficient_stats"]):
-        sums.add(_batch_fit(entry, f"sufficient_stats[{i}]", _READS[residual], dim))
-        previous = norms
-        try:
-            combined = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
-            norms = combined.var_norms
-        except EstimatorUnavailable:
-            combined = norms = None
-        decision = evaluate(rule, i + 1, norms, previous)
-        if decision.stop:
-            break
+    stats = enumerate(file["sufficient_stats"])
+    fits = (_batch_fit(entry, f"sufficient_stats[{i}]", _READS[residual], dim) for i, entry in stats)
+    trace, ivw = fold_to_stop(setup, RunningSums.empty(dim, residual), fits)
+    decision = trace[-1]
     if not decision.stop or decision.t != stop_time:
         where = f"at batch {decision.t}" if decision.stop else "later"
         raise ConfigError(f"trajectory key 'stop_time' is {stop_time}, but the config's stopping rule stops {where}")
-    if combined is None:
+    if ivw is None:
         raise ConfigError("trajectory key 'terminal': the run left no estimate at its stop to infer from")
-    ivw = combined.estimate()
     stored = {**payload, **{f"terminal.{k}": v for k, v in (payload["terminal"] or {}).items()}}
     derived = {"cap_hit": decision.cap_hit, "noise_plugin": list(ivw.noise_sd)}
     derived.update({f"terminal.{k}": v for k, v in _TERMINAL.write(ivw).items()})

@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-import math
-
 import numpy as np
 
+from .bounds import nearest_rank
 from .errors import ConfigError, ContractError, InfeasibleConditioning
 from .linalg import draw_gaussian
 from .model import TrueModel
@@ -132,7 +131,7 @@ def sample_conditional(
 def bootstrap_interval(samples: np.ndarray, level: float) -> Tuple[np.ndarray, np.ndarray]:
     """Per-coordinate nearest-rank interval: with alpha = 1 - level, the lower
     endpoint is the ceil(alpha/2 * N)-th order statistic and the upper endpoint
-    the ceil((1 - alpha/2) * N)-th (1-based)."""
+    the ceil((1 - alpha/2) * N)-th (1-based, `bounds.nearest_rank`)."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
@@ -142,8 +141,8 @@ def bootstrap_interval(samples: np.ndarray, level: float) -> Tuple[np.ndarray, n
     if not 0.0 < level < 1.0:
         raise ContractError("level must lie in (0, 1)")
     alpha = 1.0 - level
-    lo_rank = max(math.ceil(alpha / 2.0 * n), 1)
-    hi_rank = min(math.ceil((1.0 - alpha / 2.0) * n), n)
+    lo_rank = max(nearest_rank(alpha / 2.0, n), 1)
+    hi_rank = min(nearest_rank(1.0 - alpha / 2.0, n), n)
     ordered = np.sort(samples, axis=0)
     return ordered[lo_rank - 1].copy(), ordered[hi_rank - 1].copy()
 

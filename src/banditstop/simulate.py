@@ -5,16 +5,17 @@ rejection sampler.
 
 `simulate_trajectory` runs one trajectory, which ends on its one stopping
 decision: the rule fires, or its cap `t_max` stops the run (the rejection
-sampler lowers the cap to the target stop time).  `simulate_ensemble` runs
-many in lock-step: a chunk of members, or of one, advances one batch at a
-time, and stopped members leave the stack.  Each member draws its contexts,
-action uniforms and reward noise from its own generator in the order of a
-lone trajectory, into its own row of the stacked buffers
-(`model.stacked_uniforms`); every other step, the policy formulas and
-the LAPACK solves included, runs once over a (members, arms) stack, in forms
-that round the same stacked or alone (`tests/test_stack_invariance.py`).
-So each member's trajectory equals, bit for bit, the one
-`simulate_trajectory` gives its generator.
+sampler lowers the cap to the target stop time) in `fold_to_stop`, the
+stopping step that the trajectory reader runs on a file's stored fits.
+`simulate_ensemble` runs many in lock-step: a chunk of members, or of one,
+advances one batch at a time, and stopped members leave the stack.  Each
+member draws its contexts, action uniforms and reward noise from its own
+generator in the order of a lone trajectory, into its own row of the
+stacked buffers (`model.stacked_uniforms`); every other step, the policy
+formulas and the LAPACK solves included, runs once over a (members, arms)
+stack, in forms that round the same stacked or alone
+(`tests/test_stack_invariance.py`).  So each member's trajectory equals,
+bit for bit, the one `simulate_trajectory` gives its generator.
 
 Both loops compute per batch only what the policy and the stopping rule
 read: the batch fits, the running sums and the spectral norms of the
@@ -23,11 +24,12 @@ one batch for the opportunity rule.  Under residual sigma the fits and sums
 also keep the residual terms, and the combined estimate is solved every
 batch for the noise factors; under a known noise scale neither is.  The
 combined estimate and the variance matrices are formed once, at the stop,
-by `IvwCombination.estimate` in both loops: a stopping member reads the
-combination its lone trajectory would hold (`StackedSums.combination`).
-The stack shrinks only on a batch where some member stops.  A trajectory
-keeps each batch's fit by reference (`Trajectory.stats`: the lone fit, or
-the stack's fit and the member's row); only the file writer slices it.
+by `IvwCombination.estimate` in both loops: a stopping member's from
+`ivw_combine` of its own sums (`RunningSums.member`), as its lone
+trajectory's.  The stack shrinks only on a batch where some member stops.
+A trajectory keeps each batch's fit by reference (`Trajectory.stats`: the
+lone fit, or the stack's fit and the member's row); only the file writer
+slices it.
 
 The lone loop's fixed cost per batch is a few dozen numpy calls, so it
 makes none it can skip with the same bits.  Its sums hold both arms as one
@@ -50,7 +52,7 @@ import numpy as np
 
 from .bounds import chunk_members, lock_step_batch
 from .errors import EstimatorUnavailable
-from .estimators import IvwEstimate, KnownSigma, RunningSums, StackedFit, StackedSums, arm_masks, fit_arms
+from .estimators import IvwEstimate, KnownSigma, RunningSums, StackedFit, arm_masks, fit_arms
 from .estimators import fit_batch_ols, ivw_combine
 from .model import TrueModel, realize_rewards, sample_batch_contexts
 from .policies import select_actions, update_state
@@ -61,35 +63,43 @@ from .stopping import NormPair, StopDecision, evaluate
 def simulate_trajectory(setup: SimulationSetup, model: TrueModel, rng: np.random.Generator) -> Trajectory:
     """Run the batch protocol until the stopping rule fires, or its cap
     `t_max` stops the run with cap_hit set."""
-    rule = setup.rule
-    stats: List[Tuple[StackedFit, Tuple[()]]] = []
     residual = not isinstance(setup.sigma_mode, KnownSigma)
     sums = RunningSums.empty(model.dim, residual)
-    stop_trace: List[StopDecision] = []
+    stats: List[Tuple[StackedFit, Tuple[()]]] = []
+
+    def fits() -> Iterator[StackedFit]:  # drawn as `fold_to_stop` asks: the policy reads the sums so far
+        for _ in range(setup.rule.t_max):
+            x = sample_batch_contexts(setup.context, setup.batch_size, rng)
+            actions = select_actions(setup.policy, sums, x, setup.clip, rng)
+            y = realize_rewards(model, x, actions, rng)
+            stats.append((fit_batch_ols(x, actions, y, residual=residual), ()))
+            yield stats[-1][0]
+
+    return Trajectory(stats, *fold_to_stop(setup, sums, fits()))
+
+
+def fold_to_stop(
+    setup: SimulationSetup, sums: RunningSums, fits: Iterable[StackedFit]
+) -> Tuple[List[StopDecision], Optional[IvwEstimate]]:
+    """A trajectory's stopping step on its batch fits, in order: fold each
+    into `sums`, combine, and evaluate the rule, until it stops or the fits
+    run out.  Gives the decisions and the terminal estimate, None where the
+    last batch left none."""
+    trace: List[StopDecision] = []
     norms: Optional[NormPair] = None
-    ivw = None
-
-    for t in range(1, rule.t_max + 1):
-        x = sample_batch_contexts(setup.context, setup.batch_size, rng)
-        actions = select_actions(setup.policy, sums, x, setup.clip, rng)
-        y = realize_rewards(model, x, actions, rng)
-        fit = fit_batch_ols(x, actions, y, residual=residual)
-        stats.append((fit, ()))
+    combined = None
+    for t, fit in enumerate(fits, 1):
         update_state(sums, fit)
-
         previous = norms
         try:
-            ivw = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
-            norms = ivw.var_norms
+            combined = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
+            norms = combined.var_norms
         except EstimatorUnavailable:
-            ivw = norms = None
-
-        decision = evaluate(rule, t, current=norms, previous=previous)
-        stop_trace.append(decision)
-        if decision.stop:
+            combined = norms = None
+        trace.append(evaluate(setup.rule, t, current=norms, previous=previous))
+        if trace[-1].stop:
             break
-
-    return Trajectory(stats, stop_trace, None if ivw is None else ivw.estimate())
+    return trace, None if combined is None else combined.estimate()
 
 
 def simulate_ensemble(
@@ -116,7 +126,7 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Traje
     ivws: List[Optional[IvwEstimate]] = [None] * len(rngs)  # each member's estimate at its stop
     live, members = list(range(len(rngs))), list(rngs)  # the member and generator of each row
     residual = not isinstance(setup.sigma_mode, KnownSigma)
-    sums = StackedSums.empty(len(rngs), model.dim, residual)
+    sums = RunningSums.empty(model.dim, residual, members=len(rngs))
     t = 0
     while live:
         t += 1
@@ -126,9 +136,9 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Traje
         fit = fit_arms(x, y, arm_masks(arm1), residual)
         sums.add(fit)
 
-        # Through `ivw_combine` (which hands stacked sums to `StackedSums.combine`)
-        # and every batch, as a lone trajectory does: perfbench's tracer
-        # wraps this name, and its growth metric needs the early batches too.
+        # Through `ivw_combine` and every batch, as a lone trajectory does:
+        # perfbench's tracer wraps this name, and its growth metric needs the
+        # early batches too.
         combined = ivw_combine(sums, setup.sigma_mode, n)
         ok, norms = combined.ok.tolist(), combined.norms.tolist()
         fixed = None if online else evaluate(rule, t)  # a pre-determined rule reads no data
@@ -142,7 +152,7 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Traje
             if decision.stop:
                 stop[k] = True
                 if ok[k]:
-                    ivws[i] = sums.combination(k, combined, n).estimate()
+                    ivws[i] = ivw_combine(sums.member(k), setup.sigma_mode, n).estimate()
         if any(stop):
             sums = sums.take(~np.array(stop))
             live = [i for i, s in zip(live, stop) if not s]

@@ -205,6 +205,15 @@ class TestCalibration:
         covered = sum(1 for d in devs if d <= radius)
         assert covered >= rank  # at least the nominal fraction of pilots covered
 
+    def test_nearest_rank_is_not_pushed_up_by_rounding(self):
+        # (1 - 0.18) * 150 is 123.00000000000001 in floats; the rank is 123.
+        spec, model, policy, sched = self._setup()
+        n, t_ref, reps, seed = 40, 3, 150, 314
+        k = calibrate_tail_constant(spec, model, policy, sched, n, t_ref, 0.18, reps, seed)
+        devs = np.sort(bounds.pilot_deviations(spec, model, policy, sched, n, t_ref, reps, seed))
+        assert devs[122] < devs[123]
+        assert k == devs[122] ** 2 * n * t_ref * 0.1**2
+
     def test_monotone_in_delta(self):
         spec, model, policy, sched = self._setup()
         k_tight = calibrate_tail_constant(spec, model, policy, sched, 80, 6, 0.05, 40, 314)

@@ -337,7 +337,7 @@ class TestReports:
         config = small_config(replications=1)
         records, agg = run_replications(config)
         out = emit_reports(records, str(tmp_path), ["csv"], config, aggregates=agg)
-        lines = open(out["replications.csv"]).read().splitlines()
+        lines = Path(out["replications.csv"]).read_text().splitlines()
         assert len(lines) == 2
         header = lines[0].split(",")
         assert header[:8] == [
@@ -383,12 +383,12 @@ class TestReports:
         )
         records, agg = run_replications(config)
         paths = emit_reports(records, str(tmp_path), ["csv", "json"], config, aggregates=agg)
-        summary = json.load(open(paths["summary.json"]))
+        summary = json.loads(Path(paths["summary.json"]).read_text())
         rows = [
             line.split(",")
-            for line in open(paths["replications.csv"]).read().splitlines()[1:]
+            for line in Path(paths["replications.csv"]).read_text().splitlines()[1:]
         ]
-        header = open(paths["replications.csv"]).readline().strip().split(",")
+        header = Path(paths["replications.csv"]).read_text().splitlines()[0].strip().split(",")
         col = {name: i for i, name in enumerate(header)}
 
         stop_times = [int(r[col["stop_time"]]) for r in rows]
@@ -497,6 +497,6 @@ class TestReports:
         records, agg = run_replications(config)
         assert records[0].cap_hit and not records[0].creg.finite
         out = emit_reports(records, str(tmp_path), ["csv"], config, aggregates=agg)
-        body = open(out["replications.csv"]).read()
+        body = Path(out["replications.csv"]).read_text()
         assert "INFINITE" in body
         assert "inf," not in body.lower().replace("INFINITE".lower(), "")

@@ -51,6 +51,11 @@ class TestBootstrapInterval:
         lo, hi = bootstrap_interval(np.arange(1.0, 101.0), 0.90)
         assert lo[0] == 5.0 and hi[0] == 95.0
 
+    def test_nearest_rank_is_not_pushed_up_by_rounding(self):
+        # 1 - 0.95 is 0.050000000000000044, so alpha / 2 * 2000 lands just above 50.
+        assert [v[0] for v in bootstrap_interval(np.arange(1.0, 2001.0), 0.95)] == [50.0, 1950.0]
+        assert [v[0] for v in bootstrap_interval(np.arange(1.0, 1001.0), 0.99)] == [5.0, 995.0]
+
     def test_degenerate_constant(self):
         lo, hi = bootstrap_interval(np.full(200, 3.25), 0.95)
         assert lo[0] == 3.25 and hi[0] == 3.25

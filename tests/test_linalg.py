@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditstop import linalg
-from banditstop.estimators import StackedSums
+from banditstop.estimators import RunningSums
 
 
 # linalg calls these private gufuncs of numpy directly; each must keep its
@@ -182,7 +182,7 @@ def test_non_contiguous_stacks_equal_lone_calls(dim):
     assert not gram[::2].flags.c_contiguous
     assert_stacked_equals_lone(gram[::2], rhs[::2])
     assert_stacked_equals_lone(np.swapaxes(gram, -1, -2), rhs[..., ::-1])  # a transposed view
-    sums = StackedSums.empty(6, dim)
+    sums = RunningSums.empty(dim, members=6)
     sums.gram, sums.weighted = gram, rhs
     kept = sums.take(np.array([True, False, True, True, False, True]))
     assert_stacked_equals_lone(kept.gram, kept.weighted)

@@ -44,7 +44,7 @@ from banditstop import (
     uniform_cube_spec,
     update_state,
 )
-from banditstop.estimators import ArmFit, StackedSums, arm_masks, fit_arms
+from banditstop.estimators import ArmFit, arm_masks, fit_arms
 from banditstop.linalg import inverse_spd, is_invertible_gram, solve_spd
 from replay_oracle import batch_stats
 
@@ -241,9 +241,9 @@ def test_fits_without_residual_terms_carry_no_squares():
     stacked = fit_arms(np.stack([x] * 3), np.stack([y] * 3), masks, residual=False)
     assert stacked.sum_sq is None and stacked.rss is None
     assert fit_arms(np.stack([x] * 3), np.stack([y] * 3), masks).sum_sq.shape == (3, 2)
-    StackedSums.empty(3, 2, residual=False).add(stacked)
+    RunningSums.empty(2, residual=False, members=3).add(stacked)
     with pytest.raises(ContractError, match="without residual terms"):
-        StackedSums.empty(3, 2).add(stacked)
+        RunningSums.empty(2, members=3).add(stacked)
 
 
 def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
