@@ -29,6 +29,7 @@ from .estimators import (
     RunningSums,
     fit_batch_ols,
     ivw_combine,
+    ivw_estimate,
     limit_arm_second_moment,
     residual_noise_factors,
 )

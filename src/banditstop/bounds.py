@@ -37,6 +37,20 @@ from .policies import select_actions, update_state  # noqa: F401
 CHUNK_BYTES = 1 << 18
 
 
+def check_bound_values(context_bound, margin_exponent, margin_const, tail_const, delta, unit_cost) -> None:
+    """The range of each constant that a config's `bounds` section sets, for
+    that section and `BoundConstants` alike; a context bound or tail
+    constant of None is derived or calibrated, and checked then."""
+    if min(v for v in (context_bound, margin_exponent, margin_const) if v is not None) <= 0:
+        raise ConfigError("context_bound, margin_exponent, margin_const must be positive")
+    if tail_const is not None and tail_const <= 0:
+        raise ConfigError("tail_const must be positive")
+    if not 0.0 < delta <= 1.0:
+        raise ConfigError("delta must lie in (0, 1]")
+    if unit_cost < 0:
+        raise ConfigError("unit_cost must be nonnegative")
+
+
 @dataclass(frozen=True)
 class BoundConstants:
     """Constants feeding the regret bounds.
@@ -59,14 +73,9 @@ class BoundConstants:
     regret_const: float = field(init=False)
 
     def __post_init__(self):
-        if min(self.context_bound, self.margin_exponent, self.margin_const) <= 0:
-            raise ConfigError("context_bound, margin_exponent, margin_const must be positive")
-        if self.tail_const <= 0:
-            raise ConfigError("tail_const must be positive")
-        if not 0.0 < self.delta <= 1.0:
-            raise ConfigError("delta must lie in (0, 1]")
-        if self.unit_cost < 0:
-            raise ConfigError("unit_cost must be nonnegative")
+        check_bound_values(
+            self.context_bound, self.margin_exponent, self.margin_const, self.tail_const, self.delta, self.unit_cost
+        )
         if self.batch_size < 1 or self.dim < 1:
             raise ConfigError("batch_size and dim must be >= 1")
         # Clip schedules live in (0, 1/2]; the constant itself only needs to be

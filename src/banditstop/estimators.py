@@ -22,18 +22,17 @@ three terms do not cancel down to a small residual and lose its digits.
 Sums made for a known noise scale fold no residual terms: only
 :func:`residual_noise_factors` reads them.
 
-Per batch, :func:`ivw_combine` forms no variance matrix.  A stopping rule
-reads only the spectral norm of each arm's scaled variance, and
-``||n f G^{-1}||_2 = n f / lambda_min(G)`` for the combined Gram G: the
-singularity check of G already computes lambda_min (`linalg.gram_check`).
+Per batch, :func:`ivw_combine` gives only what a stopping rule reads: the
+spectral norm of each arm's scaled variance,
+``||n f G^{-1}||_2 = n f / lambda_min(G)`` for the combined Gram G, whose
+lambda_min the singularity check of G already computes (`linalg.gram_check`).
 With a known noise scale f = sigma^2 needs no estimate, so the combined
 estimate is not solved either; under residual sigma f is the mean squared
 residual against it, so it is solved every batch.  The estimates and the
-matrices ``n * inverse_spd(G) * f`` are formed when read, once per
-trajectory at its stop, by :meth:`IvwCombination.estimate` alone: a
-lock-step member's from its own sums (:meth:`RunningSums.member`), by the
-lone formula.  Fits made for a known noise scale skip y'y and the RSS,
-which only residual-sigma sums read.
+matrices ``n * inverse_spd(G) * f`` are formed once per trajectory, at its
+stop, by :func:`ivw_estimate`: a lock-step member's from its own sums
+(:meth:`RunningSums.member`), by the lone formula.  Fits made for a known
+noise scale skip y'y and the RSS, which only residual-sigma sums read.
 
 Stacking: a batch's per-arm sums are zero-masked full-length products
 (:func:`masked_sums`, :func:`masked_rss`), which numpy rounds the same for
@@ -289,45 +288,6 @@ class IvwEstimate:
         return self.var(arm) / self.batch_size
 
 
-class IvwCombination(NamedTuple):
-    """`ivw_combine` of one trajectory's sums: the spectral norms of both
-    arms' scaled variances, n f / lambda_min(G), which is all a stopping rule
-    reads, and what the rest is formed from when read: per arm the combined
-    Gram G, the weighted sum G beta (`weighted`), the estimate of the only
-    usable batch where there is just one (`single`, else None) and the noise
-    factor f.  The estimates solve G beta = weighted, and the variance matrices are
-    n f G^{-1}.  A named tuple: one is made every batch, and a tuple is
-    built in about a quarter of a frozen dataclass's time."""
-
-    var_norms: tuple[float, float]
-    batch_size: int
-    noise_sd: tuple[float, float]
-    grams: np.ndarray  # (2, d, d)
-    factors: tuple[float, float]
-    weighted: np.ndarray  # (2, d)
-    single: tuple[Optional[np.ndarray], Optional[np.ndarray]]
-
-    @property
-    def beta0(self) -> np.ndarray:
-        return _combined_estimate(self.grams[0], self.weighted[0], self.single[0])
-
-    @property
-    def beta1(self) -> np.ndarray:
-        return _combined_estimate(self.grams[1], self.weighted[1], self.single[1])
-
-    @property
-    def var0(self) -> np.ndarray:
-        return self.batch_size * inverse_spd(self.grams[0]) * self.factors[0]
-
-    @property
-    def var1(self) -> np.ndarray:
-        return self.batch_size * inverse_spd(self.grams[1]) * self.factors[1]
-
-    def estimate(self) -> IvwEstimate:
-        """The terminal estimate, with its estimates and variance matrices formed now."""
-        return IvwEstimate(self.beta0, self.beta1, self.var0, self.var1, self.batch_size, self.noise_sd)
-
-
 def fit_batch_ols(
     contexts: np.ndarray,
     actions: np.ndarray,
@@ -453,12 +413,6 @@ def masked_rss(contexts: np.ndarray, rewards: np.ndarray, w: np.ndarray, beta: n
     return np.add.reduce(resid * resid, axis=-1)
 
 
-def _combined_estimate(gram: np.ndarray, weighted: np.ndarray, single: Optional[np.ndarray]) -> np.ndarray:
-    """The Gram-weighted estimate: the only usable batch's own estimate, or
-    the solution of gram @ beta = weighted."""
-    return single.copy() if single is not None else solve_spd(gram, weighted)
-
-
 def _noise_factors(sums: RunningSums, beta: np.ndarray, dim: int) -> tuple[float, float]:
     """Each arm's mean squared residual over all its units against its row
     of `beta` (2, d), once each arm has more units than the dimension: from
@@ -485,17 +439,15 @@ def residual_noise_factors(
     return _noise_factors(sums, beta, beta.shape[-1])
 
 
-def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> IvwCombination | StackedEstimate:
-    """The Gram-weighted estimate of the batches summed so far.  Its scaled
-    variance is ``batch_size * (sum of contributing Grams)^{-1} * factor``:
-    sigma^2 with a known noise scale, else the arm's mean squared residual
-    against its combined estimate.  Only the residual factors need the
-    estimates now; otherwise they are solved when read.  Both arms' Grams
-    are checked by one eigendecomposition call, and their estimates solved
-    by one LAPACK call.  Stacked sums, told by their shape, give the
-    `StackedEstimate` of all members at once (`_combine_stack`)."""
-    if sums.gram.ndim > 3:
-        return _combine_stack(sums, sigma_mode, batch_size)
+def _combined(sums: RunningSums, sigma_mode: SigmaMode, solve: bool):
+    """What `ivw_combine` and `ivw_estimate` share: the availability checks,
+    each arm's smallest combined-Gram eigenvalue and noise factor f (sigma^2
+    with a known noise scale, else the arm's mean squared residual against
+    its combined estimate), and both arms' combined estimates (2, d) where
+    the factors read them or `solve` asks for them, else None.  An arm's
+    estimate is its only usable batch's, or solves G beta = weighted; both
+    arms' Grams are checked by one eigendecomposition call and solved by
+    one LAPACK call."""
     if not sums:
         raise EstimatorUnavailable("no batch fits supplied")
     usable = sums.usable.tolist()
@@ -507,28 +459,41 @@ def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> Iv
             raise EstimatorUnavailable(f"no batch with a usable arm-{arm} fit")
         if not ok:
             raise EstimatorUnavailable(f"combined arm-{arm} Gram matrix is singular")
-    single = (sums.ref[0] if usable[0] == 1 else None, sums.ref[1] if usable[1] == 1 else None)
-    if isinstance(sigma_mode, KnownSigma):
-        factors = (sigma_mode.sigma**2, sigma_mode.sigma**2)
-        noise_sd = (sigma_mode.sigma, sigma_mode.sigma)
-    else:
+    known = isinstance(sigma_mode, KnownSigma)
+    beta = None
+    if solve or not known:
         beta = sums.ref
         if usable[0] > 1 or usable[1] > 1:
             beta = solve_spd(sums.gram, sums.weighted)
             if 1 in usable:  # an arm's only usable batch is its estimate
                 beta = np.where((sums.usable == 1)[:, None], sums.ref, beta)
-        factors = _noise_factors(sums, beta, sums.dim)
-        noise_sd = (math.sqrt(factors[0]), math.sqrt(factors[1]))
-    low0, low1 = smallest.tolist()
-    return IvwCombination(
-        var_norms=(batch_size * factors[0] / low0, batch_size * factors[1] / low1),
-        batch_size=batch_size,
-        noise_sd=noise_sd,
-        grams=sums.gram,
-        factors=factors,
-        weighted=sums.weighted,
-        single=single,
-    )
+    factors = (sigma_mode.sigma**2,) * 2 if known else _noise_factors(sums, beta, sums.dim)
+    return smallest.tolist(), factors, beta
+
+
+def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> tuple[float, float] | StackedEstimate:
+    """The spectral norms of both arms' scaled variances of the Gram-weighted
+    estimate of the batches summed so far, n f / lambda_min(G): all a
+    stopping rule reads.  Raises EstimatorUnavailable where either arm has
+    no estimate.  Stacked sums, told by their shape, give the
+    `StackedEstimate` of all members at once (`_combine_stack`)."""
+    if sums.gram.ndim > 3:
+        return _combine_stack(sums, sigma_mode, batch_size)
+    (low0, low1), factors, _ = _combined(sums, sigma_mode, solve=False)
+    return (batch_size * factors[0] / low0, batch_size * factors[1] / low1)
+
+
+def ivw_estimate(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> IvwEstimate:
+    """The terminal estimate of a trajectory's sums, formed once, at its stop:
+    the combined estimates and the variance matrices
+    ``batch_size * (sum of contributing Grams)^{-1} * factor``, both arms'
+    inverted by one LAPACK call.  Raises EstimatorUnavailable as
+    `ivw_combine` does."""
+    _, (f0, f1), beta = _combined(sums, sigma_mode, solve=True)
+    inverse = inverse_spd(sums.gram)
+    noise_sd = (sigma_mode.sigma,) * 2 if isinstance(sigma_mode, KnownSigma) else (math.sqrt(f0), math.sqrt(f1))
+    beta0, beta1 = beta.copy()
+    return IvwEstimate(beta0, beta1, batch_size * inverse[0] * f0, batch_size * inverse[1] * f1, batch_size, noise_sd)
 
 
 def limit_arm_second_moment(

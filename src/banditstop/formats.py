@@ -39,6 +39,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .bounds import check_bound_values
 from .errors import ConfigError
 from .estimators import KnownSigma, ResidualSigma, RunningSums, SigmaMode, StackedFit
 from .inference import ConditionalSamplerConfig
@@ -330,8 +331,7 @@ def record_from_trajectory(payload, setup: SimulationSetup) -> ExperimentRecord:
         raise ConfigError(f"trajectory key 'sufficient_stats' must have stop_time = {stop_time} entries")
     stats = enumerate(file["sufficient_stats"])
     fits = (_batch_fit(entry, f"sufficient_stats[{i}]", _READS[residual], dim) for i, entry in stats)
-    trace, ivw = fold_to_stop(setup, RunningSums.empty(dim, residual), fits)
-    decision = trace[-1]
+    decision, ivw = fold_to_stop(setup, RunningSums.empty(dim, residual), fits)
     if not decision.stop or decision.t != stop_time:
         where = f"at batch {decision.t}" if decision.stop else "later"
         raise ConfigError(f"trajectory key 'stop_time' is {stop_time}, but the config's stopping rule stops {where}")
@@ -396,6 +396,14 @@ class BoundsConfig:
     tail_const: Optional[float] = None
     context_bound: Optional[float] = None  # None: sqrt(dim) * sup bound of the context spec
     calibration: Optional[CalibrationConfig] = None
+
+    def __post_init__(self):
+        # Checked here so that a bad value fails before any pilot runs.
+        check_bound_values(
+            self.context_bound, self.margin_exponent, self.margin_const, self.tail_const, self.delta, self.unit_cost
+        )
+        if self.calibration is not None and self.delta >= 1.0:
+            raise ConfigError("a calibration needs delta < 1")
 
 
 @dataclass(frozen=True)

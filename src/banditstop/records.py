@@ -1,5 +1,6 @@
 """Value types tying a full seeded trajectory together: the simulation setup,
-per-batch fits, the stop trace, terminal estimates, and inference output.
+per-batch fits, the stopping decision, terminal estimates, and inference
+output.
 """
 
 from __future__ import annotations
@@ -35,16 +36,16 @@ class Trajectory:
     # Per batch, its fit held by reference and the trajectory's row of it: a
     # lone fit and (), or a lock-step stack's fit and the member's index.
     stats: List[Tuple[StackedFit, Union[int, Tuple[()]]]]
-    stop_trace: List[StopDecision]  # ends on the run's one stopping decision
+    stop: StopDecision  # the run's one stopping decision
     ivw: Optional[IvwEstimate]
 
     @property
     def stop_time(self) -> int:
-        return self.stop_trace[-1].t
+        return self.stop.t
 
     @property
     def cap_hit(self) -> bool:
-        return self.stop_trace[-1].cap_hit
+        return self.stop.cap_hit
 
 
 @dataclass

@@ -24,12 +24,12 @@ one batch for the opportunity rule.  Under residual sigma the fits and sums
 also keep the residual terms, and the combined estimate is solved every
 batch for the noise factors; under a known noise scale neither is.  The
 combined estimate and the variance matrices are formed once, at the stop,
-by `IvwCombination.estimate` in both loops: a stopping member's from
-`ivw_combine` of its own sums (`RunningSums.member`), as its lone
-trajectory's.  The stack shrinks only on a batch where some member stops.
-A trajectory keeps each batch's fit by reference (`Trajectory.stats`: the
-lone fit, or the stack's fit and the member's row); only the file writer
-slices it.
+by `estimators.ivw_estimate` in both loops: a stopping member's from its
+own sums (`RunningSums.member`), as its lone trajectory's.  The stack
+shrinks only on a batch where some member stops.  A trajectory keeps each
+batch's fit by reference (`Trajectory.stats`: the lone fit, or the stack's
+fit and the member's row), which only the file writer slices, and of its
+stopping decisions only the last (`Trajectory.stop`).
 
 The lone loop's fixed cost per batch is a few dozen numpy calls, so it
 makes none it can skip with the same bits.  Its sums hold both arms as one
@@ -53,7 +53,7 @@ import numpy as np
 from .bounds import chunk_members, lock_step_batch
 from .errors import EstimatorUnavailable
 from .estimators import IvwEstimate, KnownSigma, RunningSums, StackedFit, arm_masks, fit_arms
-from .estimators import fit_batch_ols, ivw_combine
+from .estimators import fit_batch_ols, ivw_combine, ivw_estimate
 from .model import TrueModel, realize_rewards, sample_batch_contexts
 from .policies import select_actions, update_state
 from .records import SimulationSetup, Trajectory
@@ -80,26 +80,23 @@ def simulate_trajectory(setup: SimulationSetup, model: TrueModel, rng: np.random
 
 def fold_to_stop(
     setup: SimulationSetup, sums: RunningSums, fits: Iterable[StackedFit]
-) -> Tuple[List[StopDecision], Optional[IvwEstimate]]:
+) -> Tuple[StopDecision, Optional[IvwEstimate]]:
     """A trajectory's stopping step on its batch fits, in order: fold each
     into `sums`, combine, and evaluate the rule, until it stops or the fits
-    run out.  Gives the decisions and the terminal estimate, None where the
-    last batch left none."""
-    trace: List[StopDecision] = []
+    run out.  Gives the last decision and the terminal estimate, None where
+    the last batch left none."""
     norms: Optional[NormPair] = None
-    combined = None
     for t, fit in enumerate(fits, 1):
         update_state(sums, fit)
         previous = norms
         try:
-            combined = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
-            norms = combined.var_norms
+            norms = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
         except EstimatorUnavailable:
-            combined = norms = None
-        trace.append(evaluate(setup.rule, t, current=norms, previous=previous))
-        if trace[-1].stop:
+            norms = None
+        decision = evaluate(setup.rule, t, current=norms, previous=previous)
+        if decision.stop:
             break
-    return trace, None if combined is None else combined.estimate()
+    return decision, None if norms is None else ivw_estimate(sums, setup.sigma_mode, setup.batch_size)
 
 
 def simulate_ensemble(
@@ -121,7 +118,7 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Traje
     rule, n = setup.rule, setup.batch_size
     online = not rule.predetermined
     stats: List[List[Tuple[StackedFit, int]]] = [[] for _ in rngs]
-    traces: List[List[StopDecision]] = [[] for _ in rngs]
+    decisions: List[Optional[StopDecision]] = [None] * len(rngs)  # each member's decision at its stop
     prev: List[Optional[NormPair]] = [None] * len(rngs)
     ivws: List[Optional[IvwEstimate]] = [None] * len(rngs)  # each member's estimate at its stop
     live, members = list(range(len(rngs))), list(rngs)  # the member and generator of each row
@@ -147,15 +144,14 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Traje
             stats[i].append((fit, k))
             cur = tuple(norms[k]) if online and ok[k] else None
             decision = evaluate(rule, t, cur, prev[i]) if online else fixed
-            traces[i].append(decision)
             prev[i] = cur
             if decision.stop:
-                stop[k] = True
+                stop[k], decisions[i] = True, decision
                 if ok[k]:
-                    ivws[i] = ivw_combine(sums.member(k), setup.sigma_mode, n).estimate()
+                    ivws[i] = ivw_estimate(sums.member(k), setup.sigma_mode, n)
         if any(stop):
             sums = sums.take(~np.array(stop))
             live = [i for i, s in zip(live, stop) if not s]
             members = [rngs[i] for i in live]
 
-    yield from map(Trajectory, stats, traces, ivws)
+    yield from map(Trajectory, stats, decisions, ivws)

@@ -108,14 +108,14 @@ def evaluate(
     """Evaluate the stopping rule at batch t.
 
     Online rules read the spectral norms of the current per-arm scaled
-    variance matrices (``IvwCombination.var_norms``), and the opportunity
+    variance matrices (`estimators.ivw_combine`), and the opportunity
     variant those of the previous batch too, which the caller carries from
-    one batch to the next; missing inputs yield "continue" with a diagnostic
-    flag rather than an error.  Either online rule logs the current norms
-    whenever it has them, so a stop trace holds every norm the rule read.
-    Pre-determined rules read neither.  A pre-determined rule without bound
-    constants, or a rule with `scale_by_batch` and no batch size, is a
-    ContractError.  The hard cap always stops with cap_hit set.
+    one batch to the next; missing inputs yield "continue" rather than an
+    error.  Pre-determined rules read neither, and log the bound they read in
+    `diagnostics` (`stop-scan` prints them); online rules log nothing.  A
+    pre-determined rule without bound constants, or a rule with
+    `scale_by_batch` and no batch size, is a ContractError.  The hard cap
+    always stops with cap_hit set, and logs `cap`.
     """
     if t < 1:
         raise ContractError("t must be >= 1")
@@ -137,21 +137,13 @@ def evaluate(
         diagnostics.update(bound_t=bound_now, threshold=rule.k)
         stop = bound_now <= rule.k
     elif current is None:  # an online rule without an estimate
-        diagnostics["estimator_unavailable"] = 1.0
-    else:
-        norm0, norm1 = current
-        diagnostics.update(var_norm_arm0=norm0, var_norm_arm1=norm1)
-        if kind == "online_threshold":
-            diagnostics["threshold"] = rule.k
-            stop = norm0 <= rule.k and norm1 <= rule.k
-        elif previous is None:  # online_opportunity: construction rejects any other kind
-            diagnostics["insufficient_history"] = 1.0
-        else:
-            level = rule.c_prime * (rule.batch_size if rule.scale_by_batch else 1.0)
-            dec0, dec1 = previous[0] - norm0, previous[1] - norm1
-            diagnostics.update(decrement_arm0=dec0, decrement_arm1=dec1, level=level)
-            # Negative decrements (variance rising) count as satisfied.
-            stop = dec0 <= level and dec1 <= level
+        pass
+    elif kind == "online_threshold":
+        stop = current[0] <= rule.k and current[1] <= rule.k
+    elif previous is not None:  # online_opportunity: construction rejects any other kind
+        level = rule.c_prime * (rule.batch_size if rule.scale_by_batch else 1.0)
+        # Negative decrements (variance rising) count as satisfied.
+        stop = previous[0] - current[0] <= level and previous[1] - current[1] <= level
 
     cap_hit = False
     if t >= rule.t_max and not stop:

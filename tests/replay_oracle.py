@@ -1,17 +1,56 @@
 """Stopping decisions recomputed from a record's stored per-batch statistics
 alone, the way a reader of the trajectory JSON would; tests compare them
-with the stop trace the simulation logged.  `batch_stats` gives the tests
-each batch's estimates and Grams from the fits a trajectory holds.
+with the calls of the stopping rule that the simulation made, which
+`recorded_evaluations` records.  `batch_stats` gives the tests each batch's
+estimates and Grams from the fits a trajectory holds.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Iterator, List, NamedTuple, Optional, Tuple
+from unittest import mock
 
 import numpy as np
 
-from banditstop import ContractError, ExperimentRecord, KnownSigma, StopDecision, Trajectory, evaluate, spectral_norm
+from banditstop import ContractError, ExperimentRecord, KnownSigma, StopDecision, Trajectory, evaluate, simulate
+from banditstop import spectral_norm
 from banditstop.linalg import inverse_spd, is_invertible_gram
+from banditstop.stopping import NormPair
+
+
+class Evaluation(NamedTuple):
+    """One call of the stopping rule: the batch, the variance norms it read
+    (this batch's and the carried previous batch's, None where there was no
+    estimate) and its decision."""
+
+    t: int
+    current: Optional[NormPair]
+    previous: Optional[NormPair]
+    decision: StopDecision
+
+    def bits(self):
+        """(t, current, previous) with each norm pair as its bytes, and the decision's (stop, cap_hit)."""
+        return (self.t, bits(self.current), bits(self.previous), self.decision.stop, self.decision.cap_hit)
+
+
+def bits(pair) -> Optional[bytes]:
+    return None if pair is None else np.asarray(pair, float).tobytes()
+
+
+@contextmanager
+def recorded_evaluations() -> Iterator[List[Evaluation]]:
+    """Every call of the stopping rule that `banditstop.simulate` makes in
+    the block (both loops and the trajectory reader), in call order."""
+    calls: List[Evaluation] = []
+
+    def recording(rule, t, current=None, previous=None):
+        decision = evaluate(rule, t, current, previous)
+        calls.append(Evaluation(t, current, previous, decision))
+        return decision
+
+    with mock.patch.object(simulate, "evaluate", recording):
+        yield calls
 
 
 def batch_stats(trajectory: Trajectory) -> List[Tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray], np.ndarray]]:
@@ -25,8 +64,8 @@ def batch_stats(trajectory: Trajectory) -> List[Tuple[Optional[np.ndarray], np.n
     return stats
 
 
-def replay_stop_decisions(record: ExperimentRecord) -> List[StopDecision]:
-    """Recompute every batch's stopping decision from the per-batch
+def replay_stop_decisions(record: ExperimentRecord) -> List[Evaluation]:
+    """Recompute every batch's call of the stopping rule from the per-batch
     statistics of `record.trajectory`.
 
     Valid for pre-determined rules (no data involved) and for online rules in
@@ -56,6 +95,6 @@ def replay_stop_decisions(record: ExperimentRecord) -> List[StopDecision]:
                 current = tuple(
                     spectral_norm(setup.batch_size * inverse_spd(g) * sig2) for g in (totals[0], totals[1])
                 )
-        decisions.append(evaluate(setup.rule, t, current=current, previous=prev))
+        decisions.append(Evaluation(t, current, prev, evaluate(setup.rule, t, current=current, previous=prev)))
         prev = current
     return decisions

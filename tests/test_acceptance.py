@@ -92,17 +92,17 @@ def test_acceptance_02_ivw_identities():
     # single batch: bitwise fixed point
     rng = bs.make_rng(202)
     single = mk([[2.0, 0.4], [0.4, 1.0]], rng.normal(size=2))
-    est = bs.ivw_combine(sums_of([single]), bs.KnownSigma(1.0), batch_size=4)
+    est = bs.ivw_estimate(sums_of([single]), bs.KnownSigma(1.0), batch_size=4)
     ok &= np.array_equal(est.beta1, single.arm1.beta)
 
     # equal Grams: exact mean to 1e-12
     gram = np.array([[2.0, 0.3], [0.3, 1.5]])
     b1, b2 = rng.normal(size=2), rng.normal(size=2)
-    est = bs.ivw_combine(sums_of([mk(gram, b1), mk(gram, b2)]), bs.KnownSigma(1.0), 4)
+    est = bs.ivw_estimate(sums_of([mk(gram, b1), mk(gram, b2)]), bs.KnownSigma(1.0), 4)
     ok &= bool(np.max(np.abs(est.beta1 - (b1 + b2) / 2.0)) <= 1e-12)
 
     # scalar weighted average: exactly 3.5
-    est = bs.ivw_combine(sums_of([mk(1.0, 2.0), mk(3.0, 4.0)]), bs.KnownSigma(1.0), 1)
+    est = bs.ivw_estimate(sums_of([mk(1.0, 2.0), mk(3.0, 4.0)]), bs.KnownSigma(1.0), 1)
     ok &= est.beta1[0] == 3.5
     report(2, "combined-estimator identities (fixed point, equal-Gram mean, 3.5)", ok)
 

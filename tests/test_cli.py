@@ -177,7 +177,17 @@ DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 
 # Values that the config's types admit and its dataclasses reject.
-SECTION_CHECKED = {("sigma_mode", "sigma"), ("clip", "decay"), ("policy", "eps", "floor"), ("inference", "mode")}
+SECTION_CHECKED = {
+    (("sigma_mode", "sigma"), "-1"),
+    (("sigma_mode", "sigma"), "0"),
+    (("clip", "decay"), "-1"),
+    (("policy", "eps", "floor"), "0.5"),
+    (("inference", "mode"), '"x"'),
+    (("bounds", "margin_const"), "0"),
+    (("bounds", "delta"), "0"),
+    (("bounds", "delta"), "1"),
+    (("bounds", "unit_cost"), "-1"),
+}
 
 
 @pytest.mark.parametrize(
@@ -215,6 +225,11 @@ SECTION_CHECKED = {("sigma_mode", "sigma"), ("clip", "decay"), ("policy", "eps",
         (("clip", "decay"), "-1"),
         (("policy", "eps", "floor"), "0.5"),
         (("inference", "mode"), '"x"'),
+        # Each named no key.
+        (("bounds", "margin_const"), "0"),  # failed only after the 200 pilots
+        (("bounds", "delta"), "0"),
+        (("bounds", "unit_cost"), "-1"),  # failed only after the 200 pilots
+        (("bounds", "delta"), "1"),  # a calibration needs delta < 1
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
@@ -231,7 +246,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, path, raw):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err.lower()
-    if path in SECTION_CHECKED:  # the section's dataclass checks the value, and the message names the section
+    if (path, raw) in SECTION_CHECKED:  # the section's dataclass checks the value, and the message names the section
         assert f"config key '{'.'.join(path[:-1])}': " in err
     else:
         assert ".".join(path) in err
@@ -325,6 +340,78 @@ def test_stop_scan(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert "margin exponent 1" in out["closed_form_unavailable"]
     assert "t_star" not in out
+
+
+# `stop-scan`'s whole stdout, for either pre-determined kind stopping by its
+# rule and at the cap: the one place that prints a rule's diagnostics.
+_SCAN_STDOUT = {
+    ("predetermined_opportunity", 500): """{
+  "cap_hit": false,
+  "creg_star": 240.25850929940458,
+  "diagnostics": {
+    "batch_cost": 1.0,
+    "bound_t": 10.000000000000002,
+    "bound_t_next": 9.090909090909093
+  },
+  "stop_time": 10,
+  "t_star": 10.0
+}
+""",
+    ("predetermined_opportunity", 6): """{
+  "cap_hit": true,
+  "creg_star": 240.25850929940458,
+  "diagnostics": {
+    "batch_cost": 1.0,
+    "bound_t": 16.666666666666668,
+    "bound_t_next": 14.285714285714285,
+    "cap": 6.0
+  },
+  "stop_time": 6,
+  "t_star": 10.0
+}
+""",
+    ("predetermined_threshold", 500): """{
+  "cap_hit": false,
+  "creg_star": 12.5,
+  "diagnostics": {
+    "bound_t": 7.692307692307692,
+    "threshold": 8.0
+  },
+  "stop_time": 13,
+  "t_star": 12.5
+}
+""",
+    ("predetermined_threshold", 6): """{
+  "cap_hit": true,
+  "creg_star": 12.5,
+  "diagnostics": {
+    "bound_t": 16.666666666666668,
+    "cap": 6.0,
+    "threshold": 8.0
+  },
+  "stop_time": 6,
+  "t_star": 12.5
+}
+""",
+}
+
+
+@pytest.mark.parametrize("kind, t_max", list(_SCAN_STDOUT), ids=[f"{k}-{t}" for k, t in _SCAN_STDOUT])
+def test_stop_scan_stdout(tmp_path, capsys, kind, t_max):
+    cfg_path = tmp_path / "config.json"
+    write_config(
+        cfg_path,
+        policy=UniformRandom(),
+        batch_size=100,
+        clip=constant_clip(0.5),
+        stopping=StoppingRule(kind=kind, t_max=t_max, k=8.0 if kind.endswith("threshold") else None),
+        bounds=BoundsConfig(
+            margin_exponent=1.0, margin_const=1.0, delta=0.1, unit_cost=0.01, tail_const=625.0, context_bound=1.0
+        ),
+        inference=None,
+    )
+    assert main(["stop-scan", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == _SCAN_STDOUT[kind, t_max]
 
 
 def test_stop_scan_rejects_online_rules(tmp_path):

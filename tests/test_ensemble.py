@@ -31,7 +31,7 @@ from banditstop import (
     make_rng,
     simulate,
 )
-from replay_oracle import batch_stats
+from replay_oracle import batch_stats, recorded_evaluations
 
 
 @st.composite
@@ -108,17 +108,15 @@ def assert_same_arrays(a, b):
 
 def assert_same_trajectory(got, want):
     assert (got.stop_time, got.cap_hit) == (want.stop_time, want.cap_hit)
+    assert (got.stop.stop, got.stop.t, got.stop.cap_hit, got.stop.diagnostics) == (
+        want.stop.stop, want.stop.t, want.stop.cap_hit, want.stop.diagnostics
+    )
     for traj in (got, want):  # each ends on its only stopping decision
-        T = traj.stop_time
-        assert [d.stop for d in traj.stop_trace] == [False] * (T - 1) + [True]
-        assert T == len(traj.stats) == traj.stop_trace[-1].t
+        assert traj.stop.stop and traj.stop_time == len(traj.stats)
     for f, g in zip(batch_stats(got), batch_stats(want)):
         assert len(f) == len(g) == 4
         for p, q in zip(f, g):
             assert_same_arrays(p, q)
-    assert [(d.stop, d.t, d.cap_hit, d.diagnostics) for d in got.stop_trace] == [
-        (d.stop, d.t, d.cap_hit, d.diagnostics) for d in want.stop_trace
-    ]
     assert (got.ivw is None) == (want.ivw is None)
     if want.ivw is not None:
         for name in ("beta0", "beta1", "var0", "var1"):
@@ -126,6 +124,24 @@ def assert_same_trajectory(got, want):
         assert got.ivw.batch_size == want.ivw.batch_size
         assert all(type(s) is float for s in got.ivw.noise_sd + want.ivw.noise_sd)
         assert np.array(got.ivw.noise_sd).tobytes() == np.array(want.ivw.noise_sd).tobytes()
+
+
+def calls_by_member(calls, stop_times, sizes, online):
+    """The engine's calls of the stopping rule, split among the members: it
+    runs the chunks in turn, and in each batch calls the rule for each live
+    member in order under an online rule, or once for them all under a
+    pre-determined one."""
+    calls, by_member, start = iter(calls), [[] for _ in stop_times], 0
+    for size in sizes:
+        chunk = range(start, start + size)
+        for t in range(1, max(stop_times[i] for i in chunk) + 1):
+            live = [i for i in chunk if stop_times[i] >= t]
+            shared = None if online else next(calls)
+            for i in live:
+                by_member[i].append(next(calls) if online else shared)
+        start += size
+    assert next(calls, None) is None
+    return by_member
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -140,10 +156,19 @@ def test_ensemble_members_equal_lone_trajectories(set_up, members, per_chunk, se
     seeds = [seed + i for i in range(members)]
     budget = per_chunk * 8 * setup.batch_size * (model.dim + 4)
     lock_step = mock.patch.object(simulate, "_lock_step", wraps=simulate._lock_step)
-    with mock.patch.object(bounds, "CHUNK_BYTES", budget), lock_step as calls:
+    with mock.patch.object(bounds, "CHUNK_BYTES", budget), lock_step as chunks, recorded_evaluations() as calls:
         got = list(simulate.simulate_ensemble(setup, model, [make_rng(s) for s in seeds]))
     sizes = [min(per_chunk, members - start) for start in range(0, members, per_chunk)]
-    assert calls.call_count == len(sizes)  # every chunk runs lock-step, one of one member too
+    assert chunks.call_count == len(sizes)  # every chunk runs lock-step, one of one member too
     assert len(got) == members
-    for traj, s in zip(got, seeds):
-        assert_same_trajectory(traj, simulate.simulate_trajectory(setup, model, make_rng(s)))
+    online = not setup.rule.predetermined
+    engine = calls_by_member(calls, [traj.stop_time for traj in got], sizes, online)
+    for traj, s, evaluations in zip(got, seeds, engine):
+        with recorded_evaluations() as lone:
+            want = simulate.simulate_trajectory(setup, model, make_rng(s))
+        assert_same_trajectory(traj, want)
+        # Each batch's call of the rule reads the same norms, bit for bit; the
+        # engine gives a pre-determined rule, which reads none, no norms.
+        same = (lambda call: call.bits()) if online else (lambda call: (call.t, call.decision.stop, call.decision.cap_hit))
+        assert list(map(same, evaluations)) == list(map(same, lone))
+        assert [call.decision.stop for call in lone] == [False] * (want.stop_time - 1) + [True]

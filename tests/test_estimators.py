@@ -15,6 +15,7 @@ from banditstop import (
     constant_clip,
     fit_batch_ols,
     ivw_combine,
+    ivw_estimate,
     limit_arm_second_moment,
     make_rng,
     realize_rewards,
@@ -142,7 +143,7 @@ class TestIvwCombine:
             moment=np.array([2.0]), sum_sq=1.0,
         )
         fit = of_arms(arm0, fit.arm1)
-        est = ivw_combine(sums_of([fit]), KnownSigma(1.0), batch_size=2)
+        est = ivw_estimate(sums_of([fit]), KnownSigma(1.0), batch_size=2)
         np.testing.assert_array_equal(est.beta1, fit.arm1.beta)
         np.testing.assert_array_equal(est.beta0, fit.arm0.beta)
 
@@ -154,12 +155,12 @@ class TestIvwCombine:
             make_fit(gram, b1, gram, rng.normal(size=2)),
             make_fit(gram, b2, gram, rng.normal(size=2)),
         ]
-        est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=3)
+        est = ivw_estimate(sums_of(fits), KnownSigma(1.0), batch_size=3)
         np.testing.assert_allclose(est.beta1, (b1 + b2) / 2.0, rtol=1e-12, atol=1e-12)
 
     def test_scalar_weighted_average(self):
         fits = [make_fit(1.0, 2.0), make_fit(3.0, 4.0)]
-        est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=1)
+        est = ivw_estimate(sums_of(fits), KnownSigma(1.0), batch_size=1)
         assert est.beta1[0] == 3.5  # (1*2 + 3*4) / 4
 
     def test_identical_estimates_fixed_point(self):
@@ -169,7 +170,7 @@ class TestIvwCombine:
         for _ in range(4):
             m = rng.uniform(-1, 1, size=(6, 3))
             fits.append(make_fit(m.T @ m + 0.5 * np.eye(3), b))
-        est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=6)
+        est = ivw_estimate(sums_of(fits), KnownSigma(1.0), batch_size=6)
         np.testing.assert_allclose(est.beta1, b, rtol=1e-12, atol=1e-13)
 
     def test_singular_batches_excluded(self):
@@ -178,15 +179,16 @@ class TestIvwCombine:
             make_fit(np.array([[0.0]]), None),  # contributes nothing
             make_fit(3.0, 4.0),
         ]
-        est = ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=1)
+        est = ivw_estimate(sums_of(fits), KnownSigma(1.0), batch_size=1)
         assert est.beta1[0] == 3.5
         # variance uses the same contributing total Gram (1 + 3)
         assert est.var1[0, 0] == pytest.approx(1.0 / 4.0, rel=1e-12)
 
     def test_all_singular_unavailable(self):
         fits = [make_fit(np.array([[0.0]]), None)]
-        with pytest.raises(EstimatorUnavailable):
-            ivw_combine(sums_of(fits), KnownSigma(1.0), batch_size=1)
+        for combine in (ivw_combine, ivw_estimate):
+            with pytest.raises(EstimatorUnavailable):
+                combine(sums_of(fits), KnownSigma(1.0), batch_size=1)
 
     def test_affine_equivariance(self):
         rng = make_rng(4)
@@ -197,8 +199,8 @@ class TestIvwCombine:
         fit = fit_batch_ols(x, a, y)
         fit_s = fit_batch_ols(x, a, scale * y)
         np.testing.assert_allclose(fit_s.arm1.beta, scale * fit.arm1.beta, rtol=1e-9)
-        est = ivw_combine(sums_of([fit]), ResidualSigma(), batch_size=30)
-        est_s = ivw_combine(sums_of([fit_s]), ResidualSigma(), batch_size=30)
+        est = ivw_estimate(sums_of([fit]), ResidualSigma(), batch_size=30)
+        est_s = ivw_estimate(sums_of([fit_s]), ResidualSigma(), batch_size=30)
         np.testing.assert_allclose(est_s.beta1, scale * est.beta1, rtol=1e-9)
         np.testing.assert_allclose(est_s.var1, scale**2 * est.var1, rtol=1e-9)
 
@@ -231,13 +233,13 @@ def test_variance_norm_is_batch_factor_over_smallest_eigenvalue(dim, rows, seed,
 class TestVarianceEstimators:
     def test_known_sigma_scalar(self):
         fits = [make_fit(5.0, 1.0)]
-        v1 = ivw_combine(sums_of(fits), KnownSigma(np.sqrt(2.0)), batch_size=10).var1
+        v1 = ivw_estimate(sums_of(fits), KnownSigma(np.sqrt(2.0)), batch_size=10).var1
         assert v1[0, 0] == pytest.approx(4.0, rel=1e-12)  # 10 * (1/5) * 2
 
     def test_known_sigma_identity_grams(self):
         t, n, d = 4, 6, 3
         fits = [make_fit(np.eye(d), np.zeros(d)) for _ in range(t)]
-        v1 = ivw_combine(sums_of(fits), KnownSigma(1.5), batch_size=n).var1
+        v1 = ivw_estimate(sums_of(fits), KnownSigma(1.5), batch_size=n).var1
         np.testing.assert_allclose(v1, (n / t) * 1.5**2 * np.eye(d), rtol=1e-12)
 
     def test_residual_zero_noise(self):
@@ -247,7 +249,7 @@ class TestVarianceEstimators:
         a = (rng.random(30) < 0.5).astype(int)
         y = realize_rewards(model, x, a, rng)
         fit = fit_batch_ols(x, a, y)
-        est = ivw_combine(sums_of([fit]), ResidualSigma(), batch_size=30)
+        est = ivw_estimate(sums_of([fit]), ResidualSigma(), batch_size=30)
         np.testing.assert_allclose(est.var1, 0.0, atol=1e-18)
         np.testing.assert_allclose(est.var0, 0.0, atol=1e-18)
 
@@ -265,9 +267,9 @@ class TestVarianceEstimators:
     def test_residual_matches_known_sigma(self):
         model = TrueModel(beta0=[0.5, -0.3], beta1=[0.2, 0.8], sigma0=1.0, sigma1=1.0)
         sums = self._run_batches(model, t=50, n=200, seed=6)
-        known_est = ivw_combine(sums, KnownSigma(1.0), 200)
+        known_est = ivw_estimate(sums, KnownSigma(1.0), 200)
         known0, known1 = known_est.var0, known_est.var1
-        est = ivw_combine(sums, ResidualSigma(), batch_size=200)
+        est = ivw_estimate(sums, ResidualSigma(), batch_size=200)
         for resid, known in ((est.var0, known0), (est.var1, known1)):
             rel = np.linalg.norm(resid - known, 2) / np.linalg.norm(known, 2)
             assert rel < 0.10
@@ -275,7 +277,7 @@ class TestVarianceEstimators:
     def test_residual_heteroskedastic_factors(self):
         model = TrueModel(beta0=[0.5], beta1=[-0.2], sigma0=1.0, sigma1=2.0)
         sums = self._run_batches(model, t=20, n=500, seed=7)
-        est = ivw_combine(sums, ResidualSigma(), batch_size=500)
+        est = ivw_estimate(sums, ResidualSigma(), batch_size=500)
         f0, f1 = residual_noise_factors(sums, est.beta0, est.beta1)
         assert abs(f0 - 1.0) < 0.10
         assert abs(f1 - 4.0) < 0.40
@@ -331,7 +333,7 @@ class TestLimitSecondMoment:
             actions = select_actions(kind, sums, x, sched, rng)
             y = realize_rewards(model, x, actions, rng)
             update_state(sums, fit_batch_ols(x, actions, y))
-        v1 = ivw_combine(sums, KnownSigma(1.0), batch_size=n).var1
+        v1 = ivw_estimate(sums, KnownSigma(1.0), batch_size=n).var1
         limit = limit_arm_second_moment(spec, model, 0.1, 1, 1_000_000, make_rng(13))
         target = np.linalg.inv(limit)  # noise variance 1
         rel = np.linalg.norm(t * v1 - target, 2) / np.linalg.norm(target, 2)

@@ -35,7 +35,7 @@ from banditstop import (
 )
 from banditstop.harness import resolve_constants
 from banditstop.rng import derive_seed, mix64, substream_seed
-from replay_oracle import batch_stats, replay_stop_decisions
+from replay_oracle import batch_stats, recorded_evaluations, replay_stop_decisions
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -150,20 +150,26 @@ class TestRunExperiment:
             inference=None,
             trajectory_json=True,
         )
-        record = run_experiment(config, 1)
+        with recorded_evaluations() as calls:
+            record = run_experiment(config, 1)
         assert record.stop_time > 1
-        assert "estimator_unavailable" in record.trajectory.stop_trace[0].diagnostics
+        assert calls[0].t == 1 and calls[0].current is None and not calls[0].decision.stop
 
     def test_replay_stop_decisions(self):
         config = small_config(trajectory_json=True)
-        record = run_experiment(config, 3)
+        with recorded_evaluations() as calls:
+            record = run_experiment(config, 3)
         replayed = replay_stop_decisions(record)
-        assert len(replayed) == len(record.trajectory.stop_trace)
-        for got, logged in zip(replayed, record.trajectory.stop_trace):
-            assert got.stop == logged.stop
-            assert got.cap_hit == logged.cap_hit
-            for key, val in logged.diagnostics.items():
-                assert got.diagnostics[key] == pytest.approx(val, rel=1e-12)
+        assert len(replayed) == len(calls) == record.stop_time
+        assert calls[-1].decision == record.trajectory.stop
+        assert sum(call.current is not None for call in calls) > 1
+        for got, logged in zip(replayed, calls):
+            assert got.t == logged.t
+            assert (got.decision.stop, got.decision.cap_hit) == (logged.decision.stop, logged.decision.cap_hit)
+            for mine, theirs in ((got.current, logged.current), (got.previous, logged.previous)):
+                assert (mine is None) == (theirs is None)
+                if theirs is not None:
+                    assert mine == pytest.approx(theirs, rel=1e-12)
 
     def test_residual_mode_runs(self):
         config = small_config(

@@ -4,6 +4,7 @@ fewer units than the dimension, and collinear batches, so that per-arm Grams
 are often singular."""
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -31,6 +32,7 @@ from banditstop import (
     evaluate,
     fit_batch_ols,
     ivw_combine,
+    ivw_estimate,
     linalg,
     make_rng,
     realize_rewards,
@@ -44,9 +46,10 @@ from banditstop import (
     uniform_cube_spec,
     update_state,
 )
+from banditstop.bounds import lock_step_batch
 from banditstop.estimators import ArmFit, arm_masks, fit_arms
-from banditstop.linalg import inverse_spd, is_invertible_gram, solve_spd
-from replay_oracle import batch_stats
+from banditstop.linalg import gram_check, inverse_spd, is_invertible_gram, solve_spd
+from replay_oracle import Evaluation, batch_stats, bits, recorded_evaluations
 
 RTOL = 1e-10
 
@@ -105,9 +108,13 @@ def test_running_sums_match_oracle(case, sigma_mode):
         fits.append(fit)
         update_state(sums, fit)
         assert len(sums) == t
-        got = outcome(ivw_combine, sums, sigma_mode, 7)
+        got = outcome(ivw_estimate, sums, sigma_mode, 7)
         want = outcome(ivw_oracle.ivw_combine, fits, sigma_mode, 7, batches[:t])
-        if not isinstance(want, EstimatorUnavailable):
+        norms = outcome(ivw_combine, sums, sigma_mode, 7)
+        if isinstance(want, EstimatorUnavailable):
+            assert_same(norms, want)
+        else:
+            assert_same(norms, [spectral_norm(want.var0), spectral_norm(want.var1)])
             want = (want.beta0, want.beta1, want.var0, want.var1, want.noise_sd)
             got = (got.beta0, got.beta1, got.var0, got.var1, got.noise_sd)
         assert_same(got, want)
@@ -153,7 +160,7 @@ def test_single_usable_batch_is_a_bitwise_fixed_point():
     sums = RunningSums.empty(2)
     for fit in (fit_batch_ols(x[:1], a[:1], y[:1]), usable, fit_batch_ols(x[1:3], a[1:3], y[1:3])):
         update_state(sums, fit)
-    est = ivw_combine(sums, ResidualSigma(), 6)
+    est = ivw_estimate(sums, ResidualSigma(), 6)
     assert np.array_equal(est.beta0, usable.arm0.beta)
     assert np.array_equal(est.beta1, usable.arm1.beta)
 
@@ -161,35 +168,37 @@ def test_single_usable_batch_is_a_bitwise_fixed_point():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(batch_sequences(), st.sampled_from([KnownSigma(1.3), ResidualSigma()]))
 def test_combined_variances_equal_the_oracle_bitwise(case, sigma_mode):
-    # The variance matrices, formed only when read, are the oracle's
+    # The terminal estimate's variance matrices are the oracle's
     # n * inverse_spd(G) * f bit for bit, with the residual factors the
     # package computes (the oracle's own, from raw units, agree to RTOL
-    # above); the estimates are the oracle's bit for bit, and the terminal
-    # estimate carries the same bits.  The norms the stopping rule reads,
-    # n f / lambda_min(G), agree with the matrices' spectral norms to rounding.
+    # above), and its estimates are the oracle's bit for bit.  The norms the
+    # stopping rule reads are n f / lambda_min(G) with the same factors, bit
+    # for bit, and agree with the matrices' spectral norms to rounding.
     dim, batches, _ = case
     sums, fits = RunningSums.empty(dim), []
     for batch in batches:
         fits.append(fit_batch_ols(batch.contexts, batch.actions, batch.rewards))
         update_state(sums, fits[-1])
-        est = outcome(ivw_combine, sums, sigma_mode, 7)
+        est = outcome(ivw_estimate, sums, sigma_mode, 7)
+        norms = outcome(ivw_combine, sums, sigma_mode, 7)
         if isinstance(est, EstimatorUnavailable):
+            assert isinstance(norms, EstimatorUnavailable) and str(norms) == str(est)
             continue
         factors = (
             (1.3**2, 1.3**2)
             if isinstance(sigma_mode, KnownSigma)
             else residual_noise_factors(sums, est.beta0, est.beta1)
         )
-        assert est.factors == factors
-        terminal = est.estimate()
-        for arm, (beta, var, norm) in enumerate(zip((est.beta0, est.beta1), (est.var0, est.var1), est.var_norms)):
+        sd = (1.3, 1.3) if isinstance(sigma_mode, KnownSigma) else tuple(map(math.sqrt, factors))
+        assert est.noise_sd == sd
+        assert len(norms) == 2 and all(type(norm) is float for norm in norms)
+        for arm, (beta, var, norm) in enumerate(zip((est.beta0, est.beta1), (est.var0, est.var1), norms)):
             gram = ivw_oracle.combined_gram(fits, arm)
             assert np.array_equal(beta, ivw_oracle.combine_arm(fits, arm))
             assert np.array_equal(var, 7 * inverse_spd(gram) * factors[arm])
-            assert np.array_equal(terminal.var(arm), var) and np.array_equal(terminal.beta(arm), beta)
+            assert norm == 7 * factors[arm] / float(gram_check(gram)[1])
             # The tolerance of test_estimators.py's identity test.
             assert abs(norm - spectral_norm(var)) <= 32.0 * np.finfo(float).eps * np.linalg.cond(gram) * norm
-        assert terminal.noise_sd == est.noise_sd
         if isinstance(sigma_mode, KnownSigma):
             oracle = ivw_oracle.ivw_combine(fits, sigma_mode, 7)
             assert np.array_equal(est.var0, oracle.var0) and np.array_equal(est.var1, oracle.var1)
@@ -216,7 +225,9 @@ def test_known_sigma_sums_keep_no_residual_state(case):
         if isinstance(want, EstimatorUnavailable):
             assert str(got) == str(want)
         else:
-            for name in ("beta0", "beta1", "var_norms", "noise_sd", "var0", "var1"):
+            assert got == want
+            got, want = (ivw_estimate(s, KnownSigma(1.3), 7) for s in (lean, full))
+            for name in ("beta0", "beta1", "noise_sd", "var0", "var1"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
     with pytest.raises(ContractError):
         residual_noise_factors(lean, np.zeros(dim), np.zeros(dim))
@@ -251,8 +262,8 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
     # per batch: with a uniform policy, which reads no estimate, the only
     # solves in `banditstop.estimators` are the batch fits' (one per batch
     # over the arm axis, or over the stack) and, at the stop, the terminal
-    # estimate's.  That estimate is the oracle's, bit
-    # for bit.
+    # estimate's: one call over the arm axis, unless each arm has one usable
+    # batch, its estimate.  That estimate is the oracle's, bit for bit.
     setup = SimulationSetup(
         context=uniform_cube_spec(2), policy=UniformRandom(), clip=constant_clip(0.5), batch_size=4,
         sigma_mode=KnownSigma(1.0), rule=StoppingRule("online_threshold", t_max=40, k=0.5),
@@ -267,7 +278,7 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
 
     def terminal_solves(traj):
         usable = [sum(f.arm(a).beta is not None for f in fits_of(traj)) for a in (0, 1)]
-        return sum(u > 1 for u in usable)
+        return int(max(usable) > 1)
 
     def check_terminal(traj):
         oracle = ivw_oracle.ivw_combine(fits_of(traj), KnownSigma(1.0), 4)
@@ -284,7 +295,7 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
     with mock.patch.object(estimators, "solve_spd", wraps=solve_spd) as solves:
         ensemble = list(simulate_ensemble(setup, model, [make_rng(s) for s in seeds]))
     # One stacked fit per batch of the stack, and at each member's stop the
-    # solves of its lone trajectory (`IvwCombination.estimate`).
+    # solve of its lone trajectory (`ivw_estimate`).
     assert solves.call_count == max(traj.stop_time for traj in ensemble) + sum(map(terminal_solves, ensemble))
     for got, want in zip(ensemble, lone):
         assert got.stop_time == want.stop_time
@@ -292,15 +303,43 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
         check_terminal(want)
 
 
+@pytest.mark.parametrize("sigma_mode", [KnownSigma(1.3), ResidualSigma()])
+@pytest.mark.parametrize("batch_size", [3, 4, 6])
+def test_the_stacked_combine_equals_each_members_lone_combine(sigma_mode, batch_size):
+    # The engine's per-batch step on stacked sums: at every batch, each
+    # member's availability and norms are, bit for bit, those of the lone
+    # combine of its own sums, and unavailable exactly where that raises.
+    spec, policy, clip = uniform_cube_spec(2), Thompson(1.0), constant_clip(0.2)
+    model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3])
+    members, residual = 8, isinstance(sigma_mode, ResidualSigma)
+    rngs = [make_rng(seed) for seed in range(members)]
+    sums = RunningSums.empty(2, residual, members=members)
+    seen = {True: 0, False: 0}
+    for t in range(1, 16):
+        x, arm1, y = lock_step_batch(spec, model, policy, clip, batch_size, t, rngs, sums.xx, sums.xy)
+        sums.add(fit_arms(x, y, arm_masks(arm1), residual))
+        stacked = ivw_combine(sums, sigma_mode, batch_size)
+        assert stacked.ok.shape == (members,) and stacked.norms.shape == (members, 2)
+        for k in range(members):
+            lone = outcome(ivw_combine, sums.member(k), sigma_mode, batch_size)
+            ok = not isinstance(lone, EstimatorUnavailable)
+            assert bool(stacked.ok[k]) == ok
+            if ok:
+                assert stacked.norms[k].tobytes() == np.array(lone).tobytes()
+            seen[ok] += 1
+    assert seen[True] > 20 and seen[False] > 0, seen
+
+
 def fresh_check_trajectory(setup, model, rng):
     """The lone loop of `simulate_trajectory`, with X'X replaced by a copy
     after every batch: it is never the combined Grams' array, so it is
     summed on its own and the policy checks it afresh
-    (`policies.action_probabilities`).  Returns the stop time, the per-batch stats,
-    the stop trace and the terminal combination (or None)."""
+    (`policies.action_probabilities`).  Returns the stop time, the per-batch
+    stats, each batch's call of the stopping rule and the terminal estimate
+    (or None)."""
     residual = not isinstance(setup.sigma_mode, KnownSigma)
     sums = RunningSums.empty(model.dim, residual)
-    stats, trace, norms, ivw = [], [], None, None
+    stats, calls, norms = [], [], None
     for t in range(1, setup.rule.t_max + 1):
         sums.xx = sums.xx.copy()
         x = sample_batch_contexts(setup.context, setup.batch_size, rng)
@@ -311,18 +350,13 @@ def fresh_check_trajectory(setup, model, rng):
         update_state(sums, fit)
         previous = norms
         try:
-            ivw = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
-            norms = ivw.var_norms
+            norms = ivw_combine(sums, setup.sigma_mode, setup.batch_size)
         except EstimatorUnavailable:
-            ivw = norms = None
-        trace.append(evaluate(setup.rule, t, current=norms, previous=previous))
-        if trace[-1].stop:
+            norms = None
+        calls.append(Evaluation(t, norms, previous, evaluate(setup.rule, t, current=norms, previous=previous)))
+        if calls[-1].decision.stop:
             break
-    return t, stats, trace, ivw
-
-
-def bits(a):
-    return None if a is None else np.asarray(a, float).tobytes()
+    return t, stats, calls, None if norms is None else ivw_estimate(sums, setup.sigma_mode, setup.batch_size)
 
 
 @pytest.mark.parametrize(
@@ -342,19 +376,16 @@ def test_the_shared_gram_changes_no_bit_of_a_lone_trajectory(policy, sigma_mode,
     model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3])
     singular = reused = 0
     for seed in range(8):
-        with mock.patch.object(linalg, "eigvalsh", wraps=linalg.eigvalsh) as shared:
+        with mock.patch.object(linalg, "eigvalsh", wraps=linalg.eigvalsh) as shared, recorded_evaluations() as calls:
             got = simulate_trajectory(setup, model, make_rng(seed))
         with mock.patch.object(linalg, "eigvalsh", wraps=linalg.eigvalsh) as fresh:
-            t, stats, trace, ivw = fresh_check_trajectory(setup, model, make_rng(seed))
+            t, stats, want_calls, want = fresh_check_trajectory(setup, model, make_rng(seed))
         reused += fresh.call_count - shared.call_count
-        assert got.stop_time == t
+        assert got.stop_time == t and got.stop == want_calls[-1].decision
         assert [tuple(map(bits, s)) for s in batch_stats(got)] == [tuple(map(bits, s)) for s in stats]
-        assert [(d.t, d.stop, d.cap_hit, {k: bits(v) for k, v in d.diagnostics.items()}) for d in got.stop_trace] == [
-            (d.t, d.stop, d.cap_hit, {k: bits(v) for k, v in d.diagnostics.items()}) for d in trace
-        ]
-        assert (got.ivw is None) == (ivw is None)
-        if ivw is not None:
-            want = ivw.estimate()
+        assert [call.bits() for call in calls] == [call.bits() for call in want_calls]
+        assert (got.ivw is None) == (want is None)
+        if want is not None:
             for name in ("beta0", "beta1", "var0", "var1"):
                 assert bits(getattr(got.ivw, name)) == bits(getattr(want, name)), name
             assert got.ivw.noise_sd == want.noise_sd

@@ -82,7 +82,9 @@ class TestEvaluateOnline:
         spec = StoppingRule("online_threshold", t_max=100, k=1.0)
         d = evaluate(spec, 3, current=(0.7, 0.5))
         assert d.stop and not d.cap_hit
-        assert d.diagnostics["var_norm_arm0"] == pytest.approx(0.7)
+        assert d.diagnostics == {}  # an online rule logs nothing
+        assert evaluate(spec, 3, current=(1.0, 1.0)).stop  # a norm at k stops
+        assert not evaluate(spec, 3, current=(np.nextafter(1.0, 2.0), 0.5)).stop
 
     def test_threshold_requires_both_arms(self):
         spec = StoppingRule("online_threshold", t_max=100, k=1.0)
@@ -105,19 +107,26 @@ class TestEvaluateOnline:
     def test_opportunity_needs_history(self):
         spec = StoppingRule("online_opportunity", t_max=100, c_prime=0.02)
         d = evaluate(spec, 1, current=(1.0, 1.0), previous=None)
-        assert not d.stop and "insufficient_history" in d.diagnostics
+        assert not d.stop and d.diagnostics == {}
+        assert evaluate(spec, 1, current=(1.0, 1.0), previous=(1.0, 1.0)).stop
 
-    def test_missing_estimates_continue_with_flag(self):
+    def test_missing_estimates_continue(self):
         spec = StoppingRule("online_threshold", t_max=100, k=1.0)
         d = evaluate(spec, 1, current=None)
-        assert not d.stop and "estimator_unavailable" in d.diagnostics
+        assert not d.stop and d.diagnostics == {}
+        opportunity = StoppingRule("online_opportunity", t_max=100, c_prime=0.02)
+        assert not evaluate(opportunity, 2, current=None, previous=(1.0, 1.0)).stop
 
     def test_scaled_opportunity_level(self):
         spec = StoppingRule("online_opportunity", t_max=50, c_prime=0.001, scale_by_batch=True, batch_size=100)
         prev = (1.0, 1.0)
         d = evaluate(spec, 2, current=(0.95, 0.95), previous=prev)
         assert d.stop  # level 0.1 vs decrements 0.05
-        assert d.diagnostics["level"] == pytest.approx(0.1)
+        assert not evaluate(dataclasses.replace(spec, scale_by_batch=False), 2, (0.95, 0.95), prev).stop
+        # Decrements of exactly the level 0.001 * 100 stop, and one just above it does not.
+        level = 0.001 * 100
+        assert evaluate(spec, 2, current=(0.0, 0.0), previous=(level, level)).stop
+        assert not evaluate(spec, 2, current=(0.0, 0.0), previous=(level, np.nextafter(level, 1.0))).stop
 
     def test_cap(self):
         spec = StoppingRule("online_threshold", t_max=4, k=1e-9)
@@ -136,36 +145,37 @@ class TestCarriedNorms:
         )
         model = TrueModel(beta0=[0.2, -0.1], beta1=[0.45, 0.25])
         eigvalsh = mock.Mock(wraps=linalg.eigvalsh)
-        after_batch = []
+        calls = []
 
-        def counted_evaluate(*args, **kwargs):
-            decision = stopping.evaluate(*args, **kwargs)
-            after_batch.append(eigvalsh.call_count)
+        def counted_evaluate(rule, t, current=None, previous=None):
+            decision = stopping.evaluate(rule, t, current, previous)
+            calls.append((eigvalsh.call_count, t, current, previous))
             return decision
 
         with mock.patch.object(linalg, "eigvalsh", eigvalsh), mock.patch.object(
             stopping, "eigvalsh", eigvalsh
         ), mock.patch.object(simulate, "evaluate", counted_evaluate):
             traj = simulate.simulate_trajectory(setup, model, make_rng(3))
-        return np.diff([0] + after_batch).tolist(), traj
+        return np.diff([0] + [call[0] for call in calls]).tolist(), traj, [call[1:] for call in calls]
 
     @pytest.mark.parametrize("sigma_mode", [KnownSigma(1.0), ResidualSigma()])
     def test_same_eigenvalue_calls_per_batch(self, sigma_mode):
-        per_threshold, threshold = self.run(StoppingRule("online_threshold", t_max=25, k=1e-9), sigma_mode)
-        per_opportunity, opportunity = self.run(StoppingRule("online_opportunity", t_max=25, c_prime=1e-9), sigma_mode)
+        per_threshold, threshold, _ = self.run(StoppingRule("online_threshold", t_max=25, k=1e-9), sigma_mode)
+        per_opportunity, opportunity, _ = self.run(StoppingRule("online_opportunity", t_max=25, c_prime=1e-9), sigma_mode)
         common = min(threshold.stop_time, opportunity.stop_time)
         assert common > 10 and min(per_threshold) > 0
         assert per_opportunity[:common] == per_threshold[:common]
 
     def test_decrement_is_carried_norm_minus_current(self):
-        _, traj = self.run(StoppingRule("online_opportunity", t_max=25, c_prime=1e-9), KnownSigma(1.0))
+        _, traj, calls = self.run(StoppingRule("online_opportunity", t_max=25, c_prime=1e-9), KnownSigma(1.0))
+        assert [t for t, _, _ in calls] == list(range(1, traj.stop_time + 1))
+        assert calls[0][2] is None
         checked = 0
-        for before, now in zip(traj.stop_trace, traj.stop_trace[1:]):
-            if "var_norm_arm0" not in before.diagnostics:  # no estimate, so no norms, at that batch
+        for (_, before, _), (_, current, previous) in zip(calls, calls[1:]):
+            assert (previous is None) == (before is None)
+            if before is None:  # no estimate, so no norms, at that batch
                 continue
-            for arm in (0, 1):
-                prev, cur = before.diagnostics[f"var_norm_arm{arm}"], now.diagnostics[f"var_norm_arm{arm}"]
-                assert now.diagnostics[f"decrement_arm{arm}"] == prev - cur
+            assert np.array(previous).tobytes() == np.array(before).tobytes()
             checked += 1
         assert checked > 10
 
@@ -333,7 +343,14 @@ def test_a_config_gives_its_rule_its_batch_size():
     data = json.loads((Path(__file__).resolve().parents[1] / "configs" / "demo.json").read_text())
     data["stopping"] = {"kind": "online_opportunity", "t_max": 200, "c_prime": 0.001, "scale_by_batch": True}
     config = config_from_dict(data)
-    assert evaluate(config.stopping, 2, (0.9, 0.9), (1.0, 1.0)).diagnostics["level"] == 0.001 * 100
+    # Under scale_by_batch at demo's batch size 100 a decrement of 0.05
+    # stops, as it would not at the unscaled level 0.001; the level is
+    # 0.001 * 100 exactly.
+    rule, level = config.stopping, 0.001 * 100
+    assert evaluate(rule, 2, (0.95, 0.95), (1.0, 1.0)).stop
+    assert not evaluate(dataclasses.replace(rule, batch_size=1), 2, (0.95, 0.95), (1.0, 1.0)).stop
+    assert evaluate(rule, 2, (0.0, 0.0), (level, level)).stop
+    assert not evaluate(rule, 2, (0.0, 0.0), (np.nextafter(level, 1.0), level)).stop
     assert dataclasses.replace(config, batch_size=50).stopping.batch_size == 50
 
 
