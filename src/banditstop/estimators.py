@@ -30,9 +30,9 @@ With a known noise scale f = sigma^2 needs no estimate, so the combined
 estimate is not solved either; under residual sigma f is the mean squared
 residual against it, so it is solved every batch.  The estimates and the
 matrices ``n * inverse_spd(G) * f`` are formed once per trajectory, at its
-stop, by :func:`ivw_estimate`: a lock-step member's from its own sums
-(:meth:`RunningSums.member`), by the lone formula.  Fits made for a known
-noise scale skip y'y and the RSS, which only residual-sigma sums read.
+stop, by :func:`ivw_estimate`, of one trajectory's sums or, by the same
+formula, of the lock-step members that stop together.  Fits made for a
+known noise scale skip y'y and the RSS, which only residual-sigma sums read.
 
 Stacking: a batch's per-arm sums are zero-masked full-length products
 (:func:`masked_sums`, :func:`masked_rss`), which numpy rounds the same for
@@ -132,7 +132,7 @@ class RunningSums:
     Stacked sums (``empty(..., members=R)``) give each field a leading axis
     of R members.  `add` folds one batch per member as it folds one, each
     product a stacked matmul that rounds as for one member, so each member's
-    sums (`member`) equal its lone trajectory's bit for bit.
+    sums (`take(k)`) equal its lone trajectory's bit for bit.
 
     Until an arm's first singular batch, `gram` and `xx` receive the same
     additions in the same order, so while no arm has had one they are one
@@ -215,10 +215,6 @@ class RunningSums:
             taken.xx = taken.gram
         return taken
 
-    def member(self, k: int) -> "RunningSums":
-        """Member k's sums, of stacked sums: those of its lone trajectory."""
-        return self.take(k)
-
 
 class StackedEstimate(NamedTuple):
     """`ivw_combine` of R members' stacked sums: whether each has the
@@ -229,26 +225,32 @@ class StackedEstimate(NamedTuple):
 
 
 def _combine_stack(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> StackedEstimate:
-    """`ivw_combine` of every member of stacked sums.  The singularity
-    checks, which give the norms' lambda_min, run once over the stack.
-    Under residual sigma the noise factors need the estimates, solved by one
-    LAPACK call over the stack with the identity in place of the Grams of
-    members without the estimate; under a known noise scale they are not
-    solved."""
+    """`ivw_combine` of every member of stacked sums: the singularity checks,
+    which give the norms' lambda_min, and `_solve_stack` run once over the stack."""
     invertible, smallest = gram_check(sums.gram)
     ok = ((sums.usable > 0) & invertible).all(axis=-1)
-    if isinstance(sigma_mode, KnownSigma):
-        factor = np.full(ok.shape + (2,), sigma_mode.sigma**2)
-    else:
+    if not isinstance(sigma_mode, KnownSigma):
         ok &= (sums.count > sums.dim).all(axis=-1)
+    _, factor = _solve_stack(sums, sigma_mode, ok, solve=False)
+    return StackedEstimate(ok, batch_size * factor / select(ok[:, None], smallest, 1.0))
+
+
+def _solve_stack(sums: RunningSums, sigma_mode: SigmaMode, ok: np.ndarray, solve: bool):
+    """`_combined` of stacked sums, without its checks: the combined
+    estimates (R, 2, d), solved by one LAPACK call over the stack where the
+    noise factors read them or `solve` asks for them, else None, and the
+    factors (R, 2).  Members where `ok` is false get stand-ins: the identity
+    solved in place of their Grams, and finite factors."""
+    beta, known = None, isinstance(sigma_mode, KnownSigma)
+    if solve or not known:
         gram = select(ok[:, None, None, None], sums.gram, _identity(sums.dim))
         beta = select(ok[:, None, None] & (sums.usable > 1)[..., None], solve_spd(gram, sums.weighted), sums.ref)
-        # `_noise_factors` over the stack; members without the estimate
-        # get a finite stand-in.
-        delta = beta - sums.ref
-        sq = sums.ee - 2.0 * _dot(delta, sums.xe) + _quad(delta, sums.xx)
-        factor = np.where(0.0 > sq, 0.0, sq) / np.maximum(sums.count, 1)
-    return StackedEstimate(ok, batch_size * factor / select(ok[:, None], smallest, 1.0))
+    if known:
+        return beta, np.full(ok.shape + (2,), sigma_mode.sigma**2)
+    # `_noise_factors` over the stack.
+    delta = beta - sums.ref
+    sq = sums.ee - 2.0 * _dot(delta, sums.xe) + _quad(delta, sums.xx)
+    return beta, np.where(0.0 > sq, 0.0, sq) / np.maximum(sums.count, 1)
 
 
 # m @ v, u @ v and v @ m @ v over stacks of vectors (..., d) and matrices (..., d, d).
@@ -483,17 +485,26 @@ def ivw_combine(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> tu
     return (batch_size * factors[0] / low0, batch_size * factors[1] / low1)
 
 
-def ivw_estimate(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> IvwEstimate:
+def ivw_estimate(sums: RunningSums, sigma_mode: SigmaMode, batch_size: int) -> IvwEstimate | list[IvwEstimate]:
     """The terminal estimate of a trajectory's sums, formed once, at its stop:
     the combined estimates and the variance matrices
     ``batch_size * (sum of contributing Grams)^{-1} * factor``, both arms'
     inverted by one LAPACK call.  Raises EstimatorUnavailable as
-    `ivw_combine` does."""
-    _, (f0, f1), beta = _combined(sums, sigma_mode, solve=True)
-    inverse = inverse_spd(sums.gram)
-    noise_sd = (sigma_mode.sigma,) * 2 if isinstance(sigma_mode, KnownSigma) else (math.sqrt(f0), math.sqrt(f1))
-    beta0, beta1 = beta.copy()
-    return IvwEstimate(beta0, beta1, batch_size * inverse[0] * f0, batch_size * inverse[1] * f1, batch_size, noise_sd)
+    `ivw_combine` does.  Stacked sums, told by their shape, all of whose
+    members have the estimate (`StackedEstimate.ok`), give the list of their
+    estimates, each its lone sums', by one solve and one inverse."""
+    stacked = sums.gram.ndim > 3
+    if stacked:
+        beta, factor = _solve_stack(sums, sigma_mode, np.ones(len(sums.gram), dtype=bool), solve=True)
+    else:
+        _, factors, beta = _combined(sums, sigma_mode, solve=True)
+        factor = np.array(factors)
+    var = batch_size * inverse_spd(sums.gram) * factor[..., None, None]
+    noise_sd = np.full(factor.shape, sigma_mode.sigma) if isinstance(sigma_mode, KnownSigma) else np.sqrt(factor)
+    d = sums.dim
+    rows = zip(beta.reshape(-1, 2, d).copy(), var.reshape(-1, 2, d, d), noise_sd.reshape(-1, 2).tolist())
+    estimates = [IvwEstimate(b0, b1, v0, v1, batch_size, tuple(sd)) for (b0, b1), (v0, v1), sd in rows]
+    return estimates if stacked else estimates[0]
 
 
 def limit_arm_second_moment(

@@ -43,6 +43,9 @@ class UniformBox:
             width = self.upper - self.lower
         if not np.isfinite(width).all():
             raise ConfigError("box bounds and their widths must be finite")
+        # Not a field: a cube's shared (lower, width) for `_scale_to_box`, or None.
+        cube = (self.lower == self.lower[0]).all() and (width == width[0]).all()
+        object.__setattr__(self, "_cube", (float(self.lower[0]), float(width[0])) if cube else None)
 
 
 @dataclass(frozen=True)
@@ -162,9 +165,6 @@ def sample_batch_contexts(spec: ContextSpec, n: int, rng: np.random.Generator) -
         raise ContractError("n must be >= 1")
     dist = spec.dist
     if isinstance(dist, UniformBox):
-        # Scaled in place one coordinate column at a time: a broadcast against
-        # the trailing length-dim axis makes numpy's inner loop dim elements
-        # long, while each column is one loop over all n draws.
         return _scale_to_box(rng.random((n, spec.dim)), dist)
     chol = np.linalg.cholesky(dist.cov)
     out = np.empty((n, spec.dim))
@@ -249,9 +249,17 @@ def stacked_contexts(spec: ContextSpec, n: int, rngs) -> np.ndarray:
 
 
 def _scale_to_box(u: np.ndarray, box: UniformBox) -> np.ndarray:
-    """Map uniform [0, 1) draws u (..., dim) to the box in place, one column at
-    a time: u * width + lower, which is what `rng.uniform(lower, upper, size)`
-    computes, draw for draw, since IEEE + and * commute."""
+    """Map uniform [0, 1) draws u (..., dim) to the box in place: u * width +
+    lower, which is what `rng.uniform(lower, upper, size)` computes, draw for
+    draw, since IEEE + and * commute.  A cube (`UniformBox` finds it once)
+    takes two calls over the whole buffer with Python-float scalars; any
+    other box one per column, since a broadcast against the trailing axis
+    makes numpy's inner loop only dim elements long."""
+    if box._cube is not None:
+        lower, width = box._cube
+        u *= width
+        u += lower
+        return u
     width = box.upper - box.lower
     for j in range(u.shape[-1]):
         col = u[..., j]
@@ -288,7 +296,8 @@ def estimate_policy_regret(
     reward of the arm the learned rule picks: max(r0, r1) - chosen, with
     r_a = x . beta_a.  That is |r1 - r0| where the rule picks the worse arm
     and 0 where it picks the better one (or the arms tie), which is how it
-    is computed: three matrix-vector products, no masked select.  The
+    is computed: three matrix-vector products into two n-vectors, the
+    arithmetic in place on them, and no masked select.  The
     identity is exact in IEEE arithmetic while r1 - r0 is finite, since
     a - b = -(b - a) and v * 1.0 = v; only the sign of an all-zero mean can
     differ (0.0 against -0.0, which compare equal).  Where x . beta
@@ -296,11 +305,13 @@ def estimate_policy_regret(
     """
     x = sample_batch_contexts(spec, mc_samples, rng)
     gap = x @ model.beta1
-    gap -= x @ model.beta0
-    wrong = (x @ np.asarray(learned_difference, dtype=float) > 0) != (gap > 0)
+    other = x @ model.beta0  # r0, then the learned rule's score
+    gap -= other
+    np.matmul(x, np.asarray(learned_difference, dtype=float), out=other)
+    wrong = (other > 0.0) != (gap > 0.0)
     np.abs(gap, out=gap)
     gap *= wrong
-    return float(np.mean(gap))
+    return float(np.add.reduce(gap)) / mc_samples  # np.mean's pairwise sum and division, without its overhead
 
 
 def check_assumptions(

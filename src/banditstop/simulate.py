@@ -24,12 +24,13 @@ one batch for the opportunity rule.  Under residual sigma the fits and sums
 also keep the residual terms, and the combined estimate is solved every
 batch for the noise factors; under a known noise scale neither is.  The
 combined estimate and the variance matrices are formed once, at the stop,
-by `estimators.ivw_estimate` in both loops: a stopping member's from its
-own sums (`RunningSums.member`), as its lone trajectory's.  The stack
-shrinks only on a batch where some member stops.  A trajectory keeps each
-batch's fit by reference (`Trajectory.stats`: the lone fit, or the stack's
-fit and the member's row), which only the file writer slices, and of its
-stopping decisions only the last (`Trajectory.stop`).
+by `estimators.ivw_estimate` in both loops, in the engine by one call over
+the members that stop in a batch, each one's the bits of its lone
+trajectory's.  The stack shrinks only on a batch where some member stops.
+A trajectory keeps each batch's fit by reference (`Trajectory.stats`: the
+lone fit, or the stack's fit and the member's row), which only the file
+writer slices, and of its stopping decisions only the last
+(`Trajectory.stop`).
 
 The lone loop's fixed cost per batch is a few dozen numpy calls, so it
 makes none it can skip with the same bits.  Its sums hold both arms as one
@@ -45,7 +46,7 @@ and at most four solves or inverses.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -147,9 +148,11 @@ def _lock_step(setup: SimulationSetup, model: TrueModel, rngs) -> Iterator[Traje
             prev[i] = cur
             if decision.stop:
                 stop[k], decisions[i] = True, decision
-                if ok[k]:
-                    ivws[i] = ivw_estimate(sums.member(k), setup.sigma_mode, n)
         if any(stop):
+            ended = combined.ok & stop  # the stopping members with an estimate
+            if ended.any():  # one stacked call, each member's estimate its lone trajectory's
+                for i, ivw in zip(compress(live, ended), ivw_estimate(sums.take(ended), setup.sigma_mode, n)):
+                    ivws[i] = ivw
             sums = sums.take(~np.array(stop))
             live = [i for i, s in zip(live, stop) if not s]
             members = [rngs[i] for i in live]

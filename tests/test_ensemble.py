@@ -119,8 +119,8 @@ def assert_same_trajectory(got, want):
             assert_same_arrays(p, q)
     assert (got.ivw is None) == (want.ivw is None)
     if want.ivw is not None:
-        for name in ("beta0", "beta1", "var0", "var1"):
-            assert np.array_equal(getattr(got.ivw, name), getattr(want.ivw, name))
+        for name in ("beta0", "beta1", "var0", "var1"):  # signed zeros told apart
+            assert getattr(got.ivw, name).tobytes() == getattr(want.ivw, name).tobytes(), name
         assert got.ivw.batch_size == want.ivw.batch_size
         assert all(type(s) is float for s in got.ivw.noise_sd + want.ivw.noise_sd)
         assert np.array(got.ivw.noise_sd).tobytes() == np.array(want.ivw.noise_sd).tobytes()

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regret_oracle
@@ -9,12 +11,17 @@ from banditstop import (
     ContextSpec,
     ContractError,
     EpsGreedy,
+    ExperimentConfig,
+    KnownSigma,
     RunningSums,
     Schedule,
+    StoppingRule,
     TrueModel,
     TruncatedGaussian,
     UniformBox,
+    UniformRandom,
     check_assumptions,
+    config_to_dict,
     constant_clip,
     estimate_policy_regret,
     fit_batch_ols,
@@ -110,6 +117,53 @@ def box_spec(box) -> ContextSpec:
     return ContextSpec(dim=lower.size, dist=UniformBox(lower, upper), sup_bound=sup)
 
 
+# The boxes above are rarely cubes, which `_scale_to_box` scales by two
+# whole-buffer calls; these are, each but the last, which stays on the
+# column path.
+CUBES = [(np.full(d, -1.0), np.full(d, 1.0)) for d in range(1, 5)] + [
+    (np.zeros(2), np.ones(2)),
+    (np.array([0.0, -0.0]), np.ones(2)),  # lower bounds equal, signs not
+    (np.full(2, -0.0), np.full(2, -0.0)),  # a point mass at -0.0
+]
+ANISOTROPIC = (np.array([-1.0, 0.0]), np.array([1.0, 0.5]))
+
+
+def with_box_examples(as_args):
+    """`@example`s of the cubes and the anisotropic box, as `as_args` turns each into a test's arguments."""
+    def add(test):
+        for box in CUBES + [ANISOTROPIC]:
+            test = example(**as_args(box))(test)
+        return test
+
+    return add
+
+
+@pytest.mark.parametrize("box, cube", [(box, True) for box in CUBES] + [(ANISOTROPIC, False)])
+def test_a_box_is_found_a_cube_once(box, cube):
+    # Found at construction and kept out of the dataclass's fields, so that
+    # equality, the repr and the config's JSON form do not see it.
+    dist = UniformBox(*box)
+    assert (dist._cube is not None) == cube
+    twin = UniformBox(*box)
+    object.__setattr__(twin, "_cube", None if cube else (0.0, 1.0))
+    assert [f.name for f in dataclasses.fields(dist)] == ["lower", "upper"]
+    assert repr(twin) == repr(dist)
+    if dist.lower.size == 1:  # a longer numpy array has no truth value
+        assert twin == dist
+    spec = box_spec(box)
+    config = ExperimentConfig(
+        context=spec, model=TrueModel(beta0=np.zeros(spec.dim), beta1=np.ones(spec.dim)), policy=UniformRandom(),
+        clip=constant_clip(0.1), batch_size=4, stopping=StoppingRule("online_threshold", t_max=5, k=1.0),
+        sigma_mode=KnownSigma(1.0), replications=1, master_seed=0,
+    )
+    twin_config = dataclasses.replace(config, context=ContextSpec(spec.dim, twin, spec.sup_bound))
+    assert config_to_dict(twin_config) == config_to_dict(config)
+    assert config_to_dict(config)["context"]["dist"] == {
+        "kind": "uniform_box", "lower": box[0].tolist(), "upper": box[1].tolist()
+    }
+
+
+@with_box_examples(lambda box: dict(box=box, n=7, seed=11))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(box=boxes(), n=st.integers(1, 50), seed=st.integers(0, 2**63 - 1))
 def test_uniform_box_draws_equal_generator_uniform(box, n, seed):
@@ -142,13 +196,18 @@ def specs():
 SEEDS = st.integers(0, 2**63 - 1)
 
 
+@with_box_examples(lambda box: dict(spec=box_spec(box), n=7, members=3, seed=11))
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(spec=specs(), n=st.integers(1, 40), members=st.integers(1, 4), seed=SEEDS)
 def test_stacked_contexts_equal_stacked_lone_draws(spec, n, members, seed):
     mine = [make_rng(seed + i) for i in range(members)]
     lone = [make_rng(seed + i) for i in range(members)]
     got = stacked_contexts(spec, n, mine)
-    want = np.stack([sample_batch_contexts(spec, n, rng) for rng in lone])
+    dist = spec.dist
+    if isinstance(dist, UniformBox):  # a box's draws are the generator's own
+        want = np.stack([rng.uniform(dist.lower, dist.upper, size=(n, spec.dim)) for rng in lone])
+    else:
+        want = np.stack([sample_batch_contexts(spec, n, rng) for rng in lone])
     assert got.tobytes() == want.tobytes()
     assert [rng.random() for rng in mine] == [rng.random() for rng in lone]
 

@@ -262,8 +262,10 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
     # per batch: with a uniform policy, which reads no estimate, the only
     # solves in `banditstop.estimators` are the batch fits' (one per batch
     # over the arm axis, or over the stack) and, at the stop, the terminal
-    # estimate's: one call over the arm axis, unless each arm has one usable
-    # batch, its estimate.  That estimate is the oracle's, bit for bit.
+    # estimate's: alone, one call over the arm axis, unless each arm has one
+    # usable batch, its estimate; in the engine, one call over the stack of
+    # the members that stop together.  That estimate is the oracle's, bit
+    # for bit.
     setup = SimulationSetup(
         context=uniform_cube_spec(2), policy=UniformRandom(), clip=constant_clip(0.5), batch_size=4,
         sigma_mode=KnownSigma(1.0), rule=StoppingRule("online_threshold", t_max=40, k=0.5),
@@ -285,18 +287,21 @@ def test_known_sigma_solves_the_combined_estimate_only_at_the_stop():
         for name in ("beta0", "beta1", "var0", "var1"):
             assert getattr(traj.ivw, name).tobytes() == getattr(oracle, name).tobytes(), name
 
-    seeds = range(6)
+    seeds = range(12)
     with mock.patch.object(estimators, "solve_spd", wraps=solve_spd) as solves:
         lone = [simulate_trajectory(setup, model, make_rng(s)) for s in seeds]
     assert all(traj.ivw is not None for traj in lone)
     assert solves.call_count == sum(traj.stop_time + terminal_solves(traj) for traj in lone)
-    assert sum(traj.stop_time for traj in lone) > 6 * 3  # several batches each
+    assert sum(traj.stop_time for traj in lone) > 12 * 3  # several batches each
 
     with mock.patch.object(estimators, "solve_spd", wraps=solve_spd) as solves:
         ensemble = list(simulate_ensemble(setup, model, [make_rng(s) for s in seeds]))
-    # One stacked fit per batch of the stack, and at each member's stop the
-    # solve of its lone trajectory (`ivw_estimate`).
-    assert solves.call_count == max(traj.stop_time for traj in ensemble) + sum(map(terminal_solves, ensemble))
+    # One stacked fit per batch of the stack, and at each batch where
+    # members stop, one solve over their stack (`ivw_estimate`), however
+    # many stop in it.
+    stop_times = {traj.stop_time for traj in ensemble}
+    assert len(stop_times) < len(ensemble)
+    assert solves.call_count == max(stop_times) + len(stop_times)
     for got, want in zip(ensemble, lone):
         assert got.stop_time == want.stop_time
         check_terminal(got)
@@ -309,6 +314,8 @@ def test_the_stacked_combine_equals_each_members_lone_combine(sigma_mode, batch_
     # The engine's per-batch step on stacked sums: at every batch, each
     # member's availability and norms are, bit for bit, those of the lone
     # combine of its own sums, and unavailable exactly where that raises.
+    # The stacked terminal estimate of the members that have one is each
+    # one's lone `ivw_estimate`, bit for bit.
     spec, policy, clip = uniform_cube_spec(2), Thompson(1.0), constant_clip(0.2)
     model = TrueModel(beta0=[0.2, -0.1], beta1=[0.5, 0.3])
     members, residual = 8, isinstance(sigma_mode, ResidualSigma)
@@ -321,12 +328,19 @@ def test_the_stacked_combine_equals_each_members_lone_combine(sigma_mode, batch_
         stacked = ivw_combine(sums, sigma_mode, batch_size)
         assert stacked.ok.shape == (members,) and stacked.norms.shape == (members, 2)
         for k in range(members):
-            lone = outcome(ivw_combine, sums.member(k), sigma_mode, batch_size)
+            lone = outcome(ivw_combine, sums.take(k), sigma_mode, batch_size)
             ok = not isinstance(lone, EstimatorUnavailable)
             assert bool(stacked.ok[k]) == ok
             if ok:
                 assert stacked.norms[k].tobytes() == np.array(lone).tobytes()
             seen[ok] += 1
+        if stacked.ok.any():
+            terminal = ivw_estimate(sums.take(stacked.ok), sigma_mode, batch_size)
+            for k, got in zip(np.flatnonzero(stacked.ok), terminal):
+                want = ivw_estimate(sums.take(k), sigma_mode, batch_size)
+                for name in ("beta0", "beta1", "var0", "var1"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+                assert got.noise_sd == want.noise_sd and got.batch_size == want.batch_size
     assert seen[True] > 20 and seen[False] > 0, seen
 
 
